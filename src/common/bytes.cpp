@@ -8,25 +8,49 @@ namespace orv {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][b] advances byte b's contribution through k more zero
+// bytes, so one 8-byte word is folded with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-  static const auto table = make_crc_table();
+  static_assert(std::endian::native == std::endian::little,
+                "slicing-by-8 folds little-endian words");
+  const auto& t = kCrcTables;
+  const std::byte* p = data.data();
+  std::size_t n = data.size();
   std::uint32_t c = seed;
-  for (std::byte b : data) {
-    c = table[(c ^ static_cast<std::uint8_t>(b)) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    w ^= c;
+    c = t[7][w & 0xffu] ^ t[6][(w >> 8) & 0xffu] ^ t[5][(w >> 16) & 0xffu] ^
+        t[4][(w >> 24) & 0xffu] ^ t[3][(w >> 32) & 0xffu] ^
+        t[2][(w >> 40) & 0xffu] ^ t[1][(w >> 48) & 0xffu] ^ t[0][w >> 56];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<std::uint8_t>(*p)) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -22,9 +22,19 @@ constexpr std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t v) {
   return mix64(seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2)));
 }
 
+/// Starting accumulator of a salted key hash: hash_lanes and
+/// JoinKey::hash_row both begin here, so their values coincide.
+constexpr std::uint64_t hash_seed(std::uint64_t salt) {
+  return mix64(salt ^ 0x243f6a8885a308d3ull);
+}
+
 /// Hash of a span of 64-bit key lanes with a salt. Composite join keys are
 /// canonicalized into lanes by the schema layer.
-std::uint64_t hash_lanes(std::span<const std::uint64_t> lanes,
-                         std::uint64_t salt);
+inline std::uint64_t hash_lanes(std::span<const std::uint64_t> lanes,
+                                std::uint64_t salt) {
+  std::uint64_t h = hash_seed(salt);
+  for (std::uint64_t lane : lanes) h = hash_combine(h, lane);
+  return h;
+}
 
 }  // namespace orv

@@ -101,6 +101,11 @@ void ThreadPool::parallel_for(std::size_t n,
       return workers_active_ == 0 && completed_ == next_index_ &&
              (next_index_ >= job_size_ || first_exception_);
     });
+    // Retire the job: an aborted job leaves next_index_ < job_size_, and a
+    // worker that wakes late for this generation would otherwise pass
+    // run_indices()'s dispatch check once first_exception_ is cleared and
+    // call through the null job_fn_.
+    next_index_ = job_size_;
     job_fn_ = nullptr;
     if (first_exception_) {
       auto ex = first_exception_;

@@ -241,15 +241,18 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
   const std::size_t batch =
       std::clamp<std::size_t>(options_.probe_batch, 1, 64);
   const bool radix = parts_.size() > 1;
+  // Most calls probe far fewer rows than one chunk; size the per-chunk
+  // scratch to the range so a short probe does not zero-fill a full chunk.
+  const std::size_t scratch_rows = std::min(chunk_rows, row_end - row_begin);
 
-  std::vector<std::uint64_t> hashes(chunk_rows);
-  std::vector<std::uint64_t> lanes_buf(chunk_rows * arity);
+  std::vector<std::uint64_t> hashes(scratch_rows);
+  std::vector<std::uint64_t> lanes_buf(scratch_rows * arity);
   std::vector<std::uint32_t> order;       // partition-grouped probe order
   std::vector<std::uint32_t> bucket_pos;  // per-partition cursors
   std::vector<Match> matches;
   std::vector<Match> sorted;
   std::vector<std::uint32_t> emit_pos;  // per-probe-row cursors for restore
-  matches.reserve(chunk_rows);
+  matches.reserve(scratch_rows);
 
   for (std::size_t cb = row_begin; cb < row_end; cb += chunk_rows) {
     const std::size_t cn = std::min(chunk_rows, row_end - cb);

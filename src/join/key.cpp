@@ -1,7 +1,6 @@
 #include "join/key.hpp"
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 
 namespace orv {
 
@@ -16,15 +15,6 @@ JoinKey JoinKey::resolve(const Schema& schema,
     key.types_.push_back(schema.attr(idx).type);
   }
   return key;
-}
-
-std::uint64_t JoinKey::hash_row(const std::byte* row,
-                                std::uint64_t salt) const {
-  std::uint64_t h = mix64(salt ^ 0x243f6a8885a308d3ull);
-  for (std::size_t i = 0; i < offsets_.size(); ++i) {
-    h = hash_combine(h, key_lane_from_bytes(types_[i], row + offsets_[i]));
-  }
-  return h;
 }
 
 }  // namespace orv

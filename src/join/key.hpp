@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "subtable/subtable.hpp"
 
 namespace orv {
@@ -33,7 +34,15 @@ class JoinKey {
 
   /// Hash of a row's key with the given salt (distinct salts give the
   /// independent functions h1, h2 and the in-memory table hash).
-  std::uint64_t hash_row(const std::byte* row, std::uint64_t salt) const;
+  /// Equals hash_lanes of the row's extract_lanes without materializing
+  /// them.
+  std::uint64_t hash_row(const std::byte* row, std::uint64_t salt) const {
+    std::uint64_t h = hash_seed(salt);
+    for (std::size_t i = 0; i < offsets_.size(); ++i) {
+      h = hash_combine(h, key_lane_from_bytes(types_[i], row + offsets_[i]));
+    }
+    return h;
+  }
 
   bool lanes_equal(const std::uint64_t* a, const std::uint64_t* b) const {
     for (std::size_t i = 0; i < offsets_.size(); ++i) {

@@ -2,24 +2,16 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace orv {
 
-namespace {
-
-std::uint64_t float_lane(double d) {
-  // Normalize -0.0 so it joins with +0.0; propagate the value as an f64 bit
-  // pattern so f32 0.5 and f64 0.5 canonicalize identically.
-  if (d == 0.0) d = 0.0;
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
+void throw_bad_attr_type(const char* where) {
+  throw InvalidArgument(std::string("bad AttrType in ") + where);
 }
-
-}  // namespace
 
 AttrType Value::type() const {
   switch (v_.index()) {
@@ -61,7 +53,7 @@ Value Value::read(AttrType type, const std::byte* p) {
       return Value(v);
     }
   }
-  throw InvalidArgument("bad AttrType in Value::read");
+  throw_bad_attr_type("Value::read");
 }
 
 void Value::write(AttrType type, std::byte* p) const {
@@ -87,7 +79,7 @@ void Value::write(AttrType type, std::byte* p) const {
       return;
     }
   }
-  throw InvalidArgument("bad AttrType in Value::write");
+  throw_bad_attr_type("Value::write");
 }
 
 std::uint64_t Value::key_lane() const {
@@ -114,32 +106,6 @@ std::string Value::to_string() const {
       return strformat("%g", as_double());
   }
   return "?";
-}
-
-std::uint64_t key_lane_from_bytes(AttrType type, const std::byte* p) {
-  switch (type) {
-    case AttrType::Int32: {
-      std::int32_t v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
-    }
-    case AttrType::Int64: {
-      std::int64_t v;
-      std::memcpy(&v, p, sizeof(v));
-      return static_cast<std::uint64_t>(v);
-    }
-    case AttrType::Float32: {
-      float v;
-      std::memcpy(&v, p, sizeof(v));
-      return float_lane(static_cast<double>(v));
-    }
-    case AttrType::Float64: {
-      double v;
-      std::memcpy(&v, p, sizeof(v));
-      return float_lane(v);
-    }
-  }
-  throw InvalidArgument("bad AttrType in key_lane_from_bytes");
 }
 
 }  // namespace orv

@@ -4,6 +4,7 @@
 // canonicalization used for equi-join keys.
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <variant>
@@ -48,8 +49,46 @@ class Value {
   std::variant<std::int32_t, std::int64_t, float, double> v_;
 };
 
+/// Throws InvalidArgument for an AttrType value outside the enum; `where`
+/// names the caller. Out of line so the inline switches below stay small.
+[[noreturn]] void throw_bad_attr_type(const char* where);
+
+/// Canonical lane of a floating value: -0.0 is normalized so it joins with
+/// +0.0, and the value travels as an f64 bit pattern so f32 0.5 and f64 0.5
+/// canonicalize identically.
+inline std::uint64_t float_lane(double d) {
+  if (d == 0.0) d = 0.0;
+  std::uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
 /// Canonical key lane straight from record bytes (avoids Value round-trip on
 /// the join hot path).
-std::uint64_t key_lane_from_bytes(AttrType type, const std::byte* p);
+inline std::uint64_t key_lane_from_bytes(AttrType type, const std::byte* p) {
+  switch (type) {
+    case AttrType::Int32: {
+      std::int32_t v;
+      std::memcpy(&v, p, sizeof(v));
+      return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    }
+    case AttrType::Int64: {
+      std::int64_t v;
+      std::memcpy(&v, p, sizeof(v));
+      return static_cast<std::uint64_t>(v);
+    }
+    case AttrType::Float32: {
+      float v;
+      std::memcpy(&v, p, sizeof(v));
+      return float_lane(static_cast<double>(v));
+    }
+    case AttrType::Float64: {
+      double v;
+      std::memcpy(&v, p, sizeof(v));
+      return float_lane(v);
+    }
+  }
+  throw_bad_attr_type("key_lane_from_bytes");
+}
 
 }  // namespace orv

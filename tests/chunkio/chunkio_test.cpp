@@ -12,12 +12,12 @@
 namespace orv {
 namespace {
 
-SubTable sample_table() {
+SubTable sample_table(int rows = 16) {
   auto schema = Schema::make({{"x", AttrType::Float32},
                               {"y", AttrType::Float32},
                               {"oilp", AttrType::Float32}});
   SubTable st(schema, SubTableId{3, 9});
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < rows; ++i) {
     const Value vals[] = {Value(float(i % 4)), Value(float(i / 4)),
                           Value(0.1f * float(i))};
     st.append_values(vals);
@@ -59,6 +59,20 @@ TEST(ChunkFormat, PayloadCorruptionDetectedByCrc) {
   const ChunkHeader h = decode_chunk_header(bytes, &payload_offset);
   bytes[payload_offset + 5] ^= std::byte{0x80};
   EXPECT_THROW(chunk_payload(bytes, h, payload_offset), FormatError);
+
+  // 15 rows x 12 B = 180 B: 22 eight-byte words and a 4-byte tail, so a
+  // flip in the first word, the last word and the tail each lands in a
+  // different part of the CRC loop.
+  const auto clean = make_chunk(sample_table(15), LayoutId::RowMajor);
+  const ChunkHeader h15 = decode_chunk_header(clean, &payload_offset);
+  ASSERT_EQ(h15.payload_size, 180u);
+  EXPECT_NO_THROW(chunk_payload(clean, h15, payload_offset));
+  for (std::size_t at : {std::size_t{3}, std::size_t{170}, std::size_t{178}}) {
+    auto flipped = clean;
+    flipped[payload_offset + at] ^= std::byte{0x10};
+    EXPECT_THROW(chunk_payload(flipped, h15, payload_offset), FormatError)
+        << "payload byte " << at;
+  }
 }
 
 TEST(ChunkFormat, TruncationRejected) {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -129,6 +131,25 @@ TEST(ThreadPool, ExceptionInEveryChunkStillCompletes) {
   std::atomic<int> count{0};
   pool.parallel_for(10, [&](std::size_t) { count++; });
   EXPECT_EQ(count.load(), 10);
+}
+
+TEST(ThreadPool, LateWorkerAfterAbortedJobDoesNotDispatch) {
+  // Oversubscribe so workers often wake only after an aborted job has
+  // already returned on the caller. Such a late worker must find the job
+  // retired rather than dispatch the rest of its indices through a
+  // cleared job function.
+  const std::size_t threads =
+      std::max<std::size_t>(8, 4 * std::thread::hardware_concurrency());
+  ThreadPool pool(threads);
+  for (int round = 0; round < 200; ++round) {
+    EXPECT_THROW(pool.parallel_for(
+                     64, [&](std::size_t) { throw IoError("abort"); }, 1),
+                 IoError);
+    std::atomic<int> count{0};
+    pool.parallel_for(
+        64, [&](std::size_t) { count++; }, 1);
+    ASSERT_EQ(count.load(), 64) << "round " << round;
+  }
 }
 
 }  // namespace

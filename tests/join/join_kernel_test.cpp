@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -152,6 +154,50 @@ TEST(ProbeRange, DuplicateChainLongerThanBatch) {
   // the left serial number.
   for (std::size_t r = 1; r < 40; ++r) {
     EXPECT_LT(a.get<float>(r - 1, 1), a.get<float>(r, 1));
+  }
+}
+
+TEST(ProbeRange, ChunkBoundaryRangesMatchScalarBytes) {
+  // The batched kernel sizes its per-chunk scratch to the probe range;
+  // ranges just below, at and just above one chunk (and a range that
+  // starts mid-table and straddles a chunk edge) must still emit exactly
+  // the scalar kernel's bytes, with and without radix partitioning.
+  Xoshiro256StarStar rng(77);
+  std::vector<int> lkeys, rkeys;
+  for (int i = 0; i < 3000; ++i) lkeys.push_back(static_cast<int>(rng.below(900)));
+  for (int i = 0; i < 5000; ++i) rkeys.push_back(static_cast<int>(rng.below(1000)));
+  ProbeFixture fx(lkeys, rkeys);
+
+  JoinKernelOptions single;
+  single.radix_build = false;
+  JoinKernelOptions radix;
+  radix.l2_bytes = 4 << 10;  // force partitioning on a small table
+  const std::size_t chunk = single.probe_chunk;
+  ASSERT_EQ(radix.probe_chunk, chunk);
+  ASSERT_LT(chunk + 1 + 777, fx.right.num_rows());
+
+  const BuiltHashTable ht_scalar(fx.left, {"k"}, JoinKernelOptions::scalar());
+  const BuiltHashTable ht_single(fx.left, {"k"}, single);
+  const BuiltHashTable ht_radix(fx.left, {"k"}, radix);
+  EXPECT_EQ(ht_single.num_partitions(), 1u);
+  EXPECT_GT(ht_radix.num_partitions(), 1u);
+
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 1},         {0, 255},           {0, chunk - 1},
+      {0, chunk},     {0, chunk + 1},     {777, 777 + chunk + 1},
+  };
+  for (const auto& [begin, end] : ranges) {
+    const SubTable want = fx.probe(ht_scalar, begin, end);
+    for (const BuiltHashTable* ht : {&ht_single, &ht_radix}) {
+      const SubTable got = fx.probe(*ht, begin, end);
+      ASSERT_EQ(got.size_bytes(), want.size_bytes())
+          << "range [" << begin << ", " << end << ") partitions "
+          << ht->num_partitions();
+      EXPECT_TRUE(std::equal(got.bytes().begin(), got.bytes().end(),
+                             want.bytes().begin()))
+          << "range [" << begin << ", " << end << ") partitions "
+          << ht->num_partitions();
+    }
   }
 }
 
