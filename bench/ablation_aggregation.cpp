@@ -12,10 +12,10 @@
 //                    same bytes cross the same links).
 //
 // Flush threshold swept 1-64 logical batches plus the adaptive
-// controller; fingerprints never change, and the extended gh_cost model
-// (agg_flush_batches) tracks the simulated times.
+// controller; fingerprints never change, and the extended GH model
+// (CostParams::agg_flush_batches) tracks the simulated times.
 //
-//   --check   CI aggregation-smoke mode: asserts flush 16 cuts switch
+//   --check   CI aggregation gate (ASan job): asserts flush 16 cuts switch
 //             frames >= 8x and elapsed >= 15% at the message-bound
 //             corner, and moves the bandwidth-bound corner by < 1%,
 //             with byte-identical fingerprints everywhere.
@@ -78,14 +78,14 @@ struct CornerRig {
     return r;
   }
 
-  /// Extended gh_cost prediction at a given flush threshold.
+  /// Extended GH model prediction at a given flush threshold.
   double model(double flush) const {
     CostParams p =
         CostParams::from(cluster, ds.stats, table1_schema(data)->record_size(),
                          table2_schema(data)->record_size(), 1.0);
     p.batch_bytes = static_cast<double>(options.batch_bytes);
     p.agg_flush_batches = flush;
-    return gh_cost(p).total();
+    return cost(Algorithm::GraceHash, p).total();
   }
 };
 

@@ -118,7 +118,6 @@ int main(int argc, char** argv) {
       CostParams::from(believed, ConnectivityStats{}, 1, 1, 1.0)));
 
   QesOptions qes_cal = qes;
-  qes_cal.use_calibration = true;
   qes_cal.calibrator = &calibrator;
 
   std::printf("%3s %10s | %9s %9s %9s | %9s %9s %9s | %7s %7s | %-3s %-3s %-3s"

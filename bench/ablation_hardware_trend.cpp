@@ -19,6 +19,7 @@ int main() {
                 cspec.hw.to_string().c_str());
     std::printf("%10s | %8s %8s | %-11s\n", "n_e*c_S", "IJ model", "GH model",
                 "QPS choice");
+    const QueryPlanner planner(cspec);
     const std::uint64_t M = 32, w = 8;
     for (std::uint64_t s : {1, 4, 16, 32}) {
       DatasetSpec data;
@@ -26,13 +27,10 @@ int main() {
       data.part1 = {M, M / s, w};
       data.part2 = {M / s, M, w};
       const auto stats = analyze(data);
-      const auto params = CostParams::from(cspec, stats, 16, 16);
-      const auto mij = ij_cost(params);
-      const auto mgh = gh_cost(params);
+      const PlanDecision d = planner.plan(stats, 16, 16);
       std::printf("%10llu | %8.4f %8.4f | %-11s\n",
                   (unsigned long long)(stats.num_edges * stats.c_S),
-                  mij.total(), mgh.total(),
-                  mij.total() <= mgh.total() ? "IndexedJoin" : "GraceHash");
+                  d.ij.total(), d.gh.total(), algorithm_name(d.chosen));
     }
     DatasetSpec probe;
     probe.grid = {64, 64, 64};

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   const auto base = run_scenario(overlap_scenario());
   std::printf("serial baseline: IJ %.6fs  GH %.6fs  (model IJ %.6fs)\n\n",
               base.sim_ij.elapsed, base.sim_gh.elapsed,
-              base.model_ij.total());
+              base.plan.ij.total());
 
   std::printf("%9s %8s | %8s %8s %8s %8s | %8s %8s | %6s\n", "lookahead",
               "coalesce", "IJ sim", "IJ gain", "overlap", "IJ model",
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
           "%9zu %8s | %8.5f %7.1f%% %8.3f %8.5f | %8.5f %7.1f%% | %6s\n", la,
           coalesce ? "yes" : "no", r.sim_ij.elapsed,
           100.0 * (1.0 - r.sim_ij.elapsed / base.sim_ij.elapsed),
-          r.sim_ij.overlap_ratio, r.model_ij.total(), r.sim_gh.elapsed,
+          r.sim_ij.overlap_ratio, r.plan.ij.total(), r.sim_gh.elapsed,
           100.0 * (1.0 - r.sim_gh.elapsed / base.sim_gh.elapsed),
           same ? "yes" : "NO!");
       series.add_row(strformat(
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
           "\"ij_model\":%.6f,\"overlap_ratio\":%.4f,\"prefetch_issued\":%llu,"
           "\"prefetch_wasted\":%llu,\"fingerprint_match\":%s}",
           la, coalesce ? "true" : "false", r.sim_ij.elapsed, r.sim_gh.elapsed,
-          r.model_ij.total(), r.sim_ij.overlap_ratio,
+          r.plan.ij.total(), r.sim_ij.overlap_ratio,
           (unsigned long long)r.sim_ij.prefetch_issued,
           (unsigned long long)r.sim_ij.prefetch_wasted,
           same ? "true" : "false"));

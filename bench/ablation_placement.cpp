@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     const double f_local =
         moved > 0 ? r.sim_ij.local_transfer_bytes / moved : 0.0;
     std::printf("%-22s | %8.3f %8.3f %8.3f | %9.3g %9.3g %7.3f\n", c.name,
-                r.sim_ij.elapsed, r.model_ij.total(), r.sim_gh.elapsed,
+                r.sim_ij.elapsed, r.plan.ij.total(), r.sim_gh.elapsed,
                 r.sim_ij.cross_switch_bytes, r.sim_ij.local_transfer_bytes,
                 f_local);
     series.add_row(strformat(
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
         "\"cross_switch_bytes\":%.0f,\"local_bytes\":%.0f,"
         "\"local_fraction\":%.4f,\"fingerprint\":%llu}",
         placement_name(c.placement), r.sim_ij.elapsed, r.sim_gh.elapsed,
-        r.model_ij.total(), r.sim_ij.cross_switch_bytes,
+        r.plan.ij.total(), r.sim_ij.cross_switch_bytes,
         r.sim_ij.local_transfer_bytes, f_local,
         (unsigned long long)r.sim_ij.result_fingerprint));
   }

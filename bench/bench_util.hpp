@@ -1,8 +1,8 @@
 #pragma once
 
-// Shared harness for the per-figure benchmarks: builds a dataset, runs
-// both QES algorithms on a fresh simulated cluster, evaluates the cost
-// models, and prints paper-style series rows.
+// Shared harness for the per-figure benchmarks: builds a dataset, plans
+// it with the QPS, runs both QES algorithms on a fresh simulated cluster,
+// and prints paper-style series rows.
 //
 // Profiling: when the ORV_PROFILE environment variable names a file, each
 // scenario run installs an observability context (virtual-time clock on
@@ -27,7 +27,6 @@
 #include "obs/prometheus.hpp"
 #include "obs/sim_clock.hpp"
 #include "obs/trace.hpp"
-#include "place/placement.hpp"
 #include "qes/qes.hpp"
 #include "qps/planner.hpp"
 #include "sim/engine.hpp"
@@ -45,12 +44,11 @@ struct Scenario {
 
 struct ScenarioResult {
   ConnectivityStats stats;
-  CostParams params;
-  CostBreakdown model_ij;
-  CostBreakdown model_gh;
+  /// The planner's decision for the scenario's options: the priced
+  /// params, both model breakdowns and the chosen algorithm.
+  PlanDecision plan;
   QesResult sim_ij;
   QesResult sim_gh;
-  Algorithm planned = Algorithm::IndexedJoin;
 
   /// Bottleneck diagnoses, filled on instrumented runs only (ORV_PROFILE /
   /// ORV_TRACE): uninstrumented runs assemble no trace DAG to walk.
@@ -66,10 +64,10 @@ struct ScenarioResult {
   /// Model accuracy per algorithm (simulated / predicted); computable with
   /// or without instrumentation, so benches can always emit it.
   double ij_error_ratio() const {
-    return model_ij.total() > 0 ? sim_ij.elapsed / model_ij.total() : 0.0;
+    return plan.ij.total() > 0 ? sim_ij.elapsed / plan.ij.total() : 0.0;
   }
   double gh_error_ratio() const {
-    return model_gh.total() > 0 ? sim_gh.elapsed / model_gh.total() : 0.0;
+    return plan.gh.total() > 0 ? sim_gh.elapsed / plan.gh.total() : 0.0;
   }
 };
 
@@ -243,13 +241,14 @@ QesResult run_profiled(const sim::Engine& engine, const std::string& label,
     result = run();
     obs::PlanValidation pv;
     pv.query = label;
-    pv.chosen = algorithm_name(so_far.planned);
+    const CostBreakdown& model = algorithm == Algorithm::IndexedJoin
+                                     ? so_far.plan.ij
+                                     : so_far.plan.gh;
+    pv.chosen = algorithm_name(so_far.plan.chosen);
     pv.executed = algorithm_name(algorithm);
-    pv.predicted_ij = so_far.model_ij.total();
-    pv.predicted_gh = so_far.model_gh.total();
-    pv.predicted = algorithm == Algorithm::IndexedJoin
-                       ? so_far.model_ij.total()
-                       : so_far.model_gh.total();
+    pv.predicted_ij = so_far.plan.ij.total();
+    pv.predicted_gh = so_far.plan.gh.total();
+    pv.predicted = model.total();
     pv.measured = result.elapsed;
     ctx.add_plan_validation(std::move(pv));
 
@@ -276,9 +275,6 @@ QesResult run_profiled(const sim::Engine& engine, const std::string& label,
       if (diag_to_stdout()) print_diagnosis(diag);
     }
     if (!cp.segments.empty()) {
-      const CostBreakdown& model = algorithm == Algorithm::IndexedJoin
-                                       ? so_far.model_ij
-                                       : so_far.model_gh;
       std::vector<obs::StageAccuracy> stages;
       stages.push_back({"network", model.transfer,
                         cp.stage_seconds(obs::Stage::Network)});
@@ -324,52 +320,20 @@ QesResult run_profiled(const sim::Engine& engine, const std::string& label,
 }  // namespace detail
 
 /// Runs both algorithms (each on a fresh engine+cluster so resource stats
-/// and virtual clocks do not interact) and evaluates the models.
+/// and virtual clocks do not interact) and plans the scenario with the
+/// QPS, so the recorded models are exactly what the planner prices.
 inline ScenarioResult run_scenario(Scenario sc) {
   sc.data.num_storage_nodes = sc.cluster.num_storage;
   auto ds = generate_dataset(sc.data);
-
-  ScenarioResult out;
-  out.stats = ds.stats;
-  out.params = CostParams::from(
-      sc.cluster, ds.stats, table1_schema(sc.data)->record_size(),
-      table2_schema(sc.data)->record_size(), 1.0 / sc.cpu_work_factor);
-  out.params.batch_bytes = static_cast<double>(sc.options.batch_bytes);
-  out.params.bucket_pair_bytes =
-      static_cast<double>(sc.options.bucket_pair_bytes);
-  out.params.prefetch_lookahead =
-      static_cast<double>(sc.options.prefetch_lookahead);
-  // Pipelined execution gets the matching max-of-stages models, so the
-  // PlanValidation error the profile records stays meaningful.
-  out.model_ij = sc.options.prefetch_lookahead > 0
-                     ? ij_cost_pipelined(out.params)
-                     : ij_cost(out.params);
-  out.model_gh = sc.options.gh_double_buffer ? gh_cost_pipelined(out.params)
-                                             : gh_cost(out.params);
-  out.planned = out.model_ij.total() <= out.model_gh.total()
-                    ? Algorithm::IndexedJoin
-                    : Algorithm::GraceHash;
 
   JoinQuery query{sc.data.table1_id, sc.data.table2_id, {"x", "y", "z"}, {}};
   const auto graph = ConnectivityGraph::build(
       ds.meta, query.left_table, query.right_table, query.join_attrs);
 
-  if (sc.cluster.colocated &&
-      sc.options.assign == ComponentAssign::PlacementAffinity) {
-    // Locality-aware model refinement (mirrors QueryPlanner::plan): fold
-    // the predicted schedule's node-local byte fraction into IJ transfer.
-    const Schedule predicted = make_schedule_placement_affinity(
-        graph, sc.cluster.num_compute, ds.meta, sc.cluster.num_storage,
-        sc.options.pair_order, sc.options.seed);
-    out.params.local_fraction =
-        schedule_local_fraction(predicted, ds.meta, sc.cluster.num_storage);
-    out.model_ij = sc.options.prefetch_lookahead > 0
-                       ? ij_cost_pipelined(out.params)
-                       : ij_cost(out.params);
-    out.planned = out.model_ij.total() <= out.model_gh.total()
-                      ? Algorithm::IndexedJoin
-                      : Algorithm::GraceHash;
-  }
+  ScenarioResult out;
+  out.stats = ds.stats;
+  out.plan = QueryPlanner(sc.cluster).plan(
+      ds.meta, graph, query, 1.0 / sc.cpu_work_factor, &sc.options);
 
   QesOptions options = sc.options;
   options.cpu_work_factor = sc.cpu_work_factor;

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     Scenario pc = sc;
     pc.options = pipelined_options();
     const auto p = run_scenario(pc);
-    crossover = crossover_ne_cs(r.params);
+    crossover = crossover_ne_cs(r.plan.params);
     const bool ij_wins = r.sim_ij.elapsed <= r.sim_gh.elapsed;
     // Diagnosis column: one-line bottleneck verdict for the sim winner.
     // Only instrumented runs (ORV_PROFILE / ORV_TRACE) assemble the trace
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
         "%10.0f %10.4f | %8.3f %8.3f | %8.3f %8.3f | %8.3f %8.3f | %-11s "
         "%-11s | %s\n",
         r.ne_cs(), r.stats.edge_ratio, r.sim_ij.elapsed, r.sim_gh.elapsed,
-        p.sim_ij.elapsed, p.sim_gh.elapsed, r.model_ij.total(),
-        r.model_gh.total(), algorithm_name(r.planned),
+        p.sim_ij.elapsed, p.sim_gh.elapsed, r.plan.ij.total(),
+        r.plan.gh.total(), algorithm_name(r.plan.chosen),
         ij_wins ? "IndexedJoin" : "GraceHash", diag.c_str());
     // The *_stage_* columns are the serial-model critical-path breakdown
     // bench_compare's regression attribution diffs when a gate fails.
@@ -68,11 +68,11 @@ int main(int argc, char** argv) {
         "\"gh_stage_transfer\":%.6f,\"gh_stage_write\":%.6f,"
         "\"gh_stage_read\":%.6f,\"gh_stage_cpu\":%.6f}",
         r.ne_cs(), r.sim_ij.elapsed, r.sim_gh.elapsed, p.sim_ij.elapsed,
-        p.sim_gh.elapsed, r.model_ij.total(), r.model_gh.total(),
-        p.model_ij.total(), p.model_gh.total(), p.sim_ij.overlap_ratio,
-        r.ij_error_ratio(), r.gh_error_ratio(), r.model_ij.transfer,
-        r.model_ij.cpu(), r.model_gh.transfer, r.model_gh.write,
-        r.model_gh.read, r.model_gh.cpu()));
+        p.sim_gh.elapsed, r.plan.ij.total(), r.plan.gh.total(),
+        p.plan.ij.total(), p.plan.gh.total(), p.sim_ij.overlap_ratio,
+        r.ij_error_ratio(), r.gh_error_ratio(), r.plan.ij.transfer,
+        r.plan.ij.cpu(), r.plan.gh.transfer, r.plan.gh.write,
+        r.plan.gh.read, r.plan.gh.cpu()));
   }
   std::printf("\nModel-predicted crossover: n_e*c_S = %.4g\n", crossover);
   std::printf("Expected paper shape: IJ below GH at small n_e*c_S, GH below "

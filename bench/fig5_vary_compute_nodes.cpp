@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     std::printf("%6zu | %8.3f %8.3f %8.3f | %8.3f %8.3f | %8.3f %8.3f\n", nj,
                 r.sim_ij.elapsed, r.sim_gh.elapsed,
                 r.sim_gh.elapsed - r.sim_ij.elapsed, p.sim_ij.elapsed,
-                p.sim_gh.elapsed, r.model_ij.total(), r.model_gh.total());
+                p.sim_gh.elapsed, r.plan.ij.total(), r.plan.gh.total());
     series.add_row(strformat(
         "{\"n_j\":%zu,\"ij_serial\":%.6f,\"gh_serial\":%.6f,"
         "\"ij_pipelined\":%.6f,\"gh_pipelined\":%.6f,"
@@ -42,8 +42,8 @@ int main(int argc, char** argv) {
         "\"ij_model_pipelined\":%.6f,\"gh_model_pipelined\":%.6f,"
         "\"ij_overlap_ratio\":%.4f}",
         nj, r.sim_ij.elapsed, r.sim_gh.elapsed, p.sim_ij.elapsed,
-        p.sim_gh.elapsed, r.model_ij.total(), r.model_gh.total(),
-        p.model_ij.total(), p.model_gh.total(), p.sim_ij.overlap_ratio));
+        p.sim_gh.elapsed, r.plan.ij.total(), r.plan.gh.total(),
+        p.plan.ij.total(), p.plan.gh.total(), p.sim_ij.overlap_ratio));
   }
   std::printf("\nExpected paper shape: IJ outperforms GH (low n_e*c_S); the "
               "gap decreases\nroughly as 1/n_j as compute nodes are "

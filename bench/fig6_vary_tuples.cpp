@@ -28,7 +28,7 @@ int main() {
     std::printf("%12llu | %8.3f %8.3f %8.3f | %8.3f %8.3f\n",
                 (unsigned long long)r.stats.T, r.sim_ij.elapsed,
                 r.sim_gh.elapsed, r.sim_gh.elapsed - r.sim_ij.elapsed,
-                r.model_ij.total(), r.model_gh.total());
+                r.plan.ij.total(), r.plan.gh.total());
   }
 
   std::printf("\n-- cost-model extrapolation to the paper's scale --\n");
@@ -46,8 +46,8 @@ int main() {
     cluster.num_storage = 5;
     cluster.num_compute = 5;
     const auto params = CostParams::from(cluster, stats, 16, 16);
-    const auto mij = ij_cost(params);
-    const auto mgh = gh_cost(params);
+    const auto mij = cost(Algorithm::IndexedJoin, params);
+    const auto mgh = cost(Algorithm::GraceHash, params);
     std::printf("%12llu | %10.1f %10.1f %10.1f\n",
                 (unsigned long long)stats.T, mij.total(), mgh.total(),
                 mgh.total() - mij.total());

@@ -27,9 +27,9 @@ int main() {
     sc.cluster.num_compute = 5;
     const auto r = run_scenario(sc);
     std::printf("%8zu %8.0f | %8.3f %8.3f %8.3f | %8.3f %8.3f\n", attrs,
-                r.params.RS_R, r.sim_ij.elapsed, r.sim_gh.elapsed,
-                r.sim_gh.elapsed - r.sim_ij.elapsed, r.model_ij.total(),
-                r.model_gh.total());
+                r.plan.params.RS_R, r.sim_ij.elapsed, r.sim_gh.elapsed,
+                r.sim_gh.elapsed - r.sim_ij.elapsed, r.plan.ij.total(),
+                r.plan.gh.total());
   }
   std::printf("\nExpected paper shape: linear in record size for both; GH's "
               "slope is steeper\n(bucket I/O also scales with record "

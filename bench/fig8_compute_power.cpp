@@ -27,8 +27,8 @@ int main() {
     sc.cpu_work_factor = k;       // k repeats = 1/k of the computing power
     const auto r = run_scenario(sc);
     std::printf("%13.3gx | %8.3f %8.3f | %8.3f %8.3f | %-11s\n", 1.0 / k,
-                r.sim_ij.elapsed, r.sim_gh.elapsed, r.model_ij.total(),
-                r.model_gh.total(), algorithm_name(r.planned));
+                r.sim_ij.elapsed, r.sim_gh.elapsed, r.plan.ij.total(),
+                r.plan.gh.total(), algorithm_name(r.plan.chosen));
   }
   std::printf("\nExpected paper shape: at low computing power GH wins (its "
               "CPU term is\nsmaller); as F grows IJ overtakes GH — the "

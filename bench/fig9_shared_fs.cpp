@@ -27,7 +27,7 @@ int main() {
     sc.options.batch_bytes = 16 * 1024;  // finer interleaving granularity
     const auto r = run_scenario(sc);
     std::printf("%6zu | %8.3f %8.3f | %8.3f %8.3f\n", nj, r.sim_ij.elapsed,
-                r.sim_gh.elapsed, r.model_ij.total(), r.model_gh.total());
+                r.sim_gh.elapsed, r.plan.ij.total(), r.plan.gh.total());
   }
   std::printf("\nExpected paper shape: GH considerably worse than IJ; GH "
               "degrades (or at\nbest stagnates) as compute nodes are added, "

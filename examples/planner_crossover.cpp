@@ -42,8 +42,8 @@ int main() {
 
     const CostParams params =
         CostParams::from(cspec, ds.stats, 16, 16);
-    const CostBreakdown mij = ij_cost(params);
-    const CostBreakdown mgh = gh_cost(params);
+    const CostBreakdown mij = cost(Algorithm::IndexedJoin, params);
+    const CostBreakdown mgh = cost(Algorithm::GraceHash, params);
     crossover = crossover_ne_cs(params);
 
     sim::Engine engine;

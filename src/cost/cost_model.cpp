@@ -95,7 +95,18 @@ double ij_fetch_messages(const CostParams& p) {
   return p.T / p.c_R + p.T / p.c_S;
 }
 
-CostBreakdown ij_cost(const CostParams& p) {
+namespace {
+
+/// Overlap saved when two serial stages of cost a and b run pipelined over
+/// `units` work items: serial a + b becomes max(a, b) + min(a, b) / units
+/// (the fill term — the first item's shorter stage cannot hide behind
+/// anything), so the saving is min(a, b) * (1 - 1/units).
+double stage_overlap(double a, double b, double units) {
+  const double u = std::max(1.0, units);
+  return std::min(a, b) * (1.0 - 1.0 / u);
+}
+
+CostBreakdown indexed_join_cost(const CostParams& p) {
   CostBreakdown c;
   c.transfer = ij_transfer_cost(p);
   if (p.msg_overhead > 0 && p.c_R > 0 && p.c_S > 0) {
@@ -104,12 +115,23 @@ CostBreakdown ij_cost(const CostParams& p) {
     c.transfer += message_overhead_cost(
         p, ij_fetch_messages(p) / std::max(1.0, p.agg_flush_batches));
   }
+  c.transfer *= p.refetch_factor;
   c.cpu_build = p.alpha_build * p.T / p.n_j;
   c.cpu_lookup = p.alpha_lookup * p.n_e * p.c_S / p.n_j;
+  if (p.prefetch_lookahead > 0) {
+    // Each joiner processes ~n_e / n_j scheduled pairs; the prefetcher
+    // keeps the pair stream's transfer hidden behind build/probe of
+    // earlier pairs. A depth-L channel can only smooth fetch bursts over
+    // an L-pair window, so the achievable overlap scales by L / (L + 1),
+    // asymptotically full as L grows.
+    const double L = p.prefetch_lookahead;
+    c.overlap =
+        L / (L + 1.0) * stage_overlap(c.transfer, c.cpu(), p.n_e / p.n_j);
+  }
   return c;
 }
 
-CostBreakdown gh_cost(const CostParams& p) {
+CostBreakdown grace_hash_cost(const CostParams& p) {
   CostBreakdown c;
   c.transfer = transfer_cost(p);
   if (p.msg_overhead > 0 && p.batch_bytes > 0) {
@@ -127,72 +149,43 @@ CostBreakdown gh_cost(const CostParams& p) {
   c.read = total_bytes(p) / read_agg;
   c.cpu_build = p.alpha_build * p.T / p.n_j;
   c.cpu_lookup = p.alpha_lookup * p.T / p.n_j;
+  if (p.gh_double_buffer) {
+    // Phase 1: the spill for batch k is written while batch k+1 streams
+    // in. Per-receiver batch count shares the h1 message derivation with
+    // the message term and run_grace_hash.
+    const double per_node_bytes = total_bytes(p) / p.n_j;
+    const double n_batches = gh_h1_messages(p) / p.n_j;
+    c.overlap = stage_overlap(c.transfer, c.write, n_batches);
+    // Phase 2: bucket k+1's scratch read is issued while bucket k joins.
+    // Bucket count exactly as run_grace_hash derives it (Section 4.2: a
+    // bucket pair must fit in half the joiner's memory).
+    const double target = p.bucket_pair_bytes > 0 ? p.bucket_pair_bytes
+                                                  : p.memory_bytes / 2;
+    const double n_buckets =
+        target > 0 ? std::floor(per_node_bytes / target) + 1 : 1;
+    c.overlap += stage_overlap(c.read, c.cpu(), n_buckets);
+  }
   return c;
-}
-
-namespace {
-
-/// Overlap saved when two serial stages of cost a and b run pipelined over
-/// `units` work items: serial a + b becomes max(a, b) + min(a, b) / units
-/// (the fill term — the first item's shorter stage cannot hide behind
-/// anything), so the saving is min(a, b) * (1 - 1/units).
-double stage_overlap(double a, double b, double units) {
-  const double u = std::max(1.0, units);
-  return std::min(a, b) * (1.0 - 1.0 / u);
 }
 
 }  // namespace
 
-CostBreakdown ij_cost_pipelined(const CostParams& p) {
-  CostBreakdown c = ij_cost(p);
-  // Each joiner processes ~n_e / n_j scheduled pairs; the prefetcher keeps
-  // the pair stream's transfer hidden behind build/probe of earlier pairs.
-  // A depth-L channel can only smooth fetch bursts over an L-pair window,
-  // so the achievable overlap scales by L / (L + 1) — 0 at L = 0 (this
-  // model then coincides with ij_cost), asymptotically full as L grows.
-  const double L = std::max(0.0, p.prefetch_lookahead);
-  c.overlap =
-      L / (L + 1.0) * stage_overlap(c.transfer, c.cpu(), p.n_e / p.n_j);
-  return c;
+const char* algorithm_name(Algorithm a) {
+  return a == Algorithm::IndexedJoin ? "IndexedJoin" : "GraceHash";
 }
 
-CostBreakdown gh_cost_pipelined(const CostParams& p) {
-  CostBreakdown c = gh_cost(p);
-  // Phase 1: the spill for batch k is written while batch k+1 streams in.
-  // Per-receiver batch count shares the h1 message derivation with gh_cost
-  // and run_grace_hash.
-  const double per_node_bytes = total_bytes(p) / p.n_j;
-  const double n_batches = gh_h1_messages(p) / p.n_j;
-  c.overlap = stage_overlap(c.transfer, c.write, n_batches);
-  // Phase 2: bucket k+1's scratch read is issued while bucket k joins.
-  // Bucket count exactly as run_grace_hash derives it (Section 4.2: a
-  // bucket pair must fit in half the joiner's memory).
-  const double target = p.bucket_pair_bytes > 0 ? p.bucket_pair_bytes
-                                                : p.memory_bytes / 2;
-  const double n_buckets =
-      target > 0 ? std::floor(per_node_bytes / target) + 1 : 1;
-  c.overlap += stage_overlap(c.read, c.cpu(), n_buckets);
-  return c;
-}
-
-bool ij_preferred(const CostParams& p) {
-  return ij_cost(p).total() <= gh_cost(p).total();
+CostBreakdown cost(Algorithm a, const CostParams& p) {
+  ORV_REQUIRE(p.refetch_factor >= 1.0, "re-fetch factor is at least 1");
+  return a == Algorithm::IndexedJoin ? indexed_join_cost(p)
+                                     : grace_hash_cost(p);
 }
 
 double crossover_ne_cs(const CostParams& p) {
   // alpha_lookup x / n_j = Write + Read + alpha_lookup T / n_j
   // (build terms equal on both sides; transfer equal).
-  const CostBreakdown gh = gh_cost(p);
+  const CostBreakdown gh = cost(Algorithm::GraceHash, p);
   return (gh.write + gh.read + p.alpha_lookup * p.T / p.n_j) * p.n_j /
          p.alpha_lookup;
-}
-
-CostBreakdown ij_cost_with_refetch(const CostParams& p,
-                                   double refetch_factor) {
-  ORV_REQUIRE(refetch_factor >= 1.0, "re-fetch factor is at least 1");
-  CostBreakdown c = ij_cost(p);
-  c.transfer *= refetch_factor;
-  return c;
 }
 
 double io_per_flop_threshold(const CostParams& p, double gamma_lookup) {

@@ -17,7 +17,7 @@
 // local disks and the n_j scratch disks, so the aggregate I/O bandwidth
 // terms lose their node multipliers.
 //
-// Pipelined variants (QesOptions::pipelined()): when the executor overlaps
+// Pipelined pricing (QesOptions::pipelined()): when the executor overlaps
 // fetch with compute, serial sums become max-of-stages plus a pipeline-fill
 // term — the first work unit cannot overlap with anything, so the shorter
 // stage is paid once for it:
@@ -37,6 +37,10 @@
 #include "datagen/dataset_spec.hpp"
 
 namespace orv {
+
+enum class Algorithm { IndexedJoin, GraceHash };
+
+const char* algorithm_name(Algorithm a);
 
 /// Table 1: dataset and system parameters.
 struct CostParams {
@@ -69,12 +73,23 @@ struct CostParams {
   double local_fraction = 0;
   double local_bw = 0;
 
-  // Pipelined-model parameters (only read by the *_pipelined models; the
-  // serial models ignore them). Defaults mirror QesOptions.
+  // Pipelining parameters. Defaults mirror QesOptions and price the
+  // serial executor: IJ overlap is keyed off prefetch_lookahead (0 =
+  // serial), GH overlap off gh_double_buffer.
   double memory_bytes = 0;       // per-joiner memory, sizes GH buckets
   double batch_bytes = 64 * 1024;       // GH record batch per message
   double bucket_pair_bytes = 0;  // 0 derives from memory_bytes / 2
   double prefetch_lookahead = 0;  // IJ channel depth (0 = serial)
+  bool gh_double_buffer = false;  // GH spill/read double-buffering
+
+  // The paper's cache-miss extension ("it would not be difficult to
+  // extend it for cache misses, as that will only involve re-retrieving
+  // some sub-tables"): IJ's transfer term scales by this re-fetch factor —
+  // total sub-table fetches the schedule incurs under the cache, divided
+  // by the minimum (each needed sub-table copy fetched once). It comes
+  // from Schedule::fetches_with_lru or from a QES run's measured fetches;
+  // at least 1, and 1 prices a cache that never misses.
+  double refetch_factor = 1;
 
   // Per-message fixed overhead (seconds per message, the Grappa-style
   // gamma term the calibrator can estimate): senders pay it in parallel,
@@ -82,11 +97,14 @@ struct CostParams {
   // the default 0 every model reproduces the paper's formulas exactly.
   double msg_overhead = 0;
 
-  // Logical messages combined per physical network frame — the message
-  // aggregator's flush threshold (QesOptions::agg_flush_batches). The
-  // per-message overhead is paid per *frame*, so the msg term divides by
-  // this. 1 (default) prices the unaggregated network.
+  // Logical messages combined per physical network frame — the flush
+  // threshold of the installed net::MessageAggregator, which the planner
+  // reads at plan time. The per-message overhead is paid per *frame*, so
+  // the msg term divides by this. 1 (default) prices the unaggregated
+  // network.
   double agg_flush_batches = 1;
+
+  bool operator==(const CostParams&) const = default;
 
   double m_S() const { return T / c_S; }  // number of right sub-tables
   double edge_ratio() const { return n_e * c_R * c_S / (T * T); }
@@ -133,28 +151,26 @@ double gh_h1_frames(const CostParams& p);
 /// Logical IJ fetch replies: one per sub-table fetch, m_R + m_S minimum.
 double ij_fetch_messages(const CostParams& p);
 
-CostBreakdown ij_cost(const CostParams& p);
-CostBreakdown gh_cost(const CostParams& p);
-
-/// Pipelined Indexed Join (prefetch_lookahead > 0): the prefetcher hides
+/// Prices one algorithm under `p` (Section 5, plus the extensions the
+/// params carry).
+///
+/// Indexed Join with prefetch_lookahead L > 0: the prefetcher hides
 /// transfer behind build/probe, so per-node time approaches
 /// max(Transfer, Cpu) plus a fill term of min(Transfer, Cpu) spread over
 /// the per-joiner pair count. The bounded channel limits how well bursty
 /// per-pair transfer demand (0–2 fetches per pair, depending on cache
 /// hits) smooths against compute, so the hidden time is further scaled by
-/// the finite-window factor L / (L + 1). Stage terms match ij_cost; the
-/// saving lands in `overlap` (0 when lookahead is 0, i.e. serial).
-CostBreakdown ij_cost_pipelined(const CostParams& p);
-
-/// Pipelined Grace Hash (gh_double_buffer): phase 1 double-buffers bucket
-/// spills against the network ingress (max(Transfer, Write)), phase 2
-/// overlaps the next bucket's scratch read with the current bucket's
-/// build/probe (max(Read, Cpu)). Fill terms use the per-joiner batch and
-/// bucket counts derived exactly as run_grace_hash derives them.
-CostBreakdown gh_cost_pipelined(const CostParams& p);
-
-/// True when the model prefers the Indexed Join.
-bool ij_preferred(const CostParams& p);
+/// the finite-window factor L / (L + 1).
+///
+/// Grace Hash with gh_double_buffer: phase 1 double-buffers bucket spills
+/// against the network ingress (max(Transfer, Write)), phase 2 overlaps
+/// the next bucket's scratch read with the current bucket's build/probe
+/// (max(Read, Cpu)). Fill terms use the per-joiner batch and bucket counts
+/// derived exactly as run_grace_hash derives them.
+///
+/// Stage terms never depend on the pipelining knobs; the saving lands in
+/// `overlap` (0 for the serial executor).
+CostBreakdown cost(Algorithm a, const CostParams& p);
 
 /// The n_e * c_S value at which the two totals cross (holding everything
 /// else fixed). IJ wins below, GH above. Derivation (Section 6.2, with
@@ -167,15 +183,6 @@ double crossover_ne_cs(const CostParams& p);
 /// Section 6.2's threshold on IO_bw / F: IJ preferred while
 /// IO_bw/F < 2 (RS_R+RS_S) / (gamma_lookup (n_e/m_S - 1)).
 double io_per_flop_threshold(const CostParams& p, double gamma_lookup);
-
-/// The paper's cache-miss extension ("it would not be difficult to extend
-/// it for cache misses, as that will only involve re-retrieving some
-/// sub-tables"): IJ's transfer term scales by the re-fetch factor — total
-/// sub-table fetches the schedule incurs under the cache, divided by the
-/// minimum (each needed sub-table copy fetched once). The factor comes
-/// from Schedule::fetches_with_lru or from a QES run's measured fetches.
-CostBreakdown ij_cost_with_refetch(const CostParams& p,
-                                   double refetch_factor);
 
 /// Observed resource contention, expressed as busy fractions in [0, 1):
 /// what share of recent virtual time the shared disks, network path and

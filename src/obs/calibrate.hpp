@@ -5,7 +5,7 @@
 // bandwidth, per-tuple CPU costs, per-message overhead) are extracted from
 // the measured stage timings and folded into robust per-parameter
 // estimators. The planner can then optionally consult the resulting
-// CalibrationState (QesOptions::use_calibration, default off — the paper
+// CalibrationState (QesOptions::calibrator, default null — the paper
 // paths never see calibrated numbers), closing the predict → measure →
 // correct loop the PlanValidation records only reported on.
 //

@@ -31,6 +31,10 @@ namespace orv {
 
 namespace {
 
+/// Depth of each compute node's h1 ingress channel (batches in flight
+/// per receiver before senders block).
+constexpr std::size_t kChannelCapacity = 4;
+
 /// A batch of packed records of one table, routed to one compute node.
 /// `trace` carries the sender's span across the node boundary: the
 /// receiver's per-batch ingest span records it as its causal link, which
@@ -441,7 +445,7 @@ sim::Task<> gh_coordinator(GhShared& sh, sim::Latch& storage_done) {
     // Open the next round, then release the receivers into it.
     for (std::size_t j = 0; j < n_compute; ++j) {
       sh.to_compute[j] = std::make_unique<sim::Channel<Batch>>(
-          engine, sh.options.channel_capacity);
+          engine, kChannelCapacity);
     }
     sh.drain_latch = std::make_unique<sim::Latch>(engine, n_compute);
     sh.round_gate = std::make_unique<sim::Event>(engine);
@@ -774,7 +778,7 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
 
   for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
     sh.to_compute.push_back(std::make_unique<sim::Channel<Batch>>(
-        engine, options.channel_capacity));
+        engine, kChannelCapacity));
   }
   sh.drain_latch =
       std::make_unique<sim::Latch>(engine, cluster.num_compute());

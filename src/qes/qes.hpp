@@ -91,31 +91,23 @@ struct QesOptions {
   /// Target in-memory size of one bucket pair; 0 derives it from the
   /// cluster's memory size (buckets must fit in memory, Section 4.2).
   std::uint64_t bucket_pair_bytes = 0;
-  std::size_t channel_capacity = 4;
   /// Pipelined Grace Hash: double-buffer the on-disk bucket spills (write
   /// the batch for bucket k while partitioning k+1) and issue the next
   /// bucket's scratch read while the CPU joins the current one, so each
   /// phase pays max(Transfer, Write) / max(Read, Cpu) instead of the sum.
   bool gh_double_buffer = false;
 
-  /// Pricing-side flush threshold of the network message aggregator:
-  /// logical messages combined per physical frame. 0 (default) prices the
-  /// unaggregated network. This knob only feeds the cost model — the
-  /// executor is driven by the *installed* net::MessageAggregator, and the
-  /// planner/benches keep the two in sync.
-  std::size_t agg_flush_batches = 0;
-
-  /// True when any overlap pipeline is enabled; the QPS selects the
-  /// pipelined cost models iff this holds.
+  /// True when any overlap pipeline is enabled; the QPS then prices the
+  /// overlap of the enabled pipelines.
   bool pipelined() const { return prefetch_lookahead > 0 || gh_double_buffer; }
 
-  /// QPS integration: consult the online calibrator's learned hardware
-  /// parameters when costing plans (the harness feeds the calibrator one
-  /// observation per executed query via cost/calibration.hpp's
-  /// make_observation). Default off — the paper's prior-parameter plans
-  /// and every committed baseline stay byte-identical. The pointer is not
-  /// owned and must outlive the planner calls that read it.
-  bool use_calibration = false;
+  /// QPS integration: when set, the planner costs plans with the online
+  /// calibrator's learned hardware parameters (the harness feeds the
+  /// calibrator one observation per executed query via
+  /// cost/calibration.hpp's make_observation). Default null — the paper's
+  /// prior-parameter plans and every committed baseline stay
+  /// byte-identical. Not owned; must outlive the planner calls that read
+  /// it.
   obs::Calibrator* calibrator = nullptr;
 
   /// Observed resource busy fractions at plan time (concurrent workloads):

@@ -4,6 +4,7 @@
 
 #include "common/strings.hpp"
 #include "cost/calibration.hpp"
+#include "net/aggregator.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/obs.hpp"
 #include "place/placement.hpp"
@@ -12,21 +13,60 @@ namespace orv {
 
 namespace {
 
-CostBreakdown plan_ij_cost(const CostParams& p, const QesOptions* qes) {
-  return qes != nullptr && qes->prefetch_lookahead > 0 ? ij_cost_pipelined(p)
-                                                       : ij_cost(p);
+/// Prices both algorithms from the decision's params (and the prior
+/// plan's, when calibrated) and picks the cheaper.
+void price(PlanDecision& d) {
+  d.ij = cost(Algorithm::IndexedJoin, d.params);
+  d.gh = cost(Algorithm::GraceHash, d.params);
+  d.chosen = d.ij.total() <= d.gh.total() ? Algorithm::IndexedJoin
+                                          : Algorithm::GraceHash;
+  if (d.calibrated) {
+    d.prior_ij = cost(Algorithm::IndexedJoin, d.prior_params);
+    d.prior_gh = cost(Algorithm::GraceHash, d.prior_params);
+  }
 }
 
-CostBreakdown plan_gh_cost(const CostParams& p, const QesOptions* qes) {
-  return qes != nullptr && qes->gh_double_buffer ? gh_cost_pipelined(p)
-                                                 : gh_cost(p);
+/// Completes the spec-sheet parameters with the executor knobs and the
+/// installed aggregator's flush threshold, then derives the plan — and,
+/// with a calibrator, the prior plan — from that one base, each derated
+/// for the observed contention exactly once.
+PlanDecision decide(CostParams base, const QesOptions* qes) {
+  obs::StageScope stage(obs::context(), "qps.plan");
+  if (const net::MessageAggregator* agg = net::context()) {
+    base.agg_flush_batches = static_cast<double>(agg->flush_batches());
+  }
+  PlanDecision d;
+  ContentionFactors load;
+  if (qes != nullptr) {
+    base.batch_bytes = static_cast<double>(qes->batch_bytes);
+    base.bucket_pair_bytes = static_cast<double>(qes->bucket_pair_bytes);
+    base.prefetch_lookahead = static_cast<double>(qes->prefetch_lookahead);
+    base.gh_double_buffer = qes->gh_double_buffer;
+    d.pipelined = qes->pipelined();
+    if (qes->contention != nullptr) load = *qes->contention;
+  }
+  // Shared cluster under load: derate the idle-cluster parameters by the
+  // observed residual capacity (a no-op without contention).
+  if (load.any()) stage.tag("contended", std::uint64_t{1});
+  d.params = apply_contention(base, load);
+  if (qes != nullptr && qes->calibrator != nullptr) {
+    // Re-plan with the calibrator's learned hardware parameters; the
+    // spec-sheet plan is kept as the prior so validation can report the
+    // pre/post error ratio. The learned values describe the same idle
+    // hardware as the spec sheet, so they are derated the same way.
+    d.calibrated = true;
+    d.prior_params = d.params;
+    d.params =
+        apply_contention(apply_calibration(base, qes->calibrator->state()),
+                         load);
+    stage.tag("calibrated", std::uint64_t{1});
+  }
+  price(d);
+  stage.tag("chosen", std::string(algorithm_name(d.chosen)));
+  return d;
 }
 
 }  // namespace
-
-const char* algorithm_name(Algorithm a) {
-  return a == Algorithm::IndexedJoin ? "IndexedJoin" : "GraceHash";
-}
 
 std::string PlanDecision::to_string() const {
   return strformat("choose %s%s: IJ %s | GH %s", algorithm_name(chosen),
@@ -38,55 +78,8 @@ PlanDecision QueryPlanner::plan(const ConnectivityStats& data,
                                 std::size_t rs_left, std::size_t rs_right,
                                 double cpu_factor,
                                 const QesOptions* qes) const {
-  obs::StageScope stage(obs::context(), "qps.plan");
-  PlanDecision d;
-  d.params = CostParams::from(cluster_, data, rs_left, rs_right, cpu_factor);
-  if (qes != nullptr) {
-    d.params.batch_bytes = static_cast<double>(qes->batch_bytes);
-    d.params.bucket_pair_bytes = static_cast<double>(qes->bucket_pair_bytes);
-    d.params.prefetch_lookahead =
-        static_cast<double>(qes->prefetch_lookahead);
-    if (qes->agg_flush_batches > 0) {
-      d.params.agg_flush_batches =
-          static_cast<double>(qes->agg_flush_batches);
-    }
-    if (qes->contention != nullptr && qes->contention->any()) {
-      // Shared cluster under load: derate the idle-cluster parameters by
-      // the observed residual capacity before costing either algorithm.
-      d.params = apply_contention(d.params, *qes->contention);
-      stage.tag("contended", std::uint64_t{1});
-    }
-  }
-  d.pipelined = qes != nullptr && qes->pipelined();
-  // Per-algorithm selection: the prefetcher only pipelines IJ, the spill
-  // double-buffer only pipelines GH. (ij_cost_pipelined at lookahead 0
-  // coincides with ij_cost, so the flags compose.)
-  d.ij = plan_ij_cost(d.params, qes);
-  d.gh = plan_gh_cost(d.params, qes);
-  d.chosen = d.ij.total() <= d.gh.total() ? Algorithm::IndexedJoin
-                                          : Algorithm::GraceHash;
-  if (qes != nullptr && qes->use_calibration && qes->calibrator != nullptr) {
-    // Re-plan with the calibrator's learned hardware parameters; the
-    // spec-sheet plan is kept as the prior so validation can report the
-    // pre/post error ratio.
-    d.calibrated = true;
-    d.prior_params = d.params;
-    d.prior_ij = d.ij;
-    d.prior_gh = d.gh;
-    d.params = apply_calibration(d.params, qes->calibrator->state());
-    if (qes->contention != nullptr && qes->contention->any()) {
-      // The calibrator's learned bandwidths describe the same idle
-      // hardware; re-derate them for the load observed right now.
-      d.params = apply_contention(d.params, *qes->contention);
-    }
-    d.ij = plan_ij_cost(d.params, qes);
-    d.gh = plan_gh_cost(d.params, qes);
-    d.chosen = d.ij.total() <= d.gh.total() ? Algorithm::IndexedJoin
-                                            : Algorithm::GraceHash;
-    stage.tag("calibrated", std::uint64_t{1});
-  }
-  stage.tag("chosen", std::string(algorithm_name(d.chosen)));
-  return d;
+  return decide(
+      CostParams::from(cluster_, data, rs_left, rs_right, cpu_factor), qes);
 }
 
 std::size_t QueryPlanner::suggest_flush_batches(const CostParams& params,
@@ -96,7 +89,7 @@ std::size_t QueryPlanner::suggest_flush_batches(const CostParams& params,
   if (p.msg_overhead <= 0) return 1;
   for (std::size_t flush = 1;; flush *= 2) {
     p.agg_flush_batches = static_cast<double>(flush);
-    const CostBreakdown c = gh_cost(p);
+    const CostBreakdown c = cost(Algorithm::GraceHash, p);
     const double msg_term =
         p.msg_overhead * gh_h1_frames(p) / std::max(1.0, p.n_s);
     if (flush >= max_batches || msg_term <= 0.02 * c.total()) {
@@ -117,32 +110,23 @@ PlanDecision QueryPlanner::plan(const MetaDataService& meta,
   data.c_S = n_right ? meta.table_rows(query.right_table) / n_right : 0;
   data.num_edges = graph.num_edges();
   data.num_components = graph.num_components();
-  PlanDecision d =
-      plan(data, meta.table_schema(query.left_table)->record_size(),
-           meta.table_schema(query.right_table)->record_size(), cpu_factor,
-           qes);
+  CostParams base = CostParams::from(
+      cluster_, data, meta.table_schema(query.left_table)->record_size(),
+      meta.table_schema(query.right_table)->record_size(), cpu_factor);
   if (cluster_.colocated && qes != nullptr &&
       qes->assign == ComponentAssign::PlacementAffinity) {
     // Locality-aware refinement: predict the placement-affinity schedule
     // the executor will build, measure what fraction of its first-touch
     // bytes stay node-local, and fold that into the IJ transfer term. GH
-    // always shuffles through the switch, so its breakdown stands.
+    // always shuffles through the switch, so only IJ reads it; the prior
+    // plan of a calibrated decision is refined the same way.
     const Schedule predicted = make_schedule_placement_affinity(
         graph, cluster_.num_compute, meta, cluster_.num_storage,
         qes->pair_order, qes->seed);
-    d.params.local_fraction =
+    base.local_fraction =
         schedule_local_fraction(predicted, meta, cluster_.num_storage);
-    d.ij = plan_ij_cost(d.params, qes);
-    d.chosen = d.ij.total() <= d.gh.total() ? Algorithm::IndexedJoin
-                                            : Algorithm::GraceHash;
-    if (d.calibrated) {
-      // Keep the prior plan refined the same way, so the pre/post error
-      // ratio compares models that differ only in hardware parameters.
-      d.prior_params.local_fraction = d.params.local_fraction;
-      d.prior_ij = plan_ij_cost(d.prior_params, qes);
-    }
   }
-  return d;
+  return decide(base, qes);
 }
 
 QesResult QueryPlanner::execute(const PlanDecision& decision, Cluster& cluster,

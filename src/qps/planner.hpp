@@ -12,22 +12,20 @@
 
 namespace orv {
 
-enum class Algorithm { IndexedJoin, GraceHash };
-
-const char* algorithm_name(Algorithm a);
-
 struct PlanDecision {
   Algorithm chosen = Algorithm::IndexedJoin;
   CostBreakdown ij;
   CostBreakdown gh;
   CostParams params;
-  /// True when the pipelined (overlapped fetch/compute) models were used.
+  /// True when an overlap pipeline (QesOptions::pipelined()) was priced.
   bool pipelined = false;
 
-  /// Set when QesOptions::use_calibration replaced the spec-sheet
-  /// parameters with the calibrator's learned ones: `params`/`ij`/`gh`
-  /// then hold the calibrated plan, and the prior (uncalibrated) plan is
-  /// kept here so validation can report the before/after error ratio.
+  /// Set when QesOptions::calibrator replaced the spec-sheet parameters
+  /// with the calibrator's learned ones: `params`/`ij`/`gh` then hold the
+  /// calibrated plan, and the prior (uncalibrated) plan is kept here so
+  /// validation can report the before/after error ratio. Both plans start
+  /// from the same spec-sheet parameters and are derated for contention
+  /// once each.
   bool calibrated = false;
   CostParams prior_params;
   CostBreakdown prior_ij;
@@ -50,16 +48,20 @@ class QueryPlanner {
   explicit QueryPlanner(ClusterSpec cluster) : cluster_(std::move(cluster)) {}
 
   /// Plans from precomputed dataset statistics (closed-form path). When
-  /// `qes` is given and enables an overlap pipeline (QesOptions::
-  /// pipelined()), the max-of-stages cost models replace the additive ones
-  /// for the corresponding algorithm, parameterized by the options' knobs
-  /// (prefetch_lookahead, batch_bytes, bucket_pair_bytes).
+  /// `qes` is given, its knobs (prefetch_lookahead, gh_double_buffer,
+  /// batch_bytes, bucket_pair_bytes) parameterize the priced model, so an
+  /// enabled overlap pipeline (QesOptions::pipelined()) is priced as
+  /// max-of-stages for the corresponding algorithm. The flush threshold
+  /// of the installed net::MessageAggregator, if any, prices the
+  /// per-frame overhead.
   PlanDecision plan(const ConnectivityStats& data, std::size_t rs_left,
                     std::size_t rs_right, double cpu_factor = 1.0,
                     const QesOptions* qes = nullptr) const;
 
   /// Plans from live metadata + the connectivity graph (measured path):
-  /// derives T, c_R, c_S, n_e from what is actually stored.
+  /// derives T, c_R, c_S, n_e from what is actually stored. On a colocated
+  /// cluster with placement-affinity scheduling, the predicted schedule's
+  /// node-local byte fraction refines the IJ transfer term.
   PlanDecision plan(const MetaDataService& meta,
                     const ConnectivityGraph& graph, const JoinQuery& query,
                     double cpu_factor = 1.0,

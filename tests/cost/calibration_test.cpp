@@ -57,8 +57,10 @@ TEST(CalibrationBridge, EmptyStateIsANoOp) {
   EXPECT_DOUBLE_EQ(after.alpha_lookup, before.alpha_lookup);
   EXPECT_DOUBLE_EQ(after.msg_overhead, before.msg_overhead);
   // Same plan either way.
-  EXPECT_DOUBLE_EQ(ij_cost(after).total(), ij_cost(before).total());
-  EXPECT_DOUBLE_EQ(gh_cost(after).total(), gh_cost(before).total());
+  EXPECT_DOUBLE_EQ(cost(Algorithm::IndexedJoin, after).total(),
+                   cost(Algorithm::IndexedJoin, before).total());
+  EXPECT_DOUBLE_EQ(cost(Algorithm::GraceHash, after).total(),
+                   cost(Algorithm::GraceHash, before).total());
 }
 
 TEST(CalibrationBridge, PositiveFieldsOverrideHardwareOnly) {
@@ -200,7 +202,8 @@ TEST(CalibrationBridge, CalibratedStateFeedsBackIntoTheModel) {
   EXPECT_GT(cal.observed(), 0u);
   // Something about the hardware picture changed (the sim's effective
   // bandwidths include batching/contention effects the spec sheet lacks).
-  EXPECT_NE(ij_cost(calibrated).total(), ij_cost(p).total());
+  EXPECT_NE(cost(Algorithm::IndexedJoin, calibrated).total(),
+            cost(Algorithm::IndexedJoin, p).total());
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ CostParams hand_params() {
 
 TEST(CostModel, IjFormula) {
   const CostParams p = hand_params();
-  const CostBreakdown c = ij_cost(p);
+  const CostBreakdown c = cost(Algorithm::IndexedJoin, p);
   // Transfer: 1e6*32 / min(62.5e6, 35e6*5) = 3.2e7/6.25e7.
   EXPECT_DOUBLE_EQ(c.transfer, 3.2e7 / 6.25e7);
   EXPECT_DOUBLE_EQ(c.cpu_build, p.alpha_build * p.T / p.n_j);
@@ -53,22 +53,22 @@ TEST(CostModel, IjFormula) {
 
 TEST(CostModel, LocalityZeroFractionReducesToPaperFormula) {
   CostParams p = hand_params();
-  const CostBreakdown base = ij_cost(p);
+  const CostBreakdown base = cost(Algorithm::IndexedJoin, p);
   p.local_bw = 400e6;
   p.local_fraction = 0.0;  // nothing local: formula must be untouched
-  EXPECT_DOUBLE_EQ(ij_cost(p).transfer, base.transfer);
+  EXPECT_DOUBLE_EQ(cost(Algorithm::IndexedJoin, p).transfer, base.transfer);
   p.local_fraction = 0.5;
   p.local_bw = 0.0;  // no bus (split cluster): also untouched
-  EXPECT_DOUBLE_EQ(ij_cost(p).transfer, base.transfer);
+  EXPECT_DOUBLE_EQ(cost(Algorithm::IndexedJoin, p).transfer, base.transfer);
 }
 
 TEST(CostModel, LocalityLowersIjTransferMonotonically) {
   CostParams p = hand_params();
   p.local_bw = 400e6;  // fast bus: local bytes are effectively free
-  double prev = ij_cost(p).transfer;
+  double prev = cost(Algorithm::IndexedJoin, p).transfer;
   for (double f : {0.25, 0.5, 0.75, 1.0}) {
     p.local_fraction = f;
-    const double t = ij_cost(p).transfer;
+    const double t = cost(Algorithm::IndexedJoin, p).transfer;
     EXPECT_LE(t, prev) << "f=" << f;
     prev = t;
   }
@@ -81,10 +81,10 @@ TEST(CostModel, LocalityLowersIjTransferMonotonically) {
 
 TEST(CostModel, LocalityLeavesGraceHashAlone) {
   CostParams p = hand_params();
-  const CostBreakdown base = gh_cost(p);
+  const CostBreakdown base = cost(Algorithm::GraceHash, p);
   p.local_bw = 400e6;
   p.local_fraction = 1.0;
-  const CostBreakdown local = gh_cost(p);
+  const CostBreakdown local = cost(Algorithm::GraceHash, p);
   EXPECT_DOUBLE_EQ(local.transfer, base.transfer);
   EXPECT_DOUBLE_EQ(local.total(), base.total());
 }
@@ -108,7 +108,7 @@ TEST(CostModel, ParamsFromPicksUpLocalBusOnlyWhenColocated) {
 
 TEST(CostModel, GhFormula) {
   const CostParams p = hand_params();
-  const CostBreakdown c = gh_cost(p);
+  const CostBreakdown c = cost(Algorithm::GraceHash, p);
   EXPECT_DOUBLE_EQ(c.transfer, 3.2e7 / 6.25e7);
   EXPECT_DOUBLE_EQ(c.write, 3.2e7 / (30e6 * 5));
   EXPECT_DOUBLE_EQ(c.read, 3.2e7 / (35e6 * 5));
@@ -119,13 +119,13 @@ TEST(CostModel, GhFormula) {
 TEST(CostModel, TransferBottleneckSwitchesToDisks) {
   CostParams p = hand_params();
   p.n_s = 1;  // single storage disk now the bottleneck: 35e6 < 62.5e6
-  EXPECT_DOUBLE_EQ(ij_cost(p).transfer, 3.2e7 / 35e6);
+  EXPECT_DOUBLE_EQ(cost(Algorithm::IndexedJoin, p).transfer, 3.2e7 / 35e6);
 }
 
 TEST(CostModel, SharedFilesystemDropsNodeMultipliers) {
   CostParams p = hand_params();
   p.shared_filesystem = true;
-  const CostBreakdown gh = gh_cost(p);
+  const CostBreakdown gh = cost(Algorithm::GraceHash, p);
   EXPECT_DOUBLE_EQ(gh.transfer, 3.2e7 / 35e6);      // one server's reads
   EXPECT_DOUBLE_EQ(gh.write, 3.2e7 / 30e6);          // no n_j multiplier
   EXPECT_DOUBLE_EQ(gh.read, 3.2e7 / 35e6);
@@ -133,25 +133,25 @@ TEST(CostModel, SharedFilesystemDropsNodeMultipliers) {
 
 TEST(CostModel, IjLookupGrowsWithNeCs) {
   CostParams p = hand_params();
-  const double t1 = ij_cost(p).total();
+  const double t1 = cost(Algorithm::IndexedJoin, p).total();
   p.n_e *= 4;
-  const double t2 = ij_cost(p).total();
+  const double t2 = cost(Algorithm::IndexedJoin, p).total();
   EXPECT_GT(t2, t1);
   // GH is insensitive to n_e (paper's central claim).
   CostParams q = hand_params();
-  const double g1 = gh_cost(q).total();
+  const double g1 = cost(Algorithm::GraceHash, q).total();
   q.n_e *= 4;
-  EXPECT_DOUBLE_EQ(gh_cost(q).total(), g1);
+  EXPECT_DOUBLE_EQ(cost(Algorithm::GraceHash, q).total(), g1);
 }
 
 TEST(CostModel, BothScaleLinearlyInT) {
   CostParams p = hand_params();
-  const double ij1 = ij_cost(p).total();
-  const double gh1 = gh_cost(p).total();
+  const double ij1 = cost(Algorithm::IndexedJoin, p).total();
+  const double gh1 = cost(Algorithm::GraceHash, p).total();
   p.T *= 2;
   p.n_e *= 2;  // same partitioning => edges scale with T
-  EXPECT_NEAR(ij_cost(p).total(), 2 * ij1, 1e-12);
-  EXPECT_NEAR(gh_cost(p).total(), 2 * gh1, 1e-12);
+  EXPECT_NEAR(cost(Algorithm::IndexedJoin, p).total(), 2 * ij1, 1e-12);
+  EXPECT_NEAR(cost(Algorithm::GraceHash, p).total(), 2 * gh1, 1e-12);
 }
 
 TEST(CostModel, CrossoverAlgebra) {
@@ -159,13 +159,16 @@ TEST(CostModel, CrossoverAlgebra) {
   // At the crossover value the totals agree (solve, substitute, compare).
   const double x = crossover_ne_cs(p);
   p.n_e = x / p.c_S;
-  EXPECT_NEAR(ij_cost(p).total(), gh_cost(p).total(),
-              1e-9 * gh_cost(p).total());
+  EXPECT_NEAR(cost(Algorithm::IndexedJoin, p).total(),
+              cost(Algorithm::GraceHash, p).total(),
+              1e-9 * cost(Algorithm::GraceHash, p).total());
   // Below: IJ preferred; above: GH preferred.
   p.n_e = 0.5 * x / p.c_S;
-  EXPECT_TRUE(ij_preferred(p));
+  EXPECT_LE(cost(Algorithm::IndexedJoin, p).total(),
+            cost(Algorithm::GraceHash, p).total());
   p.n_e = 2.0 * x / p.c_S;
-  EXPECT_FALSE(ij_preferred(p));
+  EXPECT_GT(cost(Algorithm::IndexedJoin, p).total(),
+            cost(Algorithm::GraceHash, p).total());
 }
 
 TEST(CostModel, IoPerFlopThreshold) {
@@ -186,8 +189,10 @@ TEST(CostModel, FasterCpuFavoursIj) {
   const auto stats = analyze(data);
   const auto slow = CostParams::from(cluster, stats, 16, 16, 0.25);
   const auto fast = CostParams::from(cluster, stats, 16, 16, 4.0);
-  const double slow_gap = ij_cost(slow).total() - gh_cost(slow).total();
-  const double fast_gap = ij_cost(fast).total() - gh_cost(fast).total();
+  const double slow_gap = cost(Algorithm::IndexedJoin, slow).total() -
+                          cost(Algorithm::GraceHash, slow).total();
+  const double fast_gap = cost(Algorithm::IndexedJoin, fast).total() -
+                          cost(Algorithm::GraceHash, fast).total();
   EXPECT_GT(slow_gap, fast_gap);
   EXPECT_GT(crossover_ne_cs(fast), crossover_ne_cs(slow));
 }
@@ -242,8 +247,8 @@ TEST_P(ModelValidation, SimWithinToleranceOfModel) {
 
   const auto params =
       CostParams::from(cspec, ds.stats, 16, 16, 1.0 / c.work_factor);
-  const double model_ij = ij_cost(params).total();
-  const double model_gh = gh_cost(params).total();
+  const double model_ij = cost(Algorithm::IndexedJoin, params).total();
+  const double model_gh = cost(Algorithm::GraceHash, params).total();
 
   JoinQuery query{spec.table1_id, spec.table2_id, {"x", "y", "z"}, {}};
   const auto graph =
@@ -298,8 +303,10 @@ TEST(Contention, ZeroFactorsAreBitIdentical) {
   EXPECT_DOUBLE_EQ(q.local_bw, p.local_bw);
   EXPECT_DOUBLE_EQ(q.alpha_build, p.alpha_build);
   EXPECT_DOUBLE_EQ(q.alpha_lookup, p.alpha_lookup);
-  EXPECT_DOUBLE_EQ(ij_cost(q).total(), ij_cost(p).total());
-  EXPECT_DOUBLE_EQ(gh_cost(q).total(), gh_cost(p).total());
+  EXPECT_DOUBLE_EQ(cost(Algorithm::IndexedJoin, q).total(),
+                   cost(Algorithm::IndexedJoin, p).total());
+  EXPECT_DOUBLE_EQ(cost(Algorithm::GraceHash, q).total(),
+                   cost(Algorithm::GraceHash, p).total());
 }
 
 TEST(Contention, DeratesBandwidthAndStretchesCpu) {
@@ -329,8 +336,10 @@ TEST(Contention, PredictedCostsRiseUnderLoad) {
   f.net_busy = 0.6;
   f.cpu_busy = 0.6;
   const CostParams busy = apply_contention(idle, f);
-  EXPECT_GT(ij_cost(busy).total(), ij_cost(idle).total());
-  EXPECT_GT(gh_cost(busy).total(), gh_cost(idle).total());
+  EXPECT_GT(cost(Algorithm::IndexedJoin, busy).total(),
+            cost(Algorithm::IndexedJoin, idle).total());
+  EXPECT_GT(cost(Algorithm::GraceHash, busy).total(),
+            cost(Algorithm::GraceHash, idle).total());
 }
 
 TEST(Contention, BusyFractionClampedBelowFullSaturation) {
@@ -368,34 +377,37 @@ TEST(Aggregation, FlushThresholdDividesTheMessageOverheadTerm) {
   const double base_transfer = [&] {
     CostParams q = p;
     q.msg_overhead = 0;
-    return gh_cost(q).transfer;
+    return cost(Algorithm::GraceHash, q).transfer;
   }();
-  const double gamma_term_1 = gh_cost(p).transfer - base_transfer;
+  const double gamma_term_1 =
+      cost(Algorithm::GraceHash, p).transfer - base_transfer;
   EXPECT_NEAR(gamma_term_1, p.msg_overhead * gh_h1_messages(p) / p.n_s,
               1e-12);
   p.agg_flush_batches = 16;
-  const double gamma_term_16 = gh_cost(p).transfer - base_transfer;
+  const double gamma_term_16 =
+      cost(Algorithm::GraceHash, p).transfer - base_transfer;
   EXPECT_NEAR(gamma_term_16, gamma_term_1 / 16.0, 1e-12);
   // IJ's fetch-reply overhead divides the same way.
   CostParams q = hand_params();
   q.msg_overhead = 1e-3;
-  const double ij_1 = ij_cost(q).transfer;
+  const double ij_1 = cost(Algorithm::IndexedJoin, q).transfer;
   q.agg_flush_batches = 4;
   const double ij_base = [&] {
     CostParams r = q;
     r.msg_overhead = 0;
-    return ij_cost(r).transfer;
+    return cost(Algorithm::IndexedJoin, r).transfer;
   }();
-  EXPECT_NEAR(ij_cost(q).transfer - ij_base, (ij_1 - ij_base) / 4.0, 1e-12);
+  EXPECT_NEAR(cost(Algorithm::IndexedJoin, q).transfer - ij_base,
+              (ij_1 - ij_base) / 4.0, 1e-12);
 }
 
 TEST(Aggregation, ZeroOverheadKeepsThePaperFormulas) {
   CostParams p = hand_params();
-  const double gh_base = gh_cost(p).total();
-  const double ij_base = ij_cost(p).total();
+  const double gh_base = cost(Algorithm::GraceHash, p).total();
+  const double ij_base = cost(Algorithm::IndexedJoin, p).total();
   p.agg_flush_batches = 64;  // without a gamma the knob must be inert
-  EXPECT_DOUBLE_EQ(gh_cost(p).total(), gh_base);
-  EXPECT_DOUBLE_EQ(ij_cost(p).total(), ij_base);
+  EXPECT_DOUBLE_EQ(cost(Algorithm::GraceHash, p).total(), gh_base);
+  EXPECT_DOUBLE_EQ(cost(Algorithm::IndexedJoin, p).total(), ij_base);
 }
 
 TEST(Aggregation, ExecutorMessageCountMatchesTheModelDerivation) {
@@ -486,11 +498,11 @@ TEST(Aggregation, MessageBoundCornerValidatesAndImproves) {
   CostParams p = CostParams::from(cspec, ds.stats, 16, 16);
   p.batch_bytes = static_cast<double>(options.batch_bytes);
   EXPECT_DOUBLE_EQ(p.msg_overhead, 1e-3);
-  const double model_base = gh_cost(p).total();
+  const double model_base = cost(Algorithm::GraceHash, p).total();
   EXPECT_GT(base.elapsed, 0.95 * model_base);
   EXPECT_LT(base.elapsed, 1.40 * model_base);
   p.agg_flush_batches = 16;
-  const double model_agg = gh_cost(p).total();
+  const double model_agg = cost(Algorithm::GraceHash, p).total();
   EXPECT_GT(agg.elapsed, 0.95 * model_agg);
   EXPECT_LT(agg.elapsed, 1.40 * model_agg);
 }

@@ -49,11 +49,20 @@ SubTable random_table(std::size_t rows, std::size_t attrs,
   return st;
 }
 
+// CMake's gtest_discover_tests names each case by a byte dump of its
+// parameter, so the struct carries explicit zero fill in place of padding:
+// otherwise uninitialised padding bytes leak into the test names and the
+// names change from build to build.
 struct RoundTripCase {
+  RoundTripCase(LayoutId l, std::size_t r, std::size_t a)
+      : layout(l), rows(r), attrs(a) {}
   LayoutId layout;
+  std::uint16_t fill16 = 0;
+  std::uint32_t fill32 = 0;
   std::size_t rows;
   std::size_t attrs;
 };
+static_assert(sizeof(RoundTripCase) == 24, "RoundTripCase has padding");
 
 class ExtractorRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

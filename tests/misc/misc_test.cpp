@@ -112,7 +112,7 @@ TEST(CostModel, BreakdownToStringShowsTerms) {
   p.read_io_bw = p.write_io_bw = 1e7;
   p.n_s = p.n_j = 2;
   p.alpha_build = p.alpha_lookup = 1e-7;
-  const auto s = gh_cost(p).to_string();
+  const auto s = cost(Algorithm::GraceHash, p).to_string();
   EXPECT_NE(s.find("transfer="), std::string::npos);
   EXPECT_NE(s.find("write="), std::string::npos);
   EXPECT_NE(s.find("total="), std::string::npos);

@@ -216,7 +216,8 @@ Fig4Run run_fig4(bool indexed_join, std::uint64_t part_scale,
   const QesOptions options;  // serial: additive cost models apply
   params.batch_bytes = static_cast<double>(options.batch_bytes);
   params.bucket_pair_bytes = static_cast<double>(options.bucket_pair_bytes);
-  out.model = indexed_join ? ij_cost(params) : gh_cost(params);
+  out.model = cost(
+      indexed_join ? Algorithm::IndexedJoin : Algorithm::GraceHash, params);
 
   sim::Engine engine;
   Cluster cluster(engine, cspec);

@@ -262,15 +262,21 @@ TEST(PipelinedModels, AccuracyWithinSerialBand) {
       CostParams::from(cspec, rig.ds.stats, rs_l, rs_r, 1.0 / wf);
   p.bucket_pair_bytes = static_cast<double>(pipe.bucket_pair_bytes);
   p.batch_bytes = static_cast<double>(pipe.batch_bytes);
-  p.prefetch_lookahead = static_cast<double>(pipe.prefetch_lookahead);
+  CostParams pp = p;
+  pp.prefetch_lookahead = static_cast<double>(pipe.prefetch_lookahead);
+  pp.gh_double_buffer = pipe.gh_double_buffer;
 
-  const double ij_serial_ratio = ij_cost(p).total() / ij_serial.elapsed;
-  const double ij_pipe_ratio = ij_cost_pipelined(p).total() / ij_pipe.elapsed;
+  const double ij_serial_ratio =
+      cost(Algorithm::IndexedJoin, p).total() / ij_serial.elapsed;
+  const double ij_pipe_ratio =
+      cost(Algorithm::IndexedJoin, pp).total() / ij_pipe.elapsed;
   EXPECT_GT(ij_pipe_ratio, ij_serial_ratio / 1.1);
   EXPECT_LT(ij_pipe_ratio, ij_serial_ratio * 1.1);
 
-  const double gh_serial_ratio = gh_cost(p).total() / gh_serial.elapsed;
-  const double gh_pipe_ratio = gh_cost_pipelined(p).total() / gh_pipe.elapsed;
+  const double gh_serial_ratio =
+      cost(Algorithm::GraceHash, p).total() / gh_serial.elapsed;
+  const double gh_pipe_ratio =
+      cost(Algorithm::GraceHash, pp).total() / gh_pipe.elapsed;
   EXPECT_GT(gh_pipe_ratio, gh_serial_ratio / 1.1);
   EXPECT_LT(gh_pipe_ratio, gh_serial_ratio * 1.1);
 }
@@ -289,20 +295,23 @@ TEST(PipelinedModels, PipelinedNeverExceedsSerialAndLookahead0Coincides) {
 
   // Lookahead 0 ⇒ no overlap ⇒ the pipelined IJ model is the serial one.
   p.prefetch_lookahead = 0;
-  EXPECT_DOUBLE_EQ(ij_cost_pipelined(p).total(), ij_cost(p).total());
+  const CostBreakdown ij_serial = cost(Algorithm::IndexedJoin, p);
+  EXPECT_DOUBLE_EQ(ij_serial.overlap, 0.0);
+  EXPECT_DOUBLE_EQ(ij_serial.total(), ij_serial.transfer + ij_serial.cpu());
 
-  double prev = ij_cost(p).total();
+  double prev = ij_serial.total();
   for (double la : {1.0, 2.0, 4.0, 8.0, 64.0}) {
     p.prefetch_lookahead = la;
-    const CostBreakdown c = ij_cost_pipelined(p);
+    const CostBreakdown c = cost(Algorithm::IndexedJoin, p);
     EXPECT_LE(c.total(), prev + 1e-12) << "lookahead " << la;
     // Never below the max-of-stages floor.
     EXPECT_GE(c.total(), std::max(c.transfer, c.cpu()) - 1e-12);
     prev = c.total();
   }
 
-  const CostBreakdown gh_serial = gh_cost(p);
-  const CostBreakdown gh_pipe = gh_cost_pipelined(p);
+  const CostBreakdown gh_serial = cost(Algorithm::GraceHash, p);
+  p.gh_double_buffer = true;
+  const CostBreakdown gh_pipe = cost(Algorithm::GraceHash, p);
   EXPECT_LT(gh_pipe.total(), gh_serial.total());
   EXPECT_GE(gh_pipe.total(),
             std::max(gh_serial.transfer, gh_serial.write) +

@@ -253,7 +253,7 @@ TEST(IndexedJoin, GreedyLocalityOrderCorrectAndNoWorseFetches) {
 
 TEST(IndexedJoin, RefetchModelTracksConstrainedCacheRuns) {
   // The paper's cache-miss extension: with a tiny cache the measured time
-  // should track ij_cost_with_refetch using the measured re-fetch factor.
+  // should track the IJ model priced with the measured re-fetch factor.
   DatasetSpec spec;
   spec.grid = {32, 32, 32};
   spec.part1 = {16, 2, 8};  // sizeable components: refetches under pressure
@@ -274,8 +274,9 @@ TEST(IndexedJoin, RefetchModelTracksConstrainedCacheRuns) {
   ASSERT_GT(res.subtable_fetches, minimal);  // the cache really thrashed
   const double refetch =
       static_cast<double>(res.subtable_fetches) / minimal;
-  const auto params = CostParams::from(cspec, stats, 16, 16);
-  const double predicted = ij_cost_with_refetch(params, refetch).total();
+  auto params = CostParams::from(cspec, stats, 16, 16);
+  params.refetch_factor = refetch;
+  const double predicted = cost(Algorithm::IndexedJoin, params).total();
   EXPECT_GT(res.elapsed, 0.8 * predicted);
   EXPECT_LT(res.elapsed, 1.5 * predicted);
 }

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "datagen/generator.hpp"
+#include "net/aggregator.hpp"
+#include "obs/calibrate.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -37,6 +41,8 @@ TEST(Planner, PicksGhForHighNeCs) {
 }
 
 TEST(Planner, MeasuredPathAgreesWithClosedForm) {
+  // The benches price every scenario through the measured path, so it must
+  // reproduce the closed-form plan exactly, serial and pipelined alike.
   DatasetSpec data;
   data.grid = {16, 16, 16};
   data.part1 = {8, 4, 8};
@@ -50,11 +56,28 @@ TEST(Planner, MeasuredPathAgreesWithClosedForm) {
   cspec.num_compute = 2;
   QueryPlanner planner(cspec);
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};
-  const auto measured = planner.plan(ds.meta, graph, query);
-  const auto closed = planner.plan(ds.stats, 16, 16);
-  EXPECT_EQ(measured.chosen, closed.chosen);
-  EXPECT_NEAR(measured.ij.total(), closed.ij.total(), 1e-12);
-  EXPECT_NEAR(measured.gh.total(), closed.gh.total(), 1e-12);
+
+  QesOptions serial;
+  QesOptions pipelined;
+  pipelined.prefetch_lookahead = 4;
+  pipelined.gh_double_buffer = true;
+  const std::pair<const char*, const QesOptions*> cases[] = {
+      {"none", nullptr}, {"serial", &serial}, {"pipelined", &pipelined}};
+  for (const auto& [name, qes] : cases) {
+    for (double cpu_factor : {1.0, 0.5}) {
+      SCOPED_TRACE(testing::Message()
+                   << "options " << name << ", cpu_factor " << cpu_factor);
+      const auto measured =
+          planner.plan(ds.meta, graph, query, cpu_factor, qes);
+      const auto closed = planner.plan(ds.stats, 16, 16, cpu_factor, qes);
+      EXPECT_EQ(measured.chosen, closed.chosen);
+      EXPECT_TRUE(measured.params == closed.params)
+          << measured.params.to_string() << " vs "
+          << closed.params.to_string();
+      EXPECT_EQ(measured.ij.total(), closed.ij.total());
+      EXPECT_EQ(measured.gh.total(), closed.gh.total());
+    }
+  }
 }
 
 TEST(Planner, CpuFactorShiftsDecision) {
@@ -187,12 +210,63 @@ TEST(Planner, AggFlushKnobFlowsIntoThePricedParams) {
   const auto base = planner.plan(stats, 16, 16, 1.0, &plain);
   EXPECT_DOUBLE_EQ(base.params.agg_flush_batches, 1.0);
 
-  QesOptions agg;
-  agg.agg_flush_batches = 16;
-  const auto priced = planner.plan(stats, 16, 16, 1.0, &agg);
+  // The planner prices whatever aggregator is installed at plan time.
+  sim::Engine engine;
+  Cluster cluster(engine, cspec);
+  net::AggregatorConfig cfg;
+  cfg.flush_batches = 16;
+  PlanDecision priced;
+  {
+    net::MessageAggregator agg(cluster, cfg);
+    net::ScopedAggregator scoped(agg);
+    priced = planner.plan(stats, 16, 16, 1.0, &plain);
+  }
   EXPECT_DOUBLE_EQ(priced.params.agg_flush_batches, 16.0);
   // A nonzero gamma means aggregation makes GH strictly cheaper.
   EXPECT_LT(priced.gh.total(), base.gh.total());
+
+  // Uninstalled again: back to the unaggregated network.
+  const auto after = planner.plan(stats, 16, 16, 1.0, &plain);
+  EXPECT_DOUBLE_EQ(after.params.agg_flush_batches, 1.0);
+  EXPECT_DOUBLE_EQ(after.gh.total(), base.gh.total());
+}
+
+TEST(Planner, CalibratedPlanUnderContentionIsDeratedOnce) {
+  DatasetSpec data;
+  data.grid = {32, 32, 32};
+  data.part1 = {8, 8, 8};
+  data.part2 = {8, 8, 8};
+  const auto stats = analyze(data);
+  ClusterSpec cspec;
+  QueryPlanner planner(cspec);
+  const CostParams spec = CostParams::from(cspec, stats, 16, 16);
+
+  // A calibrator that has learned only the network bandwidth: every other
+  // parameter of the calibrated plan is the spec sheet's.
+  obs::CalibrationState learned;
+  learned.net_bw = 0.5 * spec.net_bw;
+  obs::Calibrator calibrator(learned);
+  ContentionFactors load;
+  load.disk_busy = 0.5;
+  load.net_busy = 0.25;
+  load.cpu_busy = 0.2;
+  QesOptions qes;
+  qes.calibrator = &calibrator;
+  qes.contention = &load;
+
+  const auto d = planner.plan(stats, 16, 16, 1.0, &qes);
+  ASSERT_TRUE(d.calibrated);
+  // Unlearned parameters: derated by the residual exactly once.
+  EXPECT_DOUBLE_EQ(d.params.read_io_bw, spec.read_io_bw * 0.5);
+  EXPECT_DOUBLE_EQ(d.params.write_io_bw, spec.write_io_bw * 0.5);
+  EXPECT_DOUBLE_EQ(d.params.alpha_build, spec.alpha_build / 0.8);
+  EXPECT_DOUBLE_EQ(d.params.alpha_lookup, spec.alpha_lookup / 0.8);
+  // The learned parameter: also derated once.
+  EXPECT_DOUBLE_EQ(d.params.net_bw, learned.net_bw * 0.75);
+  // The prior plan is the spec sheet, derated once.
+  EXPECT_DOUBLE_EQ(d.prior_params.read_io_bw, spec.read_io_bw * 0.5);
+  EXPECT_DOUBLE_EQ(d.prior_params.net_bw, spec.net_bw * 0.75);
+  EXPECT_DOUBLE_EQ(d.prior_params.alpha_build, spec.alpha_build / 0.8);
 }
 
 TEST(Planner, SuggestFlushBatchesTracksTheMessageOverhead) {
