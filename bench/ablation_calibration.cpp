@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
       // Plan before executing: the calibrated decision carries the
       // spec-sheet plan as its prior, so one call yields both.
       const PlanDecision plan =
-          planner.plan(ds.meta, graph, query, 1.0, &qes_cal);
+          planner.plan(ds.meta, graph, query, &qes_cal);
       const Algorithm prior_choice =
           plan.prior_ij.total() <= plan.prior_gh.total()
               ? Algorithm::IndexedJoin

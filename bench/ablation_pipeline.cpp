@@ -25,7 +25,7 @@ orv::bench::Scenario overlap_scenario() {
   sc.data.part2 = {2, 2, 2};
   sc.cluster.num_storage = 2;
   sc.cluster.num_compute = 2;
-  sc.cpu_work_factor = 8;  // Transfer ≈ Cpu: the overlap-friendly regime
+  sc.options.cpu_work_factor = 8;  // Transfer ≈ Cpu: the overlap-friendly regime
   sc.options.bucket_pair_bytes = 16 * 1024;  // several GH buckets
   return sc;
 }

@@ -36,9 +36,7 @@ namespace orv::bench {
 struct Scenario {
   DatasetSpec data;
   ClusterSpec cluster;
-  /// Fig. 8 knob: repeat hash build/probe k times (k = 2 models half the
-  /// computing power; k = 0.5 models double).
-  double cpu_work_factor = 1.0;
+  /// Executor knobs; options.cpu_work_factor is the Fig. 8 knob.
   QesOptions options;
 };
 
@@ -332,11 +330,7 @@ inline ScenarioResult run_scenario(Scenario sc) {
 
   ScenarioResult out;
   out.stats = ds.stats;
-  out.plan = QueryPlanner(sc.cluster).plan(
-      ds.meta, graph, query, 1.0 / sc.cpu_work_factor, &sc.options);
-
-  QesOptions options = sc.options;
-  options.cpu_work_factor = sc.cpu_work_factor;
+  out.plan = QueryPlanner(sc.cluster).plan(ds.meta, graph, query, &sc.options);
 
   // Either sink engages the instrumented path: ORV_PROFILE wants the
   // per-stage profile, ORV_TRACE wants the span snapshot + time series.
@@ -351,7 +345,8 @@ inline ScenarioResult run_scenario(Scenario sc) {
     Cluster cluster(engine, sc.cluster);
     BdsService bds(cluster, ds.meta, ds.stores);
     auto run = [&] {
-      return run_indexed_join(cluster, bds, ds.meta, graph, query, options);
+      return run_indexed_join(cluster, bds, ds.meta, graph, query,
+                              sc.options);
     };
     out.sim_ij = instrumented
                      ? detail::run_profiled(engine, label,
@@ -364,7 +359,7 @@ inline ScenarioResult run_scenario(Scenario sc) {
     Cluster cluster(engine, sc.cluster);
     BdsService bds(cluster, ds.meta, ds.stores);
     auto run = [&] {
-      return run_grace_hash(cluster, bds, ds.meta, query, options);
+      return run_grace_hash(cluster, bds, ds.meta, query, sc.options);
     };
     out.sim_gh = instrumented
                      ? detail::run_profiled(engine, label,

@@ -24,7 +24,7 @@ int main() {
     sc.data.part2 = {8, 32, 8};
     sc.cluster.num_storage = 5;
     sc.cluster.num_compute = 5;
-    sc.cpu_work_factor = k;       // k repeats = 1/k of the computing power
+    sc.options.cpu_work_factor = k;  // k repeats = 1/k of the computing power
     const auto r = run_scenario(sc);
     std::printf("%13.3gx | %8.3f %8.3f | %8.3f %8.3f | %-11s\n", 1.0 / k,
                 r.sim_ij.elapsed, r.sim_gh.elapsed, r.plan.ij.total(),

@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "dds/aggregate.hpp"
 #include "dds/local_executor.hpp"
-#include "graph/connectivity.hpp"
 #include "qes/scan_aggregate.hpp"
 
 namespace orv {
@@ -142,16 +141,6 @@ DistributedRun DistributedDds::execute(const ViewDef& top_view,
   query.join_attrs = shape.join_attrs;
   query.ranges = shape.ranges;
 
-  // Resolve the candidate pairs through the precomputed page-level join
-  // index (built once per join-attribute set, then range-pruned per query).
-  const auto graph = page_index_.pruned_graph(
-      query.left_table, query.right_table, query.join_attrs, query.ranges);
-
-  DistributedRun run;
-  run.graph_stats = graph.stats(meta_, query.left_table, query.right_table);
-  run.decision = planner_.plan(meta_, graph, query, options.cpu_work_factor,
-                               &options);
-
   // Result schema of the raw join (before projection/aggregation).
   const auto left_schema = meta_.table_schema(query.left_table);
   const auto right_schema = meta_.table_schema(query.right_table);
@@ -190,8 +179,15 @@ DistributedRun DistributedDds::execute(const ViewDef& top_view,
     };
   }
 
-  run.qes = planner_.execute(run.decision, cluster_, bds_, meta_, graph,
-                             query, options);
+  // Plan and run through the session; its graph comes from the
+  // precomputed page-level join index (built once per join-attribute set,
+  // then range-pruned per query).
+  QesSession::Outcome outcome = session_.run(query, std::move(options));
+  DistributedRun run;
+  run.decision = std::move(outcome.plan);
+  run.qes = std::move(outcome.result);
+  run.graph_stats =
+      outcome.graph->stats(meta_, query.left_table, query.right_table);
 
   if (agg_node != nullptr) {
     GroupByAggregator merged(join_schema, agg_node->group_by, agg_node->aggs);

@@ -1,16 +1,13 @@
 #pragma once
 
 // Distributed Derived Data Source: executes join-based views (and
-// aggregations layered on them) on the simulated cluster, with the Query
-// Planning Service choosing between the IJ and GH Query Execution Services
-// via the cost models (paper Section 4).
-
-#include <memory>
-#include <optional>
+// aggregations layered on them) on the simulated cluster. Join views run
+// through a QesSession, where the Query Planning Service chooses between
+// the IJ and GH Query Execution Services via the cost models (paper
+// Section 4).
 
 #include "dds/view_def.hpp"
-#include "graph/page_index.hpp"
-#include "qps/planner.hpp"
+#include "qes/session.hpp"
 
 namespace orv {
 
@@ -27,8 +24,7 @@ class DistributedDds {
       : cluster_(cluster),
         bds_(bds),
         meta_(meta),
-        planner_(cluster.spec()),
-        page_index_(meta) {}
+        session_(cluster, bds, meta, SessionConfig{.share_cache = false}) {}
 
   /// True when the view can run on this DDS (join-view shape, optionally
   /// under one Aggregate).
@@ -42,17 +38,15 @@ class DistributedDds {
   DistributedRun execute(const ViewDef& view, QesOptions options = {},
                          SubTable* rows_out = nullptr);
 
-  const QueryPlanner& planner() const { return planner_; }
-
   /// The precomputed page-level join index cache (paper Section 4.1).
-  PageIndexService& page_index() { return page_index_; }
+  PageIndexService& page_index() { return session_.page_index(); }
 
  private:
   Cluster& cluster_;
   BdsService& bds_;
   const MetaDataService& meta_;
-  QueryPlanner planner_;
-  PageIndexService page_index_;
+  /// Private per-query caches (share_cache off), as a single query has.
+  QesSession session_;
 };
 
 }  // namespace orv

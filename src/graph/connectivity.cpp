@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -47,17 +48,17 @@ bool overlap_on(const ChunkMeta& lc, const ChunkMeta& rc,
   return true;
 }
 
-/// True when the chunk's bounds intersect the query ranges.
-bool satisfies_ranges(const ChunkMeta& c, const std::vector<AttrRange>& rs) {
-  for (const auto& r : rs) {
-    if (auto idx = c.schema->index_of(r.attr)) {
-      if (!c.bounds[*idx].overlaps(r.range)) return false;
+}  // namespace
+
+bool satisfies_ranges(const ChunkMeta& chunk,
+                      const std::vector<AttrRange>& ranges) {
+  for (const auto& r : ranges) {
+    if (auto idx = chunk.schema->index_of(r.attr)) {
+      if (!chunk.bounds[*idx].overlaps(r.range)) return false;
     }
   }
   return true;
 }
-
-}  // namespace
 
 ConnectivityGraph ConnectivityGraph::build(
     const MetaDataService& meta, TableId left_table, TableId right_table,
@@ -213,22 +214,29 @@ void ConnectivityGraph::serialize(ByteWriter& w) const {
   }
 }
 
-ConnectivityGraph ConnectivityGraph::deserialize(ByteReader& r) {
+ConnectivityGraph ConnectivityGraph::from_edges(
+    std::vector<SubTablePair> edges) {
   ConnectivityGraph g;
+  g.edges_ = std::move(edges);
+  std::sort(g.edges_.begin(), g.edges_.end());
+  g.compute_components();
+  return g;
+}
+
+ConnectivityGraph ConnectivityGraph::deserialize(ByteReader& r) {
   const std::uint64_t n = r.get_u64();
   r.check_count(n, 16);  // four u32 per edge
-  g.edges_.reserve(n);
+  std::vector<SubTablePair> edges;
+  edges.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     SubTablePair e;
     e.left.table = r.get_u32();
     e.left.chunk = r.get_u32();
     e.right.table = r.get_u32();
     e.right.chunk = r.get_u32();
-    g.edges_.push_back(e);
+    edges.push_back(e);
   }
-  std::sort(g.edges_.begin(), g.edges_.end());
-  g.compute_components();
-  return g;
+  return from_edges(std::move(edges));
 }
 
 }  // namespace orv

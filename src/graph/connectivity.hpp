@@ -47,6 +47,11 @@ struct GraphStats {
   std::string to_string() const;
 };
 
+/// True when the chunk's bounds intersect every query range on an
+/// attribute it has (an attribute it lacks constrains nothing).
+bool satisfies_ranges(const ChunkMeta& chunk,
+                      const std::vector<AttrRange>& ranges);
+
 class ConnectivityGraph {
  public:
   /// Builds the graph for `left_table` join `right_table` on `join_attrs`,
@@ -68,6 +73,10 @@ class ConnectivityGraph {
   /// Aggregate statistics; c_R/c_S/T taken from the metadata service.
   GraphStats stats(const MetaDataService& meta, TableId left_table,
                    TableId right_table) const;
+
+  /// A graph over a given candidate-pair list (sorted here); components
+  /// are recomputed. Deserialization and range pruning build through it.
+  static ConnectivityGraph from_edges(std::vector<SubTablePair> edges);
 
   void serialize(ByteWriter& w) const;
   static ConnectivityGraph deserialize(ByteReader& r);

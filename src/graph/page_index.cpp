@@ -1,6 +1,6 @@
 #include "graph/page_index.hpp"
 
-#include "common/error.hpp"
+#include <utility>
 
 namespace orv {
 
@@ -17,40 +17,27 @@ const ConnectivityGraph& PageIndexService::full_graph(
   return cache_.emplace(key, std::move(graph)).first->second;
 }
 
-ConnectivityGraph PageIndexService::pruned_graph(
+const ConnectivityGraph& PageIndexService::pruned_graph(
     TableId left, TableId right, const std::vector<std::string>& attrs,
     const std::vector<AttrRange>& ranges) {
   const ConnectivityGraph& full = full_graph(left, right, attrs);
-  if (ranges.empty()) {
-    // Round-trip through the edge list to return an owned copy.
-    ByteWriter w;
-    full.serialize(w);
-    ByteReader r(w.bytes());
-    return ConnectivityGraph::deserialize(r);
+  if (ranges.empty()) return full;
+  PrunedKey key{Key{left, right, attrs}, {}};
+  for (const auto& r : ranges) {
+    key.second.emplace_back(r.attr, r.range.lo, r.range.hi);
   }
-  auto satisfies = [&](SubTableId id) {
-    const ChunkMeta& cm = meta_.chunk(id);
-    for (const auto& range : ranges) {
-      if (auto idx = cm.schema->index_of(range.attr)) {
-        if (!cm.bounds[*idx].overlaps(range.range)) return false;
+  auto [it, fresh] = pruned_.try_emplace(std::move(key));
+  if (fresh) {
+    std::vector<SubTablePair> kept;
+    for (const auto& e : full.edges()) {
+      if (satisfies_ranges(meta_.chunk(e.left), ranges) &&
+          satisfies_ranges(meta_.chunk(e.right), ranges)) {
+        kept.push_back(e);
       }
     }
-    return true;
-  };
-  std::vector<SubTablePair> kept;
-  for (const auto& e : full.edges()) {
-    if (satisfies(e.left) && satisfies(e.right)) kept.push_back(e);
+    it->second = ConnectivityGraph::from_edges(std::move(kept));
   }
-  ByteWriter ew;
-  ew.put_u64(kept.size());
-  for (const auto& e : kept) {
-    ew.put_u32(e.left.table);
-    ew.put_u32(e.left.chunk);
-    ew.put_u32(e.right.table);
-    ew.put_u32(e.right.chunk);
-  }
-  ByteReader r(ew.bytes());
-  return ConnectivityGraph::deserialize(r);
+  return it->second;
 }
 
 bool PageIndexService::precompute(TableId left, TableId right,

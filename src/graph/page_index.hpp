@@ -7,11 +7,14 @@
 // (left table, right table, join attributes) key; a query's range
 // constraints then prune the cached graph ("any additional range
 // constraints may be applied at the sub-table level to prune away
-// unwanted edges and nodes") instead of re-pairing chunks. The cache can
-// be persisted through the MetaData Service's byte format.
+// unwanted edges and nodes") once per range set, instead of re-pairing
+// chunks. The full graphs can be persisted through the MetaData
+// Service's byte format.
 
 #include <map>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/connectivity.hpp"
@@ -26,12 +29,12 @@ class PageIndexService {
   const ConnectivityGraph& full_graph(
       TableId left, TableId right, const std::vector<std::string>& attrs);
 
-  /// A range-constrained graph, derived from the cached full graph by
-  /// pruning edges whose chunks cannot satisfy the ranges. Equivalent to
-  /// ConnectivityGraph::build(..., ranges), without re-pairing.
-  ConnectivityGraph pruned_graph(TableId left, TableId right,
-                                 const std::vector<std::string>& attrs,
-                                 const std::vector<AttrRange>& ranges);
+  /// The cached full graph pruned of edges whose chunks cannot satisfy the
+  /// ranges, memoized per range set (no ranges: the full graph itself).
+  /// Equal to ConnectivityGraph::build(..., ranges), without re-pairing.
+  const ConnectivityGraph& pruned_graph(TableId left, TableId right,
+                                        const std::vector<std::string>& attrs,
+                                        const std::vector<AttrRange>& ranges);
 
   /// Precomputes (or re-uses) the index for a key; returns whether a
   /// build happened.
@@ -39,6 +42,7 @@ class PageIndexService {
                   const std::vector<std::string>& attrs);
 
   std::size_t num_cached() const { return cache_.size(); }
+  /// Full-graph builds; lookups served without one count as hits.
   std::uint64_t builds() const { return builds_; }
   std::uint64_t hits() const { return hits_; }
 
@@ -48,9 +52,12 @@ class PageIndexService {
 
  private:
   using Key = std::tuple<TableId, TableId, std::vector<std::string>>;
+  using PrunedKey =
+      std::pair<Key, std::vector<std::tuple<std::string, double, double>>>;
 
   const MetaDataService& meta_;
   std::map<Key, ConnectivityGraph> cache_;
+  std::map<PrunedKey, ConnectivityGraph> pruned_;
   std::uint64_t builds_ = 0;
   std::uint64_t hits_ = 0;
 };

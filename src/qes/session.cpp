@@ -1,6 +1,8 @@
 #include "qes/session.hpp"
 
+#include "common/error.hpp"
 #include "common/strings.hpp"
+#include "obs/obs.hpp"
 
 namespace orv {
 
@@ -10,7 +12,8 @@ QesSession::QesSession(Cluster& cluster, BdsService& bds,
       bds_(bds),
       meta_(meta),
       config_(config),
-      planner_(cluster.spec()) {
+      planner_(cluster.spec()),
+      page_index_(meta) {
   if (config_.share_cache) {
     const std::uint64_t cap = config_.cache_bytes > 0
                                   ? config_.cache_bytes
@@ -24,27 +27,8 @@ QesSession::QesSession(Cluster& cluster, BdsService& bds,
 }
 
 const ConnectivityGraph& QesSession::graph_for(const JoinQuery& query) {
-  std::string key = strformat("%u|%u", query.left_table, query.right_table);
-  for (const auto& a : query.join_attrs) {
-    key += "|";
-    key += a;
-  }
-  for (const auto& r : query.ranges) {
-    key += strformat("|%s:%.17g:%.17g", r.attr.c_str(), r.range.lo,
-                     r.range.hi);
-  }
-  auto it = graphs_.find(key);
-  if (it == graphs_.end()) {
-    it = graphs_
-             .emplace(std::move(key),
-                      std::make_unique<ConnectivityGraph>(
-                          ConnectivityGraph::build(meta_, query.left_table,
-                                                   query.right_table,
-                                                   query.join_attrs,
-                                                   query.ranges)))
-             .first;
-  }
-  return *it->second;
+  return page_index_.pruned_graph(query.left_table, query.right_table,
+                                  query.join_attrs, query.ranges);
 }
 
 CachingService::Stats QesSession::cache_totals() const {
@@ -67,24 +51,58 @@ sim::Task<> QesSession::run_query(JoinQuery query, QesOptions options,
   try {
     if (!caches_.empty()) options.node_caches = &caches_;
     const ConnectivityGraph& graph = graph_for(query);
-    // cpu_work_factor repeats hash charges k times; the planner's
-    // cpu_factor scales CPU *speed*, so the two are reciprocal.
-    const double cpu_factor =
-        options.cpu_work_factor > 0 ? 1.0 / options.cpu_work_factor : 1.0;
-    out->plan = planner_.plan(meta_, graph, query, cpu_factor, &options);
+    out->graph = &graph;
+    out->plan = planner_.plan(meta_, graph, query, &options);
     out->algorithm = force.value_or(out->plan.chosen);
-    if (out->algorithm == Algorithm::IndexedJoin) {
+    const bool ij = out->algorithm == Algorithm::IndexedJoin;
+    if (ij) {
       out->result = co_await indexed_join_task(cluster_, bds_, meta_, graph,
                                                query, options);
     } else {
       out->result = co_await grace_hash_task(cluster_, bds_, meta_, query,
                                              options);
     }
+    if (auto* ctx = obs::context()) {
+      // Cost-model feedback: what the Section 5 models predicted for the
+      // algorithm run vs. what the execution measured.
+      const PlanDecision& plan = out->plan;
+      obs::PlanValidation pv;
+      pv.query = strformat("join(t%u,t%u)", query.left_table,
+                           query.right_table);
+      pv.chosen = algorithm_name(plan.chosen);
+      pv.executed = algorithm_name(out->algorithm);
+      pv.predicted_ij = plan.ij.total();
+      pv.predicted_gh = plan.gh.total();
+      pv.predicted = ij ? pv.predicted_ij : pv.predicted_gh;
+      pv.measured = out->result.elapsed;
+      pv.calibrated = plan.calibrated;
+      if (plan.calibrated) {
+        pv.predicted_prior = (ij ? plan.prior_ij : plan.prior_gh).total();
+      }
+      ctx->add_plan_validation(std::move(pv));
+    }
   } catch (const std::exception& e) {
     out->failed = true;
     out->error = e.what();
+    out->exception = std::current_exception();
   }
   out->done = true;
+}
+
+QesSession::Outcome QesSession::run(JoinQuery query, QesOptions options,
+                                    std::optional<Algorithm> force) {
+  Outcome out;
+  sim::Engine& engine = cluster_.engine();
+  engine.spawn(run_query(std::move(query), std::move(options), &out, force),
+               "session-query");
+  try {
+    engine.run();
+  } catch (...) {
+    if (!out.exception) throw;  // the query's own failure outranks the rest
+  }
+  ORV_CHECK(out.done, "query task did not complete");
+  if (out.exception) std::rethrow_exception(out.exception);
+  return out;
 }
 
 }  // namespace orv

@@ -1,11 +1,12 @@
 #pragma once
 
-// Multi-query QES session: runs many queries *concurrently* over one
-// shared simulated cluster within a single Engine::run. Each query is one
-// spawned coroutine (indexed_join_task / grace_hash_task); they contend
-// for the same storage disks, NICs, switch and compute CPUs, and — when
-// sharing is on — reuse one persistent Caching Service per compute node,
-// so overlapping queries finally produce real cross-query hit rates.
+// QES session, the one path from a JoinQuery to a plan and an execution:
+// runs many queries *concurrently* over one shared simulated cluster
+// within a single Engine::run. Each query is one spawned coroutine
+// (indexed_join_task / grace_hash_task); they contend for the same storage
+// disks, NICs, switch and compute CPUs, and — when sharing is on — reuse
+// one persistent Caching Service per compute node, so overlapping queries
+// finally produce real cross-query hit rates.
 //
 // Per-query state stays isolated: every query gets its own QesResult,
 // its own trace id (obs::ObsContext::next_trace_id), and its own Outcome
@@ -13,11 +14,12 @@
 // the failure lands in its Outcome, and every other in-flight query keeps
 // running.
 
-#include <map>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
 
+#include "graph/page_index.hpp"
 #include "qes/qes.hpp"
 #include "qps/planner.hpp"
 
@@ -43,9 +45,11 @@ class QesSession {
     bool done = false;
     bool failed = false;
     std::string error;
+    std::exception_ptr exception;  // what the failed query threw
     Algorithm algorithm = Algorithm::IndexedJoin;
     PlanDecision plan;
     QesResult result;
+    const ConnectivityGraph* graph = nullptr;  // owned by the page index
   };
 
   QesSession(Cluster& cluster, BdsService& bds, const MetaDataService& meta,
@@ -55,18 +59,25 @@ class QesSession {
   /// models, honouring options.contention when set), execute the chosen
   /// algorithm on the shared cluster, deposit into `*out`. `force` pins
   /// the algorithm (the plan is still recorded for its cost estimate).
+  /// Under an obs context, success records the run's PlanValidation.
   /// Exceptions are captured into the outcome, never propagated — so a
   /// faulted query cannot take down the engine run or its neighbours.
   /// `out` must outlive the task.
   sim::Task<> run_query(JoinQuery query, QesOptions options, Outcome* out,
                         std::optional<Algorithm> force = {});
 
-  /// Connectivity graph for the query, memoized on (tables, attrs,
-  /// ranges) so repeated specs in a workload mix build it once.
+  /// One query to completion: spawns run_query and drives the engine
+  /// until it drains. A failed query rethrows what it threw.
+  Outcome run(JoinQuery query, QesOptions options,
+              std::optional<Algorithm> force = {});
+
+  /// Connectivity graph for the query, from the page-level join index
+  /// (built once per attribute set, pruned once per range set).
   const ConnectivityGraph& graph_for(const JoinQuery& query);
 
   Cluster& cluster() { return cluster_; }
   const QueryPlanner& planner() const { return planner_; }
+  PageIndexService& page_index() { return page_index_; }
 
   /// The session's shared per-node caches (empty when share_cache is off).
   const std::vector<std::shared_ptr<CachingService>>& node_caches() const {
@@ -82,8 +93,8 @@ class QesSession {
   const MetaDataService& meta_;
   Config config_;
   QueryPlanner planner_;
+  PageIndexService page_index_;
   std::vector<std::shared_ptr<CachingService>> caches_;
-  std::map<std::string, std::unique_ptr<ConnectivityGraph>> graphs_;
 };
 
 }  // namespace orv

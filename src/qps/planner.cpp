@@ -26,12 +26,22 @@ void price(PlanDecision& d) {
   }
 }
 
-/// Completes the spec-sheet parameters with the executor knobs and the
-/// installed aggregator's flush threshold, then derives the plan — and,
-/// with a calibrator, the prior plan — from that one base, each derated
-/// for the observed contention exactly once.
-PlanDecision decide(CostParams base, const QesOptions* qes) {
+/// Assembles the spec-sheet parameters, completes them with the executor
+/// knobs and the installed aggregator's flush threshold, then derives the
+/// plan — and, with a calibrator, the prior plan — from that one base,
+/// each derated for the observed contention exactly once.
+PlanDecision decide(const ClusterSpec& cluster, const ConnectivityStats& data,
+                    std::size_t rs_left, std::size_t rs_right,
+                    double local_fraction, const QesOptions* qes) {
   obs::StageScope stage(obs::context(), "qps.plan");
+  // cpu_work_factor k repeats every hash charge k times; the cost model
+  // takes CPU *speed*, so it prices a CPU 1/k as fast.
+  const double cpu_factor = qes != nullptr && qes->cpu_work_factor > 0
+                                ? 1.0 / qes->cpu_work_factor
+                                : 1.0;
+  CostParams base =
+      CostParams::from(cluster, data, rs_left, rs_right, cpu_factor);
+  base.local_fraction = local_fraction;
   if (const net::MessageAggregator* agg = net::context()) {
     base.agg_flush_batches = static_cast<double>(agg->flush_batches());
   }
@@ -76,10 +86,8 @@ std::string PlanDecision::to_string() const {
 
 PlanDecision QueryPlanner::plan(const ConnectivityStats& data,
                                 std::size_t rs_left, std::size_t rs_right,
-                                double cpu_factor,
                                 const QesOptions* qes) const {
-  return decide(
-      CostParams::from(cluster_, data, rs_left, rs_right, cpu_factor), qes);
+  return decide(cluster_, data, rs_left, rs_right, 0.0, qes);
 }
 
 std::size_t QueryPlanner::suggest_flush_batches(const CostParams& params,
@@ -100,7 +108,7 @@ std::size_t QueryPlanner::suggest_flush_batches(const CostParams& params,
 
 PlanDecision QueryPlanner::plan(const MetaDataService& meta,
                                 const ConnectivityGraph& graph,
-                                const JoinQuery& query, double cpu_factor,
+                                const JoinQuery& query,
                                 const QesOptions* qes) const {
   ConnectivityStats data;
   data.T = meta.table_rows(query.left_table);
@@ -110,9 +118,7 @@ PlanDecision QueryPlanner::plan(const MetaDataService& meta,
   data.c_S = n_right ? meta.table_rows(query.right_table) / n_right : 0;
   data.num_edges = graph.num_edges();
   data.num_components = graph.num_components();
-  CostParams base = CostParams::from(
-      cluster_, data, meta.table_schema(query.left_table)->record_size(),
-      meta.table_schema(query.right_table)->record_size(), cpu_factor);
+  double local_fraction = 0.0;
   if (cluster_.colocated && qes != nullptr &&
       qes->assign == ComponentAssign::PlacementAffinity) {
     // Locality-aware refinement: predict the placement-affinity schedule
@@ -123,49 +129,13 @@ PlanDecision QueryPlanner::plan(const MetaDataService& meta,
     const Schedule predicted = make_schedule_placement_affinity(
         graph, cluster_.num_compute, meta, cluster_.num_storage,
         qes->pair_order, qes->seed);
-    base.local_fraction =
+    local_fraction =
         schedule_local_fraction(predicted, meta, cluster_.num_storage);
   }
-  return decide(base, qes);
-}
-
-QesResult QueryPlanner::execute(const PlanDecision& decision, Cluster& cluster,
-                                BdsService& bds, const MetaDataService& meta,
-                                const ConnectivityGraph& graph,
-                                const JoinQuery& query,
-                                const QesOptions& options) const {
-  auto* ctx = obs::context();
-  obs::StageScope stage(ctx, "qps.execute");
-  stage.tag("algorithm", std::string(algorithm_name(decision.chosen)));
-  stage.tag("pipelined", static_cast<std::uint64_t>(decision.pipelined));
-
-  QesResult result;
-  if (decision.chosen == Algorithm::IndexedJoin) {
-    result = run_indexed_join(cluster, bds, meta, graph, query, options);
-  } else {
-    result = run_grace_hash(cluster, bds, meta, query, options);
-  }
-  stage.tag("degraded", static_cast<std::uint64_t>(result.degraded ? 1 : 0));
-
-  if (ctx) {
-    // Cost-model feedback: what the Section 5 models predicted for this
-    // query vs. what the execution measured.
-    obs::PlanValidation pv;
-    pv.query = strformat("join(t%u,t%u)", query.left_table,
-                         query.right_table);
-    pv.chosen = algorithm_name(decision.chosen);
-    pv.executed = pv.chosen;
-    pv.predicted_ij = decision.ij.total();
-    pv.predicted_gh = decision.gh.total();
-    pv.predicted = decision.predicted_seconds();
-    pv.measured = result.elapsed;
-    if (decision.calibrated) {
-      pv.calibrated = true;
-      pv.predicted_prior = decision.predicted_prior_seconds();
-    }
-    ctx->add_plan_validation(std::move(pv));
-  }
-  return result;
+  return decide(cluster_, data,
+                meta.table_schema(query.left_table)->record_size(),
+                meta.table_schema(query.right_table)->record_size(),
+                local_fraction, qes);
 }
 
 }  // namespace orv

@@ -34,12 +34,6 @@ struct PlanDecision {
   double predicted_seconds() const {
     return chosen == Algorithm::IndexedJoin ? ij.total() : gh.total();
   }
-  /// Prior model's prediction for the algorithm actually chosen (only
-  /// meaningful when `calibrated`).
-  double predicted_prior_seconds() const {
-    return chosen == Algorithm::IndexedJoin ? prior_ij.total()
-                                            : prior_gh.total();
-  }
   std::string to_string() const;
 };
 
@@ -51,11 +45,12 @@ class QueryPlanner {
   /// `qes` is given, its knobs (prefetch_lookahead, gh_double_buffer,
   /// batch_bytes, bucket_pair_bytes) parameterize the priced model, so an
   /// enabled overlap pipeline (QesOptions::pipelined()) is priced as
-  /// max-of-stages for the corresponding algorithm. The flush threshold
-  /// of the installed net::MessageAggregator, if any, prices the
-  /// per-frame overhead.
+  /// max-of-stages for the corresponding algorithm, and its
+  /// cpu_work_factor k prices a CPU 1/k as fast (Fig. 8). The flush
+  /// threshold of the installed net::MessageAggregator, if any, prices
+  /// the per-frame overhead.
   PlanDecision plan(const ConnectivityStats& data, std::size_t rs_left,
-                    std::size_t rs_right, double cpu_factor = 1.0,
+                    std::size_t rs_right,
                     const QesOptions* qes = nullptr) const;
 
   /// Plans from live metadata + the connectivity graph (measured path):
@@ -64,7 +59,6 @@ class QueryPlanner {
   /// node-local byte fraction refines the IJ transfer term.
   PlanDecision plan(const MetaDataService& meta,
                     const ConnectivityGraph& graph, const JoinQuery& query,
-                    double cpu_factor = 1.0,
                     const QesOptions* qes = nullptr) const;
 
   /// Picks a flush threshold for the network message aggregator: the
@@ -73,12 +67,6 @@ class QueryPlanner {
   /// Returns 1 (no aggregation) when msg_overhead is 0 or already cheap.
   static std::size_t suggest_flush_batches(const CostParams& params,
                                            std::size_t max_batches = 64);
-
-  /// Runs the chosen algorithm.
-  QesResult execute(const PlanDecision& decision, Cluster& cluster,
-                    BdsService& bds, const MetaDataService& meta,
-                    const ConnectivityGraph& graph, const JoinQuery& query,
-                    const QesOptions& options = {}) const;
 
   const ClusterSpec& cluster() const { return cluster_; }
 

@@ -401,10 +401,8 @@ sim::Task<> one_query(Driver& d, Arrival a) {
     contention = d.monitor.sample();
     options.contention = &contention;
   }
-  const double cpu_factor =
-      options.cpu_work_factor > 0 ? 1.0 / options.cpu_work_factor : 1.0;
   const PlanDecision pre = d.session.planner().plan(
-      d.meta, d.session.graph_for(qs.query), qs.query, cpu_factor, &options);
+      d.meta, d.session.graph_for(qs.query), qs.query, &options);
   out.predicted = pre.predicted_seconds();
 
   const bool admitted =

@@ -1,6 +1,7 @@
 // Distributed DDS: join views and aggregated join views executed on the
 // simulated cluster must equal the local executor's results; planner
-// integration; materialization with projection.
+// integration (pricing, parity with a direct run of the chosen
+// algorithm); materialization with projection.
 
 #include "dds/distributed.hpp"
 
@@ -14,6 +15,33 @@
 namespace orv {
 namespace {
 
+DatasetSpec small_spec() {
+  DatasetSpec spec;
+  spec.grid = {8, 8, 8};
+  spec.part1 = {4, 4, 4};
+  spec.part2 = {2, 2, 2};
+  spec.num_storage_nodes = 2;
+  return spec;
+}
+
+/// Crossed strip partitions: every left strip overlaps every right strip
+/// of its z-slab, so n_e*c_S = 32T, far past the IJ/GH crossover.
+DatasetSpec crossed_spec() {
+  DatasetSpec spec;
+  spec.grid = {32, 32, 4};
+  spec.part1 = {32, 1, 4};
+  spec.part2 = {1, 32, 4};
+  spec.num_storage_nodes = 2;
+  return spec;
+}
+
+ClusterSpec rig_cluster() {
+  ClusterSpec cspec;
+  cspec.num_storage = 2;
+  cspec.num_compute = 3;
+  return cspec;
+}
+
 struct Rig {
   GeneratedDataset ds;
   sim::Engine engine;
@@ -22,16 +50,9 @@ struct Rig {
   std::unique_ptr<DistributedDds> dds;
   std::unique_ptr<LocalExecutor> local;
 
-  Rig() {
-    DatasetSpec spec;
-    spec.grid = {8, 8, 8};
-    spec.part1 = {4, 4, 4};
-    spec.part2 = {2, 2, 2};
-    spec.num_storage_nodes = 2;
+  explicit Rig(const DatasetSpec& spec = small_spec()) {
     ds = generate_dataset(spec);
-    ClusterSpec cspec;
-    cspec.num_storage = 2;
-    cspec.num_compute = 3;
+    const ClusterSpec cspec = rig_cluster();
     cluster = std::make_unique<Cluster>(engine, cspec);
     bds = std::make_unique<BdsService>(*cluster, ds.meta, ds.stores);
     dds = std::make_unique<DistributedDds>(*cluster, *bds, ds.meta);
@@ -145,6 +166,66 @@ TEST(DistributedDds, NoMaterializationStillCountsTuples) {
       ViewDef::join(ViewDef::base(1), ViewDef::base(2), {"x", "y", "z"});
   const DistributedRun run = r.dds->execute(*view);  // rows_out == nullptr
   EXPECT_EQ(run.qes.result_tuples, 512u);
+}
+
+TEST(DistributedDds, CpuWorkFactorPricesSlowerCpu) {
+  // cpu_work_factor k repeats every hash charge k times, so the plan must
+  // price the CPU k times slower, as the session and the benches do.
+  Rig r;
+  const auto view =
+      ViewDef::join(ViewDef::base(1), ViewDef::base(2), {"x", "y", "z"});
+  QesOptions slow;
+  slow.cpu_work_factor = 4;
+  const DistributedRun base = r.dds->execute(*view);
+  const DistributedRun slowed = r.dds->execute(*view, slow);
+  EXPECT_EQ(slowed.decision.params.alpha_build,
+            4 * base.decision.params.alpha_build);
+  EXPECT_EQ(slowed.decision.params.alpha_lookup,
+            4 * base.decision.params.alpha_lookup);
+}
+
+/// dds.execute(view) must replay the direct run of the algorithm its plan
+/// chose, on a fresh cluster, exactly.
+void expect_matches_direct_run(const DatasetSpec& spec, Algorithm expected) {
+  Rig r(spec);
+  const auto view =
+      ViewDef::join(ViewDef::base(1), ViewDef::base(2), {"x", "y", "z"});
+  const DistributedRun run = r.dds->execute(*view);
+  ASSERT_EQ(run.decision.chosen, expected);
+
+  sim::Engine engine;
+  Cluster cluster(engine, rig_cluster());
+  BdsService bds(cluster, r.ds.meta, r.ds.stores);
+  const JoinQuery query{1, 2, {"x", "y", "z"}, {}};
+  const QesResult direct =
+      expected == Algorithm::IndexedJoin
+          ? run_indexed_join(cluster, bds, r.ds.meta,
+                             ConnectivityGraph::build(r.ds.meta, 1, 2,
+                                                      query.join_attrs),
+                             query)
+          : run_grace_hash(cluster, bds, r.ds.meta, query);
+  EXPECT_EQ(run.qes.result_fingerprint, direct.result_fingerprint);
+  EXPECT_EQ(run.qes.result_tuples, direct.result_tuples);
+  EXPECT_DOUBLE_EQ(run.qes.elapsed, direct.elapsed);
+}
+
+TEST(DistributedDds, IndexedJoinPlanMatchesDirectRun) {
+  expect_matches_direct_run(small_spec(), Algorithm::IndexedJoin);
+}
+
+TEST(DistributedDds, GraceHashPlanMatchesDirectRun) {
+  expect_matches_direct_run(crossed_spec(), Algorithm::GraceHash);
+}
+
+TEST(DistributedDds, WrongSizeNodeCachesThrow) {
+  Rig r;
+  const auto view =
+      ViewDef::join(ViewDef::base(1), ViewDef::base(2), {"x", "y", "z"});
+  std::vector<std::shared_ptr<CachingService>> caches = {
+      std::make_shared<CachingService>(1 << 20, CachePolicy::LRU)};
+  QesOptions options;
+  options.node_caches = &caches;  // one cache for three compute nodes
+  EXPECT_THROW(r.dds->execute(*view, options), InvalidArgument);
 }
 
 }  // namespace

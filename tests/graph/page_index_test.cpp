@@ -42,19 +42,36 @@ TEST(PageIndex, PrecomputeReportsBuild) {
 TEST(PageIndex, PrunedGraphEqualsDirectBuild) {
   auto ds = make_ds();
   PageIndexService svc(ds.meta);
-  const std::vector<AttrRange> ranges = {{"x", {0, 7}}, {"y", {4, 11}}};
-  const auto pruned = svc.pruned_graph(1, 2, {"x", "y", "z"}, ranges);
-  const auto direct =
-      ConnectivityGraph::build(ds.meta, 1, 2, {"x", "y", "z"}, ranges);
-  EXPECT_EQ(pruned.edges(), direct.edges());
-  EXPECT_EQ(pruned.num_components(), direct.num_components());
+  const std::vector<std::string> attrs = {"x", "y", "z"};
+  const std::vector<std::vector<AttrRange>> cases = {
+      {{"x", {0, 7}}, {"y", {4, 11}}},
+      {{"x", {0, 7}}},                     // a single attribute
+      {{"wp", {0.0, 0.5}}, {"z", {0, 3}}},  // wp: only the right table has it
+      {{"x", {100, 200}}},                 // selects nothing
+      {},                                  // unconstrained
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "case " << i);
+    const auto& ranges = cases[i];
+    const auto& pruned = svc.pruned_graph(1, 2, attrs, ranges);
+    const auto direct = ConnectivityGraph::build(ds.meta, 1, 2, attrs, ranges);
+    EXPECT_EQ(pruned.edges(), direct.edges());
+    EXPECT_EQ(pruned.num_components(), direct.num_components());
+    // Memoized: the same lookup returns the same graph.
+    EXPECT_EQ(&svc.pruned_graph(1, 2, attrs, ranges), &pruned);
+  }
+  EXPECT_EQ(svc.pruned_graph(1, 2, attrs, cases[3]).num_edges(), 0u);
+  EXPECT_LT(svc.pruned_graph(1, 2, attrs, cases[2]).num_edges(),
+            svc.full_graph(1, 2, attrs).num_edges());
+  EXPECT_EQ(svc.builds(), 1u);
 }
 
 TEST(PageIndex, EmptyRangesReturnFullCopy) {
   auto ds = make_ds();
   PageIndexService svc(ds.meta);
-  const auto copy = svc.pruned_graph(1, 2, {"x", "y", "z"}, {});
+  const auto& copy = svc.pruned_graph(1, 2, {"x", "y", "z"}, {});
   EXPECT_EQ(copy.edges(), svc.full_graph(1, 2, {"x", "y", "z"}).edges());
+  EXPECT_EQ(&copy, &svc.full_graph(1, 2, {"x", "y", "z"}));
 }
 
 TEST(PageIndex, PersistenceRoundTrip) {

@@ -12,7 +12,7 @@
 #include "obs/profile.hpp"
 #include "obs/sim_clock.hpp"
 #include "qes/qes.hpp"
-#include "qps/planner.hpp"
+#include "qes/session.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -132,20 +132,18 @@ TEST(ObsIntegration, PlannerRecordsPlanValidation) {
   Cluster cluster(engine, cspec);
   BdsService bds(cluster, ds.meta, ds.stores);
   JoinQuery query{spec.table1_id, spec.table2_id, {"x", "y", "z"}, {}};
-  const auto graph = ConnectivityGraph::build(ds.meta, query.left_table,
-                                              query.right_table,
-                                              query.join_attrs);
-
-  QueryPlanner planner(cspec);
-  const PlanDecision decision = planner.plan(ds.meta, graph, query);
+  QesSession session(cluster, bds, ds.meta,
+                     SessionConfig{.share_cache = false});
 
   obs::SimClock clock(engine);
   obs::ObsContext ctx(&clock);
-  QesResult res;
+  QesSession::Outcome outcome;
   {
     obs::ScopedInstall install(ctx);
-    res = planner.execute(decision, cluster, bds, ds.meta, graph, query);
+    outcome = session.run(query, {});
   }
+  const PlanDecision& decision = outcome.plan;
+  const QesResult& res = outcome.result;
 
   const auto validations = ctx.plan_validations();
   ASSERT_EQ(validations.size(), 1u);
@@ -161,6 +159,21 @@ TEST(ObsIntegration, PlannerRecordsPlanValidation) {
   const auto profile = obs::build_profile(ctx, "q", pv.executed, res.elapsed);
   EXPECT_TRUE(profile.has_plan);
   EXPECT_DOUBLE_EQ(profile.plan.measured, res.elapsed);
+
+  // A forced run reports the algorithm it ran and that algorithm's model
+  // total, next to the plan's own choice.
+  {
+    obs::ScopedInstall install(ctx);
+    outcome = session.run(query, {}, Algorithm::GraceHash);
+  }
+  ASSERT_EQ(outcome.plan.chosen, Algorithm::IndexedJoin);
+  const auto forced = ctx.plan_validations();
+  ASSERT_EQ(forced.size(), 2u);
+  EXPECT_EQ(forced[1].chosen, algorithm_name(Algorithm::IndexedJoin));
+  EXPECT_EQ(forced[1].executed, algorithm_name(Algorithm::GraceHash));
+  EXPECT_NE(forced[1].executed, forced[1].chosen);
+  EXPECT_DOUBLE_EQ(forced[1].predicted, outcome.plan.gh.total());
+  EXPECT_DOUBLE_EQ(forced[1].measured, outcome.result.elapsed);
 }
 
 TEST(ObsIntegration, NoContextMeansNoRecording) {

@@ -12,6 +12,7 @@
 #include "datagen/generator.hpp"
 #include "net/aggregator.hpp"
 #include "obs/calibrate.hpp"
+#include "qes/session.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -63,13 +64,18 @@ TEST(Planner, MeasuredPathAgreesWithClosedForm) {
   pipelined.gh_double_buffer = true;
   const std::pair<const char*, const QesOptions*> cases[] = {
       {"none", nullptr}, {"serial", &serial}, {"pipelined", &pipelined}};
-  for (const auto& [name, qes] : cases) {
-    for (double cpu_factor : {1.0, 0.5}) {
-      SCOPED_TRACE(testing::Message()
-                   << "options " << name << ", cpu_factor " << cpu_factor);
-      const auto measured =
-          planner.plan(ds.meta, graph, query, cpu_factor, qes);
-      const auto closed = planner.plan(ds.stats, 16, 16, cpu_factor, qes);
+  for (const auto& [name, base] : cases) {
+    for (double work_factor : {1.0, 2.0}) {
+      SCOPED_TRACE(testing::Message() << "options " << name
+                                      << ", cpu_work_factor " << work_factor);
+      // A work factor needs options to ride on: "none" at k = 2 plans
+      // with the defaults, which price exactly like no options.
+      QesOptions opts = base != nullptr ? *base : QesOptions{};
+      opts.cpu_work_factor = work_factor;
+      const QesOptions* qes =
+          base == nullptr && work_factor == 1.0 ? nullptr : &opts;
+      const auto measured = planner.plan(ds.meta, graph, query, qes);
+      const auto closed = planner.plan(ds.stats, 16, 16, qes);
       EXPECT_EQ(measured.chosen, closed.chosen);
       EXPECT_TRUE(measured.params == closed.params)
           << measured.params.to_string() << " vs "
@@ -88,8 +94,12 @@ TEST(Planner, CpuFactorShiftsDecision) {
   data.part2 = {2, 32, 8};
   QueryPlanner planner((ClusterSpec()));
   const auto stats = analyze(data);
-  const auto slow = planner.plan(stats, 16, 16, 0.125);
-  const auto fast = planner.plan(stats, 16, 16, 8.0);
+  QesOptions slow_cpu;
+  slow_cpu.cpu_work_factor = 8.0;  // 1/8 of the computing power
+  QesOptions fast_cpu;
+  fast_cpu.cpu_work_factor = 0.125;  // 8x the computing power
+  const auto slow = planner.plan(stats, 16, 16, &slow_cpu);
+  const auto fast = planner.plan(stats, 16, 16, &fast_cpu);
   EXPECT_EQ(slow.chosen, Algorithm::GraceHash);
   EXPECT_EQ(fast.chosen, Algorithm::IndexedJoin);
 }
@@ -107,13 +117,13 @@ TEST(Planner, ExecuteRunsChosenAlgorithm) {
   sim::Engine engine;
   Cluster cluster(engine, cspec);
   BdsService bds(cluster, ds.meta, ds.stores);
-  QueryPlanner planner(cspec);
+  QesSession session(cluster, bds, ds.meta,
+                     SessionConfig{.share_cache = false});
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};
-  const auto graph =
-      ConnectivityGraph::build(ds.meta, 1, 2, query.join_attrs);
-  const auto decision = planner.plan(ds.meta, graph, query);
-  const auto result =
-      planner.execute(decision, cluster, bds, ds.meta, graph, query);
+  const auto outcome = session.run(query, {});
+  const PlanDecision& decision = outcome.plan;
+  const QesResult& result = outcome.result;
+  EXPECT_EQ(outcome.algorithm, decision.chosen);
   EXPECT_EQ(result.result_tuples, 512u);
   // IJ was chosen here (low n_e*c_S) -> no bucket I/O happened.
   EXPECT_EQ(decision.chosen, Algorithm::IndexedJoin);
@@ -133,7 +143,7 @@ TEST(Planner, PipelinedOptionsSelectPipelinedModels) {
   QesOptions qes;
   qes.prefetch_lookahead = 4;
   qes.gh_double_buffer = true;
-  const auto pipe = planner.plan(stats, 16, 16, 1.0, &qes);
+  const auto pipe = planner.plan(stats, 16, 16, &qes);
   EXPECT_TRUE(pipe.pipelined);
   EXPECT_NE(pipe.to_string().find("(pipelined)"), std::string::npos);
   // Overlap strictly lowers both predictions; stage terms are unchanged.
@@ -145,13 +155,13 @@ TEST(Planner, PipelinedOptionsSelectPipelinedModels) {
   // Per-knob selection: only the enabled pipeline's model switches.
   QesOptions ij_only;
   ij_only.prefetch_lookahead = 4;
-  const auto d_ij = planner.plan(stats, 16, 16, 1.0, &ij_only);
+  const auto d_ij = planner.plan(stats, 16, 16, &ij_only);
   EXPECT_LT(d_ij.ij.total(), serial.ij.total());
   EXPECT_DOUBLE_EQ(d_ij.gh.total(), serial.gh.total());
 
   QesOptions gh_only;
   gh_only.gh_double_buffer = true;
-  const auto d_gh = planner.plan(stats, 16, 16, 1.0, &gh_only);
+  const auto d_gh = planner.plan(stats, 16, 16, &gh_only);
   EXPECT_DOUBLE_EQ(d_gh.ij.total(), serial.ij.total());
   EXPECT_LT(d_gh.gh.total(), serial.gh.total());
 }
@@ -177,12 +187,12 @@ TEST(Planner, ColocatedPlacementAffinityLowersPredictedIj) {
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};
 
   QesOptions plain;
-  const auto base = planner.plan(ds.meta, graph, query, 1.0, &plain);
+  const auto base = planner.plan(ds.meta, graph, query, &plain);
   EXPECT_DOUBLE_EQ(base.params.local_fraction, 0.0);
 
   QesOptions affine;
   affine.assign = ComponentAssign::PlacementAffinity;
-  const auto local = planner.plan(ds.meta, graph, query, 1.0, &affine);
+  const auto local = planner.plan(ds.meta, graph, query, &affine);
   EXPECT_GT(local.params.local_fraction, 0.0);
   EXPECT_LE(local.params.local_fraction, 1.0);
   EXPECT_LT(local.ij.total(), base.ij.total());
@@ -191,7 +201,7 @@ TEST(Planner, ColocatedPlacementAffinityLowersPredictedIj) {
   // On a split cluster the same options are a no-op for the model.
   cspec.colocated = false;
   QueryPlanner split(cspec);
-  const auto split_plan = split.plan(ds.meta, graph, query, 1.0, &affine);
+  const auto split_plan = split.plan(ds.meta, graph, query, &affine);
   EXPECT_DOUBLE_EQ(split_plan.params.local_fraction, 0.0);
   EXPECT_DOUBLE_EQ(split_plan.ij.total(), base.ij.total());
 }
@@ -207,7 +217,7 @@ TEST(Planner, AggFlushKnobFlowsIntoThePricedParams) {
   QueryPlanner planner(cspec);
 
   QesOptions plain;
-  const auto base = planner.plan(stats, 16, 16, 1.0, &plain);
+  const auto base = planner.plan(stats, 16, 16, &plain);
   EXPECT_DOUBLE_EQ(base.params.agg_flush_batches, 1.0);
 
   // The planner prices whatever aggregator is installed at plan time.
@@ -219,14 +229,14 @@ TEST(Planner, AggFlushKnobFlowsIntoThePricedParams) {
   {
     net::MessageAggregator agg(cluster, cfg);
     net::ScopedAggregator scoped(agg);
-    priced = planner.plan(stats, 16, 16, 1.0, &plain);
+    priced = planner.plan(stats, 16, 16, &plain);
   }
   EXPECT_DOUBLE_EQ(priced.params.agg_flush_batches, 16.0);
   // A nonzero gamma means aggregation makes GH strictly cheaper.
   EXPECT_LT(priced.gh.total(), base.gh.total());
 
   // Uninstalled again: back to the unaggregated network.
-  const auto after = planner.plan(stats, 16, 16, 1.0, &plain);
+  const auto after = planner.plan(stats, 16, 16, &plain);
   EXPECT_DOUBLE_EQ(after.params.agg_flush_batches, 1.0);
   EXPECT_DOUBLE_EQ(after.gh.total(), base.gh.total());
 }
@@ -254,7 +264,7 @@ TEST(Planner, CalibratedPlanUnderContentionIsDeratedOnce) {
   qes.calibrator = &calibrator;
   qes.contention = &load;
 
-  const auto d = planner.plan(stats, 16, 16, 1.0, &qes);
+  const auto d = planner.plan(stats, 16, 16, &qes);
   ASSERT_TRUE(d.calibrated);
   // Unlearned parameters: derated by the residual exactly once.
   EXPECT_DOUBLE_EQ(d.params.read_io_bw, spec.read_io_bw * 0.5);
