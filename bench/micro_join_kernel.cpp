@@ -4,10 +4,12 @@
 // measured ns/tuple * F.
 //
 // Besides the google-benchmark suites, main() always runs a scalar-vs-tuned
-// probe sweep across build sizes spanning the L2/L3 boundary and writes the
-// results as machine-readable JSON (default BENCH_join_kernel.json, or the
-// path given by --sweep_json=...), so successive PRs can track the kernel's
-// throughput trajectory.
+// probe sweep across build sizes spanning the L2/L3 boundary, then a
+// key-box clip block (probe sides overlapping the build side's key range by
+// 100%, 25% and 3%), and writes the results as machine-readable JSON
+// (default BENCH_join_kernel.json, or the path given by --sweep_json=...),
+// so successive PRs can track the kernel's throughput trajectory. Every
+// ns/tuple figure is per charged probe row, clipped or not.
 
 #include <benchmark/benchmark.h>
 
@@ -138,7 +140,8 @@ BENCHMARK(BM_EndToEndHashJoin)->Arg(1 << 12)->Arg(1 << 16);
 // --- Scalar vs tuned sweep, emitted as JSON -------------------------------
 
 double probe_ns_per_tuple(const BuiltHashTable& ht, const SubTable& right,
-                          const SchemaPtr& result_schema) {
+                          const SchemaPtr& result_schema,
+                          JoinStats* last = nullptr) {
   using clock = std::chrono::steady_clock;
   double best = 0;
   std::size_t iters = 0;
@@ -149,6 +152,7 @@ double probe_ns_per_tuple(const BuiltHashTable& ht, const SubTable& right,
     auto stats = ht.probe(right, {"k"}, out);
     const auto t1 = clock::now();
     benchmark::DoNotOptimize(stats.result_tuples);
+    if (last) *last = stats;
     const double ns =
         std::chrono::duration<double, std::nano>(t1 - t0).count() /
         static_cast<double>(right.num_rows());
@@ -193,6 +197,43 @@ void run_sweep(const std::string& path) {
                  "tuned=%.1fns speedup=%.2fx\n",
                  n, fast.table_bytes() >> 10, fast.num_partitions(), s_ns,
                  f_ns, s_ns / f_ns);
+  }
+  // Key-box clip: the right keys are uniform over a space 100/pct times
+  // the build side's, so about pct% of probe rows lie in its key box. The
+  // build side declares its bounds, as a chunk read from storage does, and
+  // the probe side declares none, so every probe row is tested.
+  std::fprintf(f, "\n  ],\n  \"clip_points\": [\n");
+  const std::size_t n = std::size_t{1} << 16;
+  const auto left = make_rows(wide_schema(4), n, 1);
+  left->compute_bounds();
+  const BuiltHashTable scalar(left, {"k"}, JoinKernelOptions::scalar());
+  const BuiltHashTable fast(left, {"k"}, tuned);
+  first = true;
+  for (const int pct : {100, 25, 3}) {
+    const auto right = make_rows(wide_schema(4), n, 3, n * 100 / pct);
+    auto result_schema = std::make_shared<const Schema>(Schema::join_result(
+        left->schema(), right->schema(),
+        JoinKey::resolve(right->schema(), {"k"}).attr_indices()));
+    JoinStats stats;
+    const double s_ns = probe_ns_per_tuple(scalar, *right, result_schema);
+    const double c_ns =
+        probe_ns_per_tuple(fast, *right, result_schema, &stats);
+    if (!first) std::fprintf(f, ",\n");
+    first = false;
+    std::fprintf(f,
+                 "    {\"build_rows\": %zu, \"overlap_pct\": %d, "
+                 "\"charged_rows\": %llu, \"clipped_rows\": %llu, "
+                 "\"scalar_ns_per_tuple\": %.2f, "
+                 "\"clipped_ns_per_tuple\": %.2f, \"speedup\": %.2f}",
+                 n, pct, static_cast<unsigned long long>(stats.probe_tuples),
+                 static_cast<unsigned long long>(stats.probe_rows_clipped),
+                 s_ns, c_ns, s_ns / c_ns);
+    std::fprintf(stderr,
+                 "clip rows=%zu overlap=%d%% clipped=%llu scalar=%.1fns "
+                 "clipped=%.1fns speedup=%.2fx\n",
+                 n, pct,
+                 static_cast<unsigned long long>(stats.probe_rows_clipped),
+                 s_ns, c_ns, s_ns / c_ns);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
+#include <mutex>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -32,6 +34,45 @@ struct Match {
   std::uint32_t pos;
   std::uint32_t lrow;
 };
+
+/// [lo, hi] of the T field at `field + j * stride` over `n` rows (NaN
+/// values excluded; lo > hi when there are none), and whether any value is
+/// NaN.
+template <typename T>
+struct FieldRange {
+  T lo, hi;
+  bool nan;
+};
+
+template <typename T>
+FieldRange<T> field_range(const std::byte* field, std::size_t stride,
+                          std::size_t n) {
+  using L = std::numeric_limits<T>;
+  FieldRange<T> r{L::has_infinity ? L::infinity() : L::max(),
+                  L::has_infinity ? -L::infinity() : L::lowest(), false};
+  for (std::size_t j = 0; j < n; ++j) {
+    T v;
+    std::memcpy(&v, field + j * stride, sizeof(v));
+    r.nan |= v != v;
+    r.lo = v < r.lo ? v : r.lo;
+    r.hi = v > r.hi ? v : r.hi;
+  }
+  return r;
+}
+
+/// mask[j] &= (lo <= v <= hi) for the T field v at `field + j * stride`,
+/// compared as B (double for float keys, int64 for integer keys). -0.0
+/// compares equal to +0.0, and NaN fails both compares.
+template <typename T, typename B>
+void and_in_range(const std::byte* field, std::size_t stride, std::size_t n,
+                  B lo, B hi, std::uint32_t* mask) {
+  for (std::size_t j = 0; j < n; ++j) {
+    T v;
+    std::memcpy(&v, field + j * stride, sizeof(v));
+    const B w = static_cast<B>(v);
+    mask[j] &= static_cast<std::uint32_t>((w >= lo) & (w <= hi));
+  }
+}
 
 }  // namespace
 
@@ -102,6 +143,62 @@ void BuiltHashTable::insert(const Partition& part, std::uint64_t hash,
   tags_[part.offset + i] = tag_of(hash);
 }
 
+const std::vector<BuiltHashTable::KeyRange>& BuiltHashTable::key_box()
+    const {
+  std::call_once(key_box_once_, [this] {
+    const std::size_t n = left_->num_rows();
+    const std::size_t rs = left_->record_size();
+    key_box_.assign(key_.arity(), KeyRange{});
+    for (std::size_t i = 0; i < key_.arity(); ++i) {
+      KeyRange& b = key_box_[i];
+      const std::byte* field = left_->bytes().data() + key_.offset(i);
+      const auto as_int = [&](auto f) {
+        b.ilo = f.lo;
+        b.ihi = f.hi;
+      };
+      const auto as_float = [&](auto f) {
+        b.flo = f.lo;
+        b.fhi = f.hi;
+        b.clippable = !f.nan;
+      };
+      switch (key_.type(i)) {
+        case AttrType::Int32:
+          as_int(field_range<std::int32_t>(field, rs, n));
+          break;
+        case AttrType::Int64:
+          as_int(field_range<std::int64_t>(field, rs, n));
+          break;
+        case AttrType::Float32:
+          as_float(field_range<float>(field, rs, n));
+          break;
+        case AttrType::Float64:
+          as_float(field_range<double>(field, rs, n));
+          break;
+      }
+    }
+  });
+  return key_box_;
+}
+
+void BuiltHashTable::clip_mask(const JoinKey& right_key, std::size_t i,
+                               const std::byte* rows, std::size_t stride,
+                               std::size_t n, std::uint32_t* mask) const {
+  // compatible_with guarantees the right attribute has the left's class.
+  const KeyRange& b = key_box()[i];
+  const std::byte* field = rows + right_key.offset(i);
+  switch (right_key.type(i)) {
+    case AttrType::Int32:
+      return and_in_range<std::int32_t>(field, stride, n, b.ilo, b.ihi, mask);
+    case AttrType::Int64:
+      return and_in_range<std::int64_t>(field, stride, n, b.ilo, b.ihi, mask);
+    case AttrType::Float32:
+      return and_in_range<float>(field, stride, n, b.flo, b.fhi, mask);
+    case AttrType::Float64:
+      return and_in_range<double>(field, stride, n, b.flo, b.fhi, mask);
+  }
+  throw_bad_attr_type("BuiltHashTable::clip_mask");
+}
+
 template <typename Fn>
 void BuiltHashTable::for_each_match(std::uint64_t hash,
                                     const std::uint64_t* lanes,
@@ -163,7 +260,8 @@ JoinStats BuiltHashTable::probe_range(
     const SubTable& right, const std::vector<std::string>& right_key_attrs,
     std::size_t row_begin, std::size_t row_end, SubTable& out) const {
   const JoinKey right_key = JoinKey::resolve(right.schema(), right_key_attrs);
-  ORV_REQUIRE(right_key.compatible_with(key_), "join key arity mismatch");
+  ORV_REQUIRE(right_key.arity() == key_.arity(), "join key arity mismatch");
+  ORV_REQUIRE(right_key.compatible_with(key_), "join key type mismatch");
   ORV_REQUIRE(row_begin <= row_end && row_end <= right.num_rows(),
               "probe row range out of bounds");
   if (options_.batched_probe) {
@@ -211,14 +309,17 @@ JoinStats BuiltHashTable::probe_range_scalar(const SubTable& right,
   return stats;
 }
 
-/// Cache-conscious kernel: per chunk, (1) canonicalize and hash all probe
-/// rows, (2) in radix mode regroup the chunk by partition so one
+/// Cache-conscious kernel: per chunk, (0) clip the chunk to the rows whose
+/// key lies in the left key box, (1) canonicalize and hash those rows,
+/// (2) in radix mode regroup the chunk by partition so one
 /// partition's structure stays hot, (3) probe with a rolling software
 /// prefetch `probe_batch` rows ahead, tag byte checked before any Slot
 /// load, (4) restore probe-row order, (5) write joined records directly
 /// into the output buffer. Output row order matches the scalar path:
 /// probe-row order, per-row matches in ascending left-row order (linear
-/// probing visits equal-key slots in insertion order).
+/// probing visits equal-key slots in insertion order). Clipped rows have
+/// no match, and the kept rows stay in ascending order, so the clip does
+/// not change the output bytes.
 JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
                                               const JoinKey& right_key,
                                               std::size_t row_begin,
@@ -245,6 +346,29 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
   // scratch to the range so a short probe does not zero-fill a full chunk.
   const std::size_t scratch_rows = std::min(chunk_rows, row_end - row_begin);
 
+  // Key attributes the clip tests: those whose declared right interval
+  // does not lie inside the declared left one. A left without declared
+  // bounds (a hash bucket, an assembled scan result) is never tested.
+  // Declared bounds only choose what to test: skipping a test only probes
+  // more rows, so lying metadata cannot drop a match. The rows dropped are
+  // those outside the left rows' actual key box, which a left NaN makes
+  // unclippable.
+  std::size_t clip_attrs[kMaxKeyArity];
+  std::size_t n_clip = 0;
+  for (std::size_t i = 0; i < arity; ++i) {
+    const Interval& l = left_->bounds()[key_.attr_indices()[i]];
+    const Interval& r = right.bounds()[right_key.attr_indices()[i]];
+    if (!(r.lo >= l.lo && r.hi <= l.hi) && key_box()[i].clippable) {
+      clip_attrs[n_clip++] = i;
+    }
+  }
+
+  // In-box chunk offsets, compacted in place from the per-row mask. With
+  // no attribute tested, no row is dropped and positions are chunk offsets.
+  std::vector<std::uint32_t> kept(n_clip != 0 ? scratch_rows : 0);
+  const auto chunk_offset = [&](std::size_t pos) -> std::size_t {
+    return n_clip != 0 ? kept[pos] : pos;
+  };
   std::vector<std::uint64_t> hashes(scratch_rows);
   std::vector<std::uint64_t> lanes_buf(scratch_rows * arity);
   std::vector<std::uint32_t> order;       // partition-grouped probe order
@@ -255,13 +379,31 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
   matches.reserve(scratch_rows);
 
   for (std::size_t cb = row_begin; cb < row_end; cb += chunk_rows) {
-    const std::size_t cn = std::min(chunk_rows, row_end - cb);
+    const std::size_t chunk_n = std::min(chunk_rows, row_end - cb);
 
-    // (1) Canonicalize the key lanes once per probe row; hash from lanes
+    // (0) Clip: keep the chunk offsets whose key lies in the left key box,
+    // in ascending order. Below, positions map to rows via chunk_offset.
+    std::size_t cn = chunk_n;
+    if (n_clip != 0) {
+      std::fill_n(kept.begin(), chunk_n, 1u);
+      for (std::size_t c = 0; c < n_clip; ++c) {
+        clip_mask(right_key, clip_attrs[c], rrows + cb * rrs, rrs, chunk_n,
+                  kept.data());
+      }
+      cn = 0;
+      for (std::size_t j = 0; j < chunk_n; ++j) {
+        const std::uint32_t in = kept[j];  // read before cn <= j is written
+        kept[cn] = static_cast<std::uint32_t>(j);
+        cn += in;
+      }
+      stats.probe_rows_clipped += chunk_n - cn;
+    }
+
+    // (1) Canonicalize the key lanes once per kept row; hash from lanes
     // (hash_lanes == JoinKey::hash_row on the canonical lanes).
     for (std::size_t j = 0; j < cn; ++j) {
       std::uint64_t* l = lanes_buf.data() + j * arity;
-      right_key.extract_lanes(rrows + (cb + j) * rrs, l);
+      right_key.extract_lanes(rrows + (cb + chunk_offset(j)) * rrs, l);
       hashes[j] = hash_lanes({l, arity}, kSaltInMemory);
     }
 
@@ -346,7 +488,8 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
                               lanes_buf.data() + emit[m].pos * arity)) {
           continue;
         }
-        const std::byte* rrow = rrows + (cb + emit[m].pos) * rrs;
+        const std::byte* rrow =
+            rrows + (cb + chunk_offset(emit[m].pos)) * rrs;
         std::memcpy(dst, lrow, lrs);
         for (const auto& piece : plan.pieces) {
           std::memcpy(dst + piece.dst_offset, rrow + piece.src_offset,
@@ -396,6 +539,7 @@ SubTable nested_loop_join(const SubTable& left, const SubTable& right,
                           SubTableId result_id) {
   const JoinKey lkey = JoinKey::resolve(left.schema(), key_attrs);
   const JoinKey rkey = JoinKey::resolve(right.schema(), key_attrs);
+  ORV_REQUIRE(lkey.compatible_with(rkey), "join key type mismatch");
   auto result_schema = std::make_shared<const Schema>(Schema::join_result(
       left.schema(), right.schema(), rkey.attr_indices()));
   const RightCopyPlan plan =

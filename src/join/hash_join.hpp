@@ -19,12 +19,29 @@
 //    bits, and each probe chunk is regrouped by partition so one partition's
 //    tags/slots stay resident while it is probed;
 //  - matched rows are written straight into the output sub-table through
-//    SubTable::append_rows_reserve (no staging row buffer, single copy).
+//    SubTable::append_rows_reserve (no staging row buffer, single copy);
+//  - probe rows whose key lies outside the left rows' key box are clipped
+//    before hashing: a right row whose value on some key attribute lies
+//    outside [min, max] of the left rows' values cannot match, so it is
+//    neither hashed nor probed.
 // The pre-optimization scalar path is kept behind JoinKernelOptions for
-// A/B comparison in benches.
+// A/B comparison in benches, and it stays unclipped: it is the byte-order
+// reference the batched kernel is tested against.
+//
+// The key-box clip is host-only. The declared SubTable::bounds() of both
+// sides only choose which key attributes a probe tests: one whose declared
+// right interval lies inside the declared left interval is not tested, so
+// a left without declared bounds (a hash bucket, an assembled scan result)
+// is never clipped. The box itself is computed from the actual left rows,
+// on the first probe that tests, never from the declared bounds, which
+// come from chunk headers and are not checked against the rows. The
+// simulated CPU charge stays gamma_lookup per right row, because the
+// paper's cost model prices every probe row, and probe_tuples keeps
+// counting every row of the range.
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "join/key.hpp"
@@ -38,11 +55,15 @@ struct JoinStats {
   std::uint64_t build_tuples = 0;
   std::uint64_t probe_tuples = 0;
   std::uint64_t result_tuples = 0;
+  /// Host-only: probe rows the key-box clip skipped without hashing. They
+  /// are still charged, so they stay counted in probe_tuples.
+  std::uint64_t probe_rows_clipped = 0;
 
   JoinStats& operator+=(const JoinStats& o) {
     build_tuples += o.build_tuples;
     probe_tuples += o.probe_tuples;
     result_tuples += o.result_tuples;
+    probe_rows_clipped += o.probe_rows_clipped;
     return *this;
   }
 };
@@ -97,7 +118,8 @@ class BuiltHashTable {
   }
 
   /// Probes with every row of `right` (joined on `right_key_attrs`, which
-  /// must have the same arity); appends joined rows to `out`, whose schema
+  /// must have the same arity and pairwise the same integer/float class;
+  /// throws otherwise); appends joined rows to `out`, whose schema
   /// must be Schema::join_result(left, right, right key indices).
   /// Returns stats for this probe pass.
   JoinStats probe(const SubTable& right,
@@ -108,7 +130,9 @@ class BuiltHashTable {
   /// executor partitions the probe side across threads with this (the
   /// table is immutable during probing, so concurrent calls are safe).
   /// Output row order is probe-row order with per-row matches in ascending
-  /// left-row order, identical across scalar/batched/radix paths.
+  /// left-row order, identical across scalar/batched/radix paths. The
+  /// batched path skips tested rows outside the left key box (counted in
+  /// JoinStats::probe_rows_clipped); the output bytes are unchanged.
   JoinStats probe_range(const SubTable& right,
                         const std::vector<std::string>& right_key_attrs,
                         std::size_t row_begin, std::size_t row_end,
@@ -130,6 +154,16 @@ class BuiltHashTable {
     std::uint64_t offset = 0;
     std::uint64_t mask = 0;
   };
+  /// Range of the left rows' values on one key attribute, in the key's
+  /// lane class: doubles for float keys, int64 for integer keys (exact
+  /// beyond 2^53). Empty (lo > hi) when there are no left rows.
+  struct KeyRange {
+    /// False when a left value is NaN: NaN lanes match NaN lanes, and no
+    /// range holds NaN, so this attribute cannot clip.
+    bool clippable = true;
+    double flo = 0, fhi = 0;
+    std::int64_t ilo = 0, ihi = 0;
+  };
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
   static constexpr std::uint8_t kEmptyTag = 0;
 
@@ -145,6 +179,16 @@ class BuiltHashTable {
 
   void insert(const Partition& part, std::uint64_t hash, std::uint32_t row);
 
+  /// The left rows' key box, computed from the rows on first use (only
+  /// tables whose probes test an attribute need it; concurrent probes
+  /// share one computation).
+  const std::vector<KeyRange>& key_box() const;
+  /// Clears mask[j] for each of the `n` right rows at `rows` (record size
+  /// `stride`) whose key attribute `i` lies outside the left key box.
+  void clip_mask(const JoinKey& right_key, std::size_t i,
+                 const std::byte* rows, std::size_t stride, std::size_t n,
+                 std::uint32_t* mask) const;
+
   template <typename Fn>
   void for_each_match(std::uint64_t hash, const std::uint64_t* lanes,
                       Fn&& fn) const;
@@ -159,6 +203,8 @@ class BuiltHashTable {
   std::shared_ptr<const SubTable> left_;
   JoinKey key_;
   JoinKernelOptions options_;
+  mutable std::once_flag key_box_once_;
+  mutable std::vector<KeyRange> key_box_;  // one per key attribute
   std::vector<Slot> slots_;
   std::vector<std::uint8_t> tags_;
   std::vector<Partition> parts_;

@@ -51,10 +51,26 @@ class JoinKey {
     return true;
   }
 
-  /// Two keys over different schemas are compatible when the attribute
-  /// canonicalization matches pairwise (so f32 x joins f64 x).
+  AttrType type(std::size_t i) const { return types_[i]; }
+  std::size_t offset(std::size_t i) const { return offsets_[i]; }
+
+  /// True when key attribute `i` is floating (its lane holds f64 bits);
+  /// otherwise its lane holds an int64 value.
+  bool is_float(std::size_t i) const {
+    return types_[i] == AttrType::Float32 || types_[i] == AttrType::Float64;
+  }
+
+  /// Two keys over different schemas are compatible when they have the same
+  /// arity and the attribute canonicalization matches pairwise: integers
+  /// join integers (i32 x joins i64 x), floats join floats (f32 x joins
+  /// f64 x). An integer lane never equals a float lane's bits, so a mixed
+  /// pair would silently match nothing.
   bool compatible_with(const JoinKey& other) const {
-    return arity() == other.arity();
+    if (arity() != other.arity()) return false;
+    for (std::size_t i = 0; i < arity(); ++i) {
+      if (is_float(i) != other.is_float(i)) return false;
+    }
+    return true;
   }
 
  private:

@@ -189,6 +189,58 @@ TEST(BuiltHashTable, TableBytesIndependentOfRecordSize) {
   EXPECT_EQ(ht_narrow.table_bytes(), ht_wide.table_bytes());
 }
 
+TEST(JoinKey, CompatibilityIsPairwiseIntegerOrFloatClass) {
+  auto s = Schema::make({{"i32", AttrType::Int32},
+                         {"i64", AttrType::Int64},
+                         {"f32", AttrType::Float32},
+                         {"f64", AttrType::Float64}});
+  auto key = [&](std::vector<std::string> names) {
+    return JoinKey::resolve(*s, names);
+  };
+  EXPECT_TRUE(key({"i32"}).compatible_with(key({"i64"})));
+  EXPECT_TRUE(key({"f32"}).compatible_with(key({"f64"})));
+  EXPECT_TRUE(key({"i64", "f32"}).compatible_with(key({"i32", "f64"})));
+  EXPECT_FALSE(key({"i32"}).compatible_with(key({"f32"})));
+  EXPECT_FALSE(key({"f64"}).compatible_with(key({"i64"})));
+  EXPECT_FALSE(key({"i32", "f32"}).compatible_with(key({"f32", "i32"})));
+  EXPECT_FALSE(key({"i32"}).compatible_with(key({"i32", "f32"})));
+}
+
+TEST(JoinKey, IntegerKeyAgainstFloatKeyThrows) {
+  // Int32 lane 5 never equals the f64 bits of 5.0, so an int x float join
+  // would silently return zero rows; every in-memory join rejects it.
+  auto si = Schema::make({{"k", AttrType::Int32}, {"a", AttrType::Float32}});
+  auto sf = Schema::make({{"k", AttrType::Float32}, {"b", AttrType::Float32}});
+  SubTable ints(si, {1, 0});
+  SubTable floats(sf, {2, 0});
+  const Value iv[] = {Value(5), Value(1.0f)};
+  ints.append_values(iv);
+  const Value fv[] = {Value(5.0f), Value(2.0f)};
+  floats.append_values(fv);
+  auto expect_type_mismatch = [](auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << "expected a join key type mismatch";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("join key type mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_type_mismatch([&] { hash_join(ints, floats, {"k"}, {9, 0}); });
+  expect_type_mismatch([&] { hash_join(floats, ints, {"k"}, {9, 0}); });
+  expect_type_mismatch([&] { nested_loop_join(ints, floats, {"k"}, {9, 0}); });
+  for (const auto& opt : {JoinKernelOptions{}, JoinKernelOptions::scalar()}) {
+    auto left = std::make_shared<const SubTable>(ints);
+    const BuiltHashTable ht(left, {"k"}, opt);
+    SubTable out(std::make_shared<const Schema>(Schema::join_result(
+                     ints.schema(), floats.schema(),
+                     JoinKey::resolve(floats.schema(), {"k"}).attr_indices())),
+                 {9, 1});
+    expect_type_mismatch([&] { ht.probe(floats, {"k"}, out); });
+  }
+}
+
 TEST(JoinKey, ResolveUnknownAttributeThrows) {
   auto s = schema_ab();
   EXPECT_THROW(JoinKey::resolve(*s, {"nope"}), NotFound);
