@@ -47,7 +47,7 @@ struct RunOutcome {
 /// critical path's dominant stage and the diagnosis engine's verdict.
 template <typename RunFn>
 RunOutcome run_instrumented(const sim::Engine& engine, const std::string& label,
-                            Algorithm algorithm, const CostParams& belief,
+                            Algorithm algorithm, const PlanDecision& plan,
                             RunFn&& run) {
   obs::SimClock clock(engine);
   obs::ObsContext ctx(&clock);
@@ -56,16 +56,13 @@ RunOutcome run_instrumented(const sim::Engine& engine, const std::string& label,
     obs::ScopedInstall install(ctx);
     out.result = run();
   }
-  const auto dag = obs::TraceDag::assemble(ctx.tracer.snapshot());
-  const char* root_name =
-      algorithm == Algorithm::IndexedJoin ? "ij.query" : "gh.query";
-  obs::SpanId root;
-  for (const auto& s : dag.spans()) {
-    if (s.name == root_name) root = s.id;
-  }
-  const obs::CriticalPath cp = obs::critical_path(dag, root);
-  out.observation = make_observation(
-      belief, algorithm == Algorithm::IndexedJoin, out.result, ctx, cp, label);
+  const bool ij = algorithm == Algorithm::IndexedJoin;
+  QueryAnalysis analysis = analyze_query(ctx.tracer.snapshot(), algorithm,
+                                         out.result, ij ? plan.ij : plan.gh,
+                                         label);
+  const obs::CriticalPath& cp = analysis.diag.path;
+  out.observation =
+      make_observation(plan.params, ij, out.result, ctx, cp, label);
   if (algorithm == Algorithm::GraceHash) {
     // Grace Hash interleaves transfer with spill per batch, so its
     // critical-path network seconds understate the transfer wall. Let the
@@ -75,13 +72,10 @@ RunOutcome run_instrumented(const sim::Engine& engine, const std::string& label,
   }
   if (cp.total > 0) {
     out.dominant_stage = obs::stage_name(cp.dominant());
-    obs::DiagnosisInput di =
-        detail::make_diag_input(label, algorithm, out.result, false);
-    di.path = &cp;
-    di.series = ctx.time_series();
-    const obs::Diagnosis diag = obs::diagnose(di);
+    analysis.diag.series = ctx.time_series();
+    const obs::Diagnosis diag = obs::diagnose(analysis.diag);
     out.diag_dominant = diag.dominant_stage;
-    if (diag_to_stdout()) print_diagnosis(diag);
+    if (sinks().diag) print_diagnosis(diag);
   }
   return out;
 }
@@ -161,8 +155,8 @@ int main(int argc, char** argv) {
         sim::Engine engine;
         Cluster cluster(engine, actual);
         BdsService bds(cluster, ds.meta, ds.stores);
-        ij = run_instrumented(engine, label, Algorithm::IndexedJoin,
-                              plan.params, [&] {
+        ij = run_instrumented(engine, label, Algorithm::IndexedJoin, plan,
+                              [&] {
                                 return run_indexed_join(cluster, bds, ds.meta,
                                                         graph, query, qes);
                               });
@@ -171,7 +165,7 @@ int main(int argc, char** argv) {
         sim::Engine engine;
         Cluster cluster(engine, actual);
         BdsService bds(cluster, ds.meta, ds.stores);
-        gh = run_instrumented(engine, label, Algorithm::GraceHash, plan.params,
+        gh = run_instrumented(engine, label, Algorithm::GraceHash, plan,
                               [&] {
                                 return run_grace_hash(cluster, bds, ds.meta,
                                                       query, qes);

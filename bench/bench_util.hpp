@@ -4,11 +4,10 @@
 // it with the QPS, runs both QES algorithms on a fresh simulated cluster,
 // and prints paper-style series rows.
 //
-// Profiling: when the ORV_PROFILE environment variable names a file, each
+// Instrumentation: when any bench sink variable is set (see Sinks), each
 // scenario run installs an observability context (virtual-time clock on
-// the scenario's engine) and appends a per-query execution profile —
-// stage-time breakdown, counters, and the PlanValidation record of
-// predicted vs. measured cost — to that file as {"profiles": [...]}.
+// the scenario's engine), analyses the run once, and hands the result to
+// every sink that is set.
 
 #include <cstdio>
 #include <cstdlib>
@@ -26,12 +25,50 @@
 #include "obs/profile.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/sim_clock.hpp"
-#include "obs/trace.hpp"
+#include "qes/analysis.hpp"
 #include "qes/qes.hpp"
 #include "qps/planner.hpp"
 #include "sim/engine.hpp"
 
 namespace orv::bench {
+
+/// The bench sink variables, read once per process. Each one works on its
+/// own: setting any of ORV_PROFILE, ORV_TRACE, ORV_PROM or ORV_DIAG makes
+/// run_scenario instrument its runs.
+///   ORV_PROFILE=<file>   per-query execution profiles, {"profiles": [...]}
+///   ORV_TRACE=<file>     one Chrome trace-event file over every query
+///   ORV_SAMPLE_INTERVAL  occupancy sampling period for ORV_TRACE
+///                        (simulated seconds; 0 disables sampling)
+///   ORV_PROM=<file>      Prometheus exposition of the last query's registry
+///   ORV_DIAG=1           each instrumented query's diagnosis on stdout
+struct Sinks {
+  std::string profile;
+  std::string trace;
+  std::string prom;
+  bool diag = false;
+  // Default chosen so the sub-second figure queries still get tens of
+  // points per counter track; only read when ORV_TRACE is set.
+  double sample_interval = 0.01;
+
+  bool any() const {
+    return !profile.empty() || !trace.empty() || !prom.empty() || diag;
+  }
+};
+
+inline const Sinks& sinks() {
+  static const Sinks s = [] {
+    Sinks out;
+    if (const char* v = std::getenv("ORV_PROFILE")) out.profile = v;
+    if (const char* v = std::getenv("ORV_TRACE")) out.trace = v;
+    if (const char* v = std::getenv("ORV_SAMPLE_INTERVAL")) {
+      out.sample_interval = std::atof(v);
+    }
+    if (const char* v = std::getenv("ORV_PROM")) out.prom = v;
+    out.diag = std::getenv("ORV_DIAG") != nullptr;
+    return out;
+  }();
+  return s;
+}
 
 struct Scenario {
   DatasetSpec data;
@@ -48,8 +85,8 @@ struct ScenarioResult {
   QesResult sim_ij;
   QesResult sim_gh;
 
-  /// Bottleneck diagnoses, filled on instrumented runs only (ORV_PROFILE /
-  /// ORV_TRACE): uninstrumented runs assemble no trace DAG to walk.
+  /// Bottleneck diagnoses, filled on instrumented runs only (any sink
+  /// set): uninstrumented runs assemble no trace DAG to walk.
   bool diag_valid = false;
   obs::Diagnosis diag_ij;
   obs::Diagnosis diag_gh;
@@ -79,7 +116,7 @@ class ProfileReport {
     return report;
   }
 
-  bool enabled() const { return !path_.empty(); }
+  bool enabled() const { return !sinks().profile.empty(); }
 
   void set_figure(std::string figure) { figure_ = std::move(figure); }
 
@@ -94,14 +131,13 @@ class ProfileReport {
   }
 
  private:
-  ProfileReport() {
-    if (const char* p = std::getenv("ORV_PROFILE")) path_ = p;
-  }
+  ProfileReport() = default;
 
   void write() const {
-    std::FILE* f = std::fopen(path_.c_str(), "w");
+    const std::string& path = sinks().profile;
+    std::FILE* f = std::fopen(path.c_str(), "w");
     if (!f) {
-      std::fprintf(stderr, "ORV_PROFILE: cannot open %s\n", path_.c_str());
+      std::fprintf(stderr, "ORV_PROFILE: cannot open %s\n", path.c_str());
       return;
     }
     std::string out = "{\"schema_version\":" +
@@ -116,7 +152,6 @@ class ProfileReport {
     std::fclose(f);
   }
 
-  std::string path_;
   std::string figure_ = "bench";
   std::size_t seq_ = 0;
   std::vector<obs::ExecutionProfile> profiles_;
@@ -134,11 +169,7 @@ class TraceReport {
     return report;
   }
 
-  bool enabled() const { return !path_.empty(); }
-
-  /// Virtual-time sampling interval for the occupancy time series
-  /// (ORV_SAMPLE_INTERVAL, simulated seconds; 0 disables sampling).
-  double sample_interval() const { return sample_interval_; }
+  bool enabled() const { return !sinks().trace.empty(); }
 
   void add(std::string label, std::vector<obs::SpanRecord> spans,
            std::vector<obs::TimeSeries> series) {
@@ -148,17 +179,13 @@ class TraceReport {
   }
 
  private:
-  TraceReport() {
-    if (const char* p = std::getenv("ORV_TRACE")) path_ = p;
-    if (const char* s = std::getenv("ORV_SAMPLE_INTERVAL")) {
-      sample_interval_ = std::atof(s);
-    }
-  }
+  TraceReport() = default;
 
   void write() const {
-    std::FILE* f = std::fopen(path_.c_str(), "w");
+    const std::string& path = sinks().trace;
+    std::FILE* f = std::fopen(path.c_str(), "w");
     if (!f) {
-      std::fprintf(stderr, "ORV_TRACE: cannot open %s\n", path_.c_str());
+      std::fprintf(stderr, "ORV_TRACE: cannot open %s\n", path.c_str());
       return;
     }
     const std::string out = obs::chrome_trace_json(queries_);
@@ -166,20 +193,11 @@ class TraceReport {
     std::fclose(f);
   }
 
-  std::string path_;
-  // Default chosen so the sub-second figure queries still get tens of
-  // points per counter track; only read when ORV_TRACE is set.
-  double sample_interval_ = 0.01;
   std::vector<obs::ChromeTraceQuery> queries_;
 };
 
-/// ORV_DIAG=1 prints each instrumented query's full diagnosis (findings,
-/// confidences, knob suggestions) to stdout.
-inline bool diag_to_stdout() {
-  static const bool enabled = std::getenv("ORV_DIAG") != nullptr;
-  return enabled;
-}
-
+/// The ORV_DIAG form of a diagnosis: findings, confidences and knob
+/// suggestions.
 inline void print_diagnosis(const obs::Diagnosis& d) {
   std::printf("[diag] %s/%s: %s\n", d.query.c_str(), d.algorithm.c_str(),
               d.to_string().c_str());
@@ -191,102 +209,34 @@ inline void print_diagnosis(const obs::Diagnosis& d) {
 
 namespace detail {
 
-/// Copies the executor's accounting into the diagnosis engine's input.
-inline obs::DiagnosisInput make_diag_input(const std::string& label,
-                                           Algorithm algorithm,
-                                           const QesResult& result,
-                                           bool placement_affinity) {
-  obs::DiagnosisInput di;
-  di.query = label;
-  di.algorithm = algorithm_name(algorithm);
-  di.elapsed = result.elapsed;
-  for (const auto& nw : result.node_work) {
-    di.nodes.push_back({nw.node, nw.busy_seconds, nw.items, nw.bytes});
-  }
-  di.fetch_retries = result.fetch_retries;
-  di.pairs_reassigned = result.pairs_reassigned;
-  di.rows_repartitioned = result.rows_repartitioned;
-  di.nodes_lost = result.compute_nodes_lost;
-  di.degraded = result.degraded;
-  di.cache_hits = result.cache_stats.hits;
-  di.cache_misses = result.cache_stats.misses;
-  di.cache_evictions = result.cache_stats.evictions;
-  di.cache_puts = result.cache_stats.puts;
-  di.prefetch_issued = result.prefetch_issued;
-  di.prefetch_wasted = result.prefetch_wasted;
-  di.placement_affinity = placement_affinity;
-  return di;
-}
-
 /// Runs one algorithm under a freshly installed obs context (virtual-time
-/// clock) and appends its execution profile + plan validation. When
+/// clock), analyses the run once and feeds every sink that is set. When
 /// `diag_out` is non-null it receives the run's bottleneck diagnosis.
 template <typename RunFn>
 QesResult run_profiled(const sim::Engine& engine, const std::string& label,
-                       Algorithm algorithm, const ScenarioResult& so_far,
+                       Algorithm algorithm, const PlanDecision& plan,
                        RunFn&& run, bool placement_affinity = false,
                        obs::Diagnosis* diag_out = nullptr) {
   obs::SimClock clock(engine);
   obs::ObsContext ctx(&clock);
   const bool tracing = TraceReport::instance().enabled();
-  if (tracing) {
-    ctx.sample_interval = TraceReport::instance().sample_interval();
-  }
+  if (tracing) ctx.sample_interval = sinks().sample_interval;
   QesResult result;
   obs::Diagnosis diag;
   {
     obs::ScopedInstall install(ctx);
     result = run();
-    obs::PlanValidation pv;
-    pv.query = label;
-    const CostBreakdown& model = algorithm == Algorithm::IndexedJoin
-                                     ? so_far.plan.ij
-                                     : so_far.plan.gh;
-    pv.chosen = algorithm_name(so_far.plan.chosen);
-    pv.executed = algorithm_name(algorithm);
-    pv.predicted_ij = so_far.plan.ij.total();
-    pv.predicted_gh = so_far.plan.gh.total();
-    pv.predicted = model.total();
-    pv.measured = result.elapsed;
+    QueryAnalysis analysis = analyze_query(
+        ctx.tracer.snapshot(), algorithm, result,
+        algorithm == Algorithm::IndexedJoin ? plan.ij : plan.gh, label);
+    obs::PlanValidation pv = plan_validation(plan, algorithm, result, label);
+    pv.stages = std::move(analysis.stages);
     ctx.add_plan_validation(std::move(pv));
-
-    // Critical-path stage attribution, cross-checked against the model's
-    // per-stage terms: transfer maps to the network stage, the GH bucket
-    // write to spill, the bucket read-back to disk. What the model hides
-    // via `overlap` the trace shows as genuine off-critical-path time, so
-    // the per-stage ratios stay meaningful for pipelined runs too.
-    const auto dag = obs::TraceDag::assemble(ctx.tracer.snapshot());
-    const char* root_name =
-        algorithm == Algorithm::IndexedJoin ? "ij.query" : "gh.query";
-    obs::SpanId root;
-    for (const auto& s : dag.spans()) {
-      if (s.name == root_name) root = s.id;
-    }
-    const obs::CriticalPath cp = obs::critical_path(dag, root);
-    {
-      obs::DiagnosisInput di =
-          make_diag_input(label, algorithm, result, placement_affinity);
-      di.path = &cp;
-      di.series = ctx.time_series();
-      diag = obs::diagnose(di);
-      if (diag_out != nullptr) *diag_out = diag;
-      if (diag_to_stdout()) print_diagnosis(diag);
-    }
-    if (!cp.segments.empty()) {
-      std::vector<obs::StageAccuracy> stages;
-      stages.push_back({"network", model.transfer,
-                        cp.stage_seconds(obs::Stage::Network)});
-      stages.push_back(
-          {"disk", model.read, cp.stage_seconds(obs::Stage::Disk)});
-      stages.push_back(
-          {"spill", model.write, cp.stage_seconds(obs::Stage::Spill)});
-      stages.push_back({"cpu", model.cpu(),
-                        cp.stage_seconds(obs::Stage::Cpu)});
-      stages.push_back(
-          {"cache_wait", 0, cp.stage_seconds(obs::Stage::CacheWait)});
-      stages.push_back({"other", 0, cp.stage_seconds(obs::Stage::Other)});
-      ctx.set_last_plan_stages(std::move(stages));
-    }
+    analysis.diag.series = ctx.time_series();
+    analysis.diag.placement_affinity = placement_affinity;
+    diag = obs::diagnose(analysis.diag);
+    if (diag_out != nullptr) *diag_out = diag;
+    if (sinks().diag) print_diagnosis(diag);
   }
   if (ProfileReport::instance().enabled()) {
     obs::ExecutionProfile profile = obs::build_profile(
@@ -300,16 +250,16 @@ QesResult run_profiled(const sim::Engine& engine, const std::string& label,
         label + "/" + algorithm_name(algorithm), ctx.tracer.snapshot(),
         ctx.time_series());
   }
-  // ORV_PROM=<file>: Prometheus text exposition of the query's registry
-  // snapshot, rewritten per query (a scraper pulls the current state, so
-  // last-writer-wins matches the scrape model).
-  if (const char* prom = std::getenv("ORV_PROM")) {
-    if (std::FILE* f = std::fopen(prom, "w")) {
+  // ORV_PROM: the query's registry snapshot, rewritten per query (a
+  // scraper pulls the current state, so last-writer-wins matches the
+  // scrape model).
+  if (const std::string& prom = sinks().prom; !prom.empty()) {
+    if (std::FILE* f = std::fopen(prom.c_str(), "w")) {
       const std::string text = obs::prometheus_text(ctx.registry.snapshot());
       std::fwrite(text.data(), 1, text.size(), f);
       std::fclose(f);
     } else {
-      std::fprintf(stderr, "ORV_PROM: cannot open %s\n", prom);
+      std::fprintf(stderr, "ORV_PROM: cannot open %s\n", prom.c_str());
     }
   }
   return result;
@@ -332,10 +282,7 @@ inline ScenarioResult run_scenario(Scenario sc) {
   out.stats = ds.stats;
   out.plan = QueryPlanner(sc.cluster).plan(ds.meta, graph, query, &sc.options);
 
-  // Either sink engages the instrumented path: ORV_PROFILE wants the
-  // per-stage profile, ORV_TRACE wants the span snapshot + time series.
-  const bool instrumented = ProfileReport::instance().enabled() ||
-                            TraceReport::instance().enabled();
+  const bool instrumented = sinks().any();
   const bool affinity =
       sc.options.assign == ComponentAssign::PlacementAffinity;
   const std::string label =
@@ -350,8 +297,8 @@ inline ScenarioResult run_scenario(Scenario sc) {
     };
     out.sim_ij = instrumented
                      ? detail::run_profiled(engine, label,
-                                            Algorithm::IndexedJoin, out, run,
-                                            affinity, &out.diag_ij)
+                                            Algorithm::IndexedJoin, out.plan,
+                                            run, affinity, &out.diag_ij)
                      : run();
   }
   {
@@ -363,8 +310,8 @@ inline ScenarioResult run_scenario(Scenario sc) {
     };
     out.sim_gh = instrumented
                      ? detail::run_profiled(engine, label,
-                                            Algorithm::GraceHash, out, run,
-                                            affinity, &out.diag_gh)
+                                            Algorithm::GraceHash, out.plan,
+                                            run, affinity, &out.diag_gh)
                      : run();
   }
   out.diag_valid = instrumented;

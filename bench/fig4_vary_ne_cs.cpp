@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
     crossover = crossover_ne_cs(r.plan.params);
     const bool ij_wins = r.sim_ij.elapsed <= r.sim_gh.elapsed;
     // Diagnosis column: one-line bottleneck verdict for the sim winner.
-    // Only instrumented runs (ORV_PROFILE / ORV_TRACE) assemble the trace
-    // DAG the diagnosis walks; otherwise the column shows "-".
+    // Only instrumented runs (any bench sink set) assemble the trace DAG
+    // the diagnosis walks; otherwise the column shows "-".
     const std::string diag =
         r.diag_valid ? (ij_wins ? r.diag_ij : r.diag_gh).to_string()
                      : std::string("-");

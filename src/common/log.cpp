@@ -24,14 +24,6 @@ const char* name(Level lvl) {
   return "?";
 }
 
-const char* obs_name(Level lvl) {
-  switch (lvl) {
-    case Level::Warn: return "warn";
-    case Level::Error: return "error";
-    default: return "info";
-  }
-}
-
 // Captured at static initialization, so timestamps are relative to (a
 // point very close to) process start.
 const std::chrono::steady_clock::time_point g_start =
@@ -81,7 +73,6 @@ void emit(Level lvl, const std::string& message) {
 
   if (lvl >= Level::Warn && lvl < Level::Off) {
     if (auto* ctx = obs::context()) {
-      ctx->add_event(obs_name(lvl), message);
       ctx->registry
           .counter(lvl == Level::Warn ? "log.warn" : "log.error")
           .add(1);

@@ -22,8 +22,8 @@ bool timestamps();
 /// Emits a message to stderr if `lvl` passes the threshold. Thread-safe:
 /// the whole line (prefix + message + newline) is written in one call, so
 /// concurrent emitters never interleave within a line. Messages at Warn
-/// and above are also routed into the installed observability context
-/// (as LogEvents plus a "log.warn"/"log.error" counter), when one exists.
+/// and above also bump the installed observability context's "log.warn" /
+/// "log.error" counter, when one exists.
 void emit(Level lvl, const std::string& message);
 
 namespace detail {

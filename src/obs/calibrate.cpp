@@ -187,49 +187,4 @@ std::string CalibrationState::to_json() const {
   return w.str();
 }
 
-std::string Calibrator::to_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("priors");
-  // Nested raw JSON: JsonWriter has no raw-splice, so rebuild inline.
-  w.begin_object();
-  w.key("read_io_bw");
-  w.value(priors_.read_io_bw);
-  w.key("write_io_bw");
-  w.value(priors_.write_io_bw);
-  w.key("net_bw");
-  w.value(priors_.net_bw);
-  w.key("alpha_build");
-  w.value(priors_.alpha_build);
-  w.key("alpha_lookup");
-  w.value(priors_.alpha_lookup);
-  w.end_object();
-  const CalibrationState s = state();
-  w.key("state");
-  w.begin_object();
-  w.key("read_io_bw");
-  w.value(s.read_io_bw);
-  w.key("write_io_bw");
-  w.value(s.write_io_bw);
-  w.key("net_bw");
-  w.value(s.net_bw);
-  w.key("local_bus_bw");
-  w.value(s.local_bus_bw);
-  w.key("alpha_build");
-  w.value(s.alpha_build);
-  w.key("alpha_lookup");
-  w.value(s.alpha_lookup);
-  w.key("msg_overhead");
-  w.value(s.msg_overhead);
-  w.end_object();
-  w.key("observed");
-  w.value(observed_);
-  w.key("excluded");
-  w.value(excluded_);
-  w.key("rejected");
-  w.value(rejected());
-  w.end_object();
-  return w.str();
-}
-
 }  // namespace orv::obs

@@ -127,8 +127,6 @@ class Calibrator {
   std::uint64_t excluded() const { return excluded_; }
   std::uint64_t rejected() const;
 
-  std::string to_json() const;
-
  private:
   void publish(const QueryObservation& o) const;
 

@@ -65,16 +65,16 @@ Diagnosis diagnose(const DiagnosisInput& in) {
 
   // 1. Dominant stage of the critical path. Confidence is its share: a
   // 90%-network path is a clearer verdict than a 40% plurality.
-  if (in.path != nullptr && in.path->total > 0) {
-    const Stage dom = in.path->dominant();
+  if (in.path.total > 0) {
+    const Stage dom = in.path.dominant();
     d.dominant_stage = stage_name(dom);
-    d.dominant_share = in.path->stage_seconds(dom) / in.path->total;
+    d.dominant_share = in.path.stage_seconds(dom) / in.path.total;
     DiagFinding f;
     f.kind = "dominant stage";
     f.detail = strformat("%s holds %.0f%% of the critical path (%.3fs of "
                          "%.3fs)",
                          d.dominant_stage.c_str(), d.dominant_share * 100.0,
-                         in.path->stage_seconds(dom), in.path->total);
+                         in.path.stage_seconds(dom), in.path.total);
     f.confidence = d.dominant_share;
     f.suggestion = stage_suggestion(dom, ij, in.placement_affinity);
     d.findings.push_back(std::move(f));

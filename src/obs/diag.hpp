@@ -35,17 +35,17 @@ struct NodeWorkSample {
   double bytes = 0;
 };
 
-/// Everything the detectors read, reduced to plain numbers (callers copy
-/// from QesResult and the run's obs context; the diag layer depends on no
-/// executor type).
+/// Everything the detectors read, reduced to plain numbers (qes/analysis
+/// fills it from QesResult and the run's trace; the diag layer depends on
+/// no executor type).
 struct DiagnosisInput {
   std::string query;
   std::string algorithm;  // "IndexedJoin" | "GraceHash"
   double elapsed = 0;
 
-  /// Critical path of the run's trace DAG (may be null when no trace was
-  /// assembled; the dominant-stage detector is then skipped).
-  const CriticalPath* path = nullptr;
+  /// Critical path of the run's trace DAG (empty, total 0, when no trace
+  /// was assembled; the dominant-stage detector is then skipped).
+  CriticalPath path;
 
   std::vector<NodeWorkSample> nodes;
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/strings.hpp"
-#include "obs/obs.hpp"
 
 namespace orv::obs {
 
@@ -98,228 +97,6 @@ std::string JsonWriter::escape(std::string_view s) {
     }
   }
   return out;
-}
-
-void write_metrics(JsonWriter& w, const MetricsSnapshot& snap) {
-  w.begin_object();
-  w.key("counters");
-  w.begin_object();
-  for (const auto& [name, v] : snap.counters) {
-    w.key(name);
-    w.value(v);
-  }
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& [name, v] : snap.gauges) {
-    w.key(name);
-    w.value(v);
-  }
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  for (const auto& h : snap.histograms) {
-    w.key(h.name);
-    w.begin_object();
-    w.key("count");
-    w.value(h.count);
-    w.key("sum");
-    w.value(h.sum);
-    w.key("min");
-    w.value(h.min);
-    w.key("max");
-    w.value(h.max);
-    w.key("p50");
-    w.value(h.p50);
-    w.key("p95");
-    w.value(h.p95);
-    w.key("p99");
-    w.value(h.p99);
-    w.key("bounds");
-    w.begin_array();
-    for (const double b : h.bounds) w.value(b);
-    w.end_array();
-    w.key("bucket_counts");
-    w.begin_array();
-    for (const std::uint64_t c : h.counts) w.value(c);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  // Windowed instruments are opt-in; the keys only appear when some exist,
-  // so pre-existing exports stay byte-identical.
-  if (!snap.windowed_counters.empty()) {
-    w.key("windowed_counters");
-    w.begin_object();
-    for (const auto& wc : snap.windowed_counters) {
-      w.key(wc.name);
-      w.begin_object();
-      w.key("window_seconds");
-      w.value(wc.window_seconds);
-      w.key("total");
-      w.value(wc.total);
-      w.key("rate");
-      w.value(wc.rate);
-      w.end_object();
-    }
-    w.end_object();
-  }
-  if (!snap.windowed_histograms.empty()) {
-    w.key("windowed_histograms");
-    w.begin_object();
-    for (const auto& wh : snap.windowed_histograms) {
-      w.key(wh.name);
-      w.begin_object();
-      w.key("window_seconds");
-      w.value(wh.window_seconds);
-      w.key("count");
-      w.value(wh.count);
-      w.key("sum");
-      w.value(wh.sum);
-      w.key("min");
-      w.value(wh.min);
-      w.key("max");
-      w.value(wh.max);
-      w.key("p50");
-      w.value(wh.p50);
-      w.key("p95");
-      w.value(wh.p95);
-      w.key("p99");
-      w.value(wh.p99);
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_object();
-}
-
-void write_spans(JsonWriter& w, const std::vector<SpanRecord>& spans) {
-  w.begin_array();
-  for (const auto& s : spans) {
-    w.begin_object();
-    w.key("id");
-    w.value(static_cast<std::uint64_t>(s.id.value));
-    w.key("parent");
-    w.value(static_cast<std::uint64_t>(s.parent.value));
-    if (s.link) {
-      w.key("link");
-      w.value(static_cast<std::uint64_t>(s.link.value));
-    }
-    w.key("name");
-    w.value(s.name);
-    w.key("start");
-    w.value(s.start);
-    w.key("end");
-    w.value(s.closed() ? s.end : s.start);
-    w.key("duration");
-    w.value(s.duration());
-    if (!s.tags.empty()) {
-      w.key("tags");
-      w.begin_object();
-      for (const auto& [k, v] : s.tags) {
-        w.key(k);
-        w.value(v);
-      }
-      w.end_object();
-    }
-    w.end_object();
-  }
-  w.end_array();
-}
-
-std::string export_json(const ObsContext& ctx) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("schema_version");
-  w.value(kObsSchemaVersion);
-  w.key("metrics");
-  write_metrics(w, ctx.registry.snapshot());
-  w.key("spans");
-  write_spans(w, ctx.tracer.snapshot());
-  w.key("events");
-  w.begin_array();
-  for (const auto& ev : ctx.events()) {
-    w.begin_object();
-    w.key("time");
-    w.value(ev.time);
-    w.key("level");
-    w.value(ev.level);
-    w.key("message");
-    w.value(ev.message);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("plan_validations");
-  w.begin_array();
-  for (const auto& pv : ctx.plan_validations()) {
-    w.begin_object();
-    w.key("query");
-    w.value(pv.query);
-    w.key("chosen");
-    w.value(pv.chosen);
-    w.key("executed");
-    w.value(pv.executed);
-    w.key("predicted_ij");
-    w.value(pv.predicted_ij);
-    w.key("predicted_gh");
-    w.value(pv.predicted_gh);
-    w.key("predicted");
-    w.value(pv.predicted);
-    w.key("measured");
-    w.value(pv.measured);
-    w.key("error_ratio");
-    w.value(pv.error_ratio());
-    if (pv.calibrated) {
-      w.key("calibrated");
-      w.value(true);
-      w.key("predicted_prior");
-      w.value(pv.predicted_prior);
-      w.key("prior_error_ratio");
-      w.value(pv.prior_error_ratio());
-    }
-    if (!pv.stages.empty()) {
-      w.key("stages");
-      w.begin_array();
-      for (const auto& sa : pv.stages) {
-        w.begin_object();
-        w.key("stage");
-        w.value(sa.stage);
-        w.key("predicted");
-        w.value(sa.predicted);
-        w.key("measured");
-        w.value(sa.measured);
-        w.key("error_ratio");
-        w.value(sa.error_ratio());
-        w.end_object();
-      }
-      w.end_array();
-    }
-    w.end_object();
-  }
-  w.end_array();
-  const auto series = ctx.time_series();
-  if (!series.empty()) {
-    w.key("time_series");
-    w.begin_array();
-    for (const auto& ts : series) {
-      w.begin_object();
-      w.key("name");
-      w.value(ts.name);
-      w.key("points");
-      w.begin_array();
-      for (const auto& [t, v] : ts.points) {
-        w.begin_array();
-        w.value(t);
-        w.value(v);
-        w.end_array();
-      }
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-  }
-  w.end_object();
-  return w.str();
 }
 
 }  // namespace orv::obs

@@ -1,29 +1,23 @@
 #pragma once
 
-// Minimal JSON writer plus exporters for the observability types: a
-// registry snapshot, a span tree, and the full context (metrics + spans +
-// log events + plan validations). No external dependency; output is
-// compact valid JSON.
+// Minimal JSON writer shared by the observability exporters (profile
+// report, Chrome trace, flight-recorder dumps). No external dependency;
+// output is compact valid JSON.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
-
 namespace orv::obs {
 
-class ObsContext;
-
-/// Version stamp shared by the JSON exporters (full export, profile
-/// report, Chrome trace). Bumped whenever an exporter's structure changes,
-/// so downstream consumers (CI smoke validators, plotting scripts) fail
-/// loudly on drift instead of silently misreading. History: 1 = original
-/// unversioned exporters, 2 = versioned + windowed metrics + diagnosis,
-/// 3 = monitor alerts + flight-recorder dumps + labeled Prometheus
-/// exposition.
+/// Version stamp shared by the JSON exporters (profile report, Chrome
+/// trace, flight-recorder dumps). Bumped whenever an exporter's structure
+/// changes, so downstream consumers (CI smoke validators, plotting
+/// scripts) fail loudly on drift instead of silently misreading.
+/// History: 1 = original unversioned exporters, 2 = versioned + windowed
+/// metrics + diagnosis, 3 = monitor alerts + flight-recorder dumps +
+/// labeled Prometheus exposition.
 inline constexpr std::uint64_t kObsSchemaVersion = 3;
 
 /// Streaming writer; the caller is responsible for well-formed nesting
@@ -54,14 +48,5 @@ class JsonWriter {
   std::vector<bool> first_in_scope_;
   bool pending_key_ = false;
 };
-
-/// {"counters": {...}, "gauges": {...}, "histograms": {name: {...}}}
-void write_metrics(JsonWriter& w, const MetricsSnapshot& snap);
-
-/// Flat array of span records; parent ids encode the tree.
-void write_spans(JsonWriter& w, const std::vector<SpanRecord>& spans);
-
-/// Full export: metrics + spans + events + plan validations.
-std::string export_json(const ObsContext& ctx);
 
 }  // namespace orv::obs

@@ -336,13 +336,4 @@ MetricsSnapshot Registry::snapshot() const {
   return snap;
 }
 
-void Registry::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  windowed_counters_.clear();
-  windowed_histograms_.clear();
-}
-
 }  // namespace orv::obs

@@ -220,7 +220,6 @@ class Registry {
       double slot_seconds = 1.0 / 16, std::size_t slots = 16);
 
   MetricsSnapshot snapshot() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;

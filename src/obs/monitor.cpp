@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -27,16 +26,6 @@ const char* selector_name(Selector s) {
     case Selector::WindowP50: return "wp50";
     case Selector::WindowP95: return "wp95";
     case Selector::WindowP99: return "wp99";
-  }
-  return "?";
-}
-
-const char* cmp_name(Cmp c) {
-  switch (c) {
-    case Cmp::LT: return "<";
-    case Cmp::LE: return "<=";
-    case Cmp::GT: return ">";
-    case Cmp::GE: return ">=";
   }
   return "?";
 }
@@ -92,232 +81,6 @@ Rule Rule::make_burn_rate(std::string name, std::string bad_metric,
   r.short_window = short_window;
   r.long_window = long_window;
   return r;
-}
-
-std::string Rule::to_string() const {
-  switch (kind) {
-    case RuleKind::Threshold:
-      return strformat("%s : %s : %s(%s) %s %.9g", name.c_str(),
-                       severity_name(severity), selector_name(selector),
-                       metric.c_str(), cmp_name(cmp), threshold);
-    case RuleKind::RateOfChange:
-      return strformat("%s : %s : roc(%s(%s)) %s %.9g", name.c_str(),
-                       severity_name(severity), selector_name(selector),
-                       metric.c_str(), cmp_name(cmp), threshold);
-    case RuleKind::BurnRate:
-      return strformat(
-          "%s : %s : burn(%s, %s, budget=%.9g, short=%.9gs, long=%.9gs) "
-          ">= %.9g",
-          name.c_str(), severity_name(severity), bad_metric.c_str(),
-          total_metric.c_str(), budget, short_window, long_window, threshold);
-  }
-  return "?";
-}
-
-namespace {
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                        s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-bool parse_severity(std::string_view s, Severity* out) {
-  if (s == "info") *out = Severity::Info;
-  else if (s == "warning") *out = Severity::Warning;
-  else if (s == "critical") *out = Severity::Critical;
-  else return false;
-  return true;
-}
-
-bool parse_selector(std::string_view s, Selector* out) {
-  for (Selector sel :
-       {Selector::CounterValue, Selector::GaugeValue, Selector::WindowRate,
-        Selector::WindowTotal, Selector::WindowP50, Selector::WindowP95,
-        Selector::WindowP99}) {
-    if (s == selector_name(sel)) {
-      *out = sel;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool parse_cmp(std::string_view s, Cmp* out) {
-  if (s == "<") *out = Cmp::LT;
-  else if (s == "<=") *out = Cmp::LE;
-  else if (s == ">") *out = Cmp::GT;
-  else if (s == ">=") *out = Cmp::GE;
-  else return false;
-  return true;
-}
-
-bool parse_number(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::string tmp(s);
-  *out = std::strtod(tmp.c_str(), &end);
-  return end == tmp.c_str() + tmp.size();
-}
-
-/// Splits "expr CMP number" from the right: the comparator is the last
-/// '<'/'>' (optionally followed by '=') outside parentheses.
-bool split_comparison(std::string_view s, std::string_view* expr, Cmp* cmp,
-                      double* threshold) {
-  int depth = 0;
-  for (std::size_t i = s.size(); i-- > 0;) {
-    const char c = s[i];
-    if (c == ')') ++depth;
-    else if (c == '(') --depth;
-    else if (depth == 0 && (c == '<' || c == '>')) {
-      const bool eq = i + 1 < s.size() && s[i + 1] == '=';
-      if (!parse_cmp(s.substr(i, eq ? 2 : 1), cmp)) return false;
-      *expr = trim(s.substr(0, i));
-      return parse_number(trim(s.substr(i + (eq ? 2 : 1))), threshold);
-    }
-  }
-  return false;
-}
-
-/// "func(arg1, arg2, ...)" -> func name + raw args. Args never nest
-/// except roc(selector(metric)), handled by the caller.
-bool split_call(std::string_view s, std::string_view* func,
-                std::vector<std::string_view>* args) {
-  const std::size_t open = s.find('(');
-  if (open == std::string_view::npos || s.back() != ')') return false;
-  *func = trim(s.substr(0, open));
-  std::string_view inner = s.substr(open + 1, s.size() - open - 2);
-  args->clear();
-  int depth = 0;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < inner.size(); ++i) {
-    const char c = inner[i];
-    if (c == '(') ++depth;
-    else if (c == ')') --depth;
-    else if (c == ',' && depth == 0) {
-      args->push_back(trim(inner.substr(start, i - start)));
-      start = i + 1;
-    }
-  }
-  args->push_back(trim(inner.substr(start)));
-  return true;
-}
-
-/// "key=value" with an optional trailing unit suffix ("5s" -> 5).
-bool parse_kv_number(std::string_view s, std::string_view key, double* out) {
-  const std::size_t eq = s.find('=');
-  if (eq == std::string_view::npos || trim(s.substr(0, eq)) != key) {
-    return false;
-  }
-  std::string_view v = trim(s.substr(eq + 1));
-  if (!v.empty() && v.back() == 's') v.remove_suffix(1);
-  return parse_number(v, out);
-}
-
-}  // namespace
-
-std::optional<Rule> parse_rule(std::string_view line, std::string* error) {
-  if (error) error->clear();
-  line = trim(line);
-  if (line.empty() || line.front() == '#') return std::nullopt;
-  auto bad = [&](std::string why) -> std::optional<Rule> {
-    if (error) *error = std::move(why);
-    return std::nullopt;
-  };
-
-  const std::size_t c1 = line.find(':');
-  if (c1 == std::string_view::npos) return bad("missing ':' after rule name");
-  const std::size_t c2 = line.find(':', c1 + 1);
-  if (c2 == std::string_view::npos) return bad("missing ':' after severity");
-  const std::string_view name = trim(line.substr(0, c1));
-  if (name.empty()) return bad("empty rule name");
-  Severity sev;
-  if (!parse_severity(trim(line.substr(c1 + 1, c2 - c1 - 1)), &sev)) {
-    return bad("severity must be info|warning|critical");
-  }
-
-  std::string_view expr;
-  Cmp cmp;
-  double threshold = 0;
-  if (!split_comparison(trim(line.substr(c2 + 1)), &expr, &cmp, &threshold)) {
-    return bad("expected '<expr> <cmp> <number>'");
-  }
-
-  std::string_view func;
-  std::vector<std::string_view> args;
-  if (!split_call(expr, &func, &args)) {
-    return bad("expected '<selector>(<metric>)'");
-  }
-
-  if (func == "burn") {
-    if (cmp != Cmp::GE && cmp != Cmp::GT) {
-      return bad("burn rules compare with >= (budget burn is one-sided)");
-    }
-    if (args.size() != 5) {
-      return bad("burn(bad, total, budget=, short=, long=) needs 5 args");
-    }
-    double budget, short_w, long_w;
-    if (!parse_kv_number(args[2], "budget", &budget) ||
-        !parse_kv_number(args[3], "short", &short_w) ||
-        !parse_kv_number(args[4], "long", &long_w)) {
-      return bad("burn args: budget=<f>, short=<s>s, long=<s>s");
-    }
-    if (budget <= 0 || short_w <= 0 || long_w < short_w) {
-      return bad("burn needs budget > 0 and 0 < short <= long");
-    }
-    return Rule::make_burn_rate(std::string(name), std::string(args[0]),
-                                std::string(args[1]), budget, short_w, long_w,
-                                threshold, sev);
-  }
-
-  if (func == "roc") {
-    if (args.size() != 1) return bad("roc wraps exactly one selector call");
-    std::string_view inner_func;
-    std::vector<std::string_view> inner_args;
-    Selector sel;
-    if (!split_call(args[0], &inner_func, &inner_args) ||
-        inner_args.size() != 1 || !parse_selector(inner_func, &sel)) {
-      return bad("roc(<selector>(<metric>))");
-    }
-    return Rule::make_rate_of_change(std::string(name), sel,
-                                     std::string(inner_args[0]), cmp,
-                                     threshold, sev);
-  }
-
-  Selector sel;
-  if (!parse_selector(func, &sel)) {
-    return bad("unknown selector '" + std::string(func) + "'");
-  }
-  if (args.size() != 1 || args[0].empty()) {
-    return bad("selector takes exactly one metric name");
-  }
-  return Rule::make_threshold(std::string(name), sel, std::string(args[0]),
-                              cmp, threshold, sev);
-}
-
-std::vector<Rule> parse_rules(std::string_view text,
-                              std::vector<std::string>* errors) {
-  std::vector<Rule> rules;
-  std::size_t lineno = 0;
-  while (!text.empty()) {
-    const std::size_t nl = text.find('\n');
-    const std::string_view line =
-        nl == std::string_view::npos ? text : text.substr(0, nl);
-    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
-    ++lineno;
-    std::string err;
-    if (auto r = parse_rule(line, &err)) {
-      rules.push_back(std::move(*r));
-    } else if (!err.empty() && errors) {
-      errors->push_back(strformat("line %zu: %s", lineno, err.c_str()));
-    }
-  }
-  return rules;
 }
 
 std::string Alert::to_string() const {

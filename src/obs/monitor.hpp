@@ -1,28 +1,22 @@
 #pragma once
 
-// Deterministic streaming monitor over the metrics registry: a declarative
-// rule set — thresholds, rate-of-change, and Google-SRE-style multi-window
-// SLO burn rates — evaluated at points on the *virtual* clock, firing
-// typed Alert events with severity and an evidence snapshot. Because
-// every input is "as of last event" windowed telemetry and evaluation
-// points are simulation events, the alert stream is a pure function of
-// the workload: bit-identical per seed, replayable, and safe to assert
-// on in tests.
+// Deterministic streaming monitor over the metrics registry: a rule set —
+// thresholds, rate-of-change, and Google-SRE-style multi-window SLO burn
+// rates — evaluated at points on the *virtual* clock, firing typed Alert
+// events with severity and an evidence snapshot. Because every input is
+// "as of last event" windowed telemetry and evaluation points are
+// simulation events, the alert stream is a pure function of the workload:
+// bit-identical per seed, replayable, and safe to assert on in tests.
 //
-// Rule grammar (one rule per line, parse_rules):
-//
-//   <name> : <severity> : <selector>(<metric>) <cmp> <number>
-//   <name> : <severity> : roc(<selector>(<metric>)) <cmp> <number>
-//   <name> : <severity> : burn(<bad>, <total>, budget=<f>,
-//                              short=<s>s, long=<s>s) >= <number>
-//
-// with severity in {info, warning, critical}, selector in {counter,
-// gauge, rate, wtotal, wp50, wp95, wp99}, cmp in {<, <=, >, >=}. The
-// burn rule mirrors two cumulative counters into its own short/long
-// WindowedCounter rings at each evaluation and fires only when *both*
-// windows burn error budget faster than the threshold (the SRE
-// fast-burn/slow-burn AND that suppresses blips without missing
-// sustained burn).
+// Rules are built in code: Rule::make_threshold (a selector over one
+// registry instrument against a bound), Rule::make_rate_of_change (the
+// same selector differentiated between consecutive evaluations), and
+// Rule::make_burn_rate; default_workload_rules assembles the set workload
+// runs use. A burn rule mirrors two cumulative counters into its own
+// short/long WindowedCounter rings at each evaluation and fires only when
+// *both* windows burn error budget faster than the threshold (the SRE
+// fast-burn/slow-burn AND that suppresses blips without missing sustained
+// burn).
 //
 // Alongside the rules lives NodeHealthTracker: a per-node health score in
 // [0, 1] aggregating occupancy busy fractions, fault events within a
@@ -34,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -62,7 +55,6 @@ enum class Selector {
 const char* selector_name(Selector s);
 
 enum class Cmp { LT, LE, GT, GE };
-const char* cmp_name(Cmp c);
 bool cmp_eval(Cmp c, double value, double threshold);
 
 struct Rule {
@@ -97,20 +89,7 @@ struct Rule {
                              double short_window, double long_window,
                              double threshold,
                              Severity sev = Severity::Critical);
-
-  /// Canonical grammar form; parse_rule(to_string()) round-trips.
-  std::string to_string() const;
 };
-
-/// Parses one grammar line; returns nullopt (and the reason, when asked)
-/// on malformed input. Blank lines and '#' comments yield nullopt with an
-/// empty error.
-std::optional<Rule> parse_rule(std::string_view line,
-                               std::string* error = nullptr);
-/// Parses a whole rule file; malformed lines are reported via `errors`
-/// (when non-null) and skipped.
-std::vector<Rule> parse_rules(std::string_view text,
-                              std::vector<std::string>* errors = nullptr);
 
 /// One firing (or resolution) of a rule. `seq` is the deterministic total
 /// order over the run.

@@ -10,24 +10,6 @@ void install(ObsContext* ctx) {
 
 void uninstall() { g_context.store(nullptr, std::memory_order_release); }
 
-void ObsContext::add_event(std::string_view level, std::string message) {
-  LogEvent ev;
-  ev.time = clock_ ? clock_->now() : 0.0;
-  ev.level = std::string(level);
-  ev.message = std::move(message);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() >= kMaxEvents) {
-    events_.pop_front();
-    ++events_dropped_;
-  }
-  events_.push_back(std::move(ev));
-}
-
-std::vector<LogEvent> ObsContext::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {events_.begin(), events_.end()};
-}
-
 void ObsContext::add_plan_validation(PlanValidation pv) {
   std::lock_guard<std::mutex> lock(mu_);
   plan_validations_.push_back(std::move(pv));
@@ -36,13 +18,6 @@ void ObsContext::add_plan_validation(PlanValidation pv) {
 std::vector<PlanValidation> ObsContext::plan_validations() const {
   std::lock_guard<std::mutex> lock(mu_);
   return plan_validations_;
-}
-
-void ObsContext::set_last_plan_stages(std::vector<StageAccuracy> stages) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!plan_validations_.empty()) {
-    plan_validations_.back().stages = std::move(stages);
-  }
 }
 
 void ObsContext::add_sample(std::string_view series, double t, double v) {

@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -78,18 +77,11 @@ struct TimeSeries {
   std::vector<std::pair<double, double>> points;
 };
 
-/// A log line routed into the observability sink (Warn and above).
-struct LogEvent {
-  double time = 0;  // context clock
-  std::string level;
-  std::string message;
-};
-
 class ObsContext {
   const Clock* clock_;  // declared first: the tracer captures it
 
  public:
-  /// `clock` must outlive the context; it stamps spans and log events.
+  /// `clock` must outlive the context; it stamps spans.
   explicit ObsContext(const Clock* clock)
       : clock_(clock), tracer(clock) {}
 
@@ -104,14 +96,8 @@ class ObsContext {
 
   const Clock* clock() const { return clock_; }
 
-  void add_event(std::string_view level, std::string message);
-  std::vector<LogEvent> events() const;
-
   void add_plan_validation(PlanValidation pv);
   std::vector<PlanValidation> plan_validations() const;
-  /// Back-fills per-stage accuracies on the most recent validation record
-  /// (the trace DAG is only assembled after the run returns).
-  void set_last_plan_stages(std::vector<StageAccuracy> stages);
 
   /// Appends one point to the named counter track (creates it on first
   /// use). `t` is the context clock's virtual time.
@@ -125,11 +111,7 @@ class ObsContext {
   }
 
  private:
-  static constexpr std::size_t kMaxEvents = 1024;
-
   mutable std::mutex mu_;
-  std::deque<LogEvent> events_;
-  std::uint64_t events_dropped_ = 0;
   std::vector<PlanValidation> plan_validations_;
   std::vector<TimeSeries> series_;
   std::atomic<std::uint64_t> trace_ids_{0};

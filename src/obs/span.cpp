@@ -84,9 +84,4 @@ std::vector<SpanRecord> Tracer::snapshot() const {
   return spans_;
 }
 
-void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.clear();
-}
-
 }  // namespace orv::obs

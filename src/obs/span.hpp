@@ -87,57 +87,11 @@ class Tracer {
   std::size_t num_spans() const;
   std::size_t num_open_spans() const;
   std::vector<SpanRecord> snapshot() const;
-  void clear();
 
  private:
   mutable std::mutex mu_;
   const Clock* clock_;
   std::vector<SpanRecord> spans_;
-};
-
-/// RAII span; no-op when constructed with a null tracer.
-class ScopedSpan {
- public:
-  ScopedSpan() = default;
-  ScopedSpan(Tracer* tracer, std::string_view name, SpanId parent = {})
-      : tracer_(tracer) {
-    if (tracer_) id_ = tracer_->begin(name, parent);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ScopedSpan(ScopedSpan&& o) noexcept
-      : tracer_(o.tracer_), id_(o.id_) {
-    o.tracer_ = nullptr;
-  }
-  ScopedSpan& operator=(ScopedSpan&& o) noexcept {
-    if (this != &o) {
-      close();
-      tracer_ = o.tracer_;
-      id_ = o.id_;
-      o.tracer_ = nullptr;
-    }
-    return *this;
-  }
-  ~ScopedSpan() { close(); }
-
-  SpanId id() const { return id_; }
-
-  template <typename V>
-  void tag(std::string_view key, V value) {
-    if (tracer_) tracer_->tag(id_, key, value);
-  }
-
-  /// Ends the span early; returns its duration.
-  double close() {
-    double d = 0;
-    if (tracer_) d = tracer_->end(id_);
-    tracer_ = nullptr;
-    return d;
-  }
-
- private:
-  Tracer* tracer_ = nullptr;
-  SpanId id_;
 };
 
 }  // namespace orv::obs

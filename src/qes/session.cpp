@@ -3,6 +3,7 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "obs/obs.hpp"
+#include "qes/analysis.hpp"
 
 namespace orv {
 
@@ -54,8 +55,7 @@ sim::Task<> QesSession::run_query(JoinQuery query, QesOptions options,
     out->graph = &graph;
     out->plan = planner_.plan(meta_, graph, query, &options);
     out->algorithm = force.value_or(out->plan.chosen);
-    const bool ij = out->algorithm == Algorithm::IndexedJoin;
-    if (ij) {
+    if (out->algorithm == Algorithm::IndexedJoin) {
       out->result = co_await indexed_join_task(cluster_, bds_, meta_, graph,
                                                query, options);
     } else {
@@ -65,21 +65,9 @@ sim::Task<> QesSession::run_query(JoinQuery query, QesOptions options,
     if (auto* ctx = obs::context()) {
       // Cost-model feedback: what the Section 5 models predicted for the
       // algorithm run vs. what the execution measured.
-      const PlanDecision& plan = out->plan;
-      obs::PlanValidation pv;
-      pv.query = strformat("join(t%u,t%u)", query.left_table,
-                           query.right_table);
-      pv.chosen = algorithm_name(plan.chosen);
-      pv.executed = algorithm_name(out->algorithm);
-      pv.predicted_ij = plan.ij.total();
-      pv.predicted_gh = plan.gh.total();
-      pv.predicted = ij ? pv.predicted_ij : pv.predicted_gh;
-      pv.measured = out->result.elapsed;
-      pv.calibrated = plan.calibrated;
-      if (plan.calibrated) {
-        pv.predicted_prior = (ij ? plan.prior_ij : plan.prior_gh).total();
-      }
-      ctx->add_plan_validation(std::move(pv));
+      ctx->add_plan_validation(plan_validation(
+          out->plan, out->algorithm, out->result,
+          strformat("join(t%u,t%u)", query.left_table, query.right_table)));
     }
   } catch (const std::exception& e) {
     out->failed = true;

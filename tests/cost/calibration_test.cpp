@@ -15,7 +15,7 @@
 #include "net/aggregator.hpp"
 #include "obs/obs.hpp"
 #include "obs/sim_clock.hpp"
-#include "obs/trace.hpp"
+#include "qes/analysis.hpp"
 #include "qes/qes.hpp"
 #include "qps/planner.hpp"
 #include "sim/engine.hpp"
@@ -137,13 +137,12 @@ obs::QueryObservation observe_run(
                  ? run_indexed_join(cluster, bds, ds.meta, graph, query, {})
                  : run_grace_hash(cluster, bds, ds.meta, query, {});
   }
-  const auto dag = obs::TraceDag::assemble(ctx.tracer.snapshot());
-  obs::SpanId root;
-  for (const auto& s : dag.spans()) {
-    if (s.name == (indexed_join ? "ij.query" : "gh.query")) root = s.id;
-  }
-  const obs::CriticalPath cp = obs::critical_path(dag, root);
-  return make_observation(prior, indexed_join, result, ctx, cp, "t");
+  const Algorithm algorithm =
+      indexed_join ? Algorithm::IndexedJoin : Algorithm::GraceHash;
+  const QueryAnalysis analysis = analyze_query(
+      ctx.tracer.snapshot(), algorithm, result, cost(algorithm, prior));
+  return make_observation(prior, indexed_join, result, ctx,
+                          analysis.diag.path, "t");
 }
 
 TEST(CalibrationBridge, IndexedJoinRunReducesToObservation) {

@@ -17,33 +17,10 @@
 #include "../chaos_util.hpp"
 #include "obs/diag.hpp"
 #include "obs/trace.hpp"
+#include "qes/analysis.hpp"
 
 namespace orv {
 namespace {
-
-/// Mirrors the executor accounting into the diagnosis engine's input
-/// (counters only; sweeps do not assemble a critical path per run).
-obs::DiagnosisInput diag_input_of(const char* algo, const QesResult& r) {
-  obs::DiagnosisInput di;
-  di.query = "chaos";
-  di.algorithm = algo;
-  di.elapsed = r.elapsed;
-  for (const auto& nw : r.node_work) {
-    di.nodes.push_back({nw.node, nw.busy_seconds, nw.items, nw.bytes});
-  }
-  di.fetch_retries = r.fetch_retries;
-  di.pairs_reassigned = r.pairs_reassigned;
-  di.rows_repartitioned = r.rows_repartitioned;
-  di.nodes_lost = r.compute_nodes_lost;
-  di.degraded = r.degraded;
-  di.cache_hits = r.cache_stats.hits;
-  di.cache_misses = r.cache_stats.misses;
-  di.cache_evictions = r.cache_stats.evictions;
-  di.cache_puts = r.cache_stats.puts;
-  di.prefetch_issued = r.prefetch_issued;
-  di.prefetch_wasted = r.prefetch_wasted;
-  return di;
-}
 
 /// Structural invariants of one faulted run's trace: every span closed
 /// (crashed nodes orphan-tag theirs, nobody leaks), and the snapshot
@@ -119,7 +96,10 @@ void chaos_sweep(bool indexed_join, const char* algo,
         // Every degraded run must diagnose its own cause: recovery leaves
         // exact counter evidence, so the engine names retry amplification
         // or node loss (never a silent degradation).
-        const obs::Diagnosis diag = obs::diagnose(diag_input_of(algo, faulted));
+        const obs::Diagnosis diag = obs::diagnose(diagnosis_input(
+            "chaos",
+            indexed_join ? Algorithm::IndexedJoin : Algorithm::GraceHash,
+            faulted));
         EXPECT_TRUE(diag.has("retry amplification") || diag.has("node loss"))
             << algo << " seed=" << seed
             << ": degraded run without a fault finding: " << diag.to_json();
@@ -177,16 +157,12 @@ TEST(Chaos, FaultFreeDiagnosisIsBitIdenticalPerSeed) {
       chaos::ChaosRig::TraceCapture cap;
       rig.capture = &cap;
       const QesResult r = rig.run(indexed_join);
-      const auto dag = obs::TraceDag::assemble(cap.spans);
-      obs::SpanId root;
-      for (const auto& s : dag.spans()) {
-        if (s.name == (indexed_join ? "ij.query" : "gh.query")) root = s.id;
-      }
-      const obs::CriticalPath cp = obs::critical_path(dag, root);
-      obs::DiagnosisInput di =
-          diag_input_of(indexed_join ? "IndexedJoin" : "GraceHash", r);
-      di.path = &cp;
-      const std::string js = obs::diagnose(di).to_json();
+      // No model is priced here: only the diagnosis input is compared.
+      const QueryAnalysis analysis = analyze_query(
+          cap.spans,
+          indexed_join ? Algorithm::IndexedJoin : Algorithm::GraceHash, r,
+          CostBreakdown{}, "chaos");
+      const std::string js = obs::diagnose(analysis.diag).to_json();
       EXPECT_FALSE(r.degraded) << "seed=" << seed;
       if (run == 0) {
         first = js;

@@ -29,7 +29,7 @@ CriticalPath network_heavy_path() {
 TEST(Diag, DominantStageFromCriticalPath) {
   DiagnosisInput in = base_input();
   const CriticalPath cp = network_heavy_path();
-  in.path = &cp;
+  in.path = cp;
   const Diagnosis d = diagnose(in);
   EXPECT_EQ(d.dominant_stage, "network");
   EXPECT_DOUBLE_EQ(d.dominant_share, 0.7);
@@ -44,12 +44,12 @@ TEST(Diag, DominantStageFromCriticalPath) {
 TEST(Diag, SuggestionsAreAlgorithmAndPlacementAware) {
   const CriticalPath cp = network_heavy_path();
   DiagnosisInput ij = base_input("IndexedJoin");
-  ij.path = &cp;
+  ij.path = cp;
   ij.placement_affinity = true;  // locality already on: suggest lookahead
   EXPECT_NE(diagnose(ij).findings[0].suggestion.find("prefetch_lookahead"),
             std::string::npos);
   DiagnosisInput gh = base_input("GraceHash");
-  gh.path = &cp;
+  gh.path = cp;
   EXPECT_NE(diagnose(gh).findings[0].suggestion.find("batch_bytes"),
             std::string::npos);
 }
@@ -156,7 +156,7 @@ TEST(Diag, DegradedRunAlwaysNamesACause) {
 TEST(Diag, DeterministicBitIdenticalOutput) {
   DiagnosisInput in = base_input("GraceHash");
   const CriticalPath cp = network_heavy_path();
-  in.path = &cp;
+  in.path = cp;
   in.nodes = {{0, 1.0, 1000, 5e6}, {1, 0.9, 10, 4e6}, {2, 3.1, 990, 6e6}};
   in.fetch_retries = 2;
   in.prefetch_issued = 8;

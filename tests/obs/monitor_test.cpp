@@ -1,6 +1,6 @@
-// Streaming monitor: rule grammar round-trip, threshold / rate-of-change
-// / multi-window burn-rate semantics, alert determinism, registry-
-// published alert state, and per-node health scoring (fault decay,
+// Streaming monitor: threshold / rate-of-change / multi-window burn-rate
+// semantics, alert determinism, registry-published alert state, the
+// default workload rule set, and per-node health scoring (fault decay,
 // penalty caps, the fault-free-can-never-page invariant).
 
 #include <gtest/gtest.h>
@@ -10,90 +10,6 @@
 
 namespace orv::obs {
 namespace {
-
-// ------------------------------------------------------ rule grammar
-
-TEST(RuleGrammar, ParseToStringRoundTrip) {
-  const Rule originals[] = {
-      Rule::make_threshold("hot-gauge", Selector::GaugeValue, "queue.depth",
-                           Cmp::GT, 12.5, Severity::Warning),
-      Rule::make_threshold("p99", Selector::WindowP99,
-                           "workload.latency_seconds", Cmp::GE, 0.25,
-                           Severity::Info),
-      Rule::make_rate_of_change("growth", Selector::CounterValue,
-                                "workload.rejected", Cmp::GT, 3.0,
-                                Severity::Critical),
-      Rule::make_burn_rate("slo", "bad", "total", 0.05, 5.0, 60.0, 2.0,
-                           Severity::Critical),
-  };
-  for (const Rule& r : originals) {
-    std::string err;
-    const auto parsed = parse_rule(r.to_string(), &err);
-    ASSERT_TRUE(parsed.has_value()) << r.to_string() << ": " << err;
-    EXPECT_EQ(parsed->to_string(), r.to_string());
-    EXPECT_EQ(parsed->name, r.name);
-    EXPECT_EQ(parsed->severity, r.severity);
-    EXPECT_EQ(parsed->kind, r.kind);
-    EXPECT_EQ(parsed->cmp, r.cmp);
-    EXPECT_DOUBLE_EQ(parsed->threshold, r.threshold);
-  }
-}
-
-TEST(RuleGrammar, ParsesEverySelector) {
-  for (const char* sel :
-       {"counter", "gauge", "rate", "wtotal", "wp50", "wp95", "wp99"}) {
-    const std::string line =
-        std::string("r : warning : ") + sel + "(some.metric) > 1";
-    std::string err;
-    const auto r = parse_rule(line, &err);
-    ASSERT_TRUE(r.has_value()) << line << ": " << err;
-    EXPECT_EQ(r->metric, "some.metric");
-  }
-}
-
-TEST(RuleGrammar, CommentsAndBlanksAreSkippedWithoutError) {
-  std::string err = "sentinel";
-  EXPECT_FALSE(parse_rule("", &err).has_value());
-  EXPECT_TRUE(err.empty());
-  err = "sentinel";
-  EXPECT_FALSE(parse_rule("  # just a comment", &err).has_value());
-  EXPECT_TRUE(err.empty());
-}
-
-TEST(RuleGrammar, MalformedLinesReportReasons) {
-  const char* bad[] = {
-      "no-colons",
-      "r : loud : gauge(g) > 1",              // bad severity
-      "r : warning : gauge(g)",               // no comparison
-      "r : warning : mystery(g) > 1",         // unknown selector
-      "r : warning : burn(b, t) >= 2",        // missing burn args
-      "r : warning : burn(b, t, budget=0, short=5s, long=60s) >= 2",
-      "r : warning : burn(b, t, budget=.1, short=5s, long=1s) >= 2",
-      "r : warning : burn(b, t, budget=.1, short=5s, long=60s) < 2",
-      "r : warning : roc(gauge(g), extra) > 1",
-  };
-  for (const char* line : bad) {
-    std::string err;
-    EXPECT_FALSE(parse_rule(line, &err).has_value()) << line;
-    EXPECT_FALSE(err.empty()) << line;
-  }
-}
-
-TEST(RuleGrammar, ParseRulesCollectsErrorsAndSkipsBadLines) {
-  std::vector<std::string> errors;
-  const auto rules = parse_rules(
-      "# header\n"
-      "a : info : gauge(x) > 1\n"
-      "broken line\n"
-      "b : critical : burn(bad, total, budget=0.01, short=5s, long=60s) "
-      ">= 2\n",
-      &errors);
-  ASSERT_EQ(rules.size(), 2u);
-  EXPECT_EQ(rules[0].name, "a");
-  EXPECT_EQ(rules[1].kind, RuleKind::BurnRate);
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("line 3"), std::string::npos);
-}
 
 // ---------------------------------------------------------- monitor
 
@@ -362,12 +278,6 @@ TEST(DefaultRules, CoverSloRejectQueueAndNodeHealth) {
   EXPECT_EQ(rules[0].kind, RuleKind::BurnRate);
   EXPECT_EQ(rules[0].bad_metric, "workload.slo_missed");
   EXPECT_EQ(rules[3].name, "node-health");
-  // Every default rule round-trips through the grammar.
-  for (const Rule& r : rules) {
-    const auto parsed = parse_rule(r.to_string());
-    ASSERT_TRUE(parsed.has_value()) << r.to_string();
-    EXPECT_EQ(parsed->to_string(), r.to_string());
-  }
   const auto with_p99 = default_workload_rules(0.05, 0.5);
   ASSERT_EQ(with_p99.size(), 5u);
   EXPECT_EQ(with_p99[4].name, "latency-p99");

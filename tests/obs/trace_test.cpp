@@ -19,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "obs/sim_clock.hpp"
 #include "obs/trace.hpp"
+#include "qes/analysis.hpp"
 #include "qes/qes.hpp"
 #include "sim/engine.hpp"
 
@@ -243,55 +244,51 @@ Fig4Run run_fig4(bool indexed_join, std::uint64_t part_scale,
   return out;
 }
 
-obs::SpanId find_root(const std::vector<obs::SpanRecord>& spans,
-                      const char* name) {
-  for (const auto& s : spans) {
-    if (s.name == name) return s.id;
-  }
-  return {};
-}
-
-obs::Stage model_dominant(const CostBreakdown& model) {
-  obs::Stage dom = obs::Stage::Network;
-  double best = model.transfer;
-  if (model.read > best) {
-    best = model.read;
-    dom = obs::Stage::Disk;
-  }
-  if (model.write > best) {
-    best = model.write;
-    dom = obs::Stage::Spill;
-  }
-  if (model.cpu() > best) {
-    best = model.cpu();
-    dom = obs::Stage::Cpu;
-  }
-  return dom;
-}
-
-void check_attribution(const Fig4Run& run, const char* root_name) {
-  const auto dag = obs::TraceDag::assemble(run.spans);
-  EXPECT_EQ(dag.open_count(), 0u);
-  const obs::SpanId root = find_root(run.spans, root_name);
-  ASSERT_TRUE(root);
-  const auto cp = obs::critical_path(dag, root);
+void check_attribution(const Fig4Run& run, Algorithm algorithm) {
+  EXPECT_EQ(obs::TraceDag::assemble(run.spans).open_count(), 0u);
+  const QueryAnalysis a =
+      analyze_query(run.spans, algorithm, run.result, run.model);
+  const obs::CriticalPath& cp = a.diag.path;
   ASSERT_FALSE(cp.segments.empty());
   // Stage attribution must account for the measured query time within 5%
   // (contiguity makes it exact; the tolerance guards double rounding).
   EXPECT_NEAR(cp.total, run.result.elapsed, 0.05 * run.result.elapsed);
   EXPECT_NEAR(sum_segments(cp), cp.total, 1e-9);
-  EXPECT_EQ(cp.dominant(), model_dominant(run.model));
+
+  // One accuracy record per stage; the measured side covers the whole
+  // critical path and the predicted side is the model's term for it.
+  ASSERT_EQ(a.stages.size(), obs::kNumStages);
+  const double terms[] = {run.model.transfer, run.model.read,
+                          run.model.write,    run.model.cpu(),
+                          0.0,                0.0};
+  const char* names[] = {"network", "disk", "spill",
+                         "cpu",     "cache_wait", "other"};
+  double measured = 0;
+  for (std::size_t i = 0; i < a.stages.size(); ++i) {
+    EXPECT_EQ(a.stages[i].stage, names[i]);
+    EXPECT_DOUBLE_EQ(a.stages[i].predicted, terms[i]) << names[i];
+    measured += a.stages[i].measured;
+  }
+  EXPECT_NEAR(measured, cp.total, 1e-9);
+
+  // The critical path agrees with the cost model about the dominant stage
+  // (the model's largest term; ties go to the earlier stage).
+  std::size_t model_dom = 0;
+  for (std::size_t i = 1; i < a.stages.size(); ++i) {
+    if (a.stages[i].predicted > a.stages[model_dom].predicted) model_dom = i;
+  }
+  EXPECT_EQ(a.stages[model_dom].stage, obs::stage_name(cp.dominant()));
 }
 
 TEST(TraceEndToEnd, Fig4IndexedJoinAttributionMatchesModel) {
   // Left of the crossover (s=1): the IJ is transfer-bound.
-  check_attribution(run_fig4(true, 1), "ij.query");
+  check_attribution(run_fig4(true, 1), Algorithm::IndexedJoin);
   // Right of the crossover (s=32): the lookup term dominates.
-  check_attribution(run_fig4(true, 32), "ij.query");
+  check_attribution(run_fig4(true, 32), Algorithm::IndexedJoin);
 }
 
 TEST(TraceEndToEnd, Fig4GraceHashAttributionMatchesModel) {
-  check_attribution(run_fig4(false, 1), "gh.query");
+  check_attribution(run_fig4(false, 1), Algorithm::GraceHash);
 }
 
 TEST(TraceEndToEnd, CrossNodeLinksCoverEveryFetchAndTransfer) {

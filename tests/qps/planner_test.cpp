@@ -1,7 +1,8 @@
 // Query Planning Service: decisions follow the cost models, the measured
 // (metadata-driven) path agrees with the closed-form path, and the chosen
 // algorithm is never slower than the rejected one by more than the model
-// error across a scenario sweep.
+// error across a scenario sweep. A calibrated plan's PlanValidation keeps
+// its prior prediction.
 
 #include "qps/planner.hpp"
 
@@ -12,6 +13,7 @@
 #include "datagen/generator.hpp"
 #include "net/aggregator.hpp"
 #include "obs/calibrate.hpp"
+#include "qes/analysis.hpp"
 #include "qes/session.hpp"
 #include "sim/engine.hpp"
 
@@ -277,6 +279,47 @@ TEST(Planner, CalibratedPlanUnderContentionIsDeratedOnce) {
   EXPECT_DOUBLE_EQ(d.prior_params.read_io_bw, spec.read_io_bw * 0.5);
   EXPECT_DOUBLE_EQ(d.prior_params.net_bw, spec.net_bw * 0.75);
   EXPECT_DOUBLE_EQ(d.prior_params.alpha_build, spec.alpha_build / 0.8);
+}
+
+TEST(Planner, PlanValidationOfACalibratedPlanKeepsThePriorPrediction) {
+  DatasetSpec data;
+  data.grid = {32, 32, 32};
+  data.part1 = {8, 8, 8};
+  data.part2 = {8, 8, 8};
+  const auto stats = analyze(data);
+  ClusterSpec cspec;
+  QueryPlanner planner(cspec);
+  obs::CalibrationState learned;
+  learned.net_bw = 0.5 * CostParams::from(cspec, stats, 16, 16).net_bw;
+  obs::Calibrator calibrator(learned);
+  QesOptions qes;
+  qes.calibrator = &calibrator;
+  QesResult run;
+  run.elapsed = 1.25;
+
+  const auto d = planner.plan(stats, 16, 16, &qes);
+  ASSERT_TRUE(d.calibrated);
+  // A forced Grace Hash run: the record prices what ran, under both the
+  // calibrated and the prior (spec-sheet) parameters.
+  const obs::PlanValidation pv =
+      plan_validation(d, Algorithm::GraceHash, run, "q7");
+  EXPECT_EQ(pv.query, "q7");
+  EXPECT_EQ(pv.chosen, algorithm_name(d.chosen));
+  EXPECT_EQ(pv.executed, algorithm_name(Algorithm::GraceHash));
+  EXPECT_DOUBLE_EQ(pv.predicted_ij, d.ij.total());
+  EXPECT_DOUBLE_EQ(pv.predicted_gh, d.gh.total());
+  EXPECT_DOUBLE_EQ(pv.predicted, d.gh.total());
+  EXPECT_DOUBLE_EQ(pv.measured, 1.25);
+  EXPECT_TRUE(pv.calibrated);
+  EXPECT_DOUBLE_EQ(pv.predicted_prior, d.prior_gh.total());
+  EXPECT_NE(pv.predicted_prior, pv.predicted);
+
+  // An uncalibrated plan records no prior prediction.
+  const obs::PlanValidation plain = plan_validation(
+      planner.plan(stats, 16, 16), Algorithm::IndexedJoin, run, "q8");
+  EXPECT_FALSE(plain.calibrated);
+  EXPECT_DOUBLE_EQ(plain.predicted_prior, 0.0);
+  EXPECT_DOUBLE_EQ(plain.prior_error_ratio(), 0.0);
 }
 
 TEST(Planner, SuggestFlushBatchesTracksTheMessageOverhead) {
