@@ -51,6 +51,25 @@ class CachingService {
       const auto total = hits + misses;
       return total ? static_cast<double>(hits) / total : 0.0;
     }
+
+    Stats& operator+=(const Stats& o) {
+      hits += o.hits;
+      misses += o.misses;
+      evictions += o.evictions;
+      bytes_evicted += o.bytes_evicted;
+      puts += o.puts;
+      invalidations += o.invalidations;
+      return *this;
+    }
+    Stats& operator-=(const Stats& o) {
+      hits -= o.hits;
+      misses -= o.misses;
+      evictions -= o.evictions;
+      bytes_evicted -= o.bytes_evicted;
+      puts -= o.puts;
+      invalidations -= o.invalidations;
+      return *this;
+    }
   };
 
   explicit CachingService(std::uint64_t capacity_bytes,

@@ -91,6 +91,31 @@ Disk& Cluster::compute_disk(std::size_t j) {
   return *compute_disks_[j];
 }
 
+Cluster::DiskTotals Cluster::disk_totals() const {
+  DiskTotals t;
+  if (nfs_) {
+    t.storage_read = t.scratch_read = nfs_->bytes_read();
+    t.scratch_written = nfs_->bytes_written();
+    t.storage_busy = t.busy = nfs_->busy_time();
+    return t;
+  }
+  for (const auto& d : storage_disks_) {
+    t.storage_read += d->bytes_read();
+    t.storage_busy += d->busy_time();
+  }
+  t.busy = t.storage_busy;
+  for (const auto& d : compute_disks_) {
+    t.scratch_written += d->bytes_written();
+    t.scratch_read += d->bytes_read();
+    t.busy += d->busy_time();
+  }
+  return t;
+}
+
+std::size_t Cluster::num_disks() const {
+  return nfs_ ? 1 : storage_disks_.size() + compute_disks_.size();
+}
+
 sim::Resource& Cluster::compute_cpu(std::size_t j) {
   ORV_REQUIRE(j < compute_cpus_.size(), "compute node index out of range");
   return *compute_cpus_[j];

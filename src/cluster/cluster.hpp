@@ -113,6 +113,20 @@ class Cluster {
   /// shared-filesystem mode).
   Disk& compute_disk(std::size_t j);
 
+  /// Totals over the cluster's *distinct* disks, summed storage disks by
+  /// index, then compute disks: in shared-filesystem mode the one NFS
+  /// server holds both the data and every scratch file, and counts once.
+  struct DiskTotals {
+    double storage_read = 0;     // bytes read from the storage-side disks
+    double scratch_written = 0;  // bytes written to scratch disks
+    double scratch_read = 0;     // bytes read back from scratch disks
+    double storage_busy = 0;     // busy seconds of the storage-side disks
+    double busy = 0;             // busy seconds of every distinct disk
+  };
+  DiskTotals disk_totals() const;
+  /// Number of distinct disks (1 in shared-filesystem mode).
+  std::size_t num_disks() const;
+
   /// Compute node j's CPU (rate = hw.cpu_ops_per_sec, in operations/s).
   sim::Resource& compute_cpu(std::size_t j);
 

@@ -21,8 +21,7 @@
 #include "fault/fault.hpp"
 #include "net/aggregator.hpp"
 #include "obs/obs.hpp"
-#include "qes/qes.hpp"
-#include "qes/sampler.hpp"
+#include "qes/qes_common.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
@@ -68,10 +67,17 @@ struct GhShared {
 
   std::vector<std::unique_ptr<sim::Channel<Batch>>> to_compute;
 
-  // Accumulators.
-  std::uint64_t result_tuples = 0;
-  std::uint64_t fingerprint = 0;
-  JoinStats stats;
+  qes_detail::QueryFrame frame;
+  /// Compute nodes still running; the last one to finish (or unwind)
+  /// completes the query.
+  std::size_t computes_left = 0;
+
+  /// Accumulated in place. h1_messages_sent counts logical h1 batch
+  /// messages (the cost model's count; the physical frame count is read off
+  /// the switch and is smaller when an aggregator is installed). node_work
+  /// holds per-receiver busy seconds over both phases, h1 rows received
+  /// and batch bytes ingested.
+  QesResult result;
   double partition_phase_end = 0;
 
   // Round-based recovery protocol state; only touched when a fault
@@ -83,31 +89,6 @@ struct GhShared {
   bool partition_complete = false;
   std::vector<char> final_dead;  // valid once partition_complete is set
 
-  // Fault accounting.
-  std::uint64_t fetch_retries = 0;
-  std::uint64_t rows_repartitioned = 0;
-  std::uint64_t compute_nodes_lost = 0;
-
-  /// Logical h1 batch messages sent (the cost model's message count; the
-  /// physical frame count is read off the switch and is smaller when an
-  /// aggregator is installed).
-  std::uint64_t h1_messages_sent = 0;
-
-  /// Per-receiver work accounting (skew diagnosis): busy seconds over both
-  /// phases, h1 rows received, batch bytes ingested.
-  std::vector<QesResult::NodeWork> node_work;
-
-  // Trace-context plumbing + occupancy-sampler lifecycle (mirrors the
-  // Indexed Join): the query completes when the last compute node
-  // finishes, and that instant — not the sampler's trailing tick — is the
-  // measured elapsed time.
-  std::uint64_t trace_id = 0;
-  obs::SpanId query_span;
-  bool sampling = false;
-  bool done = false;
-  double finished_at = -1;
-  std::size_t computes_left = 0;
-  ProbeSet probes;
 };
 
 /// Routing chain for one row: candidate k is h1 re-salted k times; the
@@ -133,7 +114,11 @@ std::size_t chain_dest(const JoinKey& key, const std::byte* row,
 
 /// Per-destination batch buffers for one storage process and one table.
 /// `dead` is the routing dead-set for this partition round (empty on the
-/// fault-free path and in round 0).
+/// fault-free path and in round 0). A recovery round also passes the
+/// previous round's `prev_dead`: it re-sends exactly the rows whose copy
+/// was lost, i.e. rows whose destination under `prev_dead` has since died.
+/// Rows whose previous destination survives are skipped — their copy is
+/// still bucketed there, and re-sending would duplicate them.
 class Partitioner {
  public:
   /// `parent` is the sending task's partition/repartition span: every
@@ -141,7 +126,7 @@ class Partitioner {
   /// receiver.
   Partitioner(GhShared& sh, bool left, std::uint32_t src,
               const Schema& schema, obs::SpanId parent,
-              std::vector<char> dead = {})
+              std::vector<char> dead = {}, std::vector<char> prev_dead = {})
       : sh_(sh),
         left_(left),
         src_(src),
@@ -149,33 +134,17 @@ class Partitioner {
         key_(JoinKey::resolve(schema, sh.query.join_attrs)),
         parent_(parent),
         dead_(std::move(dead)),
+        prev_dead_(std::move(prev_dead)),
         buffers_(sh.to_compute.size()) {}
 
-  sim::Task<> add_subtable(const SubTable& st) {
+  sim::Task<> add(const SubTable& st) {
     const std::size_t n_dest = buffers_.size();
     for (std::size_t r = 0; r < st.num_rows(); ++r) {
       const std::byte* row = st.row(r);
-      const std::size_t dest = chain_dest(key_, row, n_dest, dead_);
-      auto& buf = buffers_[dest];
-      buf.insert(buf.end(), row, row + record_size_);
-      if (buf.size() >= sh_.options.batch_bytes) {
-        co_await flush(dest);
+      if (!prev_dead_.empty()) {
+        if (!dead_[chain_dest(key_, row, n_dest, prev_dead_)]) continue;
+        ++sh_.result.rows_repartitioned;
       }
-    }
-  }
-
-  /// Recovery rounds only: re-send exactly the rows whose copy was lost,
-  /// i.e. rows whose destination under `prev_dead` has since died. Rows
-  /// whose previous destination survives are skipped — their copy is still
-  /// bucketed there, and re-sending would duplicate them.
-  sim::Task<> add_lost_rows(const SubTable& st,
-                            const std::vector<char>& prev_dead) {
-    const std::size_t n_dest = buffers_.size();
-    for (std::size_t r = 0; r < st.num_rows(); ++r) {
-      const std::byte* row = st.row(r);
-      const std::size_t prev = chain_dest(key_, row, n_dest, prev_dead);
-      if (!dead_[prev]) continue;
-      ++sh_.rows_repartitioned;
       const std::size_t dest = chain_dest(key_, row, n_dest, dead_);
       auto& buf = buffers_[dest];
       buf.insert(buf.end(), row, row + record_size_);
@@ -203,16 +172,16 @@ class Partitioner {
     const double batch_bytes = static_cast<double>(batch.bytes.size());
     auto* ctx = obs::context();
     obs::StageScope send_stage(ctx, "gh.send", parent_);
-    batch.trace = obs::TraceContext{sh_.trace_id, send_stage.id()};
-    ++sh_.h1_messages_sent;
+    batch.trace = obs::TraceContext{sh_.frame.trace_id, send_stage.id()};
+    ++sh_.result.h1_messages_sent;
     if (auto* agg = net::context()) {
       // Aggregated path: hand the batch to the per-(src,dst) flow and
       // return immediately. The aggregator charges one egress per combined
       // frame (and rolls the fault dice per frame); the deliver closure
       // runs after the frame crosses the switch. It reads the channel slot
       // through sh_ at delivery time, so recovery-round channel swaps are
-      // safe — gh_storage/gh_repartition drain the node before the
-      // coordinator ever closes or swaps a round's channels.
+      // safe — gh_send drains the node before the coordinator ever
+      // closes or swaps a round's channels.
       auto payload = std::make_shared<Batch>(std::move(batch));
       GhShared* sh = &sh_;
       agg->post(src_, dest, batch_bytes, send_stage.id(),
@@ -259,35 +228,19 @@ class Partitioner {
   JoinKey key_;
   obs::SpanId parent_;
   std::vector<char> dead_;
+  std::vector<char> prev_dead_;
   std::vector<std::vector<std::byte>> buffers_;
 };
 
-/// BDS produce with the same timeout/backoff retry the Indexed Join's
-/// fetches get: transient injected read errors retry; a permanently lost
+/// BDS produce through the shared retry loop, with the query's selection
+/// applied: transient injected read errors retry; a permanently lost
 /// storage node surfaces as a clean FaultError.
 sim::Task<std::shared_ptr<const SubTable>> produce_with_retry(
     GhShared& sh, std::size_t node, SubTableId id, obs::TraceContext rpc) {
-  auto* inj = fault::context();
-  const fault::RetryPolicy policy =
-      inj ? inj->plan().retry : fault::RetryPolicy{};
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      co_await sh.cluster.engine().sleep(policy.backoff(attempt));
-    }
-    try {
-      co_return co_await sh.bds.instance(node).produce(id, rpc);
-    } catch (const IoError& e) {
-      if (!inj) throw;  // genuine device error: not ours to mask
-      if (attempt + 1 >= policy.max_attempts) {
-        throw fault::FaultError("produce of " + id.to_string() +
-                                " failed after " +
-                                std::to_string(attempt + 1) +
-                                " attempts: " + e.what());
-      }
-      inj->note_retry();
-      ++sh.fetch_retries;
-    }
-  }
+  auto st = co_await qes_detail::read_with_retry(
+      sh.cluster.engine(), "produce", id, sh.result.fetch_retries,
+      [&](int) { return sh.bds.instance(node).produce(id, rpc); });
+  co_return qes_detail::select_rows(std::move(st), sh.query.ranges);
 }
 
 /// Reads a node's local chunks of one table into a small bounded queue, so
@@ -304,94 +257,56 @@ sim::Task<> gh_reader(GhShared& sh, std::size_t node, TableId table,
   out.close();
 }
 
-/// Storage-node QES: stream local chunks of both tables through h1.
-sim::Task<> gh_storage(GhShared& sh, std::size_t node, sim::Latch& done) {
-  obs::StageScope stage(obs::context(), "gh.partition", sh.query_span);
+/// Storage-node QES: streams this node's local chunks of both tables
+/// through h1, then counts down `done` (if given). Round 0 reads ahead
+/// through gh_reader. A recovery round (`prev_dead` set) re-reads
+/// synchronously and re-sends only the rows whose previous chain
+/// destination has died. Every copy that could have landed on a dead node
+/// is lost with the node (dead receivers discard their whole partition
+/// state), so re-sent rows appear exactly once in the surviving buckets.
+sim::Task<> gh_send(GhShared& sh, std::size_t node, sim::Latch* done,
+                    std::vector<char> dead = {},
+                    std::vector<char> prev_dead = {}) {
+  const bool resend = !prev_dead.empty();
+  obs::StageScope stage(obs::context(),
+                        resend ? "gh.repartition" : "gh.partition",
+                        sh.frame.query_span);
   stage.tag("storage_node", static_cast<std::uint64_t>(node));
-  Partitioner left_part(sh, true, static_cast<std::uint32_t>(node),
-                        *sh.left_schema, stage.id());
-  Partitioner right_part(sh, false, static_cast<std::uint32_t>(node),
-                         *sh.right_schema, stage.id());
-
-  auto stream_table = [](GhShared& s, std::size_t n, TableId table,
-                         Partitioner& part,
-                         obs::SpanId parent) -> sim::Task<> {
-    sim::Channel<std::shared_ptr<const SubTable>> queue(s.cluster.engine(),
-                                                        2);
-    auto reader = s.cluster.engine().spawn(
-        gh_reader(s, n, table, queue, obs::TraceContext{s.trace_id, parent}),
-        strformat("gh-reader-%zu-t%u", n, table));
-    while (true) {
-      auto st = co_await queue.recv();
-      if (!st) break;
-      if (!s.query.ranges.empty()) {
-        const SubTable filtered =
-            filter_rows(**st, (*st)->schema(), s.query.ranges);
-        co_await part.add_subtable(filtered);
-      } else {
-        co_await part.add_subtable(**st);
+  const obs::TraceContext rpc{sh.frame.trace_id, stage.id()};
+  auto& engine = sh.cluster.engine();
+  for (int side = 0; side < 2; ++side) {
+    const bool left = side == 0;
+    const TableId table = left ? sh.query.left_table : sh.query.right_table;
+    Partitioner part(sh, left, static_cast<std::uint32_t>(node),
+                     left ? *sh.left_schema : *sh.right_schema, stage.id(),
+                     dead, prev_dead);
+    if (resend) {
+      for (const auto& cm : sh.meta.chunks(table)) {
+        if (cm.location.storage_node != node) continue;
+        auto st = co_await produce_with_retry(sh, node, cm.id, rpc);
+        co_await part.add(*st);
       }
+    } else {
+      sim::Channel<std::shared_ptr<const SubTable>> queue(engine, 2);
+      auto reader =
+          engine.spawn(gh_reader(sh, node, table, queue, rpc),
+                       strformat("gh-reader-%zu-t%u", node, table));
+      while (true) {
+        auto st = co_await queue.recv();
+        if (!st) break;
+        co_await part.add(**st);
+      }
+      co_await reader.join();
     }
-    co_await reader.join();
-  };
-
-  co_await stream_table(sh, node, sh.query.left_table, left_part, stage.id());
-  co_await left_part.flush_all();
-  co_await stream_table(sh, node, sh.query.right_table, right_part,
-                        stage.id());
-  co_await right_part.flush_all();
+    co_await part.flush_all();
+  }
   if (auto* agg = net::context()) {
     // Every posted batch must be in its destination channel before the
-    // coordinator learns this sender is done — otherwise it would close
-    // the round's channels under buffered messages.
+    // coordinator learns this sender is done (or joins it) — otherwise it
+    // would close the round's channels under buffered messages.
     co_await agg->drain(node);
   }
-  done.count_down();
-}
-
-/// Recovery-round sender: re-reads this storage node's local chunks of
-/// both tables and re-sends the rows whose previous chain destination has
-/// died. Every copy that could have landed on a dead node is lost with the
-/// node (dead receivers discard their whole partition state), so re-sent
-/// rows appear exactly once in the surviving buckets.
-sim::Task<> gh_repartition(GhShared& sh, std::size_t node,
-                           std::vector<char> prev_dead,
-                           std::vector<char> dead) {
-  obs::StageScope stage(obs::context(), "gh.repartition", sh.query_span);
-  stage.tag("storage_node", static_cast<std::uint64_t>(node));
-  Partitioner left_part(sh, true, static_cast<std::uint32_t>(node),
-                        *sh.left_schema, stage.id(), dead);
-  Partitioner right_part(sh, false, static_cast<std::uint32_t>(node),
-                         *sh.right_schema, stage.id(), dead);
-
-  auto resend_table = [](GhShared& s, std::size_t n, TableId table,
-                         Partitioner& part, const std::vector<char>& prev,
-                         obs::SpanId parent) -> sim::Task<> {
-    for (const auto& cm : s.meta.chunks(table)) {
-      if (cm.location.storage_node != n) continue;
-      auto st = co_await produce_with_retry(
-          s, n, cm.id, obs::TraceContext{s.trace_id, parent});
-      if (!s.query.ranges.empty()) {
-        const SubTable filtered =
-            filter_rows(*st, st->schema(), s.query.ranges);
-        co_await part.add_lost_rows(filtered, prev);
-      } else {
-        co_await part.add_lost_rows(*st, prev);
-      }
-    }
-  };
-
-  co_await resend_table(sh, node, sh.query.left_table, left_part, prev_dead,
-                        stage.id());
-  co_await left_part.flush_all();
-  co_await resend_table(sh, node, sh.query.right_table, right_part, prev_dead,
-                        stage.id());
-  co_await right_part.flush_all();
-  if (auto* agg = net::context()) {
-    // Same invariant as gh_storage: the coordinator joins this sender and
-    // then closes the round's channels, so drain before returning.
-    co_await agg->drain(node);
-  }
+  if (done) done->count_down();
 }
 
 /// Closes compute channels once every storage sender finishes; with a
@@ -429,14 +344,14 @@ sim::Task<> gh_coordinator(GhShared& sh, sim::Latch& storage_done) {
       // No deaths this round: every surviving row rests at its chain
       // destination under `dead`. Partition is stable.
       sh.final_dead = dead;
-      sh.compute_nodes_lost = n_dead;
+      sh.result.compute_nodes_lost = n_dead;
       sh.partition_complete = true;
       old_gate->set();
       co_return;
     }
     if (n_dead == n_compute) {
       sh.final_dead = dead;
-      sh.compute_nodes_lost = n_dead;
+      sh.result.compute_nodes_lost = n_dead;
       sh.partition_complete = true;  // release receivers before failing
       old_gate->set();
       throw fault::FaultError(
@@ -455,7 +370,7 @@ sim::Task<> gh_coordinator(GhShared& sh, sim::Latch& storage_done) {
     std::vector<sim::JoinHandle> senders;
     for (std::size_t i = 0; i < sh.cluster.num_storage(); ++i) {
       senders.push_back(
-          engine.spawn(gh_repartition(sh, i, prev_dead, dead),
+          engine.spawn(gh_send(sh, i, nullptr, dead, prev_dead),
                        strformat("gh-repartition-%zu", i)));
     }
     for (auto& h : senders) co_await h.join();
@@ -474,8 +389,7 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
     GhShared& sh;
     ~Finished() {
       if (--sh.computes_left == 0) {
-        sh.done = true;
-        sh.finished_at = sh.cluster.engine().now();
+        sh.frame.finish(sh.cluster.engine().now());
       }
     }
   } finished{sh};
@@ -485,7 +399,7 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
   // not chase pointers into it.
   const double node_start = sh.cluster.engine().now();
   auto book_busy = [&] {
-    auto& nw = sh.node_work[node];
+    auto& nw = sh.result.node_work[node];
     nw.node = node;
     nw.busy_seconds += sh.cluster.engine().now() - node_start;
   };
@@ -513,10 +427,10 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
   // draining (black hole) so senders never block on a dead destination.
   auto* ctx = obs::context();
   auto* inj = fault::context();
-  obs::StageScope recv_stage(ctx, "gh.receive", sh.query_span);
+  obs::StageScope recv_stage(ctx, "gh.receive", sh.frame.query_span);
   recv_stage.tag("node", static_cast<std::uint64_t>(node));
-  ProbeGuard node_probes(sh.probes);
-  if (sh.sampling) {
+  ProbeGuard node_probes(sh.frame.probes);
+  if (sh.frame.sampling) {
     // Channel depth is read through the persistent unique_ptr slot, which
     // stays valid across recovery-round channel swaps.
     node_probes.add(strformat("gh.channel_depth[%zu]", node),
@@ -571,8 +485,9 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
         batch_counter->add(1);
         batch_bytes_counter->add(batch.bytes.size());
       }
-      sh.node_work[node].items += batch.rows;
-      sh.node_work[node].bytes += static_cast<double>(batch.bytes.size());
+      auto& nw = sh.result.node_work[node];
+      nw.items += batch.rows;
+      nw.bytes += static_cast<double>(batch.bytes.size());
       // Per-batch ingest span, causally linked to the sender's gh.send
       // span: the link is the cross-node edge that stitches the h1
       // transfer into one DAG (and lets critical-path analysis hop from a
@@ -581,15 +496,15 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       if (ctx && batch.trace.parent) {
         ctx->tracer.link(ingest_stage.id(), batch.trace.parent);
       }
+      co_await sh.cluster.compute_ingress(
+          node, static_cast<double>(batch.bytes.size()));
+      obs::StageScope spill_stage(ctx, "gh.spill", ingest_stage.id());
       if (sh.options.gh_double_buffer) {
-        // Double-buffered spill: charge ingress, wait for the *previous*
-        // batch's spill to drain, then reserve (not await) this one — the
-        // scratch write proceeds while the next batch is received, so the
-        // phase pays max(Transfer, Write) instead of the sum. One
-        // outstanding write bounds the in-flight buffer to a batch.
-        co_await sh.cluster.compute_ingress(
-            node, static_cast<double>(batch.bytes.size()));
-        obs::StageScope spill_stage(ctx, "gh.spill", ingest_stage.id());
+        // Double-buffered spill: wait for the *previous* batch's spill to
+        // drain, then reserve (not await) this one — the scratch write
+        // proceeds while the next batch is received, so the phase pays
+        // max(Transfer, Write) instead of the sum. One outstanding write
+        // bounds the in-flight buffer to a batch.
         co_await sh.cluster.engine().wait_until(spill_done);
         spill_done =
             scratch.reserve_write(static_cast<double>(batch.bytes.size()),
@@ -597,9 +512,6 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       } else {
         // Ingress then bucket write, serialized per batch: the additive
         // Transfer + Write behaviour the paper's implementation exhibits.
-        co_await sh.cluster.compute_ingress(
-            node, static_cast<double>(batch.bytes.size()));
-        obs::StageScope spill_stage(ctx, "gh.spill", ingest_stage.id());
         co_await scratch.write(static_cast<double>(batch.bytes.size()),
                                static_cast<std::uint32_t>(node));
       }
@@ -636,7 +548,7 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
   }
 
   // --- Phase 2: join bucket pairs independently (no network). ---
-  obs::StageScope join_stage(ctx, "gh.bucket_join", sh.query_span);
+  obs::StageScope join_stage(ctx, "gh.bucket_join", sh.frame.query_span);
   join_stage.tag("node", static_cast<std::uint64_t>(node));
   join_stage.tag("buckets", static_cast<std::uint64_t>(sh.n_buckets));
   ChunkId out_seq = 0;
@@ -700,47 +612,13 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
     auto left_alias = std::shared_ptr<const SubTable>(&left, [](auto*) {});
     const BuiltHashTable ht(left_alias, sh.query.join_attrs);
     const JoinStats s = ht.probe(right, sh.query.join_attrs, out);
-    sh.stats.build_tuples += left.num_rows();
-    sh.stats.probe_tuples += s.probe_tuples;
-    sh.stats.result_tuples += s.result_tuples;
-    sh.result_tuples += s.result_tuples;
-    sh.fingerprint += out.unordered_fingerprint();
+    sh.result.join_stats.build_tuples += left.num_rows();
+    sh.result.join_stats.probe_tuples += s.probe_tuples;
+    sh.result.join_stats.result_tuples += s.result_tuples;
+    sh.result.result_fingerprint += out.unordered_fingerprint();
     if (sh.options.result_sink) sh.options.result_sink(node, out);
   }
   book_busy();
-}
-
-double scratch_bytes_written(Cluster& cluster) {
-  if (cluster.spec().shared_filesystem) {
-    return cluster.compute_disk(0).bytes_written();
-  }
-  double total = 0;
-  for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
-    total += cluster.compute_disk(j).bytes_written();
-  }
-  return total;
-}
-
-double scratch_bytes_read_total(Cluster& cluster) {
-  if (cluster.spec().shared_filesystem) {
-    return cluster.compute_disk(0).bytes_read();
-  }
-  double total = 0;
-  for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
-    total += cluster.compute_disk(j).bytes_read();
-  }
-  return total;
-}
-
-double storage_read_total(Cluster& cluster) {
-  if (cluster.spec().shared_filesystem) {
-    return cluster.storage_disk(0).bytes_read();
-  }
-  double total = 0;
-  for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-    total += cluster.storage_disk(i).bytes_read();
-  }
-  return total;
 }
 
 }  // namespace
@@ -784,29 +662,19 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
       std::make_unique<sim::Latch>(engine, cluster.num_compute());
   sh.round_gate = std::make_unique<sim::Event>(engine);
   sh.computes_left = cluster.num_compute();
-  sh.node_work.resize(cluster.num_compute());
+  sh.result.node_work.resize(cluster.num_compute());
 
-  auto* octx = obs::context();
-  if (octx) {
-    sh.trace_id = octx->next_trace_id();
-    sh.query_span = octx->tracer.begin("gh.query");
-    octx->tracer.tag(sh.query_span, "trace_id", sh.trace_id);
-    octx->tracer.tag(sh.query_span, "algorithm", std::string("grace_hash"));
-    sh.sampling = octx->sample_interval > 0;
-  }
+  sh.frame.open(engine, "gh.query", "grace_hash");
 
   const double net0 = cluster.network_bytes();
   const double switch0 = cluster.switch_bytes();
   const std::uint64_t frames0 = cluster.network_switch().num_ops();
-  const double sread0 = storage_read_total(cluster);
-  const double cw0 = scratch_bytes_written(cluster);
-  const double cr0 = scratch_bytes_read_total(cluster);
+  const Cluster::DiskTotals disk0 = cluster.disk_totals();
 
-  const double start = engine.now();
   sim::Latch storage_done(engine, cluster.num_storage());
   std::vector<sim::JoinHandle> handles;
   for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-    handles.push_back(engine.spawn(gh_storage(sh, i, storage_done),
+    handles.push_back(engine.spawn(gh_send(sh, i, &storage_done),
                                    strformat("gh-storage-%zu", i)));
   }
   handles.push_back(
@@ -815,66 +683,24 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
     handles.push_back(
         engine.spawn(gh_compute(sh, j), strformat("gh-compute-%zu", j)));
   }
-  sim::JoinHandle sampler;
-  if (sh.sampling) {
-    sampler = engine.spawn(occupancy_sampler(cluster, octx, sh.probes,
-                                             &sh.done),
-                           "gh-sampler");
-  }
-  // Join every process, observing all exceptions but surfacing the first
-  // (in spawn order — the same one Engine::run would rethrow after a
-  // single-query drain).
-  std::exception_ptr first_error;
-  for (const auto& h : handles) {
-    try {
-      co_await h.join();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) {
-    // The query died (e.g. every compute node crashed): close the root
-    // span so a failed query never leaves dangling spans behind.
-    if (octx) octx->tracer.end_orphaned(sh.query_span);
-    std::rethrow_exception(first_error);
-  }
-  for (const auto& h : handles) {
-    ORV_CHECK(h.done(), "GH process did not finish");
-  }
-
-  QesResult result;
-  // With the sampler on, the engine runs one trailing tick past query
-  // completion; the last compute node's finish time is the real elapsed.
+  QesResult& result = sh.result;
   result.elapsed =
-      (sh.sampling && sh.finished_at >= 0 ? sh.finished_at : engine.now()) -
-      start;
-  result.partition_phase = sh.partition_phase_end - start;
+      co_await sh.frame.join(cluster, std::move(handles), "gh-sampler");
+  result.partition_phase = sh.partition_phase_end - sh.frame.start;
   result.join_phase = result.elapsed - result.partition_phase;
-  result.result_tuples = sh.result_tuples;
-  result.result_fingerprint = sh.fingerprint;
-  result.join_stats = sh.stats;
+  result.result_tuples = result.join_stats.result_tuples;
   result.network_bytes = cluster.network_bytes() - net0;
   // GH shuffles every record through the switch regardless of placement
   // (its egress path never uses the local bus), so local bytes stay 0.
   result.cross_switch_bytes = cluster.switch_bytes() - switch0;
-  result.storage_disk_read_bytes = storage_read_total(cluster) - sread0;
-  result.scratch_write_bytes = scratch_bytes_written(cluster) - cw0;
-  result.scratch_read_bytes = scratch_bytes_read_total(cluster) - cr0;
-  result.h1_messages_sent = sh.h1_messages_sent;
+  const Cluster::DiskTotals disk = cluster.disk_totals();
+  result.storage_disk_read_bytes = disk.storage_read - disk0.storage_read;
+  result.scratch_write_bytes = disk.scratch_written - disk0.scratch_written;
+  result.scratch_read_bytes = disk.scratch_read - disk0.scratch_read;
   result.net_frames_sent = cluster.network_switch().num_ops() - frames0;
-  result.fetch_retries = sh.fetch_retries;
-  result.rows_repartitioned = sh.rows_repartitioned;
-  result.compute_nodes_lost = sh.compute_nodes_lost;
-  result.node_work = std::move(sh.node_work);
-  result.degraded = sh.fetch_retries > 0 || sh.rows_repartitioned > 0 ||
-                    sh.compute_nodes_lost > 0;
-  if (result.degraded) {
-    if (auto* ctx = obs::context()) {
-      ctx->registry.counter("query.degraded").add(1);
-    }
-  }
+  sh.frame.close(result);
   if (auto* ctx = obs::context()) {
-    ctx->registry.counter("gh.result_tuples").add(sh.result_tuples);
+    ctx->registry.counter("gh.result_tuples").add(result.result_tuples);
     ctx->registry.gauge("gh.n_buckets")
         .set(static_cast<double>(sh.n_buckets));
     ctx->registry.gauge("gh.partition_phase_seconds")
@@ -882,8 +708,7 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
     ctx->registry.gauge("gh.join_phase_seconds").set(result.join_phase);
     ctx->registry.gauge("gh.elapsed_seconds").set(result.elapsed);
   }
-  if (octx) octx->tracer.end_at(sh.query_span, start + result.elapsed);
-  co_return result;
+  co_return std::move(result);
 }
 
 QesResult run_grace_hash(Cluster& cluster, BdsService& bds,

@@ -28,8 +28,7 @@
 #include "common/strings.hpp"
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
-#include "qes/qes.hpp"
-#include "qes/sampler.hpp"
+#include "qes/qes_common.hpp"
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 
@@ -37,24 +36,18 @@ namespace orv {
 
 namespace {
 
-/// Sum of bytes read from the distinct storage-side disks (one NFS server
-/// in shared-filesystem mode, n_s spindles otherwise).
-double storage_read_bytes(Cluster& cluster) {
-  if (cluster.spec().shared_filesystem) {
-    return cluster.storage_disk(0).bytes_read();
-  }
-  double total = 0;
-  for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-    total += cluster.storage_disk(i).bytes_read();
-  }
-  return total;
-}
-
 struct IjShared {
+  using Ranges = std::vector<AttrRange>;
+
   IjShared(Cluster& c, BdsService& b, const MetaDataService& m,
            const JoinQuery& q, const QesOptions& o, SchemaPtr schema)
       : cluster(c), bds(b), meta(m), query(q), options(o),
-        result_schema(std::move(schema)) {}
+        result_schema(std::move(schema)),
+        pushed_ranges(o.node_caches || !o.pushdown_selection ? Ranges{}
+                                                             : q.ranges),
+        fetch_ranges(o.node_caches || o.pushdown_selection ? Ranges{}
+                                                           : q.ranges),
+        output_ranges(o.node_caches ? q.ranges : Ranges{}) {}
 
   Cluster& cluster;
   BdsService& bds;
@@ -63,108 +56,57 @@ struct IjShared {
   const QesOptions& options;
   SchemaPtr result_schema;
 
-  // Accumulators (single-threaded engine: plain writes are safe).
-  std::uint64_t result_tuples = 0;
-  std::uint64_t fingerprint = 0;
-  JoinStats stats;
-  std::uint64_t fetches = 0;
-  std::uint64_t builds = 0;
-  CachingService::Stats cache_total;
+  /// The query's selection, placed once; the other two stay empty. With
+  /// session caches, which hold raw sub-tables so later queries with other
+  /// predicates can reuse them, it applies to each join output. Otherwise
+  /// the storage node applies it to each fetch (pushdown: fewer bytes on
+  /// the wire), or the join loop to each fetched sub-table.
+  const Ranges pushed_ranges;
+  const Ranges fetch_ranges;
+  const Ranges output_ranges;
 
-  // Fault recovery state (empty/zero on a fault-free run).
+  qes_detail::QueryFrame frame;
+  /// Accumulated in place (single-threaded engine: plain writes are safe).
+  /// node_work holds per-node busy seconds, pairs joined and bytes fetched,
+  /// across supervisor rounds.
+  QesResult result;
+
+  // Fault recovery state (empty on a fault-free run).
   std::vector<char> dead;             // compute nodes observed fail-stop
   std::vector<SubTablePair> orphans;  // pairs abandoned by dead nodes
-  std::uint64_t fetch_retries = 0;
-  std::uint64_t pairs_reassigned = 0;
-  std::uint64_t compute_nodes_lost = 0;
 
   // Pipelining accounting (zero on serial runs).
-  std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_wasted = 0;
   double fetch_busy = 0;     // virtual seconds prefetchers spent fetching
   double consumer_wait = 0;  // virtual seconds join loops starved on recv
 
   // Per-node "ij.node" span ids; parents for fetch/build/probe spans.
   std::vector<obs::SpanId> node_spans;
-
-  /// Per-node work accounting (skew diagnosis): busy seconds, pairs
-  /// joined, bytes fetched. Accumulates across supervisor rounds.
-  std::vector<QesResult::NodeWork> node_work;
-
-  // Trace-context plumbing: the query's trace id and root span, the
-  // supervisor span node spans parent on, and the supervisor's completion
-  // signal for the occupancy sampler (which must not keep the engine
-  // alive, and whose trailing tick must not inflate `elapsed`).
-  std::uint64_t trace_id = 0;
-  obs::SpanId query_span;
-  bool sampling = false;
-  bool done = false;
-  double finished_at = -1;
-  ProbeSet probes;
 };
 
-void merge_cache_stats(CachingService::Stats& into,
-                       const CachingService::Stats& from) {
-  into.hits += from.hits;
-  into.misses += from.misses;
-  into.evictions += from.evictions;
-  into.bytes_evicted += from.bytes_evicted;
-  into.puts += from.puts;
-  into.invalidations += from.invalidations;
-}
-
 /// One fetch from the owning BDS instance, with the query's selection
-/// applied per the options (`raw` skips filtering: persistent-cache mode
-/// caches raw). Retryable I/O failures (injected read errors, RPC
-/// timeouts against a down storage node) back off exponentially and try
-/// again; exhausting the budget invalidates any stale cache entry for the
-/// id and surfaces a clean FaultError.
+/// applied where IjShared places it. Retryable I/O failures go through
+/// the shared retry loop; each failed attempt invalidates any cached copy
+/// of the id, since a cached copy of a failing source is suspect.
 sim::Task<std::shared_ptr<const SubTable>> fetch_subtable(
-    IjShared& sh, SubTableId id, std::size_t node, bool raw,
-    CachingService& cache, obs::SpanId* fetch_span = nullptr) {
-  ++sh.fetches;
+    IjShared& sh, SubTableId id, std::size_t node, CachingService& cache,
+    obs::SpanId* fetch_span = nullptr) {
+  ++sh.result.subtable_fetches;
   obs::StageScope stage(obs::context(), "ij.fetch", sh.node_spans[node]);
   if (fetch_span) *fetch_span = stage.id();
-  auto* inj = fault::context();
-  const fault::RetryPolicy policy =
-      inj ? inj->plan().retry : fault::RetryPolicy{};
-  const bool pushdown =
-      !raw && sh.options.pushdown_selection && !sh.query.ranges.empty();
-  for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      co_await sh.cluster.engine().sleep(policy.backoff(attempt));
-    }
-    try {
-      std::shared_ptr<const SubTable> st;
-      const obs::TraceContext rpc{sh.trace_id, stage.id()};
-      if (attempt > 0) stage.tag("retry", static_cast<std::uint64_t>(attempt));
-      if (pushdown) {
-        // Selection pushed to the storage node: fewer bytes on the wire.
-        st = co_await sh.bds.instance_for(id).fetch_to_compute(
-            id, node, &sh.query.ranges, rpc);
-      } else {
-        st = co_await sh.bds.instance_for(id).fetch_to_compute(id, node,
-                                                               nullptr, rpc);
-      }
-      if (!raw && !pushdown && !sh.query.ranges.empty()) {
-        st = std::make_shared<const SubTable>(
-            filter_rows(*st, st->schema(), sh.query.ranges));
-      }
-      sh.node_work[node].bytes += static_cast<double>(st->size_bytes());
-      co_return st;
-    } catch (const IoError& e) {
-      cache.invalidate(id);  // a cached copy of a failing source is suspect
-      if (!inj) throw;       // genuine device error: not ours to mask
-      if (attempt + 1 >= policy.max_attempts) {
-        throw fault::FaultError("fetch of " + id.to_string() +
-                                " failed after " +
-                                std::to_string(attempt + 1) +
-                                " attempts: " + e.what());
-      }
-      inj->note_retry();
-      ++sh.fetch_retries;
-    }
-  }
+  auto st = co_await qes_detail::read_with_retry(
+      sh.cluster.engine(), "fetch", id, sh.result.fetch_retries,
+      [&](int attempt) {
+        if (attempt > 0) {
+          stage.tag("retry", static_cast<std::uint64_t>(attempt));
+        }
+        return sh.bds.instance_for(id).fetch_to_compute(
+            id, node, &sh.pushed_ranges,
+            obs::TraceContext{sh.frame.trace_id, stage.id()});
+      },
+      [&] { cache.invalidate(id); });
+  st = qes_detail::select_rows(std::move(st), sh.fetch_ranges);
+  sh.result.node_work[node].bytes += static_cast<double>(st->size_bytes());
+  co_return st;
 }
 
 /// Shared state between one node's prefetcher and its join loop.
@@ -200,7 +142,7 @@ struct IjPrefetchState {
 /// with upcoming misses of the same storage node so adjacent chunk reads
 /// coalesce into one disk reservation; under fault injection every id goes
 /// through fetch_subtable's retry/backoff path individually.
-sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node, bool raw,
+sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node,
                               CachingService& cache, IjPrefetchState& ps,
                               const std::vector<SubTablePair>& pairs,
                               std::size_t pair_idx, SubTableId id) {
@@ -266,33 +208,26 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node, bool raw,
     obs::StageScope stage(obs::context(), "ij.fetch", sh.node_spans[node]);
     stage.tag("batch", static_cast<std::uint64_t>(batch.size()));
     ps.pair_fetch_span[pair_idx] = stage.id();
-    sh.fetches += batch.size();
-    const bool pushdown =
-        !raw && sh.options.pushdown_selection && !sh.query.ranges.empty();
-    auto tables =
-        co_await sh.bds.instance(loc.storage_node)
-            .fetch_batch_to_compute(batch, node,
-                                    pushdown ? &sh.query.ranges : nullptr,
-                                    obs::TraceContext{sh.trace_id, stage.id()});
+    sh.result.subtable_fetches += batch.size();
+    auto tables = co_await sh.bds.instance(loc.storage_node)
+                      .fetch_batch_to_compute(
+                          batch, node, &sh.pushed_ranges,
+                          obs::TraceContext{sh.frame.trace_id, stage.id()});
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      auto st = std::move(tables[i]);
-      if (!raw && !pushdown && !sh.query.ranges.empty()) {
-        st = std::make_shared<const SubTable>(
-            filter_rows(*st, st->schema(), sh.query.ranges));
-      }
-      cache.put_pinned(batch[i], std::move(st));
+      cache.put_pinned(batch[i], qes_detail::select_rows(std::move(tables[i]),
+                                                         sh.fetch_ranges));
       if (i > 0) {
         ++ps.credits[batch[i]];
         ps.credit_span[batch[i]] = stage.id();
       }
     }
-    sh.prefetch_issued += batch.size();
+    sh.result.prefetch_issued += batch.size();
   } else {
     obs::SpanId fetch_span;
-    auto st = co_await fetch_subtable(sh, id, node, raw, cache, &fetch_span);
+    auto st = co_await fetch_subtable(sh, id, node, cache, &fetch_span);
     cache.put_pinned(id, std::move(st));
     ps.pair_fetch_span[pair_idx] = fetch_span;
-    ++sh.prefetch_issued;
+    ++sh.result.prefetch_issued;
   }
   sh.fetch_busy += sh.cluster.engine().now() - t0;
 }
@@ -301,7 +236,7 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node, bool raw,
 /// pinning both sides of each pair before publishing its index. Always
 /// closes the channel on the way out; failures are parked in ps.error for
 /// the consumer to rethrow after the drain.
-sim::Task<> ij_prefetcher(IjShared& sh, std::size_t node, bool raw,
+sim::Task<> ij_prefetcher(IjShared& sh, std::size_t node,
                           CachingService& cache,
                           const std::vector<SubTablePair>& pairs,
                           IjPrefetchState& ps) {
@@ -311,20 +246,20 @@ sim::Task<> ij_prefetcher(IjShared& sh, std::size_t node, bool raw,
       if (ps.stop || (inj && inj->compute_down(node))) break;
       bool left_pinned = false;
       try {
-        co_await ij_prefetch_fetch(sh, node, raw, cache, ps, pairs, i,
+        co_await ij_prefetch_fetch(sh, node, cache, ps, pairs, i,
                                    pairs[i].left);
         left_pinned = true;
         if (ps.stop || (inj && inj->compute_down(node))) {
           cache.unpin(pairs[i].left);
-          ++sh.prefetch_wasted;
+          ++sh.result.prefetch_wasted;
           break;
         }
-        co_await ij_prefetch_fetch(sh, node, raw, cache, ps, pairs, i,
+        co_await ij_prefetch_fetch(sh, node, cache, ps, pairs, i,
                                    pairs[i].right);
       } catch (...) {
         if (left_pinned) {
           cache.unpin(pairs[i].left);
-          ++sh.prefetch_wasted;
+          ++sh.result.prefetch_wasted;
         }
         throw;
       }
@@ -337,7 +272,7 @@ sim::Task<> ij_prefetcher(IjShared& sh, std::size_t node, bool raw,
   for (auto& [id, n] : ps.credits) {
     for (; n > 0; --n) {
       cache.unpin(id);
-      ++sh.prefetch_wasted;
+      ++sh.result.prefetch_wasted;
     }
   }
   ps.ch.close();
@@ -351,8 +286,7 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
   const std::uint64_t capacity = sh.options.cache_bytes
                                      ? sh.options.cache_bytes
                                      : sh.cluster.memory_bytes();
-  // Session caches (if provided) persist across queries; raw sub-tables
-  // are cached there and the selection moves to the join output.
+  // Session caches (if provided) persist across queries.
   const bool persistent = sh.options.node_caches != nullptr;
   ORV_REQUIRE(!persistent || (sh.options.node_caches->size() > node &&
                               (*sh.options.node_caches)[node] != nullptr),
@@ -371,8 +305,8 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
   if (round > 0) node_stage.tag("round", round);
   sh.node_spans[node] = node_stage.id();
 
-  ProbeGuard node_probes(sh.probes);
-  if (sh.sampling) {
+  ProbeGuard node_probes(sh.frame.probes);
+  if (sh.frame.sampling) {
     node_probes.add(strformat("cache.bytes[%zu]", node),
                     [&cache] { return static_cast<double>(cache.used_bytes()); });
     node_probes.add(strformat("cache.pins[%zu]", node), [&cache] {
@@ -380,39 +314,46 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
     });
   }
 
+  // Pipelined mode: the prefetcher fetches + pins ahead while the loop
+  // below builds and probes, overlapping Transfer with Cpu. The loop is
+  // the same in both modes but for where the next pair index comes from
+  // (the prefetcher's channel, or `next`) and the pin release after it.
+  const bool pipelined = sh.options.prefetch_lookahead > 0 && !pairs.empty();
+  std::optional<IjPrefetchState> ps;
+  sim::JoinHandle pf;
+  ProbeGuard ch_probe(sh.frame.probes);
+  if (pipelined) {
+    ps.emplace(sh.cluster.engine(), sh.options.prefetch_lookahead);
+    ps->pair_fetch_span.resize(pairs.size());
+    if (sh.frame.sampling) {
+      ch_probe.add(strformat("prefetch.depth[%zu]", node), [&ps] {
+        return static_cast<double>(ps->ch.size());
+      });
+    }
+    pf = sh.cluster.engine().spawn(ij_prefetcher(sh, node, cache, pairs, *ps),
+                                   strformat("ij-prefetch-%zu", node));
+  }
+
   auto* inj = fault::context();
   bool died = false;
   std::size_t next = 0;  // first pair whose output has NOT been accumulated
-  if (sh.options.prefetch_lookahead > 0 && !pairs.empty()) {
-    // Pipelined path: the prefetcher fetches + pins ahead while this loop
-    // builds and probes, overlapping Transfer with Cpu.
-    IjPrefetchState ps(sh.cluster.engine(), sh.options.prefetch_lookahead);
-    ps.pair_fetch_span.resize(pairs.size());
-    ProbeGuard ch_probe(sh.probes);
-    if (sh.sampling) {
-      ch_probe.add(strformat("prefetch.depth[%zu]", node), [&ps] {
-        return static_cast<double>(ps.ch.size());
-      });
-    }
-    const sim::JoinHandle pf = sh.cluster.engine().spawn(
-        ij_prefetcher(sh, node, persistent, cache, pairs, ps),
-        strformat("ij-prefetch-%zu", node));
-    std::optional<std::size_t> inflight;  // recv'd pair whose pins we hold
-    std::exception_ptr consumer_error;
-    try {
-      for (;;) {
+  std::optional<std::size_t> inflight;  // recv'd pair whose pins we hold
+  std::exception_ptr error;
+  try {
+    while (true) {
+      if (pipelined) {
         const double wait_from = sh.cluster.engine().now();
         // Consumer starvation on the bounded lookahead window: the walk
         // classifies this as cache-wait time on the critical path.
         obs::StageScope wait_stage(obs::context(), "ij.wait",
                                    node_stage.id());
-        const auto idx = co_await ps.ch.recv();
-        if (idx && ps.pair_fetch_span[*idx]) {
+        const auto idx = co_await ps->ch.recv();
+        if (idx && ps->pair_fetch_span[*idx]) {
           // Causal edge into the fetch this wait was actually blocked on:
           // lets the critical path hop from a starved consumer into the
           // prefetcher's transfer instead of booking it all as cache-wait.
           if (auto* octx = obs::context()) {
-            octx->tracer.link(wait_stage.id(), ps.pair_fetch_span[*idx]);
+            octx->tracer.link(wait_stage.id(), ps->pair_fetch_span[*idx]);
           }
         }
         wait_stage.close();
@@ -420,77 +361,88 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
         sh.consumer_wait += sh.cluster.engine().now() - wait_from;
         ORV_CHECK(*idx == next, "prefetched pairs must arrive in order");
         inflight = *idx;
-        const auto& pair = pairs[next];
-        // Same fail-stop bracketing as the serial path: abandon the pair
-        // *before* accumulating its output. The in-flight pair's pins are
-        // released by the shutdown protocol below.
-        if (inj && inj->compute_down(node)) {
-          died = true;
-          break;
-        }
+      } else if (next == pairs.size()) {
+        break;
+      }
+      const auto& pair = pairs[next];
+      // Fail-stop checks bracket each pair: once the node's crash time has
+      // passed it abandons the current pair *before* accumulating its
+      // output, so every pair's result is emitted exactly once (here or at
+      // the surviving node the supervisor re-assigns it to). An abandoned
+      // in-flight pair's pins are released by the shutdown protocol below.
+      if (inj && inj->compute_down(node)) {
+        died = true;
+        break;
+      }
 
-        auto left = cache.get(pair.left);
-        if (!left) {
-          // Doomed while pinned (a failing re-fetch of the same chunk
-          // invalidated it): fetch fresh, serial-path style.
-          left =
-              co_await fetch_subtable(sh, pair.left, node, persistent, cache);
-          cache.put(pair.left, left);
-        }
-        auto ht = cache.get_hash_table(pair.left);
-        if (!ht) {
-          obs::StageScope build_stage(obs::context(), "ij.build",
-                                      node_stage.id());
-          co_await cpu.use(hw.gamma_build * factor *
-                           static_cast<double>(left->num_rows()));
-          ht = std::make_shared<const BuiltHashTable>(left,
-                                                      sh.query.join_attrs);
-          cache.attach_hash_table(pair.left, ht);
-          ++sh.builds;
-          sh.stats.build_tuples += left->num_rows();
-          build_stage.tag("rows", left->num_rows());
-        }
-        if (inj && inj->compute_down(node)) {
-          died = true;
-          break;
-        }
-
-        auto right = cache.get(pair.right);
-        if (!right) {
-          right =
-              co_await fetch_subtable(sh, pair.right, node, persistent, cache);
-          cache.put(pair.right, right);
-        }
-
-        obs::StageScope probe_stage(obs::context(), "ij.probe",
+      // Left sub-table + its hash table (built once, cached). A pipelined
+      // pair's side is missing only when it was doomed while pinned (a
+      // failing re-fetch of the same chunk invalidated it): fetch fresh.
+      auto left = cache.get(pair.left);
+      if (!left) {
+        left = co_await fetch_subtable(sh, pair.left, node, cache);
+        cache.put(pair.left, left);
+      }
+      auto ht = cache.get_hash_table(pair.left);
+      if (!ht) {
+        obs::StageScope build_stage(obs::context(), "ij.build",
                                     node_stage.id());
-        co_await cpu.use(hw.gamma_lookup * factor *
-                         static_cast<double>(right->num_rows()));
-        if (inj && inj->compute_down(node)) {  // pre-accumulation check
-          probe_stage.close();
-          died = true;
-          break;
-        }
-        SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-        const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
-        probe_stage.tag("rows", right->num_rows());
+        co_await cpu.use(hw.gamma_build * factor *
+                         static_cast<double>(left->num_rows()));
+        ht = std::make_shared<const BuiltHashTable>(left,
+                                                    sh.query.join_attrs);
+        cache.attach_hash_table(pair.left, ht);
+        ++sh.result.hash_tables_built;
+        sh.result.join_stats.build_tuples += left->num_rows();
+        build_stage.tag("rows", left->num_rows());
+      }
+      if (inj && inj->compute_down(node)) {  // mid-pair: fetches take time
+        died = true;
+        break;
+      }
+
+      // Right sub-table.
+      auto right = cache.get(pair.right);
+      if (!right) {
+        right = co_await fetch_subtable(sh, pair.right, node, cache);
+        cache.put(pair.right, right);
+      }
+
+      // Probe: one lookup per right record (join selectivity 1 per Sec. 5).
+      obs::StageScope probe_stage(obs::context(), "ij.probe",
+                                  node_stage.id());
+      co_await cpu.use(hw.gamma_lookup * factor *
+                       static_cast<double>(right->num_rows()));
+      if (inj && inj->compute_down(node)) {  // pre-accumulation check
         probe_stage.close();
-        sh.stats.probe_tuples += s.probe_tuples;
-        if (persistent && !sh.query.ranges.empty()) {
-          out = filter_rows(out, out.schema(), sh.query.ranges);
-        }
-        sh.stats.result_tuples += out.num_rows();
-        sh.result_tuples += out.num_rows();
-        sh.fingerprint += out.unordered_fingerprint();
-        if (sh.options.result_sink) sh.options.result_sink(node, out);
+        died = true;
+        break;
+      }
+      SubTable out(sh.result_schema, SubTableId{0, out_seq++});
+      const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
+      probe_stage.tag("rows", right->num_rows());
+      probe_stage.close();
+      sh.result.join_stats.probe_tuples += s.probe_tuples;
+      if (!sh.output_ranges.empty()) {
+        // Selection over the join output: equivalent to filtering the
+        // inputs for conjunctive per-attribute ranges (key attrs survive
+        // the join).
+        out = filter_rows(out, out.schema(), sh.output_ranges);
+      }
+      sh.result.join_stats.result_tuples += out.num_rows();
+      sh.result.result_fingerprint += out.unordered_fingerprint();
+      if (sh.options.result_sink) sh.options.result_sink(node, out);
+      if (inflight) {
         cache.unpin(pair.left);
         cache.unpin(pair.right);
         inflight.reset();
-        ++next;
       }
-    } catch (...) {
-      consumer_error = std::current_exception();
+      ++next;
     }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  if (pipelined) {
     // Shutdown protocol (every exit takes it): release the in-flight
     // pair's pins, tell the prefetcher to stop, drain what it already
     // published (one pin per side per drained pair), and join it before
@@ -498,89 +450,23 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
     if (inflight) {
       cache.unpin(pairs[*inflight].left);
       cache.unpin(pairs[*inflight].right);
-      sh.prefetch_wasted += 2;
+      sh.result.prefetch_wasted += 2;
       inflight.reset();
     }
-    ps.stop = true;
+    ps->stop = true;
     for (;;) {
-      const auto idx = co_await ps.ch.recv();
+      const auto idx = co_await ps->ch.recv();
       if (!idx) break;
       cache.unpin(pairs[*idx].left);
       cache.unpin(pairs[*idx].right);
-      sh.prefetch_wasted += 2;
+      sh.result.prefetch_wasted += 2;
     }
     co_await pf.join();
-    if (consumer_error) std::rethrow_exception(consumer_error);
     // A prefetch failure on a pair a dead node never reached is not an
     // error — the pair is orphaned work for the supervisor.
-    if (!died && ps.error) std::rethrow_exception(ps.error);
-  } else {
-  for (; next < pairs.size(); ++next) {
-    const auto& pair = pairs[next];
-    // Fail-stop checks bracket each pair: once the node's crash time has
-    // passed it abandons the current pair *before* accumulating its output,
-    // so every pair's result is emitted exactly once (here or at the
-    // surviving node the supervisor re-assigns it to).
-    if (inj && inj->compute_down(node)) {
-      died = true;
-      break;
-    }
-
-    // Left sub-table + its hash table (built once, cached).
-    auto left = cache.get(pair.left);
-    if (!left) {
-      left = co_await fetch_subtable(sh, pair.left, node, persistent, cache);
-      cache.put(pair.left, left);
-    }
-    auto ht = cache.get_hash_table(pair.left);
-    if (!ht) {
-      obs::StageScope build_stage(obs::context(), "ij.build",
-                                  node_stage.id());
-      co_await cpu.use(hw.gamma_build * factor *
-                       static_cast<double>(left->num_rows()));
-      ht = std::make_shared<const BuiltHashTable>(left, sh.query.join_attrs);
-      cache.attach_hash_table(pair.left, ht);
-      ++sh.builds;
-      sh.stats.build_tuples += left->num_rows();
-      build_stage.tag("rows", left->num_rows());
-    }
-    if (inj && inj->compute_down(node)) {  // mid-pair: fetches take time
-      died = true;
-      break;
-    }
-
-    // Right sub-table.
-    auto right = cache.get(pair.right);
-    if (!right) {
-      right = co_await fetch_subtable(sh, pair.right, node, persistent, cache);
-      cache.put(pair.right, right);
-    }
-
-    // Probe: one lookup per right record (join selectivity 1 per Sec. 5).
-    obs::StageScope probe_stage(obs::context(), "ij.probe", node_stage.id());
-    co_await cpu.use(hw.gamma_lookup * factor *
-                     static_cast<double>(right->num_rows()));
-    if (inj && inj->compute_down(node)) {  // pre-accumulation check
-      probe_stage.close();
-      died = true;
-      break;
-    }
-    SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-    const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
-    probe_stage.tag("rows", right->num_rows());
-    probe_stage.close();
-    sh.stats.probe_tuples += s.probe_tuples;
-    if (persistent && !sh.query.ranges.empty()) {
-      // Selection over the join output: equivalent to filtering the inputs
-      // for conjunctive per-attribute ranges (key attrs survive the join).
-      out = filter_rows(out, out.schema(), sh.query.ranges);
-    }
-    sh.stats.result_tuples += out.num_rows();
-    sh.result_tuples += out.num_rows();
-    sh.fingerprint += out.unordered_fingerprint();
-    if (sh.options.result_sink) sh.options.result_sink(node, out);
+    if (!error && !died) error = ps->error;
   }
-  }  // serial path
+  if (error) std::rethrow_exception(error);
   if (died) {
     inj->note_crash_observed(fault::NodeKind::Compute, node);
     sh.dead[node] = 1;
@@ -594,20 +480,15 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
       octx->tracer.end_orphaned(node_stage.id());
     }
   }
-  auto& nw = sh.node_work[node];
+  auto& nw = sh.result.node_work[node];
   nw.node = node;
   nw.busy_seconds += sh.cluster.engine().now() - node_start;
   nw.items += next;  // pairs whose output this node accumulated
 
   // Report only this run's cache activity (session caches accumulate).
   CachingService::Stats delta = cache.stats();
-  delta.hits -= stats_before.hits;
-  delta.misses -= stats_before.misses;
-  delta.evictions -= stats_before.evictions;
-  delta.bytes_evicted -= stats_before.bytes_evicted;
-  delta.puts -= stats_before.puts;
-  delta.invalidations -= stats_before.invalidations;
-  merge_cache_stats(sh.cache_total, delta);
+  delta -= stats_before;
+  sh.result.cache_stats += delta;
 }
 
 /// Spawns one worker per compute node, then supervises: when workers die
@@ -625,12 +506,10 @@ sim::Task<> ij_supervisor(IjShared& sh,
   struct Finished {
     IjShared& sh;
     sim::Engine& engine;
-    ~Finished() {
-      sh.done = true;
-      sh.finished_at = engine.now();
-    }
+    ~Finished() { sh.frame.finish(engine.now()); }
   } finished{sh, engine};
-  obs::StageScope sup_stage(obs::context(), "ij.supervisor", sh.query_span);
+  obs::StageScope sup_stage(obs::context(), "ij.supervisor",
+                            sh.frame.query_span);
   std::vector<char> alive(work.size(), 1);
   bool first_round = true;
   std::uint64_t round = 0;
@@ -643,7 +522,8 @@ sim::Task<> ij_supervisor(IjShared& sh,
       if (!first_round && work[j].empty()) continue;
       handles.push_back(engine.spawn(
           ij_node(sh, j, std::move(work[j]),
-                  obs::TraceContext{sh.trace_id, sup_stage.id()}, round),
+                  obs::TraceContext{sh.frame.trace_id, sup_stage.id()},
+                  round),
           strformat("ij-node-%zu", j)));
     }
     first_round = false;
@@ -651,7 +531,7 @@ sim::Task<> ij_supervisor(IjShared& sh,
     for (std::size_t j = 0; j < work.size(); ++j) {
       if (sh.dead[j] && alive[j]) {
         alive[j] = 0;
-        ++sh.compute_nodes_lost;
+        ++sh.result.compute_nodes_lost;
       }
       work[j].clear();
     }
@@ -661,7 +541,7 @@ sim::Task<> ij_supervisor(IjShared& sh,
     }
     std::vector<SubTablePair> orphans = std::move(sh.orphans);
     sh.orphans.clear();
-    sh.pairs_reassigned += orphans.size();
+    sh.result.pairs_reassigned += orphans.size();
     bool any_alive = false;
     for (char a : alive) any_alive = any_alive || a != 0;
     if (!any_alive) {
@@ -737,88 +617,44 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
   const double net0 = cluster.network_bytes();
   const double switch0 = cluster.switch_bytes();
   const double local0 = cluster.local_bytes();
-  const double sread0 = storage_read_bytes(cluster);
+  const double sread0 = cluster.disk_totals().storage_read;
 
   sh.node_spans.resize(cluster.num_compute());
-  sh.node_work.resize(cluster.num_compute());
+  sh.result.node_work.resize(cluster.num_compute());
   sh.dead.assign(cluster.num_compute(), 0);
-  const double start = engine.now();
-  auto* octx = obs::context();
-  if (octx) {
-    sh.trace_id = octx->next_trace_id();
-    sh.query_span = octx->tracer.begin("ij.query");
-    octx->tracer.tag(sh.query_span, "trace_id", sh.trace_id);
-    octx->tracer.tag(sh.query_span, "algorithm", std::string("indexed_join"));
-    sh.sampling = octx->sample_interval > 0;
-  }
-  const sim::JoinHandle sup = engine.spawn(
-      ij_supervisor(sh, std::move(schedule.pairs_per_node)), "ij-supervisor");
-  sim::JoinHandle sampler;
-  if (sh.sampling) {
-    sampler = engine.spawn(occupancy_sampler(cluster, octx, sh.probes, &sh.done),
-                           "ij-sampler");
-  }
-  try {
-    co_await sup.join();
-  } catch (...) {
-    // The query died (e.g. unrecoverable fault): close the root span so a
-    // failed query never leaves dangling spans behind.
-    if (octx) octx->tracer.end_orphaned(sh.query_span);
-    throw;
-  }
-  ORV_CHECK(sup.done(), "IJ supervisor did not finish");
-
-  QesResult result;
-  // With the sampler on, its trailing wake-up advances engine.now() past
-  // query completion; the supervisor recorded the true finish time.
+  sh.frame.open(engine, "ij.query", "indexed_join");
+  std::vector<sim::JoinHandle> procs{engine.spawn(
+      ij_supervisor(sh, std::move(schedule.pairs_per_node)), "ij-supervisor")};
+  QesResult& result = sh.result;
   result.elapsed =
-      (sh.sampling && sh.finished_at >= 0 ? sh.finished_at : engine.now()) -
-      start;
-  if (octx) {
-    octx->tracer.end_at(sh.query_span, start + result.elapsed);
-  }
+      co_await sh.frame.join(cluster, std::move(procs), "ij-sampler");
   result.join_phase = result.elapsed;
-  result.result_tuples = sh.result_tuples;
-  result.result_fingerprint = sh.fingerprint;
-  result.join_stats = sh.stats;
-  result.subtable_fetches = sh.fetches;
-  result.hash_tables_built = sh.builds;
-  result.cache_stats = sh.cache_total;
+  result.result_tuples = result.join_stats.result_tuples;
   result.network_bytes = cluster.network_bytes() - net0;
   result.cross_switch_bytes = cluster.switch_bytes() - switch0;
   result.local_transfer_bytes = cluster.local_bytes() - local0;
-  result.storage_disk_read_bytes = storage_read_bytes(cluster) - sread0;
-  result.fetch_retries = sh.fetch_retries;
-  result.pairs_reassigned = sh.pairs_reassigned;
-  result.compute_nodes_lost = sh.compute_nodes_lost;
-  result.prefetch_issued = sh.prefetch_issued;
-  result.prefetch_wasted = sh.prefetch_wasted;
-  result.node_work = std::move(sh.node_work);
+  result.storage_disk_read_bytes =
+      cluster.disk_totals().storage_read - sread0;
   if (sh.fetch_busy > 0) {
     // 1 when the join loop never starved on the channel (all Transfer
     // hidden behind Cpu); 0 when every fetch second was waited out.
     result.overlap_ratio =
         std::max(0.0, 1.0 - sh.consumer_wait / sh.fetch_busy);
   }
-  result.degraded = sh.fetch_retries > 0 || sh.pairs_reassigned > 0 ||
-                    sh.compute_nodes_lost > 0;
-  if (result.degraded) {
-    if (auto* ctx = obs::context()) {
-      ctx->registry.counter("query.degraded").add(1);
-    }
-  }
+  sh.frame.close(result);
   if (auto* ctx = obs::context()) {
-    ctx->registry.counter("ij.subtable_fetches").add(sh.fetches);
-    ctx->registry.counter("ij.hash_tables_built").add(sh.builds);
-    ctx->registry.counter("ij.result_tuples").add(sh.result_tuples);
+    ctx->registry.counter("ij.subtable_fetches").add(result.subtable_fetches);
+    ctx->registry.counter("ij.hash_tables_built")
+        .add(result.hash_tables_built);
+    ctx->registry.counter("ij.result_tuples").add(result.result_tuples);
     ctx->registry.gauge("ij.elapsed_seconds").set(result.elapsed);
     if (options.prefetch_lookahead > 0) {
-      ctx->registry.counter("prefetch.issued").add(sh.prefetch_issued);
-      ctx->registry.counter("prefetch.wasted").add(sh.prefetch_wasted);
+      ctx->registry.counter("prefetch.issued").add(result.prefetch_issued);
+      ctx->registry.counter("prefetch.wasted").add(result.prefetch_wasted);
       ctx->registry.gauge("ij.overlap_ratio").set(result.overlap_ratio);
     }
   }
-  co_return result;
+  co_return std::move(result);
 }
 
 QesResult run_indexed_join(Cluster& cluster, BdsService& bds,

@@ -1,8 +1,8 @@
-#include <memory>
+#include "qes/qes_common.hpp"
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "qes/qes.hpp"
+#include "fault/fault.hpp"
 
 namespace orv {
 
@@ -31,6 +31,97 @@ QesResult run_query_task(sim::Engine& engine, sim::Task<QesResult> task,
   engine.run();
   ORV_CHECK(box->have, "query task did not complete");
   return std::move(box->result);
+}
+
+sim::Task<std::shared_ptr<const SubTable>> read_with_retry(
+    sim::Engine& engine, const char* verb, SubTableId id,
+    std::uint64_t& retries, SubTableRead read,
+    std::function<void()> on_error) {
+  auto* inj = fault::context();
+  const fault::RetryPolicy policy =
+      inj ? inj->plan().retry : fault::RetryPolicy{};
+  for (int attempt = 0;; ++attempt) {
+    if (attempt > 0) co_await engine.sleep(policy.backoff(attempt));
+    try {
+      co_return co_await read(attempt);
+    } catch (const IoError& e) {
+      if (on_error) on_error();
+      if (!inj) throw;  // genuine device error: not ours to mask
+      if (attempt + 1 >= policy.max_attempts) {
+        throw fault::FaultError(std::string(verb) + " of " + id.to_string() +
+                                " failed after " +
+                                std::to_string(attempt + 1) +
+                                " attempts: " + e.what());
+      }
+      inj->note_retry();
+      ++retries;
+    }
+  }
+}
+
+std::shared_ptr<const SubTable> select_rows(
+    std::shared_ptr<const SubTable> st, const std::vector<AttrRange>& ranges) {
+  if (ranges.empty()) return st;
+  return std::make_shared<const SubTable>(
+      filter_rows(*st, st->schema(), ranges));
+}
+
+void mark_degraded(QesResult& result) {
+  result.degraded = result.fetch_retries > 0 || result.pairs_reassigned > 0 ||
+                    result.rows_repartitioned > 0 ||
+                    result.compute_nodes_lost > 0;
+  if (result.degraded) {
+    if (auto* ctx = obs::context()) {
+      ctx->registry.counter("query.degraded").add(1);
+    }
+  }
+}
+
+void QueryFrame::open(sim::Engine& engine, const char* span,
+                      const char* algorithm) {
+  start = engine.now();
+  octx_ = obs::context();
+  if (octx_) {
+    trace_id = octx_->next_trace_id();
+    query_span = octx_->tracer.begin(span);
+    octx_->tracer.tag(query_span, "trace_id", trace_id);
+    octx_->tracer.tag(query_span, "algorithm", std::string(algorithm));
+    sampling = octx_->sample_interval > 0;
+  }
+}
+
+sim::Task<double> QueryFrame::join(Cluster& cluster,
+                                   std::vector<sim::JoinHandle> procs,
+                                   const char* sampler_name) {
+  auto& engine = cluster.engine();
+  if (sampling) {
+    engine.spawn(occupancy_sampler(cluster, octx_, probes, &done),
+                 sampler_name);
+  }
+  std::exception_ptr first_error;
+  for (const auto& h : procs) {
+    try {
+      co_await h.join();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) {
+    // The query died (e.g. an unrecoverable fault): close the root span so
+    // a failed query never leaves dangling spans behind.
+    if (octx_) octx_->tracer.end_orphaned(query_span);
+    std::rethrow_exception(first_error);
+  }
+  for (const auto& h : procs) {
+    ORV_CHECK(h.done(), "query process did not finish: " + h.name());
+  }
+  co_return (sampling && finished_at >= 0 ? finished_at : engine.now()) -
+      start;
+}
+
+void QueryFrame::close(QesResult& result) {
+  if (octx_) octx_->tracer.end_at(query_span, start + result.elapsed);
+  mark_degraded(result);
 }
 
 }  // namespace qes_detail
@@ -62,56 +153,52 @@ SubTable filter_rows(const SubTable& st, const Schema& schema,
   return out;
 }
 
+namespace {
+
+/// Every chunk of `table`, extracted and filtered by the query's ranges, in
+/// one sub-table: the oracles' input.
+SubTable load_table(const MetaDataService& meta,
+                    const std::vector<std::shared_ptr<ChunkStore>>& stores,
+                    TableId table, const std::vector<AttrRange>& ranges) {
+  SubTable all(meta.table_schema(table), SubTableId{table, 0});
+  for (const auto& cm : meta.chunks(table)) {
+    const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
+    SubTable st = extract_chunk(bytes);
+    SubTable filtered = filter_rows(st, st.schema(), ranges);
+    for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
+      all.append_row({filtered.row(r), filtered.record_size()});
+    }
+  }
+  return all;
+}
+
+ReferenceResult digest(const SubTable& joined) {
+  return ReferenceResult{joined.num_rows(), joined.unordered_fingerprint()};
+}
+
+}  // namespace
+
 ReferenceResult reference_join(
     const MetaDataService& meta,
     const std::vector<std::shared_ptr<ChunkStore>>& stores,
     const JoinQuery& query) {
-  auto load_table = [&](TableId table) {
-    SubTable all(meta.table_schema(table), SubTableId{table, 0});
-    for (const auto& cm : meta.chunks(table)) {
-      const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
-      SubTable st = extract_chunk(bytes);
-      SubTable filtered = filter_rows(st, st.schema(), query.ranges);
-      for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
-        all.append_row({filtered.row(r), filtered.record_size()});
-      }
-    }
-    return all;
-  };
-  const SubTable left = load_table(query.left_table);
-  const SubTable right = load_table(query.right_table);
-  const SubTable joined =
-      hash_join(left, right, query.join_attrs, SubTableId{0, 0});
-  ReferenceResult res;
-  res.result_tuples = joined.num_rows();
-  res.result_fingerprint = joined.unordered_fingerprint();
-  return res;
+  const SubTable left =
+      load_table(meta, stores, query.left_table, query.ranges);
+  const SubTable right =
+      load_table(meta, stores, query.right_table, query.ranges);
+  return digest(hash_join(left, right, query.join_attrs, SubTableId{0, 0}));
 }
 
 ReferenceResult nested_loop_reference(
     const MetaDataService& meta,
     const std::vector<std::shared_ptr<ChunkStore>>& stores,
     const JoinQuery& query) {
-  auto load_table = [&](TableId table) {
-    SubTable all(meta.table_schema(table), SubTableId{table, 0});
-    for (const auto& cm : meta.chunks(table)) {
-      const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
-      SubTable st = extract_chunk(bytes);
-      SubTable filtered = filter_rows(st, st.schema(), query.ranges);
-      for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
-        all.append_row({filtered.row(r), filtered.record_size()});
-      }
-    }
-    return all;
-  };
-  const SubTable left = load_table(query.left_table);
-  const SubTable right = load_table(query.right_table);
-  const SubTable joined =
-      nested_loop_join(left, right, query.join_attrs, SubTableId{0, 0});
-  ReferenceResult res;
-  res.result_tuples = joined.num_rows();
-  res.result_fingerprint = joined.unordered_fingerprint();
-  return res;
+  const SubTable left =
+      load_table(meta, stores, query.left_table, query.ranges);
+  const SubTable right =
+      load_table(meta, stores, query.right_table, query.ranges);
+  return digest(
+      nested_loop_join(left, right, query.join_attrs, SubTableId{0, 0}));
 }
 
 std::string QesResult::to_string() const {

@@ -65,13 +65,9 @@ inline sim::Task<> occupancy_sampler(Cluster& cluster, obs::ObsContext* ctx,
                                      const bool* done) {
   auto& engine = cluster.engine();
   const double dt = ctx->sample_interval;
-  const std::size_t n_disks =
-      cluster.spec().shared_filesystem ? 1 : cluster.num_storage();
   auto totals = [&] {
     std::array<double, 4> t{};
-    for (std::size_t i = 0; i < n_disks; ++i) {
-      t[0] += cluster.storage_disk(i).busy_time();
-    }
+    t[0] = cluster.disk_totals().storage_busy;
     for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
       if (auto* r = cluster.storage_nic(i)) t[1] += r->busy_time();
     }

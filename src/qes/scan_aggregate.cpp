@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "qes/qes_common.hpp"
 #include "sim/channel.hpp"
 #include "sim/event.hpp"
 #include "sim/engine.hpp"
@@ -12,19 +13,18 @@ namespace {
 
 struct SaShared {
   SaShared(Cluster& c, BdsService& b, const MetaDataService& m,
-           const AggregateQuery& q, const QesOptions& o, SchemaPtr s)
-      : cluster(c), bds(b), meta(m), query(q), options(o),
-        schema(std::move(s)) {}
+           const AggregateQuery& q, const QesOptions& o)
+      : cluster(c), bds(b), meta(m), query(q), options(o) {}
 
   Cluster& cluster;
   BdsService& bds;
   const MetaDataService& meta;
   const AggregateQuery& query;
   const QesOptions& options;
-  SchemaPtr schema;
 
   /// One partial aggregator per storage node, merged by the coordinator.
   std::vector<std::unique_ptr<GroupByAggregator>> partials;
+  std::uint64_t fetch_retries = 0;
 };
 
 /// Storage-node QES: stream local chunks, filter, fold.
@@ -47,13 +47,10 @@ sim::Task<> sa_storage(SaShared& sh, std::size_t node, sim::Latch& done) {
     }
     if (prunable) continue;
 
-    auto st = co_await sh.bds.instance(node).produce(cm.id);
-    const SubTable* rows = st.get();
-    SubTable filtered(sh.schema, cm.id);
-    if (!sh.query.ranges.empty()) {
-      filtered = filter_rows(*st, st->schema(), sh.query.ranges);
-      rows = &filtered;
-    }
+    auto st = co_await qes_detail::read_with_retry(
+        sh.cluster.engine(), "produce", cm.id, sh.fetch_retries,
+        [&](int) { return sh.bds.instance(node).produce(cm.id); });
+    const auto rows = qes_detail::select_rows(std::move(st), sh.query.ranges);
     co_await cpu.use(hw.gamma_aggregate * sh.options.cpu_work_factor *
                      static_cast<double>(rows->num_rows()));
     agg.consume(*rows);
@@ -90,7 +87,7 @@ QesResult run_distributed_aggregate(Cluster& cluster, BdsService& bds,
   auto& engine = cluster.engine();
   const auto schema = meta.table_schema(query.table);
 
-  SaShared sh{cluster, bds, meta, query, options, schema};
+  SaShared sh{cluster, bds, meta, query, options};
   for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
     sh.partials.push_back(std::make_unique<GroupByAggregator>(
         schema, query.group_by, query.aggs));
@@ -116,6 +113,8 @@ QesResult run_distributed_aggregate(Cluster& cluster, BdsService& bds,
   result.elapsed = engine.now() - start;
   result.result_tuples = merged.num_groups();
   result.network_bytes = cluster.network_bytes() - net0;
+  result.fetch_retries = sh.fetch_retries;
+  qes_detail::mark_degraded(result);
   SubTable table = merged.finish();
   result.result_fingerprint = table.unordered_fingerprint();
   if (out != nullptr) *out = std::move(table);

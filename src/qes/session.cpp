@@ -34,15 +34,7 @@ const ConnectivityGraph& QesSession::graph_for(const JoinQuery& query) {
 
 CachingService::Stats QesSession::cache_totals() const {
   CachingService::Stats total;
-  for (const auto& c : caches_) {
-    const auto s = c->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.evictions += s.evictions;
-    total.bytes_evicted += s.bytes_evicted;
-    total.puts += s.puts;
-    total.invalidations += s.invalidations;
-  }
+  for (const auto& c : caches_) total += c->stats();
   return total;
 }
 

@@ -480,31 +480,12 @@ double exact_quantile(std::vector<double> v, double q) {
 }  // namespace
 
 ContentionMonitor::ContentionMonitor(Cluster& cluster) : cluster_(cluster) {
-  if (cluster_.spec().shared_filesystem) {
-    n_disks_ = 1;
-  } else {
-    n_disks_ = cluster_.num_storage() + cluster_.num_compute();
-  }
   n_nics_ = cluster_.num_storage() + cluster_.num_compute();
   last_t_ = cluster_.engine().now();
-  last_disk_ = disk_busy_sum();
+  last_disk_ = cluster_.disk_totals().busy;
   last_nic_ = nic_busy_sum();
   last_switch_ = cluster_.network_switch().busy_time();
   last_cpu_ = cpu_busy_sum();
-}
-
-double ContentionMonitor::disk_busy_sum() const {
-  if (cluster_.spec().shared_filesystem) {
-    return cluster_.storage_disk(0).busy_time();
-  }
-  double sum = 0;
-  for (std::size_t i = 0; i < cluster_.num_storage(); ++i) {
-    sum += cluster_.storage_disk(i).busy_time();
-  }
-  for (std::size_t j = 0; j < cluster_.num_compute(); ++j) {
-    sum += cluster_.compute_disk(j).busy_time();
-  }
-  return sum;
 }
 
 double ContentionMonitor::nic_busy_sum() const {
@@ -528,7 +509,7 @@ double ContentionMonitor::cpu_busy_sum() const {
 
 ContentionFactors ContentionMonitor::sample() {
   const double now = cluster_.engine().now();
-  const double disk = disk_busy_sum();
+  const double disk = cluster_.disk_totals().busy;
   const double nic = nic_busy_sum();
   const double sw = cluster_.network_switch().busy_time();
   const double cpu = cpu_busy_sum();
@@ -538,7 +519,8 @@ ContentionFactors ContentionMonitor::sample() {
     auto frac = [dt](double delta, double n) {
       return std::clamp(delta / (dt * (n > 0 ? n : 1)), 0.0, 1.0);
     };
-    f.disk_busy = frac(disk - last_disk_, static_cast<double>(n_disks_));
+    f.disk_busy = frac(disk - last_disk_,
+                       static_cast<double>(cluster_.num_disks()));
     // The network path is limited by its most loaded hop: the switch, or
     // the average endpoint NIC.
     f.net_busy = std::max(frac(sw - last_switch_, 1.0),

@@ -166,12 +166,10 @@ class ContentionMonitor {
   ContentionFactors sample();
 
  private:
-  double disk_busy_sum() const;
   double nic_busy_sum() const;
   double cpu_busy_sum() const;
 
   Cluster& cluster_;
-  std::size_t n_disks_ = 0;
   std::size_t n_nics_ = 0;
   double last_t_ = 0;
   double last_disk_ = 0;

@@ -108,6 +108,7 @@ TEST(Differential, PlacementPoliciesAgreeByteForByte) {
         const QesResult gh = rig.run(/*indexed_join=*/false, nullptr, options);
         EXPECT_EQ(oracle->result_tuples, gh.result_tuples);
         EXPECT_EQ(oracle->result_fingerprint, gh.result_fingerprint);
+        EXPECT_EQ(gh.result_tuples, gh.join_stats.result_tuples);
       }
     }
   }

@@ -73,10 +73,28 @@ QesResult run_gh(const QesOptions& options) {
 TEST(PipelinedIj, FingerprintIdenticalToSerialAcrossLookaheads) {
   QesOptions serial;
   serial.cpu_work_factor = 8;
+  // The accumulators the result is assembled from: the tuple count is the
+  // join stats' count, and every scheduled pair is joined exactly once.
+  TestRig rig(overlap_spec(), overlap_cluster());
+  std::uint64_t scheduled = 0;
+  for (const auto& list :
+       make_schedule(rig.graph, rig.cluster->num_compute(), serial.assign,
+                     serial.pair_order, serial.seed)
+           .pairs_per_node) {
+    scheduled += list.size();
+  }
+  ASSERT_GT(scheduled, 0u);
+  auto expect_accumulators = [&](const QesResult& res) {
+    EXPECT_EQ(res.result_tuples, res.join_stats.result_tuples);
+    std::uint64_t joined = 0;
+    for (const auto& nw : res.node_work) joined += nw.items;
+    EXPECT_EQ(joined, scheduled);
+  };
   const QesResult base = run_ij(serial);
   ASSERT_GT(base.result_tuples, 0u);
   EXPECT_EQ(base.prefetch_issued, 0u);
   EXPECT_EQ(base.overlap_ratio, 0.0);
+  expect_accumulators(base);
 
   for (std::size_t la : {1u, 2u, 4u, 8u}) {
     for (bool coalesce : {false, true}) {
@@ -91,6 +109,7 @@ TEST(PipelinedIj, FingerprintIdenticalToSerialAcrossLookaheads) {
       EXPECT_GT(res.prefetch_issued, 0u);
       EXPECT_EQ(res.prefetch_wasted, 0u);  // fault-free: every pin consumed
       EXPECT_LE(res.elapsed, base.elapsed + 1e-12);
+      expect_accumulators(res);
     }
   }
 }

@@ -353,10 +353,30 @@ TEST(SharedFilesystem, BothCorrectAndGhSlower) {
   cspec.shared_filesystem = true;
   TestRig rig(spec, cspec);
   const auto ref = rig.reference();
+  // Every storage_disk(i) and compute_disk(j) is the one NFS server: disk
+  // totals must count it once, not n_s or n_c times.
+  Disk& nfs = rig.cluster->storage_disk(0);
+  ASSERT_EQ(&nfs, &rig.cluster->compute_disk(0));
+  const double ij_r0 = nfs.bytes_read();
   const auto ij = run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
                                    rig.graph, rig.query);
+  EXPECT_EQ(ij.storage_disk_read_bytes, nfs.bytes_read() - ij_r0);
+  const double gh_r0 = nfs.bytes_read();
+  const double gh_w0 = nfs.bytes_written();
+  const std::uint64_t chunks0 = rig.bds->total_stats().chunk_bytes_read;
   const auto gh =
       run_grace_hash(*rig.cluster, *rig.bds, rig.ds.meta, rig.query);
+  EXPECT_EQ(gh.storage_disk_read_bytes, nfs.bytes_read() - gh_r0);
+  EXPECT_EQ(gh.scratch_read_bytes, nfs.bytes_read() - gh_r0);
+  EXPECT_EQ(gh.scratch_write_bytes, nfs.bytes_written() - gh_w0);
+  EXPECT_GT(gh.scratch_write_bytes, 0.0);
+  // Every bucket byte written is read back. The server's reads also hold
+  // the chunk reads, so scratch write equals scratch read once those are
+  // taken out.
+  const auto chunk_bytes = static_cast<double>(
+      rig.bds->total_stats().chunk_bytes_read - chunks0);
+  EXPECT_GT(chunk_bytes, 0.0);
+  EXPECT_EQ(gh.scratch_write_bytes, gh.scratch_read_bytes - chunk_bytes);
   EXPECT_EQ(ij.result_tuples, ref.result_tuples);
   EXPECT_EQ(gh.result_tuples, ref.result_tuples);
   EXPECT_EQ(ij.result_fingerprint, ref.result_fingerprint);

@@ -8,6 +8,7 @@
 #include "datagen/generator.hpp"
 #include "dds/distributed.hpp"
 #include "dds/local_executor.hpp"
+#include "fault/fault.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -128,6 +129,34 @@ TEST(ScanAggregate, HavingOverScanAggregate) {
   const auto expected = local.execute(*view);
   EXPECT_EQ(out.num_rows(), expected.num_rows());
   EXPECT_EQ(out.unordered_fingerprint(), expected.unordered_fingerprint());
+}
+
+TEST(ScanAggregate, InjectedReadErrorsAreRetriedToTheSameResult) {
+  AggregateQuery q;
+  q.table = 1;
+  q.ranges = {{"x", {0, 11}}};
+  q.group_by = {"z"};
+  q.aggs = {AggSpec{AggSpec::Fn::Sum, "oilp", "s"},
+            AggSpec{AggSpec::Fn::Count, "", "n"}};
+  Rig clean;
+  const auto base =
+      run_distributed_aggregate(*clean.cluster, *clean.bds, clean.ds.meta, q);
+  EXPECT_EQ(base.fetch_retries, 0u);
+  EXPECT_FALSE(base.degraded);
+
+  Rig rig;
+  fault::FaultPlan plan;
+  plan.seed = 7;
+  plan.chunk_read_error_prob = 0.5;
+  plan.retry.max_attempts = 64;  // prob 0.5 needs headroom to converge
+  fault::FaultInjector inj(rig.engine, plan);
+  fault::ScopedInjector scoped(inj);
+  const auto res =
+      run_distributed_aggregate(*rig.cluster, *rig.bds, rig.ds.meta, q);
+  EXPECT_EQ(res.result_tuples, base.result_tuples);
+  EXPECT_EQ(res.result_fingerprint, base.result_fingerprint);
+  EXPECT_GT(res.fetch_retries, 0u);
+  EXPECT_TRUE(res.degraded);
 }
 
 TEST(ScanAggregate, MoreStorageNodesGoFaster) {
