@@ -1,6 +1,7 @@
 #include "bds/bds.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "fault/fault.hpp"
@@ -10,20 +11,13 @@
 
 namespace orv {
 
-namespace {
-
-/// Mirrors BdsStats deltas into the installed obs registry, if any.
-void publish_bds(std::uint64_t chunk_bytes, std::uint64_t shipped_bytes) {
-  auto* ctx = obs::context();
-  if (!ctx) return;
-  ctx->registry.counter("bds.subtables_served").add(1);
-  ctx->registry.counter("bds.chunk_bytes_read").add(chunk_bytes);
-  if (shipped_bytes) {
-    ctx->registry.counter("bds.subtable_bytes_shipped").add(shipped_bytes);
-  }
+SubTable load_chunk(const ChunkStore& store, const ChunkMeta& cm,
+                    const std::vector<AttrRange>* ranges) {
+  SubTable st = extract_chunk(store.read(cm.location));
+  ORV_CHECK(st.id() == cm.id, "extracted sub-table id mismatch");
+  if (ranges == nullptr || ranges->empty()) return st;
+  return filter_rows(st, *ranges);
 }
-
-}  // namespace
 
 BdsInstance::BdsInstance(Cluster& cluster, std::size_t storage_node,
                          const MetaDataService& meta,
@@ -37,137 +31,149 @@ BdsInstance::BdsInstance(Cluster& cluster, std::size_t storage_node,
   ORV_REQUIRE(store_ != nullptr, "BDS instance needs a chunk store");
 }
 
-sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
-    SubTableId id, obs::TraceContext rpc) {
+const ChunkMeta& BdsInstance::local_chunk(SubTableId id) const {
   const ChunkMeta& cm = meta_.chunk(id);
   ORV_REQUIRE(cm.location.storage_node == node_,
               "BDS instance asked for a chunk on another node: " +
                   cm.location.to_string());
+  return cm;
+}
+
+sim::Task<> BdsInstance::fault_gate(fault::FaultInjector& inj, SubTableId id,
+                                    bool remote) {
+  if (inj.storage_down(node_)) {
+    inj.note_crash_observed(fault::NodeKind::Storage, node_);
+    const double timeout = inj.plan().retry.fetch_timeout;
+    const double up_at = inj.storage_recovery_time(node_);
+    if (remote && timeout > 0 && up_at > cluster_.engine().now() + timeout) {
+      // The compute-side caller gives up after the RPC timeout; the
+      // retry loop around the fetch decides whether to try again.
+      co_await cluster_.engine().sleep(timeout);
+      throw fault::TimeoutError(
+          "fetch of " + id.to_string() + " timed out: storage node " +
+          std::to_string(node_) + " is down");
+    }
+    if (up_at == fault::kNever) {
+      throw fault::FaultError("storage node " + std::to_string(node_) +
+                              " permanently lost; chunk " + id.to_string() +
+                              " is unreadable");
+    }
+    // Otherwise the request stalls on the dead node until it serves again.
+    co_await cluster_.engine().wait_until(up_at);
+  }
+  inj.maybe_fail_chunk_read(node_);
+}
+
+void BdsInstance::count(std::uint64_t subtables, std::uint64_t chunk_bytes,
+                        std::uint64_t shipped_bytes) {
+  stats_ += BdsStats{subtables, chunk_bytes, shipped_bytes};
+  auto* ctx = obs::context();
+  if (!ctx) return;
+  ctx->registry.counter("bds.subtables_served").add(subtables);
+  ctx->registry.counter("bds.chunk_bytes_read").add(chunk_bytes);
+  if (shipped_bytes) {
+    ctx->registry.counter("bds.subtable_bytes_shipped").add(shipped_bytes);
+  }
+}
+
+sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
+    SubTableId id, obs::TraceContext rpc) {
+  const ChunkMeta& cm = local_chunk(id);
   obs::StageScope stage(obs::context(), "bds.produce", rpc.parent);
   stage.tag("storage_node", static_cast<std::uint64_t>(node_));
+  if (auto* inj = fault::context()) co_await fault_gate(*inj, id, false);
 
-  if (auto* inj = fault::context()) {
-    if (inj->storage_down(node_)) {
-      inj->note_crash_observed(fault::NodeKind::Storage, node_);
-      const double up_at = inj->storage_recovery_time(node_);
-      if (up_at == fault::kNever) {
-        throw fault::FaultError("storage node " + std::to_string(node_) +
-                                " permanently lost; chunk " + id.to_string() +
-                                " is unreadable");
-      }
-      // Local produce has no remote caller to time out: the request just
-      // stalls on the dead node until it serves again.
-      co_await cluster_.engine().wait_until(up_at);
-    }
-    inj->maybe_fail_chunk_read(node_);
-  }
-
-  // Charge the chunk read to the local disk, then do the real read.
-  co_await cluster_.storage_disk(node_).read(
-      static_cast<double>(cm.location.size));
-  const auto chunk_bytes = store_->read(cm.location);
-
-  // Extraction: interpret the application-specific layout (real work),
-  // charged to this node's CPU.
-  co_await cluster_.storage_cpu(node_).use(
-      extract_ops_per_byte_ * static_cast<double>(chunk_bytes.size()));
-  auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
-  ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
-
-  ++stats_.subtables_served;
-  stats_.chunk_bytes_read += cm.location.size;
-  publish_bds(cm.location.size, 0);
+  // Charge the chunk read to the local disk, then the extraction to this
+  // node's CPU; the real read + extraction happen at the completion time.
+  const double bytes = static_cast<double>(cm.location.size);
+  co_await cluster_.storage_disk(node_).read(bytes);
+  co_await cluster_.storage_cpu(node_).use(extract_ops_per_byte_ * bytes);
+  auto st = std::make_shared<const SubTable>(load_chunk(*store_, cm));
+  count(1, cm.location.size, 0);
   co_return st;
 }
-
-namespace {
-
-/// Record-level range filter shared with the QES layer (defined there).
-SubTable filter_subtable(const SubTable& st,
-                         const std::vector<AttrRange>& ranges) {
-  Rect pred = Rect::unbounded(st.schema().num_attrs());
-  bool constrained = false;
-  for (const auto& r : ranges) {
-    if (auto idx = st.schema().index_of(r.attr)) {
-      pred[*idx] = pred[*idx].intersect(r.range);
-      constrained = true;
-    }
-  }
-  if (!constrained) {
-    SubTable copy(st.schema_ptr(), st.id());
-    auto bytes = st.bytes();
-    copy.adopt_bytes({bytes.begin(), bytes.end()});
-    copy.set_bounds(st.bounds());
-    return copy;
-  }
-  SubTable out(st.schema_ptr(), st.id());
-  for (std::size_t r = 0; r < st.num_rows(); ++r) {
-    if (st.row_in(r, pred)) out.append_row({st.row(r), st.record_size()});
-  }
-  out.compute_bounds();
-  return out;
-}
-
-}  // namespace
 
 sim::Task<std::shared_ptr<const SubTable>> BdsInstance::fetch_to_compute(
     SubTableId id, std::size_t compute_node,
     const std::vector<AttrRange>* ranges, obs::TraceContext rpc) {
-  const ChunkMeta& cm = meta_.chunk(id);
-  ORV_REQUIRE(cm.location.storage_node == node_,
-              "BDS instance asked for a chunk on another node: " +
-                  cm.location.to_string());
+  const ChunkMeta* cm = &local_chunk(id);
+  std::shared_ptr<const SubTable> st;
+  co_await serve(std::span<const ChunkMeta*>(&cm, 1),
+                 std::span<std::shared_ptr<const SubTable>>(&st, 1),
+                 compute_node, ranges, rpc, /*batch=*/false);
+  co_return st;
+}
+
+sim::Task<std::vector<std::shared_ptr<const SubTable>>>
+BdsInstance::fetch_batch_to_compute(std::vector<SubTableId> ids,
+                                    std::size_t compute_node,
+                                    const std::vector<AttrRange>* ranges,
+                                    obs::TraceContext rpc) {
+  ORV_REQUIRE(!ids.empty(), "batch fetch needs at least one id");
+  std::vector<const ChunkMeta*> chunks;
+  chunks.reserve(ids.size());
+  for (const auto& id : ids) chunks.push_back(&local_chunk(id));
+  std::vector<std::shared_ptr<const SubTable>> out(ids.size());
+  co_await serve(chunks, out, compute_node, ranges, rpc, /*batch=*/true);
+  co_return out;
+}
+
+sim::Task<> BdsInstance::serve(std::span<const ChunkMeta*> chunks,
+                               std::span<std::shared_ptr<const SubTable>> out,
+                               std::size_t compute_node,
+                               const std::vector<AttrRange>* ranges,
+                               obs::TraceContext rpc, bool batch) {
   obs::StageScope stage(obs::context(), "bds.fetch", rpc.parent);
   stage.tag("storage_node", static_cast<std::uint64_t>(node_));
   stage.tag("compute_node", static_cast<std::uint64_t>(compute_node));
+  if (batch) stage.tag("batch", static_cast<std::uint64_t>(chunks.size()));
+  if (auto* inj = fault::context(); inj != nullptr && !batch) {
+    co_await fault_gate(*inj, chunks[0]->id, /*remote=*/true);
+  }
 
-  if (auto* inj = fault::context()) {
-    if (inj->storage_down(node_)) {
-      inj->note_crash_observed(fault::NodeKind::Storage, node_);
-      const double timeout = inj->plan().retry.fetch_timeout;
-      const double up_at = inj->storage_recovery_time(node_);
-      if (timeout > 0 &&
-          up_at > cluster_.engine().now() + timeout) {
-        // The compute-side caller gives up after the RPC timeout; the
-        // retry loop around the fetch decides whether to try again.
-        co_await cluster_.engine().sleep(timeout);
-        throw fault::TimeoutError(
-            "fetch of " + id.to_string() + " timed out: storage node " +
-            std::to_string(node_) + " is down");
-      }
-      if (up_at == fault::kNever) {
-        throw fault::FaultError("storage node " + std::to_string(node_) +
-                                " permanently lost; chunk " + id.to_string() +
-                                " is unreadable");
-      }
-      co_await cluster_.engine().wait_until(up_at);
+  // Streamed shipping: the chunks are read, extracted and sent in a
+  // pipeline, so the request completes when the most-loaded stage does
+  // (this is what lets the cost models' min(Net_bw, readIO_bw * n_s)
+  // describe the transfer phase). The real reads + extraction happen
+  // "instantly" at the virtual completion time, in the caller's order.
+  std::uint64_t chunk_bytes = 0;
+  std::uint64_t shipped_bytes = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    out[i] = std::make_shared<const SubTable>(
+        load_chunk(*store_, *chunks[i], ranges));
+    chunk_bytes += chunks[i]->location.size;
+    shipped_bytes += out[i]->size_bytes();
+  }
+
+  // One disk reservation per on-disk-adjacent run: a run pays a single
+  // seek, and the spindle's FCFS queue serializes the runs, so the last
+  // reservation is the read completion time.
+  std::sort(chunks.begin(), chunks.end(),
+            [](const ChunkMeta* a, const ChunkMeta* b) {
+              return std::tie(a->location.file_no, a->location.offset) <
+                     std::tie(b->location.file_no, b->location.offset);
+            });
+  sim::Time read_done = cluster_.engine().now();
+  std::uint64_t num_runs = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++num_runs) {
+    double run_bytes = static_cast<double>(chunks[i]->location.size);
+    for (++i; i < chunks.size() &&
+              chunks[i - 1]->location.followed_by(chunks[i]->location);
+         ++i) {
+      run_bytes += static_cast<double>(chunks[i]->location.size);
     }
-    inj->maybe_fail_chunk_read(node_);
+    read_done = cluster_.storage_disk(node_).reserve_read(run_bytes);
   }
-
-  // Streamed shipping: the chunk is read, extracted and sent in a pipeline,
-  // so the fetch completes when the most-loaded stage does (this is what
-  // lets the cost models' min(Net_bw, readIO_bw * n_s) describe the
-  // transfer phase). The real read + extraction happen "instantly" at the
-  // virtual completion time.
-  const auto chunk_bytes = store_->read(cm.location);
-  auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
-  ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
-  if (ranges != nullptr && !ranges->empty()) {
-    st = std::make_shared<const SubTable>(filter_subtable(*st, *ranges));
-  }
-
-  const sim::Time read_done = cluster_.storage_disk(node_).reserve_read(
-      static_cast<double>(cm.location.size));
   const sim::Time extract_done = cluster_.storage_cpu(node_).reserve(
-      extract_ops_per_byte_ * static_cast<double>(chunk_bytes.size()));
+      extract_ops_per_byte_ * static_cast<double>(chunk_bytes));
+
+  const double ship_bytes = static_cast<double>(shipped_bytes);
   auto* agg = net::context();
   if (agg != nullptr && !cluster_.is_local(node_, compute_node)) {
     // Aggregated reply: the egress (source NIC + switch) is charged by the
     // combined frame that carries this reply, so co-destined replies share
     // one per-message overhead. The deliver closure charges the compute
-    // NIC — the same byte totals the 3-hop reserve_transfer books.
-    const double ship_bytes = static_cast<double>(st->size_bytes());
+    // NIC — the same byte totals the 3-hop transfer books.
     auto delivered = std::make_shared<sim::Event>(cluster_.engine());
     Cluster* cluster = &cluster_;
     agg->post(node_, compute_node, ship_bytes, stage.id(),
@@ -179,122 +185,19 @@ sim::Task<std::shared_ptr<const SubTable>> BdsInstance::fetch_to_compute(
     co_await cluster_.engine().wait_until(std::max(read_done, extract_done));
     co_await delivered->wait();
   } else {
-    const sim::Time sent = cluster_.reserve_transfer(
-        node_, compute_node, static_cast<double>(st->size_bytes()));
+    const sim::Time sent =
+        cluster_.reserve_transfer(node_, compute_node, ship_bytes);
     // Nested max: a braced initializer_list here would hit a gcc-12
     // coroutine-frame bug ("array used as initializer").
     co_await cluster_.engine().wait_until(
         std::max(read_done, std::max(extract_done, sent)));
   }
 
-  ++stats_.subtables_served;
-  stats_.chunk_bytes_read += cm.location.size;
-  stats_.subtable_bytes_shipped += st->size_bytes();
-  publish_bds(cm.location.size, st->size_bytes());
-  co_return st;
-}
-
-sim::Task<std::vector<std::shared_ptr<const SubTable>>>
-BdsInstance::fetch_batch_to_compute(std::vector<SubTableId> ids,
-                                    std::size_t compute_node,
-                                    const std::vector<AttrRange>* ranges,
-                                    obs::TraceContext rpc) {
-  ORV_REQUIRE(!ids.empty(), "batch fetch needs at least one id");
-  obs::StageScope stage(obs::context(), "bds.fetch", rpc.parent);
-  stage.tag("storage_node", static_cast<std::uint64_t>(node_));
-  stage.tag("compute_node", static_cast<std::uint64_t>(compute_node));
-  stage.tag("batch", static_cast<std::uint64_t>(ids.size()));
-
-  // Sort a view of the batch by on-disk position to find coalescable runs;
-  // results are still returned in the caller's order.
-  std::vector<const ChunkMeta*> by_pos;
-  by_pos.reserve(ids.size());
-  for (const auto& id : ids) {
-    const ChunkMeta& cm = meta_.chunk(id);
-    ORV_REQUIRE(cm.location.storage_node == node_,
-                "BDS instance asked for a chunk on another node: " +
-                    cm.location.to_string());
-    by_pos.push_back(&cm);
-  }
-  std::sort(by_pos.begin(), by_pos.end(),
-            [](const ChunkMeta* a, const ChunkMeta* b) {
-              if (a->location.file_no != b->location.file_no) {
-                return a->location.file_no < b->location.file_no;
-              }
-              return a->location.offset < b->location.offset;
-            });
-
-  // One disk reservation per adjacent run: a run pays a single seek, and
-  // the spindle's FCFS queue serializes the runs, so the last reservation
-  // is the batch's read completion time.
-  sim::Time read_done = cluster_.engine().now();
-  std::uint64_t num_runs = 0;
-  for (std::size_t i = 0; i < by_pos.size();) {
-    double run_bytes = static_cast<double>(by_pos[i]->location.size);
-    std::size_t j = i + 1;
-    while (j < by_pos.size() &&
-           by_pos[j]->location.file_no == by_pos[j - 1]->location.file_no &&
-           by_pos[j - 1]->location.offset + by_pos[j - 1]->location.size ==
-               by_pos[j]->location.offset) {
-      run_bytes += static_cast<double>(by_pos[j]->location.size);
-      ++j;
-    }
-    read_done = cluster_.storage_disk(node_).reserve_read(run_bytes);
-    ++num_runs;
-    i = j;
-  }
-
-  // The real reads + extraction, and the virtual charges for them.
-  std::vector<std::shared_ptr<const SubTable>> out;
-  out.reserve(ids.size());
-  double extract_bytes = 0;
-  double shipped_bytes = 0;
-  for (const auto& id : ids) {
-    const ChunkMeta& cm = meta_.chunk(id);
-    const auto chunk_bytes = store_->read(cm.location);
-    extract_bytes += static_cast<double>(chunk_bytes.size());
-    auto st = std::make_shared<const SubTable>(extract_chunk(chunk_bytes));
-    ORV_CHECK(st->id() == id, "extracted sub-table id mismatch");
-    if (ranges != nullptr && !ranges->empty()) {
-      st = std::make_shared<const SubTable>(filter_subtable(*st, *ranges));
-    }
-    shipped_bytes += static_cast<double>(st->size_bytes());
-    ++stats_.subtables_served;
-    stats_.chunk_bytes_read += cm.location.size;
-    stats_.subtable_bytes_shipped += st->size_bytes();
-    publish_bds(cm.location.size, st->size_bytes());
-    out.push_back(std::move(st));
-  }
-
-  const sim::Time extract_done = cluster_.storage_cpu(node_).reserve(
-      extract_ops_per_byte_ * extract_bytes);
-  auto* agg = net::context();
-  if (agg != nullptr && !cluster_.is_local(node_, compute_node)) {
-    // Same aggregated-reply shape as the single-chunk fetch: one posted
-    // logical message for the whole coalesced batch.
-    auto delivered = std::make_shared<sim::Event>(cluster_.engine());
-    Cluster* cluster = &cluster_;
-    agg->post(node_, compute_node, shipped_bytes, stage.id(),
-              [cluster, compute_node, shipped_bytes,
-               delivered]() -> sim::Task<> {
-                co_await cluster->compute_ingress(compute_node,
-                                                  shipped_bytes);
-                delivered->set();
-              });
-    co_await cluster_.engine().wait_until(std::max(read_done, extract_done));
-    co_await delivered->wait();
-  } else {
-    const sim::Time sent =
-        cluster_.reserve_transfer(node_, compute_node, shipped_bytes);
-    co_await cluster_.engine().wait_until(
-        std::max(read_done, std::max(extract_done, sent)));
-  }
-
-  if (auto* ctx = obs::context()) {
+  count(chunks.size(), chunk_bytes, shipped_bytes);
+  if (auto* ctx = obs::context(); ctx && batch) {
     ctx->registry.counter("bds.coalesced_runs").add(num_runs);
-    ctx->registry.counter("bds.coalesced_chunks").add(ids.size());
+    ctx->registry.counter("bds.coalesced_chunks").add(chunks.size());
   }
-  co_return out;
 }
 
 BdsService::BdsService(Cluster& cluster, const MetaDataService& meta,
@@ -321,11 +224,7 @@ BdsInstance& BdsService::instance_for(SubTableId id) {
 
 BdsStats BdsService::total_stats() const {
   BdsStats total;
-  for (const auto& inst : instances_) {
-    total.subtables_served += inst->stats().subtables_served;
-    total.chunk_bytes_read += inst->stats().chunk_bytes_read;
-    total.subtable_bytes_shipped += inst->stats().subtable_bytes_shipped;
-  }
+  for (const auto& inst : instances_) total += inst->stats();
   return total;
 }
 

@@ -59,25 +59,19 @@ std::string ViewFramework::explain(const std::string& sql,
   std::string out = "plan:   " + bound->to_string(meta_) + "\n";
   out += "schema: " + bound->output_schema(meta_)->to_string() + "\n";
 
-  JoinViewShape shape;
-  if (!match_join_view(*bound, &shape)) {
-    const ViewDef* cur = bound.get();
-    while (cur->kind == ViewDef::Kind::Select ||
-           cur->kind == ViewDef::Kind::Sort) {
-      cur = cur->input.get();
-    }
-    if (cur->kind == ViewDef::Kind::Aggregate &&
-        match_join_view(*cur->input, &shape)) {
-      out += "exec:   distributed aggregate over join view\n";
-    } else {
-      out += "exec:   local executor\n";
-      return out;
-    }
-  } else {
-    out += "exec:   distributed join view (or local)\n";
+  const DdsShape dds = match_dds_view(*bound);
+  if (dds.kind == DdsShape::Kind::Local) {
+    return out + "exec:   local executor\n";
   }
+  if (dds.kind == DdsShape::Kind::AggregatedScan) {
+    return out + "exec:   distributed scan-aggregate\n";
+  }
+  out += dds.kind == DdsShape::Kind::JoinView
+             ? "exec:   distributed join view (or local)\n"
+             : "exec:   distributed aggregate over join view\n";
 
   if (cluster_spec != nullptr) {
+    const JoinViewShape& shape = dds.join;
     const auto graph =
         ConnectivityGraph::build(meta_, shape.left_table, shape.right_table,
                                  shape.join_attrs, shape.ranges);
@@ -106,11 +100,6 @@ DistributedRun ViewFramework::query_distributed(const std::string& sql,
   BdsService bds(cluster, meta_,
                  std::vector<std::shared_ptr<ChunkStore>>(stores_));
   DistributedDds dds(cluster, bds, meta_);
-  if (!dds.supports(*bound)) {
-    throw InvalidArgument(
-        "query '" + sql +
-        "' does not bind to a join-based DDS view; run it locally");
-  }
   return dds.execute(*bound, std::move(options), rows_out);
 }
 

@@ -90,6 +90,13 @@ double gh_h1_frames(const CostParams& p) {
   return gh_h1_messages(p) / std::max(1.0, p.agg_flush_batches);
 }
 
+double gh_bucket_count(double per_node_bytes, double bucket_pair_bytes,
+                       double memory_bytes) {
+  const double target =
+      bucket_pair_bytes > 0 ? bucket_pair_bytes : memory_bytes / 2;
+  return target > 0 ? std::floor(per_node_bytes / target) + 1 : 1;
+}
+
 double ij_fetch_messages(const CostParams& p) {
   if (p.c_R <= 0 || p.c_S <= 0) return 0;
   return p.T / p.c_R + p.T / p.c_S;
@@ -153,16 +160,11 @@ CostBreakdown grace_hash_cost(const CostParams& p) {
     // Phase 1: the spill for batch k is written while batch k+1 streams
     // in. Per-receiver batch count shares the h1 message derivation with
     // the message term and run_grace_hash.
-    const double per_node_bytes = total_bytes(p) / p.n_j;
     const double n_batches = gh_h1_messages(p) / p.n_j;
     c.overlap = stage_overlap(c.transfer, c.write, n_batches);
     // Phase 2: bucket k+1's scratch read is issued while bucket k joins.
-    // Bucket count exactly as run_grace_hash derives it (Section 4.2: a
-    // bucket pair must fit in half the joiner's memory).
-    const double target = p.bucket_pair_bytes > 0 ? p.bucket_pair_bytes
-                                                  : p.memory_bytes / 2;
-    const double n_buckets =
-        target > 0 ? std::floor(per_node_bytes / target) + 1 : 1;
+    const double n_buckets = gh_bucket_count(
+        total_bytes(p) / p.n_j, p.bucket_pair_bytes, p.memory_bytes);
     c.overlap += stage_overlap(c.read, c.cpu(), n_buckets);
   }
   return c;

@@ -148,6 +148,13 @@ double gh_h1_messages(const CostParams& p);
 /// threshold of 1 (no aggregation).
 double gh_h1_frames(const CostParams& p);
 
+/// GH phase-2 buckets per joiner: floor(per_node_bytes / target) + 1, where
+/// the target is `bucket_pair_bytes` when positive, else half the joiner's
+/// memory (Section 4.2: a bucket pair must fit in memory). run_grace_hash
+/// and the GH cost model's double-buffer overlap both use it.
+double gh_bucket_count(double per_node_bytes, double bucket_pair_bytes,
+                       double memory_bytes);
+
 /// Logical IJ fetch replies: one per sub-table fetch, m_R + m_S minimum.
 double ij_fetch_messages(const CostParams& p);
 

@@ -5,61 +5,10 @@
 #include "common/error.hpp"
 #include "dds/aggregate.hpp"
 #include "dds/local_executor.hpp"
-#include "qes/scan_aggregate.hpp"
 
 namespace orv {
 
 namespace {
-
-/// [Select]* Aggregate [Select]* BaseTable — the single-table aggregation
-/// DDS, served by the distributed scan-aggregate QES.
-bool match_aggregated_scan(const ViewDef& view, AggregateQuery* query,
-                           std::vector<AttrRange>* post_ranges) {
-  const ViewDef* cur = &view;
-  while (cur->kind == ViewDef::Kind::Select) {
-    if (post_ranges) {
-      post_ranges->insert(post_ranges->end(), cur->ranges.begin(),
-                          cur->ranges.end());
-    }
-    cur = cur->input.get();
-  }
-  if (cur->kind != ViewDef::Kind::Aggregate) return false;
-  const ViewDef* agg = cur;
-  cur = cur->input.get();
-  std::vector<AttrRange> pre_ranges;
-  while (cur->kind == ViewDef::Kind::Select) {
-    pre_ranges.insert(pre_ranges.end(), cur->ranges.begin(),
-                      cur->ranges.end());
-    cur = cur->input.get();
-  }
-  if (cur->kind != ViewDef::Kind::BaseTable) return false;
-  if (query) {
-    query->table = cur->table;
-    query->ranges = std::move(pre_ranges);
-    query->group_by = agg->group_by;
-    query->aggs = agg->aggs;
-  }
-  return true;
-}
-
-/// [Select]* Aggregate (join-view) pattern: selections above the aggregate
-/// (HAVING) collect into `post_ranges`, applied after the central merge.
-bool match_aggregated_join(const ViewDef& view, JoinViewShape* shape,
-                           const ViewDef** agg_node,
-                           std::vector<AttrRange>* post_ranges) {
-  const ViewDef* cur = &view;
-  while (cur->kind == ViewDef::Kind::Select) {
-    if (post_ranges) {
-      post_ranges->insert(post_ranges->end(), cur->ranges.begin(),
-                          cur->ranges.end());
-    }
-    cur = cur->input.get();
-  }
-  if (cur->kind != ViewDef::Kind::Aggregate) return false;
-  if (!match_join_view(*cur->input, shape)) return false;
-  *agg_node = cur;
-  return true;
-}
 
 /// Copies `fragment` rows into `out`, applying an optional projection.
 void append_fragment(const SubTable& fragment,
@@ -86,60 +35,83 @@ void append_fragment(const SubTable& fragment,
 
 }  // namespace
 
-bool DistributedDds::supports(const ViewDef& view) const {
-  // A top-level Sort is peeled off and applied after the distributed run.
-  const ViewDef* core = &view;
-  if (core->kind == ViewDef::Kind::Sort) core = core->input.get();
-  JoinViewShape shape;
-  const ViewDef* agg = nullptr;
-  return match_join_view(*core, &shape) ||
-         match_aggregated_join(*core, &shape, &agg, nullptr) ||
-         match_aggregated_scan(*core, nullptr, nullptr);
+DdsShape match_dds_view(const ViewDef& view) {
+  DdsShape shape;
+  const ViewDef* cur = &view;
+  if (cur->kind == ViewDef::Kind::Sort) {
+    shape.sort = cur;
+    cur = cur->input.get();
+  }
+  if (match_join_view(*cur, &shape.join)) {
+    shape.kind = DdsShape::Kind::JoinView;
+    return shape;
+  }
+  while (cur->kind == ViewDef::Kind::Select) {
+    shape.post_ranges.insert(shape.post_ranges.end(), cur->ranges.begin(),
+                             cur->ranges.end());
+    cur = cur->input.get();
+  }
+  if (cur->kind != ViewDef::Kind::Aggregate) return {};
+  shape.aggregate = cur;
+  if (match_join_view(*cur->input, &shape.join)) {
+    shape.kind = DdsShape::Kind::AggregatedJoin;
+    return shape;
+  }
+  // A single-table aggregation: the distributed scan-aggregate QES.
+  cur = cur->input.get();
+  while (cur->kind == ViewDef::Kind::Select) {
+    shape.scan.ranges.insert(shape.scan.ranges.end(), cur->ranges.begin(),
+                             cur->ranges.end());
+    cur = cur->input.get();
+  }
+  if (cur->kind != ViewDef::Kind::BaseTable) return {};
+  shape.kind = DdsShape::Kind::AggregatedScan;
+  shape.scan.table = cur->table;
+  shape.scan.group_by = shape.aggregate->group_by;
+  shape.scan.aggs = shape.aggregate->aggs;
+  return shape;
 }
 
-DistributedRun DistributedDds::execute(const ViewDef& top_view,
+DistributedRun DistributedDds::execute(const ViewDef& view,
                                        QesOptions options,
                                        SubTable* rows_out) {
-  // Peel a top-level ORDER BY/LIMIT: the small materialized result sorts
-  // centrally after the distributed run.
-  const ViewDef* sort_node = nullptr;
-  const ViewDef* view_ptr = &top_view;
-  if (view_ptr->kind == ViewDef::Kind::Sort) {
-    sort_node = view_ptr;
-    view_ptr = view_ptr->input.get();
-  }
-  const ViewDef& view = *view_ptr;
-  if (sort_node != nullptr && rows_out != nullptr) {
-    DistributedRun run = execute(view, std::move(options), rows_out);
-    *rows_out = sort_rows(*rows_out, sort_node->sort_keys, sort_node->limit);
-    return run;
-  }
-  JoinViewShape shape;
-  const ViewDef* agg_node = nullptr;
-  std::vector<AttrRange> post_ranges;
-  if (!match_join_view(view, &shape) &&
-      !match_aggregated_join(view, &shape, &agg_node, &post_ranges)) {
-    AggregateQuery scan_query;
-    if (match_aggregated_scan(view, &scan_query, &post_ranges)) {
-      DistributedRun run;
+  const DdsShape shape = match_dds_view(view);
+  DistributedRun run;
+  switch (shape.kind) {
+    case DdsShape::Kind::Local:
+      throw InvalidArgument(
+          "view is not a join-based DDS shape; use the LocalExecutor");
+    case DdsShape::Kind::AggregatedScan: {
       SubTable table(view.output_schema(meta_), SubTableId{0, 0});
-      run.qes = run_distributed_aggregate(cluster_, bds_, meta_, scan_query,
+      run.qes = run_distributed_aggregate(cluster_, bds_, meta_, shape.scan,
                                           options, &table);
-      if (!post_ranges.empty()) {
-        table = filter_rows(table, table.schema(), post_ranges);
-      }
       if (rows_out != nullptr) *rows_out = std::move(table);
-      return run;
+      break;
     }
-    throw InvalidArgument(
-        "view is not a join-based DDS shape; use the LocalExecutor");
+    default:
+      run = run_join(shape, std::move(options), rows_out);
   }
+  // The small materialized result takes HAVING and then a top-level
+  // ORDER BY/LIMIT centrally.
+  if (rows_out != nullptr) {
+    if (!shape.post_ranges.empty()) {
+      *rows_out = filter_rows(*rows_out, shape.post_ranges);
+    }
+    if (shape.sort != nullptr) {
+      *rows_out =
+          sort_rows(*rows_out, shape.sort->sort_keys, shape.sort->limit);
+    }
+  }
+  return run;
+}
 
-  JoinQuery query;
-  query.left_table = shape.left_table;
-  query.right_table = shape.right_table;
-  query.join_attrs = shape.join_attrs;
-  query.ranges = shape.ranges;
+DistributedRun DistributedDds::run_join(const DdsShape& dds_shape,
+                                        QesOptions options,
+                                        SubTable* rows_out) {
+  const JoinViewShape& shape = dds_shape.join;
+  const ViewDef* agg_node = dds_shape.aggregate;
+  const JoinQuery query{shape.left_table, shape.right_table, shape.join_attrs,
+                        shape.ranges};
 
   // Result schema of the raw join (before projection/aggregation).
   const auto left_schema = meta_.table_schema(query.left_table);
@@ -192,13 +164,7 @@ DistributedRun DistributedDds::execute(const ViewDef& top_view,
   if (agg_node != nullptr) {
     GroupByAggregator merged(join_schema, agg_node->group_by, agg_node->aggs);
     for (const auto& a : node_aggs) merged.merge(*a);
-    if (rows_out != nullptr) {
-      SubTable table = merged.finish();
-      if (!post_ranges.empty()) {
-        table = filter_rows(table, table.schema(), post_ranges);
-      }
-      *rows_out = std::move(table);
-    }
+    if (rows_out != nullptr) *rows_out = merged.finish();
   }
   return run;
 }

@@ -4,11 +4,10 @@
 #include <cstring>
 #include <optional>
 
+#include "bds/bds.hpp"
 #include "common/error.hpp"
 #include "dds/aggregate.hpp"
-#include "extract/extractor.hpp"
 #include "join/hash_join.hpp"
-#include "qes/qes.hpp"
 
 namespace orv {
 
@@ -61,10 +60,7 @@ SubTable LocalExecutor::scan(TableId table,
 
   auto load = [&](SubTableId id) {
     const auto& cm = meta_.chunk(id);
-    const auto bytes = stores_.at(cm.location.storage_node)->read(cm.location);
-    SubTable st = extract_chunk(bytes);
-    if (!ranges.empty()) st = filter_rows(st, st.schema(), ranges);
-    return st;
+    return load_chunk(*stores_.at(cm.location.storage_node), cm, &ranges);
   };
 
   if (pool_ != nullptr && ids.size() > 1) {
@@ -78,10 +74,7 @@ SubTable LocalExecutor::scan(TableId table,
     return all;
   }
 
-  for (const auto& id : ids) {
-    const SubTable st = load(id);
-    append_all(st, all);
-  }
+  for (const auto& id : ids) append_all(load(id), all);
   return all;
 }
 
@@ -127,7 +120,7 @@ SubTable LocalExecutor::execute(const ViewDef& view) const {
         return scan(view.input->table, view.ranges);
       }
       SubTable in = execute(*view.input);
-      return filter_rows(in, in.schema(), view.ranges);
+      return filter_rows(in, view.ranges);
     }
 
     case ViewDef::Kind::Project: {

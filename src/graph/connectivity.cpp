@@ -50,16 +50,6 @@ bool overlap_on(const ChunkMeta& lc, const ChunkMeta& rc,
 
 }  // namespace
 
-bool satisfies_ranges(const ChunkMeta& chunk,
-                      const std::vector<AttrRange>& ranges) {
-  for (const auto& r : ranges) {
-    if (auto idx = chunk.schema->index_of(r.attr)) {
-      if (!chunk.bounds[*idx].overlaps(r.range)) return false;
-    }
-  }
-  return true;
-}
-
 ConnectivityGraph ConnectivityGraph::build(
     const MetaDataService& meta, TableId left_table, TableId right_table,
     const std::vector<std::string>& join_attrs,

@@ -47,11 +47,6 @@ struct GraphStats {
   std::string to_string() const;
 };
 
-/// True when the chunk's bounds intersect every query range on an
-/// attribute it has (an attribute it lacks constrains nothing).
-bool satisfies_ranges(const ChunkMeta& chunk,
-                      const std::vector<AttrRange>& ranges);
-
 class ConnectivityGraph {
  public:
   /// Builds the graph for `left_table` join `right_table` on `join_attrs`,

@@ -6,6 +6,34 @@
 
 namespace orv {
 
+bool satisfies_ranges(const ChunkMeta& chunk,
+                      const std::vector<AttrRange>& ranges) {
+  for (const auto& r : ranges) {
+    if (auto idx = chunk.schema->index_of(r.attr)) {
+      if (!chunk.bounds[*idx].overlaps(r.range)) return false;
+    }
+  }
+  return true;
+}
+
+SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
+  Rect pred = Rect::unbounded(st.schema().num_attrs());
+  bool constrained = false;
+  for (const auto& r : ranges) {
+    if (auto idx = st.schema().index_of(r.attr)) {
+      pred[*idx] = pred[*idx].intersect(r.range);
+      constrained = true;
+    }
+  }
+  if (!constrained) return st;
+  SubTable out(st.schema_ptr(), st.id());
+  for (std::size_t r = 0; r < st.num_rows(); ++r) {
+    if (st.row_in(r, pred)) out.append_row({st.row(r), st.record_size()});
+  }
+  out.compute_bounds();
+  return out;
+}
+
 void MetaDataService::register_table(TableId table, std::string name,
                                      SchemaPtr schema) {
   ORV_REQUIRE(schema != nullptr, "register_table needs a schema");

@@ -42,6 +42,17 @@ struct AttrRange {
   Interval range;
 };
 
+/// True when the chunk's bounds intersect every query range on an
+/// attribute it has: the chunk-level half of range selection.
+bool satisfies_ranges(const ChunkMeta& chunk,
+                      const std::vector<AttrRange>& ranges);
+
+/// The record-level half: the rows of `st` inside every range (both
+/// endpoints inclusive), same schema and id, bounds recomputed. When no
+/// range names one of its attributes, `st` comes back whole with its
+/// bounds kept. The BDS (pushdown), the QES and the oracles all use it.
+SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges);
+
 class MetaDataService {
  public:
   MetaDataService() = default;

@@ -18,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "cost/cost_model.hpp"
 #include "fault/fault.hpp"
 #include "net/aggregator.hpp"
 #include "obs/obs.hpp"
@@ -649,10 +650,9 @@ sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
       static_cast<double>(meta.table_bytes(query.left_table) +
                           meta.table_bytes(query.right_table));
   const double per_node = total_bytes / static_cast<double>(cluster.num_compute());
-  const double target = options.bucket_pair_bytes
-                            ? static_cast<double>(options.bucket_pair_bytes)
-                            : static_cast<double>(cluster.memory_bytes()) / 2;
-  sh.n_buckets = static_cast<std::size_t>(per_node / target) + 1;
+  sh.n_buckets = static_cast<std::size_t>(
+      gh_bucket_count(per_node, static_cast<double>(options.bucket_pair_bytes),
+                      static_cast<double>(cluster.memory_bytes())));
 
   for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
     sh.to_compute.push_back(std::make_unique<sim::Channel<Batch>>(

@@ -156,11 +156,11 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node,
   if (cache.pin(id)) co_return;  // resident: pin is all we need
   const double t0 = sh.cluster.engine().now();
   if (fault::context() == nullptr && sh.options.coalesce_fetches) {
-    // Gather upcoming misses served by the same storage node within the
-    // lookahead window, then keep only the maximal on-disk-adjacent run
-    // containing `id`: those chunks coalesce into one disk reservation
-    // (one seek). Fetching non-adjacent ids together would save nothing
-    // and delay the current pair behind the whole batch's transfer.
+    // Gather upcoming misses within the lookahead window, then keep only
+    // the maximal on-disk-adjacent run containing `id`: those chunks
+    // coalesce into one disk reservation (one seek). Fetching non-adjacent
+    // ids together would save nothing and delay the current pair behind
+    // the whole batch's transfer.
     const ChunkLocation& loc = sh.meta.chunk(id).location;
     std::vector<const ChunkMeta*> cands;
     std::unordered_set<SubTableId, SubTableIdHash> taken{id};
@@ -175,13 +175,8 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node,
           continue;
         }
         if (cache.contains(cand)) continue;
-        const ChunkMeta& cm = sh.meta.chunk(cand);
-        if (cm.location.storage_node != loc.storage_node ||
-            cm.location.file_no != loc.file_no) {
-          continue;
-        }
         taken.insert(cand);
-        cands.push_back(&cm);
+        cands.push_back(&sh.meta.chunk(cand));
       }
     }
     std::sort(cands.begin(), cands.end(),
@@ -191,18 +186,18 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node,
     // Extend the run upward from `id`, then collect the chunks that chain
     // downward onto its start.
     std::vector<SubTableId> batch{id};
-    std::uint64_t run_end = loc.offset + loc.size;
+    const ChunkLocation* last = &loc;
     for (const ChunkMeta* cm : cands) {
-      if (cm->location.offset == run_end) {
+      if (last->followed_by(cm->location)) {
         batch.push_back(cm->id);
-        run_end += cm->location.size;
+        last = &cm->location;
       }
     }
-    std::uint64_t run_begin = loc.offset;
+    const ChunkLocation* first = &loc;
     for (auto it = cands.rbegin(); it != cands.rend(); ++it) {
-      if ((*it)->location.offset + (*it)->location.size == run_begin) {
+      if ((*it)->location.followed_by(*first)) {
         batch.push_back((*it)->id);
-        run_begin = (*it)->location.offset;
+        first = &(*it)->location;
       }
     }
     obs::StageScope stage(obs::context(), "ij.fetch", sh.node_spans[node]);
@@ -427,7 +422,7 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
         // Selection over the join output: equivalent to filtering the
         // inputs for conjunctive per-attribute ranges (key attrs survive
         // the join).
-        out = filter_rows(out, out.schema(), sh.output_ranges);
+        out = filter_rows(out, sh.output_ranges);
       }
       sh.result.join_stats.result_tuples += out.num_rows();
       sh.result.result_fingerprint += out.unordered_fingerprint();

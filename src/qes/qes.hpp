@@ -263,10 +263,4 @@ ReferenceResult nested_loop_reference(
     const std::vector<std::shared_ptr<ChunkStore>>& stores,
     const JoinQuery& query);
 
-/// Applies the query's record-level range predicate to a sub-table,
-/// returning the surviving rows (same schema/id). Used by both QES and the
-/// reference.
-SubTable filter_rows(const SubTable& st, const Schema& schema,
-                     const std::vector<AttrRange>& ranges);
-
 }  // namespace orv

@@ -62,8 +62,7 @@ sim::Task<std::shared_ptr<const SubTable>> read_with_retry(
 std::shared_ptr<const SubTable> select_rows(
     std::shared_ptr<const SubTable> st, const std::vector<AttrRange>& ranges) {
   if (ranges.empty()) return st;
-  return std::make_shared<const SubTable>(
-      filter_rows(*st, st->schema(), ranges));
+  return std::make_shared<const SubTable>(filter_rows(*st, ranges));
 }
 
 void mark_degraded(QesResult& result) {
@@ -126,33 +125,6 @@ void QueryFrame::close(QesResult& result) {
 
 }  // namespace qes_detail
 
-SubTable filter_rows(const SubTable& st, const Schema& schema,
-                     const std::vector<AttrRange>& ranges) {
-  Rect pred = Rect::unbounded(schema.num_attrs());
-  bool constrained = false;
-  for (const auto& r : ranges) {
-    if (auto idx = schema.index_of(r.attr)) {
-      pred[*idx] = pred[*idx].intersect(r.range);
-      constrained = true;
-    }
-  }
-  if (!constrained) {
-    SubTable copy(st.schema_ptr(), st.id());
-    auto bytes = st.bytes();
-    copy.adopt_bytes({bytes.begin(), bytes.end()});
-    copy.set_bounds(st.bounds());
-    return copy;
-  }
-  SubTable out(st.schema_ptr(), st.id());
-  for (std::size_t r = 0; r < st.num_rows(); ++r) {
-    if (st.row_in(r, pred)) {
-      out.append_row({st.row(r), st.record_size()});
-    }
-  }
-  out.compute_bounds();
-  return out;
-}
-
 namespace {
 
 /// Every chunk of `table`, extracted and filtered by the query's ranges, in
@@ -162,11 +134,10 @@ SubTable load_table(const MetaDataService& meta,
                     TableId table, const std::vector<AttrRange>& ranges) {
   SubTable all(meta.table_schema(table), SubTableId{table, 0});
   for (const auto& cm : meta.chunks(table)) {
-    const auto bytes = stores.at(cm.location.storage_node)->read(cm.location);
-    SubTable st = extract_chunk(bytes);
-    SubTable filtered = filter_rows(st, st.schema(), ranges);
-    for (std::size_t r = 0; r < filtered.num_rows(); ++r) {
-      all.append_row({filtered.row(r), filtered.record_size()});
+    const SubTable st =
+        load_chunk(*stores.at(cm.location.storage_node), cm, &ranges);
+    for (std::size_t r = 0; r < st.num_rows(); ++r) {
+      all.append_row({st.row(r), st.record_size()});
     }
   }
   return all;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "datagen/generator.hpp"
 #include "sim/engine.hpp"
@@ -18,7 +20,8 @@ struct Rig {
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<BdsService> bds;
 
-  explicit Rig(std::size_t n_storage = 2, std::size_t n_compute = 2) {
+  explicit Rig(std::size_t n_storage = 2, std::size_t n_compute = 2,
+               double disk_seek = 0.0) {
     DatasetSpec spec;
     spec.grid = {8, 8, 8};
     spec.part1 = {4, 4, 4};
@@ -28,6 +31,7 @@ struct Rig {
     ClusterSpec cspec;
     cspec.num_storage = n_storage;
     cspec.num_compute = n_compute;
+    cspec.hw.disk_seek = disk_seek;
     cluster = std::make_unique<Cluster>(engine, cspec);
     bds = std::make_unique<BdsService>(*cluster, ds.meta, ds.stores);
   }
@@ -131,6 +135,103 @@ TEST(Bds, StatsAccumulate) {
   EXPECT_EQ(stats.subtables_served, 8u);
   EXPECT_EQ(stats.chunk_bytes_read, rig.ds.meta.table_bytes(1));
   EXPECT_EQ(stats.subtable_bytes_shipped, 512u * 16);
+}
+
+using SubTables = std::vector<std::shared_ptr<const SubTable>>;
+
+sim::Task<> fetch_batch(BdsInstance& bds, std::vector<SubTableId> ids,
+                        const std::vector<AttrRange>* ranges,
+                        SubTables& out) {
+  out = co_await bds.fetch_batch_to_compute(std::move(ids), 0, ranges);
+}
+
+sim::Task<> fetch_each(BdsInstance& bds, std::vector<SubTableId> ids,
+                       const std::vector<AttrRange>* ranges, SubTables& out) {
+  for (const auto id : ids) {
+    out.push_back(co_await bds.fetch_to_compute(id, 0, ranges));
+  }
+}
+
+TEST(Bds, BatchFetchCoalescesAnAdjacentRunIntoOneSeek) {
+  // Table 1's chunks on storage node 0, in on-disk order: datagen appends
+  // them to one file, so consecutive ones are adjacent.
+  Rig batch_rig(2, 2, /*disk_seek=*/0.01);
+  std::vector<const ChunkMeta*> on_disk;
+  for (const auto& cm : batch_rig.ds.meta.chunks(1)) {
+    if (cm.location.storage_node == 0) on_disk.push_back(&cm);
+  }
+  std::sort(on_disk.begin(), on_disk.end(), [](const auto* a, const auto* b) {
+    return a->location.offset < b->location.offset;
+  });
+  std::vector<SubTableId> ids;
+  double bytes = 0;
+  for (std::size_t i = 0; i < on_disk.size(); ++i) {
+    if (i > 0 && !on_disk[i - 1]->location.followed_by(on_disk[i]->location)) {
+      break;
+    }
+    ids.push_back(on_disk[i]->id);
+    bytes += static_cast<double>(on_disk[i]->location.size);
+  }
+  ASSERT_GE(ids.size(), 3u);
+  // The caller's order is not the disk order.
+  std::reverse(ids.begin(), ids.end());
+
+  SubTables batch;
+  batch_rig.engine.spawn(
+      fetch_batch(batch_rig.bds->instance(0), ids, nullptr, batch));
+  batch_rig.engine.run();
+  Rig single_rig(2, 2, /*disk_seek=*/0.01);
+  SubTables singles;
+  single_rig.engine.spawn(
+      fetch_each(single_rig.bds->instance(0), ids, nullptr, singles));
+  single_rig.engine.run();
+
+  ASSERT_EQ(batch.size(), ids.size());
+  ASSERT_EQ(singles.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(batch[i]->id(), ids[i]);
+    EXPECT_EQ(batch[i]->unordered_fingerprint(),
+              singles[i]->unordered_fingerprint());
+  }
+  const auto& hw = batch_rig.cluster->spec().hw;
+  const double k = static_cast<double>(ids.size());
+  EXPECT_NEAR(batch_rig.cluster->storage_disk(0).busy_time(),
+              bytes / hw.disk_read_bw + hw.disk_seek, 1e-12);
+  EXPECT_NEAR(single_rig.cluster->storage_disk(0).busy_time(),
+              bytes / hw.disk_read_bw + k * hw.disk_seek, 1e-12);
+}
+
+TEST(Bds, BatchOfOneMatchesSingleFetch) {
+  // The single fetch is the shared serve body run over one id, so a batch
+  // of one must charge, ship and count exactly the same.
+  const std::vector<AttrRange> ranges = {{"x", Interval{0, 1}}};
+  Rig batch_rig;
+  Rig single_rig;
+  const SubTableId id = batch_rig.ds.meta.chunks(1)[0].id;
+  BdsInstance& batch_bds = batch_rig.bds->instance_for(id);
+  SubTables batch;
+  SubTables single;
+  batch_rig.engine.spawn(fetch_batch(batch_bds, {id}, &ranges, batch));
+  batch_rig.engine.run();
+  single_rig.engine.spawn(fetch_each(single_rig.bds->instance_for(id), {id},
+                                     &ranges, single));
+  single_rig.engine.run();
+
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(batch[0]->unordered_fingerprint(),
+            single[0]->unordered_fingerprint());
+  EXPECT_GT(batch_rig.engine.now(), 0.0);
+  EXPECT_EQ(batch_rig.engine.now(), single_rig.engine.now());
+  EXPECT_EQ(batch_rig.cluster->network_bytes(),
+            single_rig.cluster->network_bytes());
+  const BdsStats b = batch_rig.bds->total_stats();
+  const BdsStats s = single_rig.bds->total_stats();
+  EXPECT_EQ(b.subtables_served, 1u);
+  EXPECT_EQ(b.subtables_served, s.subtables_served);
+  EXPECT_EQ(b.chunk_bytes_read, s.chunk_bytes_read);
+  EXPECT_EQ(b.subtable_bytes_shipped, s.subtable_bytes_shipped);
+  EXPECT_LT(b.subtable_bytes_shipped, b.chunk_bytes_read);
 }
 
 TEST(Bds, ServiceValidatesStoreCount) {

@@ -172,6 +172,19 @@ TEST(Framework, ExplainReportsPlanAndDecision) {
 
   const std::string agg = fw.explain("SELECT AVG(wp) AS a FROM V1", &cluster);
   EXPECT_NE(agg.find("distributed aggregate"), std::string::npos);
+
+  // EXPLAIN classifies with the DDS's own matchers, so the two shapes
+  // query_distributed runs on the cluster are not reported as local.
+  const std::string sorted =
+      fw.explain("SELECT * FROM V1 ORDER BY wp DESC LIMIT 4", &cluster);
+  EXPECT_EQ(sorted.find("local executor"), std::string::npos);
+  EXPECT_NE(sorted.find("distributed join view"), std::string::npos);
+  EXPECT_NE(sorted.find("graph:"), std::string::npos);
+  EXPECT_NE(sorted.find("qps:"), std::string::npos);
+  const std::string scan =
+      fw.explain("SELECT COUNT(*) AS n FROM T1 WHERE x IN [0, 3]", &cluster);
+  EXPECT_EQ(scan.find("local executor"), std::string::npos);
+  EXPECT_NE(scan.find("exec:   distributed scan-aggregate"), std::string::npos);
 }
 
 TEST(Framework, DistributedOrderByLimit) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "datagen/generator.hpp"
 
@@ -119,6 +121,48 @@ TEST(MetaData, QueryRectIntersectsRepeatedRanges) {
   const Rect rect =
       meta.query_rect(1, {{"x", {0, 100}}, {"x", {50, 200}}});
   EXPECT_EQ(rect[0], (Interval{50, 100}));
+}
+
+// filter_rows over ten rows x = 0..9, v = x / 2, whose stored bounds are
+// deliberately wider than the data so "kept" and "recomputed" differ.
+SubTable ten_rows() {
+  SubTable st(Schema::make({{"x", AttrType::Int32}, {"v", AttrType::Float64}}),
+              SubTableId{1, 7});
+  for (std::int32_t x = 0; x < 10; ++x) {
+    const Value vals[] = {Value(x), Value(x / 2.0)};
+    st.append_values(vals);
+  }
+  st.set_bounds(Rect({Interval{-100, 100}, Interval{-100, 100}}));
+  return st;
+}
+
+TEST(FilterRows, RangeOnAbsentAttributeKeepsEveryRowAndTheBounds) {
+  const SubTable st = ten_rows();
+  const SubTable out = filter_rows(st, {{"oilp", Interval{0, 0}}});
+  EXPECT_EQ(out.id(), st.id());
+  EXPECT_EQ(out.num_rows(), 10u);
+  EXPECT_TRUE(std::equal(out.bytes().begin(), out.bytes().end(),
+                         st.bytes().begin(), st.bytes().end()));
+  EXPECT_EQ(out.bounds(), st.bounds());
+}
+
+TEST(FilterRows, ConstrainedFilterRecomputesTheBounds) {
+  const SubTable out = filter_rows(ten_rows(), {{"x", Interval{2.5, 6.5}},
+                                                {"oilp", Interval{0, 0}}});
+  ASSERT_EQ(out.num_rows(), 4u);
+  EXPECT_EQ(out.get<std::int32_t>(0, 0), 3);
+  EXPECT_EQ(out.bounds()[0], (Interval{3, 6}));
+  EXPECT_EQ(out.bounds()[1], (Interval{1.5, 3}));
+}
+
+TEST(FilterRows, BothEndpointsAreInclusive) {
+  const SubTable out = filter_rows(ten_rows(), {{"x", Interval{2, 5}}});
+  ASSERT_EQ(out.num_rows(), 4u);
+  EXPECT_EQ(out.get<std::int32_t>(0, 0), 2);
+  EXPECT_EQ(out.get<std::int32_t>(3, 0), 5);
+  const SubTable point = filter_rows(ten_rows(), {{"v", Interval{1, 1}}});
+  ASSERT_EQ(point.num_rows(), 1u);
+  EXPECT_EQ(point.get<std::int32_t>(0, 0), 2);
 }
 
 TEST(MetaData, SerializationRoundTrip) {
