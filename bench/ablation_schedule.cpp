@@ -7,6 +7,7 @@
 // valid under the schedule+memory assumption.
 
 #include "bench_util.hpp"
+#include "qes/session.hpp"
 #include "sched/schedule.hpp"
 
 int main() {
@@ -25,7 +26,6 @@ int main() {
 
   auto ds = generate_dataset(data);
   JoinQuery query{data.table1_id, data.table2_id, {"x", "y", "z"}, {}};
-  const auto graph = ConnectivityGraph::build(ds.meta, 1, 2, query.join_attrs);
 
   struct Config {
     const char* name;
@@ -55,14 +55,16 @@ int main() {
     sim::Engine engine;
     Cluster cluster(engine, cspec);
     BdsService bds(cluster, ds.meta, ds.stores);
+    QesSession session(cluster, bds, ds.meta,
+                       {.share_cache = false,
+                        .cache_bytes = cfg.cache_bytes,
+                        .cache_policy = cfg.policy});
     QesOptions options;
     options.assign = cfg.assign;
     options.pair_order = cfg.order;
-    options.cache_policy = cfg.policy;
-    options.cache_bytes = cfg.cache_bytes;
     options.seed = 11;
     const auto r =
-        run_indexed_join(cluster, bds, ds.meta, graph, query, options);
+        session.run(query, options, Algorithm::IndexedJoin).result;
     std::printf("%-42s | %7.3fs %9llu %9llu %9.1f%%\n", cfg.name, r.elapsed,
                 (unsigned long long)r.subtable_fetches,
                 (unsigned long long)r.cache_stats.evictions,

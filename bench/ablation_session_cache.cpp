@@ -4,7 +4,7 @@
 // instances eliminate transfers after the first query.
 
 #include "bench_util.hpp"
-#include "cache/caching_service.hpp"
+#include "qes/session.hpp"
 
 int main() {
   using namespace orv;
@@ -25,18 +25,11 @@ int main() {
   Cluster cluster(engine, cspec);
   BdsService bds(cluster, ds.meta, ds.stores);
 
-  std::vector<std::shared_ptr<CachingService>> caches;
-  for (std::size_t j = 0; j < cspec.num_compute; ++j) {
-    caches.push_back(std::make_shared<CachingService>(cluster.memory_bytes()));
-  }
-  QesOptions options;
-  options.node_caches = &caches;
-
   struct Step {
     const char* label;
     std::vector<AttrRange> ranges;
   };
-  const Step session[] = {
+  const Step steps[] = {
       {"full view (cold)", {}},
       {"full view (warm)", {}},
       {"x in [0,31]", {{"x", {0, 31}}}},
@@ -45,21 +38,19 @@ int main() {
   };
 
   for (const bool affinity : {false, true}) {
+    QesSession session(cluster, bds, ds.meta);  // cold shared caches
+    QesOptions options;
     options.assign = affinity ? ComponentAssign::CacheAffinity
                               : ComponentAssign::RoundRobin;
-    for (auto& cache : caches) cache->clear();
     std::printf("-- component assignment: %s --\n",
                 affinity ? "cache-affinity (extension)" : "round-robin");
     std::printf("%-26s | %8s %10s %10s %9s\n", "query", "time", "net bytes",
                 "fetches", "hit rate");
-    for (const auto& step : session) {
+    for (const auto& step : steps) {
       JoinQuery query{data.table1_id, data.table2_id, {"x", "y", "z"},
                       step.ranges};
-      const auto graph = ConnectivityGraph::build(
-          ds.meta, query.left_table, query.right_table, query.join_attrs,
-          query.ranges);
       const auto r =
-          run_indexed_join(cluster, bds, ds.meta, graph, query, options);
+          session.run(query, options, Algorithm::IndexedJoin).result;
       std::printf("%-26s | %7.3fs %10.0f %10llu %8.1f%%\n", step.label,
                   r.elapsed, r.network_bytes,
                   (unsigned long long)r.subtable_fetches,

@@ -112,6 +112,15 @@ Cluster::DiskTotals Cluster::disk_totals() const {
   return t;
 }
 
+Cluster::BusyTimes Cluster::busy_times() const {
+  BusyTimes t;
+  for (const auto& r : storage_nics_) t.storage_nic.push_back(r->busy_time());
+  for (const auto& r : compute_nics_) t.compute_nic.push_back(r->busy_time());
+  for (const auto& r : compute_cpus_) t.compute_cpu.push_back(r->busy_time());
+  t.network_switch = switch_.busy_time();
+  return t;
+}
+
 std::size_t Cluster::num_disks() const {
   return nfs_ ? 1 : storage_disks_.size() + compute_disks_.size();
 }

@@ -127,6 +127,17 @@ class Cluster {
   /// Number of distinct disks (1 in shared-filesystem mode).
   std::size_t num_disks() const;
 
+  /// Busy seconds of every NIC and compute CPU, by node index, and of the
+  /// switch: the one reading the occupancy sampler, the contention monitor
+  /// and the workload monitor take their deltas from.
+  struct BusyTimes {
+    std::vector<double> storage_nic;
+    std::vector<double> compute_nic;
+    std::vector<double> compute_cpu;
+    double network_switch = 0;
+  };
+  BusyTimes busy_times() const;
+
   /// Compute node j's CPU (rate = hw.cpu_ops_per_sec, in operations/s).
   sim::Resource& compute_cpu(std::size_t j);
 

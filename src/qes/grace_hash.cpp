@@ -394,10 +394,10 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       }
     }
   } finished{sh};
-  // Busy-window accounting for the skew diagnosis. Recorded at the normal
-  // exit points only (not the guard above): on a failed query suspended
-  // frames are destroyed after GhShared is gone, so the destructor must
-  // not chase pointers into it.
+  // Busy-window accounting for the skew diagnosis, booked at the normal
+  // exit points only: a failed query reports no per-node work. (The guard
+  // above is safe on every exit: ~Engine destroys this frame before the
+  // query frame that owns GhShared.)
   const double node_start = sh.cluster.engine().now();
   auto book_busy = [&] {
     auto& nw = sh.result.node_work[node];
@@ -624,10 +624,9 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
 
 }  // namespace
 
-sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
-                                     const MetaDataService& meta,
-                                     const JoinQuery& query,
-                                     const QesOptions& options) {
+sim::Task<QesResult> qes_detail::grace_hash_task(
+    Cluster& cluster, BdsService& bds, const MetaDataService& meta,
+    const JoinQuery& query, const QesOptions& options) {
   ORV_REQUIRE(!query.join_attrs.empty(), "join needs key attributes");
   auto& engine = cluster.engine();
 
@@ -715,7 +714,8 @@ QesResult run_grace_hash(Cluster& cluster, BdsService& bds,
                          const MetaDataService& meta, const JoinQuery& query,
                          const QesOptions& options) {
   return qes_detail::run_query_task(
-      cluster.engine(), grace_hash_task(cluster, bds, meta, query, options),
+      cluster.engine(),
+      qes_detail::grace_hash_task(cluster, bds, meta, query, options),
       "gh-query");
 }
 

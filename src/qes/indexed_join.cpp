@@ -40,20 +40,23 @@ struct IjShared {
   using Ranges = std::vector<AttrRange>;
 
   IjShared(Cluster& c, BdsService& b, const MetaDataService& m,
-           const JoinQuery& q, const QesOptions& o, SchemaPtr schema)
-      : cluster(c), bds(b), meta(m), query(q), options(o),
+           const JoinQuery& q, const QesOptions& o,
+           qes_detail::NodeCaches nc, SchemaPtr schema)
+      : cluster(c), bds(b), meta(m), query(q), options(o), caches(nc),
         result_schema(std::move(schema)),
-        pushed_ranges(o.node_caches || !o.pushdown_selection ? Ranges{}
-                                                             : q.ranges),
-        fetch_ranges(o.node_caches || o.pushdown_selection ? Ranges{}
-                                                           : q.ranges),
-        output_ranges(o.node_caches ? q.ranges : Ranges{}) {}
+        pushed_ranges(shared() || !o.pushdown_selection ? Ranges{}
+                                                        : q.ranges),
+        fetch_ranges(shared() || o.pushdown_selection ? Ranges{} : q.ranges),
+        output_ranges(shared() ? q.ranges : Ranges{}) {}
+
+  bool shared() const { return !caches.shared.empty(); }
 
   Cluster& cluster;
   BdsService& bds;
   const MetaDataService& meta;
   const JoinQuery& query;
   const QesOptions& options;
+  const qes_detail::NodeCaches caches;
   SchemaPtr result_schema;
 
   /// The query's selection, placed once; the other two stay empty. With
@@ -278,17 +281,12 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
                     std::uint64_t round) {
   const auto& hw = sh.cluster.spec().hw;
   const double factor = sh.options.cpu_work_factor;
-  const std::uint64_t capacity = sh.options.cache_bytes
-                                     ? sh.options.cache_bytes
-                                     : sh.cluster.memory_bytes();
-  // Session caches (if provided) persist across queries.
-  const bool persistent = sh.options.node_caches != nullptr;
-  ORV_REQUIRE(!persistent || (sh.options.node_caches->size() > node &&
-                              (*sh.options.node_caches)[node] != nullptr),
-              "node_caches must hold one cache per compute node");
-  CachingService local_cache(capacity, sh.options.cache_policy);
-  CachingService& cache =
-      persistent ? *(*sh.options.node_caches)[node] : local_cache;
+  // Shared session caches persist across queries; a private one lives for
+  // this round only.
+  CachingService local_cache(
+      sh.caches.bytes ? sh.caches.bytes : sh.cluster.memory_bytes(),
+      sh.caches.policy);
+  CachingService& cache = sh.shared() ? *sh.caches.shared[node] : local_cache;
   const CachingService::Stats stats_before = cache.stats();
   auto& cpu = sh.cluster.compute_cpu(node);
   ChunkId out_seq = 0;
@@ -550,11 +548,10 @@ sim::Task<> ij_supervisor(IjShared& sh,
 
 }  // namespace
 
-sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
-                                       const MetaDataService& meta,
-                                       const ConnectivityGraph& graph,
-                                       const JoinQuery& query,
-                                       const QesOptions& options) {
+sim::Task<QesResult> qes_detail::indexed_join_task(
+    Cluster& cluster, BdsService& bds, const MetaDataService& meta,
+    const ConnectivityGraph& graph, const JoinQuery& query,
+    const QesOptions& options, NodeCaches caches) {
   ORV_REQUIRE(!query.join_attrs.empty(), "join needs key attributes");
   auto& engine = cluster.engine();
 
@@ -567,12 +564,12 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
               meta,
               query,
               options,
+              caches,
               std::make_shared<const Schema>(Schema::join_result(
                   *left_schema, *right_schema, right_key.attr_indices()))};
 
   Schedule schedule;
-  if (options.assign == ComponentAssign::CacheAffinity &&
-      options.node_caches != nullptr) {
+  if (options.assign == ComponentAssign::CacheAffinity && sh.shared()) {
     // Follow warm session caches: send each component to the node already
     // holding most of its sub-table bytes.
     const auto& components = graph.components();
@@ -584,7 +581,7 @@ sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
     };
     for (std::size_t c = 0; c < components.size(); ++c) {
       for (std::size_t n = 0; n < cluster.num_compute(); ++n) {
-        const auto& cache = (*options.node_caches)[n];
+        const auto& cache = caches.shared[n];
         for (const auto& id : components[c].left_subtables) {
           if (cache->contains(id)) affinity[c][n] += bytes_of(id);
         }
@@ -658,7 +655,8 @@ QesResult run_indexed_join(Cluster& cluster, BdsService& bds,
                            const JoinQuery& query, const QesOptions& options) {
   return qes_detail::run_query_task(
       cluster.engine(),
-      indexed_join_task(cluster, bds, meta, graph, query, options),
+      qes_detail::indexed_join_task(cluster, bds, meta, graph, query, options,
+                                    {}),
       "ij-query");
 }
 

@@ -57,11 +57,8 @@ struct QesOptions {
   /// only surviving rows cross the network (extension; the paper filters
   /// at the compute side, which is the default).
   bool pushdown_selection = false;
-  CachePolicy cache_policy = CachePolicy::LRU;
   ComponentAssign assign = ComponentAssign::RoundRobin;
   PairOrder pair_order = PairOrder::Lexicographic;
-  /// Cache capacity per compute node; 0 means the cluster's memory size.
-  std::uint64_t cache_bytes = 0;
 
   /// Pipelined Indexed Join: each compute node runs a prefetcher coroutine
   /// that walks the scheduled pair list up to this many pairs ahead of the
@@ -78,13 +75,6 @@ struct QesOptions {
   /// reservation (one seek per run instead of per chunk). Ignored when a
   /// fault injector is installed: per-id fetches keep retry/backoff simple.
   bool coalesce_fetches = true;
-
-  /// Persistent per-compute-node Caching Service instances, reused across
-  /// queries (the paper's future-work "caching strategies"). Must hold one
-  /// cache per compute node. In this mode sub-tables are cached *raw* and
-  /// the query's selection is applied to join outputs instead, so cached
-  /// entries stay valid for later queries with different predicates.
-  std::vector<std::shared_ptr<CachingService>>* node_caches = nullptr;
 
   /// Grace Hash knobs.
   std::size_t batch_bytes = 64 * 1024;  // record batch shipped per message
@@ -117,14 +107,6 @@ struct QesOptions {
   /// committed baseline are untouched. Not owned; must outlive the plan
   /// call.
   const ContentionFactors* contention = nullptr;
-
-  /// Workload-driver integration: let the live monitor's per-node health
-  /// scores derate the admission controller's effective concurrency (sick
-  /// nodes shrink capacity instead of collecting queries that will
-  /// straggle). Default off — admission behaviour and every committed
-  /// baseline are byte-identical. Read by workload::run_workload, which
-  /// owns the NodeHealthTracker the controller consults.
-  bool health_aware_admission = false;
 
   std::uint64_t seed = 0;  // for randomized ablation strategies
 
@@ -204,7 +186,9 @@ struct QesResult {
 
 /// Page-level Indexed Join (Section 4.1): schedules connectivity-graph
 /// components over compute-node QES instances; sub-tables are fetched from
-/// BDS instances, cached (LRU), and joined in memory.
+/// BDS instances, cached (LRU, the cluster's memory size per node), and
+/// joined in memory. Another cache size or policy, or caches shared across
+/// queries, run through QesSession (qes/session.hpp).
 QesResult run_indexed_join(Cluster& cluster, BdsService& bds,
                            const MetaDataService& meta,
                            const ConnectivityGraph& graph,
@@ -218,30 +202,6 @@ QesResult run_indexed_join(Cluster& cluster, BdsService& bds,
 QesResult run_grace_hash(Cluster& cluster, BdsService& bds,
                          const MetaDataService& meta, const JoinQuery& query,
                          const QesOptions& options = {});
-
-/// Spawnable forms of the two algorithms: the whole query — worker spawn,
-/// supervision, result assembly — runs as one coroutine on the cluster's
-/// engine, so several queries can execute concurrently over the *shared*
-/// simulated resources within a single Engine::run. The run_* entry
-/// points above are thin wrappers (spawn one task, run the engine), and a
-/// single spawned task reproduces their timings and fingerprints exactly.
-/// All reference arguments must outlive the task.
-sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
-                                       const MetaDataService& meta,
-                                       const ConnectivityGraph& graph,
-                                       const JoinQuery& query,
-                                       const QesOptions& options);
-sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
-                                     const MetaDataService& meta,
-                                     const JoinQuery& query,
-                                     const QesOptions& options);
-
-namespace qes_detail {
-/// Spawns one query task and drives the engine until it drains; the
-/// single-query path shared by both run_* wrappers.
-QesResult run_query_task(sim::Engine& engine, sim::Task<QesResult> task,
-                         const char* name);
-}  // namespace qes_detail
 
 /// Reference result (no simulation): concatenates all matching sub-tables
 /// and runs one in-memory hash join. Tests compare both QES against this.

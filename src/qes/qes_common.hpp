@@ -3,11 +3,14 @@
 // The executor skeleton the distributed QES share: the BDS retry loop, the
 // query's selection step, the degraded rule and the per-query frame (root
 // span, occupancy sampler, true completion time). Indexed Join, Grace Hash
-// and scan-aggregate each define these decisions here, once.
+// and scan-aggregate each define these decisions here, once. It also
+// declares the executor tasks, whose only callers are QesSession and the
+// run_indexed_join / run_grace_hash wrappers.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -16,6 +19,35 @@
 #include "sim/engine.hpp"
 
 namespace orv::qes_detail {
+
+/// The Caching Service each Indexed Join compute node fetches through:
+/// shared[j] when `shared` is non-empty (the session's caches, which hold
+/// raw sub-tables across queries), else a private cache of `bytes` (0 =
+/// the cluster's memory size) and `policy` per node and supervisor round.
+struct NodeCaches {
+  std::span<const std::shared_ptr<CachingService>> shared;
+  std::uint64_t bytes = 0;
+  CachePolicy policy = CachePolicy::LRU;
+};
+
+/// The whole query (worker spawn, supervision, result assembly) as one
+/// coroutine on the cluster's engine, so queries can run concurrently over
+/// the shared simulated resources. Every argument must outlive the task.
+sim::Task<QesResult> indexed_join_task(Cluster& cluster, BdsService& bds,
+                                       const MetaDataService& meta,
+                                       const ConnectivityGraph& graph,
+                                       const JoinQuery& query,
+                                       const QesOptions& options,
+                                       NodeCaches caches);
+sim::Task<QesResult> grace_hash_task(Cluster& cluster, BdsService& bds,
+                                     const MetaDataService& meta,
+                                     const JoinQuery& query,
+                                     const QesOptions& options);
+
+/// Spawns one query task and drives the engine until it drains; the
+/// single-query path shared by both run_* wrappers.
+QesResult run_query_task(sim::Engine& engine, sim::Task<QesResult> task,
+                         const char* name);
 
 /// One attempt at reading a sub-table from a BDS instance.
 using SubTableRead =

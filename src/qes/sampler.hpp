@@ -10,6 +10,7 @@
 
 #include <array>
 #include <functional>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,16 +67,12 @@ inline sim::Task<> occupancy_sampler(Cluster& cluster, obs::ObsContext* ctx,
   auto& engine = cluster.engine();
   const double dt = ctx->sample_interval;
   auto totals = [&] {
-    std::array<double, 4> t{};
-    t[0] = cluster.disk_totals().storage_busy;
-    for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-      if (auto* r = cluster.storage_nic(i)) t[1] += r->busy_time();
-    }
-    for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
-      if (auto* r = cluster.compute_nic(j)) t[2] += r->busy_time();
-    }
-    t[3] = cluster.network_switch().busy_time();
-    return t;
+    const Cluster::BusyTimes b = cluster.busy_times();
+    return std::array<double, 4>{
+        cluster.disk_totals().storage_busy,
+        std::accumulate(b.storage_nic.begin(), b.storage_nic.end(), 0.0),
+        std::accumulate(b.compute_nic.begin(), b.compute_nic.end(), 0.0),
+        b.network_switch};
   };
   static constexpr const char* kNames[4] = {
       "occupancy.storage_disk", "occupancy.storage_nic",

@@ -4,6 +4,7 @@
 #include "common/strings.hpp"
 #include "obs/obs.hpp"
 #include "qes/analysis.hpp"
+#include "qes/qes_common.hpp"
 
 namespace orv {
 
@@ -42,17 +43,17 @@ sim::Task<> QesSession::run_query(JoinQuery query, QesOptions options,
                                   Outcome* out,
                                   std::optional<Algorithm> force) {
   try {
-    if (!caches_.empty()) options.node_caches = &caches_;
     const ConnectivityGraph& graph = graph_for(query);
     out->graph = &graph;
     out->plan = planner_.plan(meta_, graph, query, &options);
     out->algorithm = force.value_or(out->plan.chosen);
     if (out->algorithm == Algorithm::IndexedJoin) {
-      out->result = co_await indexed_join_task(cluster_, bds_, meta_, graph,
-                                               query, options);
+      out->result = co_await qes_detail::indexed_join_task(
+          cluster_, bds_, meta_, graph, query, options,
+          {caches_, config_.cache_bytes, config_.cache_policy});
     } else {
-      out->result = co_await grace_hash_task(cluster_, bds_, meta_, query,
-                                             options);
+      out->result = co_await qes_detail::grace_hash_task(cluster_, bds_, meta_,
+                                                         query, options);
     }
     if (auto* ctx = obs::context()) {
       // Cost-model feedback: what the Section 5 models predicted for the

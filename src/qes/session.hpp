@@ -1,11 +1,12 @@
 #pragma once
 
-// QES session, the one path from a JoinQuery to a plan and an execution:
-// runs many queries *concurrently* over one shared simulated cluster
-// within a single Engine::run. Each query is one spawned coroutine
-// (indexed_join_task / grace_hash_task); they contend for the same storage
-// disks, NICs, switch and compute CPUs, and — when sharing is on — reuse
-// one persistent Caching Service per compute node, so overlapping queries
+// QES session, the one path from a JoinQuery to a plan and an execution
+// and the one owner of cache configuration: runs many queries
+// *concurrently* over one shared simulated cluster within a single
+// Engine::run. Each query is one spawned coroutine (the private executor
+// tasks of qes/qes_common.hpp); they contend for the same storage disks,
+// NICs, switch and compute CPUs, and — when sharing is on — reuse one
+// persistent Caching Service per compute node, so overlapping queries
 // finally produce real cross-query hit rates.
 //
 // Per-query state stays isolated: every query gets its own QesResult,
@@ -27,11 +28,10 @@ namespace orv {
 
 struct SessionConfig {
   /// One persistent CachingService per compute node, shared by every
-  /// query in the session (sub-tables cached raw; see
-  /// QesOptions::node_caches). Off = per-query private caches, the
-  /// single-query behaviour.
+  /// query (sub-tables cached raw, selection applied to join outputs).
+  /// Off = private caches per query, node and supervisor round.
   bool share_cache = true;
-  std::uint64_t cache_bytes = 0;  // per node; 0 = cluster memory size
+  std::uint64_t cache_bytes = 0;  // per node, both modes; 0 = memory size
   CachePolicy cache_policy = CachePolicy::LRU;
 };
 

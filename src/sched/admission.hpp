@@ -67,7 +67,7 @@ class AdmissionController {
   /// ledger; grows on release).
   double client_service(std::size_t client) const;
 
-  /// Health-aware derating (QesOptions::health_aware_admission): the
+  /// Health-aware derating (WorkloadSpec::health_aware_admission): the
   /// provider returns the cluster's healthy-capacity fraction in [0, 1]
   /// and the controller admits at most ceil(max_running * fraction)
   /// concurrent queries (never below 1, so the system cannot wedge). A

@@ -5,9 +5,12 @@
 namespace orv::sim {
 
 Engine::~Engine() {
-  // Drop pending events first so nothing refers into frames while they die;
-  // then destroy frames (roots_ destructor handles it).
+  // Drop pending events first so nothing refers into frames while they die,
+  // then destroy the root frames newest first: a process only references
+  // frames of processes spawned before it (its spawner's state), so their
+  // destructors still find that state alive.
   while (!queue_.empty()) queue_.pop();
+  while (!roots_.empty()) roots_.pop_back();
 }
 
 void Engine::schedule(Time t, std::coroutine_handle<> h) {

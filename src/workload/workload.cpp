@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -85,8 +86,7 @@ struct MonitorRig {
 
   // Occupancy sampling state (busy-time deltas between ticks).
   double last_tick = 0;
-  std::vector<double> last_storage_busy;
-  std::vector<double> last_compute_busy;
+  Cluster::BusyTimes last_busy;
 
   // Fault events seen through the recorder's on_fault feed; a non-zero
   // count forces an end-of-run dump so no injected fault escapes capture.
@@ -132,7 +132,7 @@ std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
     opt.enabled = true;
     if (opt.dash_path.empty()) opt.dash_path = path;
   }
-  if (spec.base_options.health_aware_admission) opt.enabled = true;
+  if (spec.health_aware_admission) opt.enabled = true;
   if (!opt.enabled) return nullptr;
 
   auto rig = std::make_unique<MonitorRig>();
@@ -194,14 +194,7 @@ std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
   }
 
   rig->last_tick = cluster.engine().now();
-  rig->last_storage_busy.resize(cluster.num_storage());
-  for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-    rig->last_storage_busy[i] = cluster.storage_nic(i)->busy_time();
-  }
-  rig->last_compute_busy.resize(cluster.num_compute());
-  for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
-    rig->last_compute_busy[j] = cluster.compute_cpu(j).busy_time();
-  }
+  rig->last_busy = cluster.busy_times();
   return rig;
 }
 
@@ -345,18 +338,16 @@ void sample_occupancy(Driver& d, Cluster& cluster, double now) {
   MonitorRig& m = *d.mon;
   const double dt = now - m.last_tick;
   if (dt <= 0) return;
-  for (std::size_t i = 0; i < cluster.num_storage(); ++i) {
-    const double busy = cluster.storage_nic(i)->busy_time();
+  Cluster::BusyTimes busy = cluster.busy_times();
+  for (std::size_t i = 0; i < busy.storage_nic.size(); ++i) {
     m.health->observe_occupancy(
-        true, i, (busy - m.last_storage_busy[i]) / dt);
-    m.last_storage_busy[i] = busy;
+        true, i, (busy.storage_nic[i] - m.last_busy.storage_nic[i]) / dt);
   }
-  for (std::size_t j = 0; j < cluster.num_compute(); ++j) {
-    const double busy = cluster.compute_cpu(j).busy_time();
+  for (std::size_t j = 0; j < busy.compute_cpu.size(); ++j) {
     m.health->observe_occupancy(
-        false, j, (busy - m.last_compute_busy[j]) / dt);
-    m.last_compute_busy[j] = busy;
+        false, j, (busy.compute_cpu[j] - m.last_busy.compute_cpu[j]) / dt);
   }
+  m.last_busy = std::move(busy);
   m.last_tick = now;
 }
 
@@ -481,38 +472,20 @@ double exact_quantile(std::vector<double> v, double q) {
 
 ContentionMonitor::ContentionMonitor(Cluster& cluster) : cluster_(cluster) {
   n_nics_ = cluster_.num_storage() + cluster_.num_compute();
-  last_t_ = cluster_.engine().now();
-  last_disk_ = cluster_.disk_totals().busy;
-  last_nic_ = nic_busy_sum();
-  last_switch_ = cluster_.network_switch().busy_time();
-  last_cpu_ = cpu_busy_sum();
-}
-
-double ContentionMonitor::nic_busy_sum() const {
-  double sum = 0;
-  for (std::size_t i = 0; i < cluster_.num_storage(); ++i) {
-    sum += cluster_.storage_nic(i)->busy_time();
-  }
-  for (std::size_t j = 0; j < cluster_.num_compute(); ++j) {
-    sum += cluster_.compute_nic(j)->busy_time();
-  }
-  return sum;
-}
-
-double ContentionMonitor::cpu_busy_sum() const {
-  double sum = 0;
-  for (std::size_t j = 0; j < cluster_.num_compute(); ++j) {
-    sum += cluster_.compute_cpu(j).busy_time();
-  }
-  return sum;
+  sample();
 }
 
 ContentionFactors ContentionMonitor::sample() {
   const double now = cluster_.engine().now();
   const double disk = cluster_.disk_totals().busy;
-  const double nic = nic_busy_sum();
-  const double sw = cluster_.network_switch().busy_time();
-  const double cpu = cpu_busy_sum();
+  const Cluster::BusyTimes b = cluster_.busy_times();
+  // One running sum over every NIC, storage NICs first.
+  const double nic =
+      std::accumulate(b.compute_nic.begin(), b.compute_nic.end(),
+                      std::accumulate(b.storage_nic.begin(),
+                                      b.storage_nic.end(), 0.0));
+  const double cpu =
+      std::accumulate(b.compute_cpu.begin(), b.compute_cpu.end(), 0.0);
   ContentionFactors f;
   const double dt = now - last_t_;
   if (dt > 0) {
@@ -523,7 +496,7 @@ ContentionFactors ContentionMonitor::sample() {
                        static_cast<double>(cluster_.num_disks()));
     // The network path is limited by its most loaded hop: the switch, or
     // the average endpoint NIC.
-    f.net_busy = std::max(frac(sw - last_switch_, 1.0),
+    f.net_busy = std::max(frac(b.network_switch - last_switch_, 1.0),
                           frac(nic - last_nic_, static_cast<double>(n_nics_)));
     f.cpu_busy = frac(cpu - last_cpu_,
                       static_cast<double>(cluster_.num_compute()));
@@ -531,7 +504,7 @@ ContentionFactors ContentionMonitor::sample() {
   last_t_ = now;
   last_disk_ = disk;
   last_nic_ = nic;
-  last_switch_ = sw;
+  last_switch_ = b.network_switch;
   last_cpu_ = cpu;
   return f;
 }
@@ -556,7 +529,7 @@ WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
   AdmissionController admission(engine, spec.admission);
   ContentionMonitor monitor(cluster);
   std::unique_ptr<MonitorRig> rig = make_monitor_rig(cluster, spec);
-  if (rig != nullptr && spec.base_options.health_aware_admission) {
+  if (rig != nullptr && spec.health_aware_admission) {
     admission.set_capacity_provider(
         [h = rig->health.get()] { return h->capacity_fraction(); });
   }

@@ -82,15 +82,19 @@ struct WorkloadSpec {
   std::vector<WorkloadClientSpec> clients;
   AdmissionConfig admission;
   QesSession::Config session;
-  /// Base execution options applied to every query (the session overlays
-  /// its shared caches; the driver overlays contention when enabled).
+  /// Base execution options applied to every query (the driver overlays
+  /// contention when enabled).
   QesOptions base_options;
   /// Re-plan each query against live busy fractions sampled from the
   /// cluster at submission (cost/cost_model.hpp's apply_contention).
   bool contention_aware = false;
+  /// Let the live monitor's per-node health scores derate the admission
+  /// controller's concurrency, so sick nodes shrink capacity instead of
+  /// collecting queries that will straggle. Default off.
+  bool health_aware_admission = false;
   /// Live monitor / flight recorder / dashboard (ORV_DASH and ORV_FLIGHT
-  /// enable this implicitly). base_options.health_aware_admission also
-  /// forces it on: the admission controller needs the health tracker.
+  /// enable this implicitly). health_aware_admission also forces it on:
+  /// the admission controller needs the health tracker.
   WorkloadMonitorOptions monitor;
 };
 
@@ -166,9 +170,6 @@ class ContentionMonitor {
   ContentionFactors sample();
 
  private:
-  double nic_busy_sum() const;
-  double cpu_busy_sum() const;
-
   Cluster& cluster_;
   std::size_t n_nics_ = 0;
   double last_t_ = 0;

@@ -217,16 +217,5 @@ TEST(DistributedDds, GraceHashPlanMatchesDirectRun) {
   expect_matches_direct_run(crossed_spec(), Algorithm::GraceHash);
 }
 
-TEST(DistributedDds, WrongSizeNodeCachesThrow) {
-  Rig r;
-  const auto view =
-      ViewDef::join(ViewDef::base(1), ViewDef::base(2), {"x", "y", "z"});
-  std::vector<std::shared_ptr<CachingService>> caches = {
-      std::make_shared<CachingService>(1 << 20, CachePolicy::LRU)};
-  QesOptions options;
-  options.node_caches = &caches;  // one cache for three compute nodes
-  EXPECT_THROW(r.dds->execute(*view, options), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace orv

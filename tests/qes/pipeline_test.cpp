@@ -10,6 +10,7 @@
 #include "cost/cost_model.hpp"
 #include "datagen/generator.hpp"
 #include "qes/qes.hpp"
+#include "qes/session.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -171,14 +172,19 @@ TEST(PipelinedIj, TightCacheWithPinsStillCorrect) {
   // A cache far smaller than the working set forces eviction pressure
   // against pinned prefetched entries (pins may overshoot capacity); the
   // result must not change and no pin may leak into a wasted count.
+  auto run_tight = [](const QesOptions& options) {
+    TestRig rig(overlap_spec(), overlap_cluster());
+    QesSession session(*rig.cluster, *rig.bds, rig.ds.meta,
+                       {.share_cache = false, .cache_bytes = 8 * 1024});
+    return session.run(rig.query, options, Algorithm::IndexedJoin).result;
+  };
   QesOptions serial;
   serial.cpu_work_factor = 8;
-  serial.cache_bytes = 8 * 1024;
-  const QesResult base = run_ij(serial);
+  const QesResult base = run_tight(serial);
 
   QesOptions pipe = serial;
   pipe.prefetch_lookahead = 4;
-  const QesResult res = run_ij(pipe);
+  const QesResult res = run_tight(pipe);
   EXPECT_EQ(res.result_tuples, base.result_tuples);
   EXPECT_EQ(res.result_fingerprint, base.result_fingerprint);
   EXPECT_EQ(res.prefetch_wasted, 0u);

@@ -10,6 +10,7 @@
 
 #include "cost/cost_model.hpp"
 #include "datagen/generator.hpp"
+#include "qes/session.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -41,6 +42,14 @@ struct TestRig {
 
   ReferenceResult reference() {
     return reference_join(ds.meta, ds.stores, query);
+  }
+
+  /// A forced Indexed Join with private per-query caches of `cache_bytes`.
+  QesResult run_ij_with_cache(const QesOptions& options,
+                              std::uint64_t cache_bytes) {
+    QesSession session(*cluster, *bds, ds.meta,
+                       {.share_cache = false, .cache_bytes = cache_bytes});
+    return session.run(query, options, Algorithm::IndexedJoin).result;
   }
 };
 
@@ -236,18 +245,14 @@ TEST(IndexedJoin, GreedyLocalityOrderCorrectAndNoWorseFetches) {
   TestRig rig(tiny_spec(), tiny_cluster());
   QesOptions options;
   options.pair_order = PairOrder::GreedyLocality;
-  options.cache_bytes = 8 * 1024;  // tight cache
-  const auto greedy = run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
-                                       rig.graph, rig.query, options);
+  const auto greedy = rig.run_ij_with_cache(options, 8 * 1024);  // tight
   EXPECT_EQ(greedy.result_tuples, 8u * 8 * 8);
 
   TestRig rig2(tiny_spec(), tiny_cluster());
   QesOptions shuffled;
   shuffled.pair_order = PairOrder::Shuffled;
-  shuffled.cache_bytes = 8 * 1024;
   shuffled.seed = 5;
-  const auto shuf = run_indexed_join(*rig2.cluster, *rig2.bds, rig2.ds.meta,
-                                     rig2.graph, rig2.query, shuffled);
+  const auto shuf = rig2.run_ij_with_cache(shuffled, 8 * 1024);
   EXPECT_LE(greedy.subtable_fetches, shuf.subtable_fetches);
 }
 
@@ -265,9 +270,7 @@ TEST(IndexedJoin, RefetchModelTracksConstrainedCacheRuns) {
   QesOptions options;
   options.pair_order = PairOrder::Shuffled;  // provoke misses
   options.seed = 3;
-  options.cache_bytes = 64 * 1024;
-  const auto res = run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
-                                    rig.graph, rig.query, options);
+  const auto res = rig.run_ij_with_cache(options, 64 * 1024);
   const auto& stats = rig.ds.stats;
   const std::uint64_t minimal =
       rig.graph.num_components() * (stats.a + stats.b);

@@ -5,9 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include "datagen/generator.hpp"
-#include "qes/qes.hpp"
+#include "qes/session.hpp"
 #include "sim/engine.hpp"
 
 namespace orv {
@@ -18,8 +17,7 @@ struct Rig {
   sim::Engine engine;
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<BdsService> bds;
-  std::vector<std::shared_ptr<CachingService>> caches;
-  ConnectivityGraph full_graph;
+  std::unique_ptr<QesSession> session;  // shared, memory-sized LRU caches
 
   Rig() {
     DatasetSpec spec;
@@ -33,25 +31,19 @@ struct Rig {
     cspec.num_compute = 2;
     cluster = std::make_unique<Cluster>(engine, cspec);
     bds = std::make_unique<BdsService>(*cluster, ds.meta, ds.stores);
-    for (std::size_t j = 0; j < 2; ++j) {
-      caches.push_back(
-          std::make_shared<CachingService>(cluster->memory_bytes()));
-    }
-    full_graph = ConnectivityGraph::build(ds.meta, 1, 2, {"x", "y", "z"});
+    session = std::make_unique<QesSession>(*cluster, *bds, ds.meta);
   }
 
-  QesResult run(const JoinQuery& query, const ConnectivityGraph& graph) {
-    QesOptions options;
-    options.node_caches = &caches;
-    return run_indexed_join(*cluster, *bds, ds.meta, graph, query, options);
+  QesResult run(const JoinQuery& query, const QesOptions& options = {}) {
+    return session->run(query, options, Algorithm::IndexedJoin).result;
   }
 };
 
 TEST(SessionCache, SecondRunTransfersNothing) {
   Rig rig;
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};
-  const auto cold = rig.run(query, rig.full_graph);
-  const auto warm = rig.run(query, rig.full_graph);
+  const auto cold = rig.run(query);
+  const auto warm = rig.run(query);
   EXPECT_EQ(cold.result_tuples, 512u);
   EXPECT_EQ(warm.result_tuples, 512u);
   EXPECT_EQ(warm.result_fingerprint, cold.result_fingerprint);
@@ -67,13 +59,10 @@ TEST(SessionCache, SecondRunTransfersNothing) {
 TEST(SessionCache, DifferentPredicateStillCorrectOnWarmCache) {
   Rig rig;
   JoinQuery full{1, 2, {"x", "y", "z"}, {}};
-  const auto cold = rig.run(full, rig.full_graph);  // warm the caches raw
+  const auto cold = rig.run(full);  // warm the caches raw
 
   JoinQuery narrow{1, 2, {"x", "y", "z"}, {{"x", {0, 3}}, {"wp", {0.0, 0.5}}}};
-  const auto graph = ConnectivityGraph::build(rig.ds.meta, 1, 2,
-                                              narrow.join_attrs,
-                                              narrow.ranges);
-  const auto res = rig.run(narrow, graph);
+  const auto res = rig.run(narrow);
   const auto ref = reference_join(rig.ds.meta, rig.ds.stores, narrow);
   EXPECT_EQ(res.result_tuples, ref.result_tuples);
   EXPECT_EQ(res.result_fingerprint, ref.result_fingerprint);
@@ -85,10 +74,7 @@ TEST(SessionCache, DifferentPredicateStillCorrectOnWarmCache) {
 TEST(SessionCache, ColdRunWithPredicateMatchesReference) {
   Rig rig;
   JoinQuery narrow{1, 2, {"x", "y", "z"}, {{"y", {2, 5}}}};
-  const auto graph = ConnectivityGraph::build(rig.ds.meta, 1, 2,
-                                              narrow.join_attrs,
-                                              narrow.ranges);
-  const auto res = rig.run(narrow, graph);
+  const auto res = rig.run(narrow);
   const auto ref = reference_join(rig.ds.meta, rig.ds.stores, narrow);
   EXPECT_EQ(res.result_tuples, ref.result_tuples);
   EXPECT_EQ(res.result_fingerprint, ref.result_fingerprint);
@@ -97,8 +83,8 @@ TEST(SessionCache, ColdRunWithPredicateMatchesReference) {
 TEST(SessionCache, StatsReportPerRunDeltas) {
   Rig rig;
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};
-  const auto cold = rig.run(query, rig.full_graph);
-  const auto warm = rig.run(query, rig.full_graph);
+  const auto cold = rig.run(query);
+  const auto warm = rig.run(query);
   // The warm run's stats must not include the cold run's misses.
   EXPECT_GT(cold.cache_stats.misses, 0u);
   EXPECT_EQ(warm.cache_stats.misses, 0u);
@@ -108,17 +94,12 @@ TEST(SessionCache, StatsReportPerRunDeltas) {
 TEST(SessionCache, CacheAffinityEliminatesPrunedGraphRefetches) {
   Rig rig;
   JoinQuery full{1, 2, {"x", "y", "z"}, {}};
-  rig.run(full, rig.full_graph);  // warm
+  rig.run(full);  // warm
 
   JoinQuery narrow{1, 2, {"x", "y", "z"}, {{"x", {0, 3}}}};
-  const auto graph = ConnectivityGraph::build(rig.ds.meta, 1, 2,
-                                              narrow.join_attrs,
-                                              narrow.ranges);
   QesOptions options;
-  options.node_caches = &rig.caches;
   options.assign = ComponentAssign::CacheAffinity;
-  const auto res = run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
-                                    graph, narrow, options);
+  const auto res = rig.run(narrow, options);
   const auto ref = reference_join(rig.ds.meta, rig.ds.stores, narrow);
   EXPECT_EQ(res.result_tuples, ref.result_tuples);
   EXPECT_EQ(res.result_fingerprint, ref.result_fingerprint);
@@ -130,23 +111,34 @@ TEST(SessionCache, CacheAffinityOnColdCachesFallsBackToRoundRobin) {
   Rig rig;
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};
   QesOptions options;
-  options.node_caches = &rig.caches;
   options.assign = ComponentAssign::CacheAffinity;
-  const auto res = run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
-                                    rig.full_graph, query, options);
+  const auto res = rig.run(query, options);
   EXPECT_EQ(res.result_tuples, 512u);
   EXPECT_GT(res.subtable_fetches, 0u);  // nothing cached yet
 }
 
-TEST(SessionCache, WrongCacheCountRejected) {
+TEST(SessionCache, PrivateCachesApplyTheSessionCacheSettings) {
+  // With sharing off, the session's size and policy still configure the
+  // per-query caches: a tight FIFO cache thrashes where the default
+  // (memory-sized LRU) one fetches every sub-table once.
   Rig rig;
   JoinQuery query{1, 2, {"x", "y", "z"}, {}};
-  std::vector<std::shared_ptr<CachingService>> too_few = {rig.caches[0]};
   QesOptions options;
-  options.node_caches = &too_few;
-  EXPECT_THROW(run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
-                                rig.full_graph, query, options),
-               Error);
+  options.pair_order = PairOrder::Shuffled;
+  options.seed = 3;
+  QesSession roomy(*rig.cluster, *rig.bds, rig.ds.meta,
+                   {.share_cache = false});
+  QesSession tight(*rig.cluster, *rig.bds, rig.ds.meta,
+                   {.share_cache = false,
+                    .cache_bytes = 8 * 1024,
+                    .cache_policy = CachePolicy::FIFO});
+  const auto base = roomy.run(query, options, Algorithm::IndexedJoin).result;
+  const auto res = tight.run(query, options, Algorithm::IndexedJoin).result;
+  EXPECT_EQ(base.cache_stats.evictions, 0u);
+  EXPECT_GT(res.cache_stats.evictions, 0u);
+  EXPECT_GT(res.subtable_fetches, base.subtable_fetches);
+  EXPECT_EQ(res.result_fingerprint, base.result_fingerprint);
+  EXPECT_TRUE(tight.node_caches().empty());  // nothing persists
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -178,6 +179,35 @@ TEST(Engine, DeadlockOnUnsetEventIsDetected) {
   } catch (const Error& err) {
     EXPECT_NE(std::string(err.what()).find("stuck-waiter"), std::string::npos);
   }
+}
+
+// A process references the frames of the processes spawned before it (its
+// spawner's state), so a torn-down engine must destroy the newest root
+// first: here the child's frame, whose guard logs, goes before its parent's.
+TEST(Engine, DestroysBlockedRootsNewestFirst) {
+  struct Guard {
+    std::vector<std::string>& log;
+    const char* name;
+    ~Guard() { log.push_back(name); }
+  };
+  auto child = [](Event& never, std::vector<std::string>& log) -> Task<> {
+    Guard guard{log, "child"};
+    co_await never.wait();
+  };
+  auto parent = [&child](Engine& e,
+                         std::vector<std::string>& log) -> Task<> {
+    Guard guard{log, "parent"};
+    Event never(e);
+    co_await e.spawn(child(never, log), "child").join();
+  };
+  std::vector<std::string> log;
+  {
+    Engine e;
+    e.spawn(parent(e, log), "parent");
+    EXPECT_THROW(e.run(), Error);  // both block: a deadlock
+    EXPECT_TRUE(log.empty());
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{"child", "parent"}));
 }
 
 TEST(Engine, EventWakesAllWaiters) {

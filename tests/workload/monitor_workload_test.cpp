@@ -318,7 +318,7 @@ TEST(MonitorChaos, HealthAwareAdmissionDeratesWithoutWedging) {
       seed, rig.sc.cspec.num_storage, rig.sc.cspec.num_compute);
   WorkloadSpec spec = chaos_workload(rig);
   spec.monitor.enabled = false;  // forced back on by health_aware_admission
-  spec.base_options.health_aware_admission = true;
+  spec.health_aware_admission = true;
   spec.admission.max_running = 2;
 
   obs::FlightRecorder rec;
