@@ -1,18 +1,22 @@
 // Microbenchmark of the extractor functions: chunk-parse throughput per
 // layout. Validates the paper's assumption that extraction cost is much
 // less than the I/O cost of retrieving the chunk (GB/s here vs tens of
-// MB/s disks).
+// MB/s disks). Also times the record-level range selection and the
+// bounds pass that run on every extracted sub-table.
 
 #include <benchmark/benchmark.h>
 
 #include "datagen/generator.hpp"
 #include "extract/extractor.hpp"
+#include "meta/metadata.hpp"
 
 namespace {
 
 using namespace orv;
 
-std::vector<std::byte> sample_chunk(LayoutId layout, std::size_t rows) {
+constexpr std::size_t kSampleRows = 1 << 16;
+
+SubTable sample_table(std::size_t rows) {
   auto schema = Schema::make({{"x", AttrType::Float32},
                               {"y", AttrType::Float32},
                               {"z", AttrType::Float32},
@@ -27,12 +31,11 @@ std::vector<std::byte> sample_chunk(LayoutId layout, std::size_t rows) {
     st.append_values(vals);
   }
   st.compute_bounds();
-  return make_chunk(st, layout);
+  return st;
 }
 
 void run_extract(benchmark::State& state, LayoutId layout) {
-  const std::size_t rows = 1 << 16;
-  const auto chunk = sample_chunk(layout, rows);
+  const auto chunk = make_chunk(sample_table(kSampleRows), layout);
   for (auto _ : state) {
     benchmark::DoNotOptimize(extract_chunk(chunk));
   }
@@ -68,6 +71,33 @@ void BM_EncodeChunk(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * st.size_bytes());
 }
 BENCHMARK(BM_EncodeChunk)->Arg(0)->Arg(1)->Arg(2);
+
+// x cycles through 0..63, so x IN [0, arg - 0.5] keeps arg/64 of the rows
+// in runs of arg: 64 keeps all, 32 keeps half, 0 keeps none.
+void BM_FilterRows(benchmark::State& state) {
+  const SubTable st = sample_table(kSampleRows);
+  const std::vector<AttrRange> ranges = {
+      {"x", Interval{0, static_cast<double>(state.range(0)) - 0.5}}};
+  std::size_t kept = 0;
+  for (auto _ : state) {
+    const SubTable out = filter_rows(st, ranges);
+    kept = out.num_rows();
+    benchmark::DoNotOptimize(out.bytes().data());
+  }
+  state.counters["kept_frac"] = static_cast<double>(kept) / st.num_rows();
+  state.SetItemsProcessed(state.iterations() * st.num_rows());
+}
+BENCHMARK(BM_FilterRows)->Arg(64)->Arg(32)->Arg(0);
+
+void BM_ComputeBounds(benchmark::State& state) {
+  SubTable st = sample_table(kSampleRows);
+  for (auto _ : state) {
+    st.compute_bounds();
+    benchmark::DoNotOptimize(st.bounds()[0].hi);
+  }
+  state.SetItemsProcessed(state.iterations() * st.num_rows());
+}
+BENCHMARK(BM_ComputeBounds);
 
 }  // namespace
 

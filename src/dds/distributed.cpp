@@ -15,9 +15,7 @@ void append_fragment(const SubTable& fragment,
                      const std::vector<std::size_t>& proj_indices,
                      SubTable& out) {
   if (proj_indices.empty()) {
-    for (std::size_t r = 0; r < fragment.num_rows(); ++r) {
-      out.append_row({fragment.row(r), fragment.record_size()});
-    }
+    out.append_rows(fragment);
     return;
   }
   std::vector<std::byte> row(out.record_size());

@@ -40,17 +40,6 @@ SubTable sort_rows(const SubTable& in, const std::vector<SortKey>& keys,
   return out;
 }
 
-namespace {
-
-void append_all(const SubTable& src, SubTable& dest) {
-  dest.reserve_rows(dest.num_rows() + src.num_rows());
-  for (std::size_t r = 0; r < src.num_rows(); ++r) {
-    dest.append_row({src.row(r), src.record_size()});
-  }
-}
-
-}  // namespace
-
 SubTable LocalExecutor::scan(TableId table,
                              const std::vector<AttrRange>& ranges) const {
   const auto schema = meta_.table_schema(table);
@@ -70,11 +59,11 @@ SubTable LocalExecutor::scan(TableId table,
     pool_->parallel_for(ids.size(), [&](std::size_t i) {
       parts[i].emplace(load(ids[i]));
     });
-    for (const auto& part : parts) append_all(*part, all);
+    for (const auto& part : parts) all.append_rows(*part);
     return all;
   }
 
-  for (const auto& id : ids) append_all(load(id), all);
+  for (const auto& id : ids) all.append_rows(load(id));
   return all;
 }
 
@@ -105,7 +94,7 @@ SubTable LocalExecutor::execute_join(const ViewDef& view) const {
     }
   });
   SubTable out(result_schema, SubTableId{0, 0});
-  for (const auto& part : parts) append_all(*part, out);
+  for (const auto& part : parts) out.append_rows(*part);
   return out;
 }
 

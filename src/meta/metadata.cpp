@@ -1,6 +1,8 @@
 #include "meta/metadata.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -17,19 +19,48 @@ bool satisfies_ranges(const ChunkMeta& chunk,
 }
 
 SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
-  Rect pred = Rect::unbounded(st.schema().num_attrs());
+  const Schema& schema = st.schema();
+  Rect pred = Rect::unbounded(schema.num_attrs());
   bool constrained = false;
   for (const auto& r : ranges) {
-    if (auto idx = st.schema().index_of(r.attr)) {
+    if (auto idx = schema.index_of(r.attr)) {
       pred[*idx] = pred[*idx].intersect(r.range);
       constrained = true;
     }
   }
   if (!constrained) return st;
-  SubTable out(st.schema_ptr(), st.id());
-  for (std::size_t r = 0; r < st.num_rows(); ++r) {
-    if (st.row_in(r, pred)) out.append_row({st.row(r), st.record_size()});
+  // Every attribute is tested, so the unbounded interval of an attribute
+  // no range names still rejects NaN; an integer attribute under the
+  // unbounded interval always passes and is skipped.
+  std::vector<std::uint8_t> keep(st.num_rows(), 1);
+  for (std::size_t d = 0; d < schema.num_attrs(); ++d) {
+    const Interval iv = pred[d];
+    const AttrType type = schema.attr(d).type;
+    const bool integer = type == AttrType::Int32 || type == AttrType::Int64;
+    if (integer && iv == Interval{}) continue;
+    st.for_each_as_double(d, [&keep, iv](std::size_t r, double v) {
+      keep[r] &= static_cast<std::uint8_t>(iv.contains(v));
+    });
   }
+  // Size the output exactly, then copy each maximal run of passing rows
+  // with one memcpy.
+  const auto kept = static_cast<std::size_t>(
+      std::count(keep.begin(), keep.end(), std::uint8_t{1}));
+  SubTable out(st.schema_ptr(), st.id());
+  std::byte* dst = out.append_rows_reserve(kept);
+  const std::size_t rs = st.record_size();
+  for (std::size_t begin = 0; begin < keep.size();) {
+    if (!keep[begin]) {
+      ++begin;
+      continue;
+    }
+    std::size_t end = begin + 1;
+    while (end < keep.size() && keep[end]) ++end;
+    std::memcpy(dst, st.row(begin), (end - begin) * rs);
+    dst += (end - begin) * rs;
+    begin = end;
+  }
+  out.append_rows_commit(kept);
   out.compute_bounds();
   return out;
 }

@@ -134,11 +134,8 @@ SubTable load_table(const MetaDataService& meta,
                     TableId table, const std::vector<AttrRange>& ranges) {
   SubTable all(meta.table_schema(table), SubTableId{table, 0});
   for (const auto& cm : meta.chunks(table)) {
-    const SubTable st =
-        load_chunk(*stores.at(cm.location.storage_node), cm, &ranges);
-    for (std::size_t r = 0; r < st.num_rows(); ++r) {
-      all.append_row({st.row(r), st.record_size()});
-    }
+    all.append_rows(
+        load_chunk(*stores.at(cm.location.storage_node), cm, &ranges));
   }
   return all;
 }

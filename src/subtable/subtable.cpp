@@ -21,6 +21,17 @@ void SubTable::append_row(std::span<const std::byte> record) {
   ++num_rows_;
 }
 
+void SubTable::append_rows(const SubTable& src) {
+  ORV_REQUIRE(src.record_size() == record_size(),
+              "append_rows record size mismatch");
+  const std::size_t n = src.num_rows();
+  if (n == 0) return;  // an empty table's buffer may be null
+  // Reserve first: `src` may be this table, whose bytes may move.
+  std::byte* dst = append_rows_reserve(n);
+  std::memcpy(dst, src.data_.data(), n * record_size());
+  append_rows_commit(n);
+}
+
 std::byte* SubTable::append_rows_reserve(std::size_t n) {
   const std::size_t committed = num_rows_ * record_size();
   const std::size_t need = committed + n * record_size();
@@ -82,31 +93,22 @@ void SubTable::set_bounds(Rect b) {
 void SubTable::compute_bounds() {
   const std::size_t n_attrs = schema_->num_attrs();
   Rect b(n_attrs);
-  if (num_rows_ == 0) {
-    // Empty sub-table: an empty box (lo > hi) that overlaps nothing.
-    for (std::size_t d = 0; d < n_attrs; ++d) b[d] = Interval{1.0, -1.0};
-    bounds_ = std::move(b);
-    return;
-  }
   for (std::size_t d = 0; d < n_attrs; ++d) {
-    b[d] = Interval{std::numeric_limits<double>::infinity(),
-                    -std::numeric_limits<double>::infinity()};
-  }
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    for (std::size_t d = 0; d < n_attrs; ++d) {
-      b.expand(d, as_double(r, d));
+    if (num_rows_ == 0) {
+      // Empty sub-table: an empty box (lo > hi) that overlaps nothing.
+      b[d] = Interval{1.0, -1.0};
+      continue;
     }
+    // The comparisons of Rect::expand: NaN never moves a bound.
+    Interval iv{std::numeric_limits<double>::infinity(),
+                -std::numeric_limits<double>::infinity()};
+    for_each_as_double(d, [&iv](std::size_t, double v) {
+      if (v < iv.lo) iv.lo = v;
+      if (v > iv.hi) iv.hi = v;
+    });
+    b[d] = iv;
   }
   bounds_ = std::move(b);
-}
-
-bool SubTable::row_in(std::size_t r, const Rect& pred) const {
-  ORV_REQUIRE(pred.dims() == schema_->num_attrs(),
-              "predicate dimension must equal attribute count");
-  for (std::size_t d = 0; d < pred.dims(); ++d) {
-    if (!pred[d].contains(as_double(r, d))) return false;
-  }
-  return true;
 }
 
 std::uint64_t SubTable::unordered_fingerprint() const {

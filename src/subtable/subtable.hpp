@@ -59,6 +59,10 @@ class SubTable {
   /// Appends one packed record (must be exactly record_size() bytes).
   void append_row(std::span<const std::byte> record);
 
+  /// Appends every row of `src` (same record size) with one copy. The
+  /// buffer grows geometrically, so concatenating many parts stays linear.
+  void append_rows(const SubTable& src);
+
   /// Zero-copy append window: grows the byte buffer to hold `n` rows past
   /// the committed ones and returns the write cursor at the first
   /// uncommitted row. Rows written there become visible only after
@@ -101,6 +105,24 @@ class SubTable {
   /// Numeric view of any attribute (for predicates and aggregation).
   double as_double(std::size_t r, std::size_t attr) const;
 
+  /// Calls fn(r, v) for every row r in order, where v is attribute `attr`
+  /// of row r widened to double exactly as as_double() does. The type
+  /// switch runs once per call, not once per cell.
+  template <typename Fn>
+  void for_each_as_double(std::size_t attr, Fn&& fn) const {
+    switch (schema_->attr(attr).type) {
+      case AttrType::Int32:
+        return for_each_field<std::int32_t>(attr, fn);
+      case AttrType::Int64:
+        return for_each_field<std::int64_t>(attr, fn);
+      case AttrType::Float32:
+        return for_each_field<float>(attr, fn);
+      case AttrType::Float64:
+        return for_each_field<double>(attr, fn);
+    }
+    throw_bad_attr_type("SubTable::for_each_as_double");
+  }
+
   /// Whole payload (num_rows * record_size bytes).
   std::span<const std::byte> bytes() const { return data_; }
 
@@ -112,12 +134,9 @@ class SubTable {
   const Rect& bounds() const { return bounds_; }
   void set_bounds(Rect b);
 
-  /// Scans all rows and tightens the bounding box to the data.
+  /// Scans all rows and tightens the bounding box to the data: NaN is
+  /// ignored, and zero rows give the empty box {1, -1} per attribute.
   void compute_bounds();
-
-  /// True when row r satisfies a per-attribute range predicate: `pred` has
-  /// schema dimension; unbounded intervals always pass.
-  bool row_in(std::size_t r, const Rect& pred) const;
 
   /// Order-independent 64-bit digest of the row multiset; used to compare a
   /// distributed join result with the reference result without sorting.
@@ -126,6 +145,18 @@ class SubTable {
   std::string to_string(std::size_t max_rows = 10) const;
 
  private:
+  template <typename T, typename Fn>
+  void for_each_field(std::size_t attr, Fn& fn) const {
+    if (num_rows_ == 0) return;  // an empty table's buffer may be null
+    const std::size_t rs = record_size();
+    const std::byte* p = data_.data() + schema_->offset(attr);
+    for (std::size_t r = 0; r < num_rows_; ++r, p += rs) {
+      T v;
+      std::memcpy(&v, p, sizeof(T));
+      fn(r, static_cast<double>(v));
+    }
+  }
+
   SchemaPtr schema_;
   SubTableId id_;
   std::vector<std::byte> data_;

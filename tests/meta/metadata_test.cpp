@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "datagen/generator.hpp"
+#include "../subtable/value_reference.hpp"
 
 namespace orv {
 namespace {
@@ -163,6 +166,134 @@ TEST(FilterRows, BothEndpointsAreInclusive) {
   const SubTable point = filter_rows(ten_rows(), {{"v", Interval{1, 1}}});
   ASSERT_EQ(point.num_rows(), 1u);
   EXPECT_EQ(point.get<std::int32_t>(0, 0), 2);
+}
+
+// filter_rows row by row through Value: every attribute is tested against
+// its intersected interval (unbounded where no range names it, which still
+// rejects NaN), and the output bounds are recomputed.
+SubTable value_filter(const SubTable& st, const std::vector<AttrRange>& ranges) {
+  Rect pred = Rect::unbounded(st.schema().num_attrs());
+  bool constrained = false;
+  for (const auto& r : ranges) {
+    if (auto idx = st.schema().index_of(r.attr)) {
+      pred[*idx] = pred[*idx].intersect(r.range);
+      constrained = true;
+    }
+  }
+  if (!constrained) return st;
+  SubTable out(st.schema_ptr(), st.id());
+  for (std::size_t r = 0; r < st.num_rows(); ++r) {
+    bool in = true;
+    for (std::size_t d = 0; d < pred.dims(); ++d) {
+      in = in && pred[d].contains(st.value(r, d).as_double());
+    }
+    if (in) out.append_row({st.row(r), st.record_size()});
+  }
+  out.set_bounds(test::value_bounds(out));
+  return out;
+}
+
+// Runs filter_rows and checks bytes, row order, id and bounds against the
+// reference; returns the number of rows kept.
+std::size_t expect_filter_matches(const SubTable& st,
+                                  const std::vector<AttrRange>& ranges) {
+  const SubTable out = filter_rows(st, ranges);
+  const SubTable ref = value_filter(st, ranges);
+  EXPECT_EQ(out.id(), ref.id());
+  EXPECT_EQ(out.num_rows(), ref.num_rows());
+  EXPECT_TRUE(std::equal(out.bytes().begin(), out.bytes().end(),
+                         ref.bytes().begin(), ref.bytes().end()));
+  EXPECT_EQ(out.bounds(), ref.bounds());
+  return out.num_rows();
+}
+
+constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+
+// One attribute of each AttrType; b runs across 2^53, where distinct
+// int64 values widen to the same double.
+SubTable typed_rows(std::size_t n) {
+  SubTable st(Schema::make({{"a", AttrType::Int32},
+                            {"b", AttrType::Int64},
+                            {"c", AttrType::Float32},
+                            {"d", AttrType::Float64}}),
+              SubTableId{4, 2});
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto k = static_cast<std::int64_t>(i);
+    const Value vals[] = {Value(static_cast<std::int32_t>(k % 7 - 3)),
+                          Value(kTwo53 - 4 + k),
+                          Value(static_cast<float>(k) * 0.5f),
+                          Value(static_cast<double>(k % 5) / 4 - 0.5)};
+    st.append_values(vals);
+  }
+  return st;
+}
+
+TEST(FilterRows, EachAttrTypeMatchesTheValueReference) {
+  const SubTable st = typed_rows(24);
+  const double two53 = static_cast<double>(kTwo53);
+  EXPECT_EQ(expect_filter_matches(st, {{"a", Interval{-1, 1}}}), 10u);
+  EXPECT_EQ(expect_filter_matches(st, {{"c", Interval{1, 3.5}}}), 6u);
+  EXPECT_EQ(expect_filter_matches(st, {{"d", Interval{-0.25, 0}}}), 10u);
+  // 2^53 and 2^53 + 1 both widen to 2^53.
+  EXPECT_EQ(expect_filter_matches(st, {{"b", Interval{two53, two53}}}), 2u);
+  EXPECT_EQ(expect_filter_matches(st, {{"b", Interval{two53 + 2, 1e300}}}),
+            18u);
+  // Several ranges, one attribute named twice (the intervals intersect).
+  expect_filter_matches(st, {{"a", Interval{-3, 2}},
+                             {"d", Interval{-1, 0.25}},
+                             {"a", Interval{0, 9}},
+                             {"absent", Interval{0, 0}}});
+}
+
+TEST(FilterRows, NanInAnyAttributeDropsTheRow) {
+  SubTable st = typed_rows(8);
+  st.set<float>(2, 2, std::numeric_limits<float>::quiet_NaN());
+  st.set<double>(5, 3, std::nan(""));
+  // Constrained: row 2's NaN fails c's range; row 5's NaN in d, which no
+  // range names, fails d's unbounded interval.
+  EXPECT_EQ(expect_filter_matches(st, {{"c", Interval{0, 100}}}), 6u);
+  // Only an integer attribute constrained: both NaN rows still drop.
+  EXPECT_EQ(expect_filter_matches(st, {{"a", Interval{-10, 10}}}), 6u);
+  const SubTable out = filter_rows(st, {{"a", Interval{-10, 10}}});
+  for (std::size_t r = 0; r < out.num_rows(); ++r) {
+    EXPECT_FALSE(std::isnan(out.get<float>(r, 2)));
+    EXPECT_FALSE(std::isnan(out.get<double>(r, 3)));
+  }
+  // No range applies: the table comes back whole, NaN rows included.
+  EXPECT_EQ(expect_filter_matches(st, {{"absent", Interval{0, 0}}}), 8u);
+}
+
+TEST(FilterRows, CopiesRunsAtStartMiddleAndEnd) {
+  // a = 0 marks passing rows: runs 0-2, 5-7 and 10-11; 3-4, 8-9 fail.
+  SubTable st = typed_rows(12);
+  for (std::size_t r = 0; r < 12; ++r) {
+    const bool pass = r < 3 || (r >= 5 && r < 8) || r >= 10;
+    st.set<std::int32_t>(r, 0, pass ? 0 : 1);
+  }
+  EXPECT_EQ(expect_filter_matches(st, {{"a", Interval{0, 0}}}), 8u);
+  const SubTable out = filter_rows(st, {{"a", Interval{0, 0}}});
+  EXPECT_EQ(out.get<std::int64_t>(0, 1), kTwo53 - 4);
+  EXPECT_EQ(out.get<std::int64_t>(3, 1), kTwo53 - 4 + 5);
+  EXPECT_EQ(out.get<std::int64_t>(7, 1), kTwo53 - 4 + 11);
+}
+
+TEST(FilterRows, NoRowPassingGivesTheEmptyBox) {
+  const SubTable st = typed_rows(16);
+  EXPECT_EQ(expect_filter_matches(st, {{"c", Interval{100, 200}}}), 0u);
+  const SubTable out = filter_rows(st, {{"c", Interval{100, 200}}});
+  for (std::size_t d = 0; d < 4; ++d) {
+    EXPECT_EQ(out.bounds()[d], (Interval{1, -1}));
+  }
+  EXPECT_EQ(expect_filter_matches(st, {{"a", Interval{5, 4}}}), 0u);
+  EXPECT_EQ(expect_filter_matches(typed_rows(0), {{"c", Interval{0, 1}}}), 0u);
+}
+
+TEST(FilterRows, AllRowsPassing) {
+  const SubTable st = typed_rows(16);
+  EXPECT_EQ(expect_filter_matches(st, {{"c", Interval{0, 100}}}), 16u);
+  const SubTable out = filter_rows(st, {{"c", Interval{0, 100}}});
+  EXPECT_TRUE(std::equal(out.bytes().begin(), out.bytes().end(),
+                         st.bytes().begin(), st.bytes().end()));
 }
 
 TEST(MetaData, SerializationRoundTrip) {

@@ -1,5 +1,5 @@
-// SubTable: append paths, typed access, bounds computation, row
-// predicates, fingerprints, payload adoption.
+// SubTable: append paths, typed access, bounds computation,
+// fingerprints, payload adoption.
 
 #include "subtable/subtable.hpp"
 
@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
+#include "value_reference.hpp"
 
 namespace orv {
 namespace {
@@ -101,19 +103,89 @@ TEST(SubTable, EmptyBoundsOverlapNothing) {
   EXPECT_FALSE(st.bounds().overlaps(any));
 }
 
+// One attribute of each AttrType, with NaN, infinities, -0.0 and int64
+// values around 2^53 (where the widening to double rounds).
+SubTable four_types(std::size_t n) {
+  SubTable st(Schema::make({{"a", AttrType::Int32},
+                            {"b", AttrType::Int64},
+                            {"c", AttrType::Float32},
+                            {"d", AttrType::Float64}}),
+              SubTableId{2, 3});
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -0.0f, std::numeric_limits<float>::infinity()};
+  for (std::size_t i = 0; i < n; ++i) {
+    const Value vals[] = {
+        Value(static_cast<std::int32_t>(i * 7 % 11) - 5),
+        Value((std::int64_t{1} << 53) - 2 + static_cast<std::int64_t>(i)),
+        Value(i % 4 == 1 ? specials[i % 3] : static_cast<float>(i) * 0.5f),
+        Value(i == 0 ? std::numeric_limits<double>::quiet_NaN()
+                     : -static_cast<double>(i) / 3)};
+    st.append_values(vals);
+  }
+  return st;
+}
+
+TEST(SubTable, ComputeBoundsMatchesTheValueReference) {
+  for (std::size_t n : {0u, 1u, 2u, 5u, 13u}) {
+    SubTable st = four_types(n);
+    st.compute_bounds();
+    EXPECT_EQ(st.bounds(), test::value_bounds(st)) << n << " rows";
+  }
+  // NaN never moves a bound; an all-NaN column keeps {+inf, -inf}.
+  const SubTable one = [] {
+    SubTable st = four_types(1);
+    st.compute_bounds();
+    return st;
+  }();
+  EXPECT_EQ(one.bounds()[3],
+            (Interval{std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()}));
+  EXPECT_EQ(one.bounds()[1].lo, static_cast<double>((1LL << 53) - 2));
+}
+
+TEST(SubTable, AppendRowsCopiesEveryRowInOrder) {
+  SubTable empty = sample(0);
+  empty.append_rows(empty);
+  EXPECT_TRUE(empty.empty());
+  SubTable dest = sample(2);
+  dest.append_rows(empty);
+  const SubTable src = sample(3);
+  dest.append_rows(src);
+  ASSERT_EQ(dest.num_rows(), 5u);
+  EXPECT_EQ(dest.size_bytes(), 5 * dest.record_size());
+  EXPECT_EQ(std::memcmp(dest.row(2), src.row(0), 3 * src.record_size()), 0);
+  // Appending a table to itself doubles it.
+  dest.append_rows(dest);
+  ASSERT_EQ(dest.num_rows(), 10u);
+  EXPECT_EQ(std::memcmp(dest.row(5), dest.row(0), 5 * dest.record_size()), 0);
+}
+
+TEST(SubTable, AppendRowsMustMatchRecordSize) {
+  SubTable st = sample(1);
+  const SubTable narrow(Schema::make({{"x", AttrType::Float32}}),
+                        SubTableId{1, 0});
+  EXPECT_THROW(st.append_rows(narrow), InvalidArgument);
+}
+
+TEST(SubTable, AppendRowsGrowsGeometrically) {
+  // An exact reserve per append would move the buffer on all 4096 calls.
+  const SubTable one = sample(1);
+  SubTable st(xyz_schema(), SubTableId{1, 0});
+  const std::byte* last = st.bytes().data();
+  int moves = 0;
+  for (int i = 0; i < 4096; ++i) {
+    st.append_rows(one);
+    if (st.bytes().data() != last) ++moves;
+    last = st.bytes().data();
+  }
+  EXPECT_EQ(st.num_rows(), 4096u);
+  EXPECT_LE(moves, 32);
+  EXPECT_EQ(std::memcmp(st.row(4095), one.row(0), one.record_size()), 0);
+}
+
 TEST(SubTable, SetBoundsDimensionChecked) {
   SubTable st = sample();
   EXPECT_THROW(st.set_bounds(Rect(2)), InvalidArgument);
-}
-
-TEST(SubTable, RowInPredicate) {
-  const SubTable st = sample(4);
-  Rect pred = Rect::unbounded(3);
-  pred[0] = {1, 2};
-  EXPECT_FALSE(st.row_in(0, pred));
-  EXPECT_TRUE(st.row_in(1, pred));
-  EXPECT_TRUE(st.row_in(2, pred));
-  EXPECT_FALSE(st.row_in(3, pred));
 }
 
 TEST(SubTable, FingerprintOrderIndependent) {

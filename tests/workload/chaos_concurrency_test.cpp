@@ -9,9 +9,9 @@
 //   ORV_CHAOS_N     sweep width (default 120)
 //   ORV_CHAOS_SEED  base seed (default 5000)
 //
-// Reproduce one seed:
-//   ORV_CHAOS_SEED=<seed> ORV_CHAOS_N=1 ./tests/test_workload \
-//     --gtest_filter='ChaosConcurrency.*'
+// Reproduce one seed: run ./tests/test_workload with
+// --gtest_filter='ChaosConcurrency.*' and the environment
+// ORV_CHAOS_SEED=<seed> ORV_CHAOS_N=1.
 
 #include <gtest/gtest.h>
 
