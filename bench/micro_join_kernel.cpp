@@ -3,13 +3,14 @@
 // (Table 1) would be calibrated on a target machine: gamma = ops/tuple =
 // measured ns/tuple * F.
 //
-// Besides the google-benchmark suites, main() always runs a scalar-vs-tuned
-// probe sweep across build sizes spanning the L2/L3 boundary, then a
-// key-box clip block (probe sides overlapping the build side's key range by
-// 100%, 25% and 3%), and writes the results as machine-readable JSON
-// (default BENCH_join_kernel.json, or the path given by --sweep_json=...),
-// so successive PRs can track the kernel's throughput trajectory. Every
-// ns/tuple figure is per charged probe row, clipped or not.
+// Besides the google-benchmark suites, main() always runs a probe sweep
+// across build sizes spanning the L2/L3 boundary (ns per probe row and the
+// partition count per size), then a key-box clip block (probe sides
+// overlapping the build side's key range by 100%, 25% and 3%), and writes
+// the results as machine-readable JSON (default BENCH_join_kernel.json, or
+// the path given by --sweep_json=...), so successive changes can track the
+// kernel's throughput trajectory. Every ns/tuple figure is per charged
+// probe row, clipped or not.
 
 #include <benchmark/benchmark.h>
 
@@ -54,44 +55,24 @@ std::shared_ptr<SubTable> make_rows(SchemaPtr schema, std::size_t n,
   return st;
 }
 
-JoinKernelOptions kernel_options(int variant) {
-  switch (variant) {
-    case 0:
-      return JoinKernelOptions::scalar();
-    case 1: {
-      JoinKernelOptions o;  // batched + prefetch, no radix
-      o.radix_build = false;
-      return o;
-    }
-    default:
-      return JoinKernelOptions{};  // tuned: batched + radix
-  }
-}
-
-const char* kVariantNames[] = {"scalar", "batched", "tuned"};
-
 void BM_HashTableBuild(benchmark::State& state) {
   const auto rows = make_rows(wide_schema(4), state.range(0), 1);
-  const JoinKernelOptions opt = kernel_options(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    BuiltHashTable ht(rows, {"k"}, opt);
+    BuiltHashTable ht(rows, {"k"});
     benchmark::DoNotOptimize(ht.table_bytes());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(kVariantNames[state.range(1)]);
 }
 BENCHMARK(BM_HashTableBuild)
-    ->Args({1 << 10, 2})
-    ->Args({1 << 14, 2})
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 2})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 2});
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17)
+    ->Arg(1 << 20);
 
 void BM_HashTableProbe(benchmark::State& state) {
   const auto left = make_rows(wide_schema(4), state.range(0), 1);
   const auto right = make_rows(wide_schema(4), state.range(0), 2);
-  BuiltHashTable ht(left, {"k"}, kernel_options(static_cast<int>(state.range(1))));
+  BuiltHashTable ht(left, {"k"});
   const JoinKey rkey = JoinKey::resolve(right->schema(), {"k"});
   auto result_schema = std::make_shared<const Schema>(Schema::join_result(
       left->schema(), right->schema(), rkey.attr_indices()));
@@ -100,19 +81,12 @@ void BM_HashTableProbe(benchmark::State& state) {
     benchmark::DoNotOptimize(ht.probe(*right, {"k"}, out));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(kVariantNames[state.range(1)]);
 }
 BENCHMARK(BM_HashTableProbe)
-    ->Args({1 << 10, 0})
-    ->Args({1 << 10, 2})
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 2})
-    ->Args({1 << 17, 0})
-    ->Args({1 << 17, 1})
-    ->Args({1 << 17, 2})
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1})
-    ->Args({1 << 20, 2});
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 17)
+    ->Arg(1 << 20);
 
 // The paper's record-size-independence claim: build cost per tuple should
 // be flat across record widths (pointer-valued hash table).
@@ -137,7 +111,7 @@ void BM_EndToEndHashJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndHashJoin)->Arg(1 << 12)->Arg(1 << 16);
 
-// --- Scalar vs tuned sweep, emitted as JSON -------------------------------
+// --- Probe sweep, emitted as JSON -----------------------------------------
 
 double probe_ns_per_tuple(const BuiltHashTable& ht, const SubTable& right,
                           const SchemaPtr& result_schema,
@@ -168,10 +142,10 @@ void run_sweep(const std::string& path) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return;
   }
-  const JoinKernelOptions tuned;
   std::fprintf(f, "{\n  \"bench\": \"join_kernel_probe_sweep\",\n");
   std::fprintf(f, "  \"record_bytes\": %zu,\n", wide_schema(4)->record_size());
-  std::fprintf(f, "  \"l2_bytes\": %zu,\n  \"points\": [\n", tuned.l2_bytes);
+  std::fprintf(f, "  \"partition_bytes\": %zu,\n  \"points\": [\n",
+               BuiltHashTable::kPartitionBytes);
   bool first = true;
   for (int lg = 14; lg <= 20; ++lg) {
     const std::size_t n = std::size_t{1} << lg;
@@ -180,23 +154,16 @@ void run_sweep(const std::string& path) {
     auto result_schema = std::make_shared<const Schema>(Schema::join_result(
         left->schema(), right->schema(),
         JoinKey::resolve(right->schema(), {"k"}).attr_indices()));
-    const BuiltHashTable scalar(left, {"k"}, JoinKernelOptions::scalar());
-    const BuiltHashTable fast(left, {"k"}, tuned);
-    const double s_ns = probe_ns_per_tuple(scalar, *right, result_schema);
-    const double f_ns = probe_ns_per_tuple(fast, *right, result_schema);
+    const BuiltHashTable ht(left, {"k"});
+    const double ns = probe_ns_per_tuple(ht, *right, result_schema);
     if (!first) std::fprintf(f, ",\n");
     first = false;
     std::fprintf(f,
                  "    {\"build_rows\": %zu, \"table_bytes\": %zu, "
-                 "\"partitions\": %zu, \"scalar_ns_per_tuple\": %.2f, "
-                 "\"tuned_ns_per_tuple\": %.2f, \"speedup\": %.2f}",
-                 n, fast.table_bytes(), fast.num_partitions(), s_ns, f_ns,
-                 s_ns / f_ns);
-    std::fprintf(stderr,
-                 "sweep rows=%zu table=%zuKiB parts=%zu scalar=%.1fns "
-                 "tuned=%.1fns speedup=%.2fx\n",
-                 n, fast.table_bytes() >> 10, fast.num_partitions(), s_ns,
-                 f_ns, s_ns / f_ns);
+                 "\"partitions\": %zu, \"ns_per_tuple\": %.2f}",
+                 n, ht.table_bytes(), ht.num_partitions(), ns);
+    std::fprintf(stderr, "sweep rows=%zu table=%zuKiB parts=%zu probe=%.1fns\n",
+                 n, ht.table_bytes() >> 10, ht.num_partitions(), ns);
   }
   // Key-box clip: the right keys are uniform over a space 100/pct times
   // the build side's, so about pct% of probe rows lie in its key box. The
@@ -206,8 +173,7 @@ void run_sweep(const std::string& path) {
   const std::size_t n = std::size_t{1} << 16;
   const auto left = make_rows(wide_schema(4), n, 1);
   left->compute_bounds();
-  const BuiltHashTable scalar(left, {"k"}, JoinKernelOptions::scalar());
-  const BuiltHashTable fast(left, {"k"}, tuned);
+  const BuiltHashTable ht(left, {"k"});
   first = true;
   for (const int pct : {100, 25, 3}) {
     const auto right = make_rows(wide_schema(4), n, 3, n * 100 / pct);
@@ -215,25 +181,18 @@ void run_sweep(const std::string& path) {
         left->schema(), right->schema(),
         JoinKey::resolve(right->schema(), {"k"}).attr_indices()));
     JoinStats stats;
-    const double s_ns = probe_ns_per_tuple(scalar, *right, result_schema);
-    const double c_ns =
-        probe_ns_per_tuple(fast, *right, result_schema, &stats);
+    const double ns = probe_ns_per_tuple(ht, *right, result_schema, &stats);
     if (!first) std::fprintf(f, ",\n");
     first = false;
     std::fprintf(f,
                  "    {\"build_rows\": %zu, \"overlap_pct\": %d, "
                  "\"charged_rows\": %llu, \"clipped_rows\": %llu, "
-                 "\"scalar_ns_per_tuple\": %.2f, "
-                 "\"clipped_ns_per_tuple\": %.2f, \"speedup\": %.2f}",
+                 "\"ns_per_tuple\": %.2f}",
                  n, pct, static_cast<unsigned long long>(stats.probe_tuples),
-                 static_cast<unsigned long long>(stats.probe_rows_clipped),
-                 s_ns, c_ns, s_ns / c_ns);
+                 static_cast<unsigned long long>(stats.probe_rows_clipped), ns);
     std::fprintf(stderr,
-                 "clip rows=%zu overlap=%d%% clipped=%llu scalar=%.1fns "
-                 "clipped=%.1fns speedup=%.2fx\n",
-                 n, pct,
-                 static_cast<unsigned long long>(stats.probe_rows_clipped),
-                 s_ns, c_ns, s_ns / c_ns);
+                 "clip rows=%zu overlap=%d%% clipped=%llu probe=%.1fns\n", n, pct,
+                 static_cast<unsigned long long>(stats.probe_rows_clipped), ns);
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);

@@ -40,21 +40,27 @@ GroupByAggregator::GroupByAggregator(SchemaPtr input_schema,
 void GroupByAggregator::consume(const SubTable& rows) {
   ORV_REQUIRE(rows.schema() == *input_schema_,
               "aggregator input schema mismatch");
+  const Schema& schema = *input_schema_;
+  const std::size_t rs = rows.record_size();
+  // Every cell is read straight from the record bytes, and one lanes
+  // buffer serves every row.
+  std::vector<std::uint64_t> lanes(group_indices_.size());
   for (std::size_t r = 0; r < rows.num_rows(); ++r) {
-    std::vector<std::uint64_t> lanes;
-    lanes.reserve(group_indices_.size());
+    const std::byte* rec = rows.bytes().data() + r * rs;
     std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (std::size_t gi : group_indices_) {
-      const std::uint64_t lane = rows.value(r, gi).key_lane();
-      lanes.push_back(lane);
-      h = hash_combine(h, lane);
+    for (std::size_t k = 0; k < group_indices_.size(); ++k) {
+      const std::size_t gi = group_indices_[k];
+      lanes[k] =
+          key_lane_from_bytes(schema.attr(gi).type, rec + schema.offset(gi));
+      h = hash_combine(h, lanes[k]);
     }
     auto [it, inserted] = groups_.try_emplace(h);
     Group& group = it->second;
     if (inserted) {
       group.key_lanes = lanes;
       for (std::size_t gi : group_indices_) {
-        group.key_values.push_back(rows.as_double(r, gi));
+        group.key_values.push_back(as_double_from_bytes(
+            schema.attr(gi).type, rec + schema.offset(gi)));
       }
       group.accs.resize(aggs_.size());
     } else {
@@ -64,8 +70,10 @@ void GroupByAggregator::consume(const SubTable& rows) {
     for (std::size_t a = 0; a < aggs_.size(); ++a) {
       Acc& acc = group.accs[a];
       ++acc.count;
-      if (agg_indices_[a] != kNoAttr) {
-        const double v = rows.as_double(r, agg_indices_[a]);
+      const std::size_t ai = agg_indices_[a];
+      if (ai != kNoAttr) {
+        const double v = as_double_from_bytes(schema.attr(ai).type,
+                                              rec + schema.offset(ai));
         acc.sum += v;
         acc.min = std::min(acc.min, v);
         acc.max = std::max(acc.max, v);

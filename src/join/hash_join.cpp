@@ -76,12 +76,13 @@ void and_in_range(const std::byte* field, std::size_t stride, std::size_t n,
 
 }  // namespace
 
+// partition_of masks hash bits by the partition count.
+static_assert(std::has_single_bit(BuiltHashTable::kMaxPartitions));
+
 BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
-                               const std::vector<std::string>& key_attrs,
-                               const JoinKernelOptions& options)
+                               const std::vector<std::string>& key_attrs)
     : left_(std::move(left)),
-      key_(JoinKey::resolve(left_->schema(), key_attrs)),
-      options_(options) {
+      key_(JoinKey::resolve(left_->schema(), key_attrs)) {
   ORV_REQUIRE(key_.arity() <= kMaxKeyArity, "join key arity too large");
   ORV_REQUIRE(left_->num_rows() < kEmpty, "left sub-table too large");
   const std::size_t n = left_->num_rows();
@@ -95,19 +96,15 @@ BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
     hashes[r] = key_.hash_row(rows + r * rs, kSaltInMemory);
   }
 
-  // Partition count: one partition while the table structure fits L2;
-  // otherwise enough power-of-two partitions that each partition's tag +
-  // slot arrays fit in about half of it.
+  // Partition count: one partition while the table structure fits in
+  // kPartitionBytes; otherwise enough power-of-two partitions that each
+  // partition's tag + slot arrays fit in about half of it.
   std::size_t nparts = 1;
-  if (options_.radix_build && options_.l2_bytes > 0) {
-    const std::size_t struct_bytes =
-        table_capacity_for(n) * (sizeof(Slot) + sizeof(std::uint8_t));
-    if (struct_bytes > options_.l2_bytes) {
-      nparts = std::bit_ceil(2 * struct_bytes / options_.l2_bytes);
-      const std::size_t cap =
-          std::bit_floor(std::max<std::size_t>(1, options_.max_partitions));
-      nparts = std::min(nparts, cap);
-    }
+  const std::size_t struct_bytes =
+      table_capacity_for(n) * (sizeof(Slot) + sizeof(std::uint8_t));
+  if (struct_bytes > kPartitionBytes) {
+    nparts = std::min(std::bit_ceil(2 * struct_bytes / kPartitionBytes),
+                      kMaxPartitions);
   }
 
   // Size each partition for its actual row count (radix splits are never
@@ -199,25 +196,6 @@ void BuiltHashTable::clip_mask(const JoinKey& right_key, std::size_t i,
   throw_bad_attr_type("BuiltHashTable::clip_mask");
 }
 
-template <typename Fn>
-void BuiltHashTable::for_each_match(std::uint64_t hash,
-                                    const std::uint64_t* lanes,
-                                    Fn&& fn) const {
-  const std::size_t rs = left_->record_size();
-  const std::byte* rows = left_->bytes().data();
-  std::uint64_t left_lanes[kMaxKeyArity];
-  const Partition& part = parts_[partition_of(hash)];
-  std::uint64_t i = hash & part.mask;
-  while (slots_[part.offset + i].row != kEmpty) {
-    if (slots_[part.offset + i].hash == hash) {
-      const std::byte* lrow = rows + slots_[part.offset + i].row * rs;
-      key_.extract_lanes(lrow, left_lanes);
-      if (key_.lanes_equal(left_lanes, lanes)) fn(slots_[part.offset + i].row);
-    }
-    i = (i + 1) & part.mask;
-  }
-}
-
 RightCopyPlan RightCopyPlan::make(const Schema& left, const Schema& right,
                                   const JoinKey& right_key) {
   RightCopyPlan plan;
@@ -256,6 +234,16 @@ JoinStats BuiltHashTable::probe(const SubTable& right,
   return probe_range(right, right_key_attrs, 0, right.num_rows(), out);
 }
 
+/// Per chunk: (0) clip the chunk to the rows whose key lies in the left key
+/// box, (1) canonicalize and hash those rows, (2) in radix mode regroup the
+/// chunk by partition so one partition's structure stays hot, (3) probe
+/// with a rolling software prefetch kProbeBatch rows ahead, tag byte
+/// checked before any Slot load, (4) restore probe-row order, (5) write
+/// joined records directly into the output buffer. Output row order is
+/// nested_loop_join's: probe-row order, per-row matches in ascending
+/// left-row order (linear probing visits equal-key slots in insertion
+/// order). Clipped rows have no match, and the kept rows stay in ascending
+/// order, so the clip does not change the output bytes.
 JoinStats BuiltHashTable::probe_range(
     const SubTable& right, const std::vector<std::string>& right_key_attrs,
     std::size_t row_begin, std::size_t row_end, SubTable& out) const {
@@ -264,67 +252,6 @@ JoinStats BuiltHashTable::probe_range(
   ORV_REQUIRE(right_key.compatible_with(key_), "join key type mismatch");
   ORV_REQUIRE(row_begin <= row_end && row_end <= right.num_rows(),
               "probe row range out of bounds");
-  if (options_.batched_probe) {
-    return probe_range_batched(right, right_key, row_begin, row_end, out);
-  }
-  return probe_range_scalar(right, right_key, row_begin, row_end, out);
-}
-
-/// Legacy kernel: per-row probe with full-hash slot compares and a staging
-/// row buffer. Kept verbatim for A/B comparison (JoinKernelOptions::scalar).
-JoinStats BuiltHashTable::probe_range_scalar(const SubTable& right,
-                                             const JoinKey& right_key,
-                                             std::size_t row_begin,
-                                             std::size_t row_end,
-                                             SubTable& out) const {
-  const RightCopyPlan plan =
-      RightCopyPlan::make(left_->schema(), right.schema(), right_key);
-  ORV_REQUIRE(out.record_size() == plan.result_record_size,
-              "output schema does not match the join result layout");
-
-  JoinStats stats;
-  stats.probe_tuples = row_end - row_begin;
-
-  const std::size_t lrs = left_->record_size();
-  const std::size_t rrs = right.record_size();
-  const std::byte* lrows = left_->bytes().data();
-  const std::byte* rrows = right.bytes().data();
-  std::uint64_t lanes[kMaxKeyArity];
-  std::vector<std::byte> row_buf(plan.result_record_size);
-
-  for (std::size_t r = row_begin; r < row_end; ++r) {
-    const std::byte* rrow = rrows + r * rrs;
-    right_key.extract_lanes(rrow, lanes);
-    const std::uint64_t h = right_key.hash_row(rrow, kSaltInMemory);
-    for_each_match(h, lanes, [&](std::uint32_t lrow_idx) {
-      std::memcpy(row_buf.data(), lrows + lrow_idx * lrs, lrs);
-      for (const auto& piece : plan.pieces) {
-        std::memcpy(row_buf.data() + piece.dst_offset, rrow + piece.src_offset,
-                    piece.size);
-      }
-      out.append_row(row_buf);
-      ++stats.result_tuples;
-    });
-  }
-  return stats;
-}
-
-/// Cache-conscious kernel: per chunk, (0) clip the chunk to the rows whose
-/// key lies in the left key box, (1) canonicalize and hash those rows,
-/// (2) in radix mode regroup the chunk by partition so one
-/// partition's structure stays hot, (3) probe with a rolling software
-/// prefetch `probe_batch` rows ahead, tag byte checked before any Slot
-/// load, (4) restore probe-row order, (5) write joined records directly
-/// into the output buffer. Output row order matches the scalar path:
-/// probe-row order, per-row matches in ascending left-row order (linear
-/// probing visits equal-key slots in insertion order). Clipped rows have
-/// no match, and the kept rows stay in ascending order, so the clip does
-/// not change the output bytes.
-JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
-                                              const JoinKey& right_key,
-                                              std::size_t row_begin,
-                                              std::size_t row_end,
-                                              SubTable& out) const {
   const RightCopyPlan plan =
       RightCopyPlan::make(left_->schema(), right.schema(), right_key);
   ORV_REQUIRE(out.record_size() == plan.result_record_size,
@@ -338,13 +265,10 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
   const std::byte* lrows = left_->bytes().data();
   const std::byte* rrows = right.bytes().data();
   const std::size_t arity = key_.arity();
-  const std::size_t chunk_rows = std::max<std::size_t>(options_.probe_chunk, 1);
-  const std::size_t batch =
-      std::clamp<std::size_t>(options_.probe_batch, 1, 64);
   const bool radix = parts_.size() > 1;
   // Most calls probe far fewer rows than one chunk; size the per-chunk
   // scratch to the range so a short probe does not zero-fill a full chunk.
-  const std::size_t scratch_rows = std::min(chunk_rows, row_end - row_begin);
+  const std::size_t scratch_rows = std::min(kProbeChunk, row_end - row_begin);
 
   // Key attributes the clip tests: those whose declared right interval
   // does not lie inside the declared left one. A left without declared
@@ -378,8 +302,8 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
   std::vector<std::uint32_t> emit_pos;  // per-probe-row cursors for restore
   matches.reserve(scratch_rows);
 
-  for (std::size_t cb = row_begin; cb < row_end; cb += chunk_rows) {
-    const std::size_t chunk_n = std::min(chunk_rows, row_end - cb);
+  for (std::size_t cb = row_begin; cb < row_end; cb += kProbeChunk) {
+    const std::size_t chunk_n = std::min(kProbeChunk, row_end - cb);
 
     // (0) Clip: keep the chunk offsets whose key lies in the left key box,
     // in ascending order. Below, positions map to rows via chunk_offset.
@@ -426,16 +350,16 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
       ord = order.data();
     }
 
-    // (3) Probe with a rolling prefetch `batch` rows ahead of the cursor.
-    // Hash hits become *candidates* — the left row is only prefetched here,
-    // and the full key compare is deferred to the emit pass, so the
-    // dependent left-payload load never stalls the probe loop. Equal full
-    // hashes are almost always true matches, so candidate order is match
-    // order.
+    // (3) Probe with a rolling prefetch kProbeBatch rows ahead of the
+    // cursor. Hash hits become *candidates* — the left row is only
+    // prefetched here, and the full key compare is deferred to the emit
+    // pass, so the dependent left-payload load never stalls the probe loop.
+    // Equal full hashes are almost always true matches, so candidate order
+    // is match order.
     matches.clear();
     for (std::size_t j = 0; j < cn; ++j) {
-      if (j + batch < cn) {
-        const std::size_t nj = ord ? ord[j + batch] : j + batch;
+      if (j + kProbeBatch < cn) {
+        const std::size_t nj = ord ? ord[j + kProbeBatch] : j + kProbeBatch;
         const Partition& np = parts_[partition_of(hashes[nj])];
         const std::uint64_t nidx = np.offset + (hashes[nj] & np.mask);
         ORV_PREFETCH(&tags_[nidx]);
@@ -504,18 +428,6 @@ JoinStats BuiltHashTable::probe_range_batched(const SubTable& right,
   }
   out.append_rows_trim();
   return stats;
-}
-
-std::vector<std::uint32_t> BuiltHashTable::matches(const SubTable& right,
-                                                   const JoinKey& right_key,
-                                                   std::size_t right_row) const {
-  const std::byte* rrow = right.row(right_row);
-  std::uint64_t lanes[kMaxKeyArity];
-  right_key.extract_lanes(rrow, lanes);
-  std::vector<std::uint32_t> out;
-  for_each_match(right_key.hash_row(rrow, kSaltInMemory), lanes,
-                 [&](std::uint32_t r) { out.push_back(r); });
-  return out;
 }
 
 SubTable hash_join(const SubTable& left, const SubTable& right,

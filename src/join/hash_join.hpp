@@ -13,20 +13,21 @@
 // The kernel is cache-conscious (see DESIGN.md "Join kernel internals"):
 //  - an 8-bit tag array is checked before any 16-byte Slot load, so probes
 //    that miss touch one byte per visited slot;
-//  - probe rows are processed in batches with software prefetch on the next
-//    batch's slot groups, hiding DRAM latency on cache-exceeding tables;
-//  - builds whose working set exceeds L2 are radix-partitioned by high hash
-//    bits, and each probe chunk is regrouped by partition so one partition's
-//    tags/slots stay resident while it is probed;
+//  - probe rows are processed in chunks of kProbeChunk, with software
+//    prefetch kProbeBatch rows ahead, hiding DRAM latency on
+//    cache-exceeding tables;
+//  - builds whose tag + slot arrays exceed kPartitionBytes are
+//    radix-partitioned by high hash bits, and each probe chunk is regrouped
+//    by partition so one partition's tags/slots stay resident while it is
+//    probed;
 //  - matched rows are written straight into the output sub-table through
 //    SubTable::append_rows_reserve (no staging row buffer, single copy);
 //  - probe rows whose key lies outside the left rows' key box are clipped
 //    before hashing: a right row whose value on some key attribute lies
 //    outside [min, max] of the left rows' values cannot match, so it is
 //    neither hashed nor probed.
-// The pre-optimization scalar path is kept behind JoinKernelOptions for
-// A/B comparison in benches, and it stays unclipped: it is the byte-order
-// reference the batched kernel is tested against.
+// There is one probe path. nested_loop_join, which neither clips nor
+// partitions, is the byte-order reference it is tested against.
 //
 // The key-box clip is host-only. The declared SubTable::bounds() of both
 // sides only choose which key attributes a probe tests: one whose declared
@@ -68,47 +69,29 @@ struct JoinStats {
   }
 };
 
-/// Knobs for the in-memory join kernel. Defaults are the tuned
-/// cache-conscious path; `scalar()` restores the legacy kernel (per-row
-/// probe, full-hash slot compares, staged row copies) for A/B benching.
-struct JoinKernelOptions {
-  /// Tag-filtered, prefetch-batched probing with zero-copy output. When
-  /// false, probes run the legacy scalar loop.
-  bool batched_probe = true;
-  /// Radix-partition the build when its working set exceeds `l2_bytes`.
-  bool radix_build = true;
-  /// Probe rows hashed/prefetched per pipeline batch.
-  std::size_t probe_batch = 16;
-  /// Partition threshold and sizing target: each partition's tag + slot
-  /// arrays are kept under about half of this.
-  std::size_t l2_bytes = 1u << 20;
-  /// Probe rows regrouped by partition per chunk (radix mode only).
-  std::size_t probe_chunk = 2048;
-  /// Hard cap on partition count.
-  std::size_t max_partitions = 512;
-
-  static JoinKernelOptions scalar() {
-    JoinKernelOptions o;
-    o.batched_probe = false;
-    o.radix_build = false;
-    return o;
-  }
-};
-
 /// Open-addressing (linear probing) hash table over a left sub-table's key,
 /// optionally radix-partitioned, with a Swiss-table-style 8-bit tag array.
 class BuiltHashTable {
  public:
+  /// Probe rows hashed and prefetched ahead of the probe cursor.
+  static constexpr std::size_t kProbeBatch = 16;
+  /// Probe rows per chunk: the unit of clipping, hashing and partition
+  /// regrouping.
+  static constexpr std::size_t kProbeChunk = 2048;
+  /// Tag + slot bytes above which the build radix-partitions; each
+  /// partition's arrays are then kept under about half of this.
+  static constexpr std::size_t kPartitionBytes = std::size_t{1} << 20;
+  /// Cap on the partition count.
+  static constexpr std::size_t kMaxPartitions = 512;
+
   /// Builds from `left` on `key_attrs`. The left sub-table is shared-owned
   /// and must not be mutated afterwards.
   BuiltHashTable(std::shared_ptr<const SubTable> left,
-                 const std::vector<std::string>& key_attrs,
-                 const JoinKernelOptions& options = {});
+                 const std::vector<std::string>& key_attrs);
 
   const SubTable& left() const { return *left_; }
   const std::shared_ptr<const SubTable>& left_ptr() const { return left_; }
   const JoinKey& key() const { return key_; }
-  const JoinKernelOptions& options() const { return options_; }
   std::uint64_t build_tuples() const { return left_->num_rows(); }
   std::size_t num_partitions() const { return parts_.size(); }
 
@@ -129,19 +112,14 @@ class BuiltHashTable {
   /// Probes only rows [row_begin, row_end) of `right`; the parallel local
   /// executor partitions the probe side across threads with this (the
   /// table is immutable during probing, so concurrent calls are safe).
-  /// Output row order is probe-row order with per-row matches in ascending
-  /// left-row order, identical across scalar/batched/radix paths. The
-  /// batched path skips tested rows outside the left key box (counted in
+  /// Output row order is nested_loop_join's: probe-row order with per-row
+  /// matches in ascending left-row order, whatever the partition count.
+  /// Tested rows outside the left key box are skipped (counted in
   /// JoinStats::probe_rows_clipped); the output bytes are unchanged.
   JoinStats probe_range(const SubTable& right,
                         const std::vector<std::string>& right_key_attrs,
                         std::size_t row_begin, std::size_t row_end,
                         SubTable& out) const;
-
-  /// Row indices of left rows matching the given right row (test hook).
-  std::vector<std::uint32_t> matches(const SubTable& right,
-                                     const JoinKey& right_key,
-                                     std::size_t right_row) const;
 
  private:
   struct Slot {
@@ -189,20 +167,8 @@ class BuiltHashTable {
                  const std::byte* rows, std::size_t stride, std::size_t n,
                  std::uint32_t* mask) const;
 
-  template <typename Fn>
-  void for_each_match(std::uint64_t hash, const std::uint64_t* lanes,
-                      Fn&& fn) const;
-
-  JoinStats probe_range_scalar(const SubTable& right, const JoinKey& right_key,
-                               std::size_t row_begin, std::size_t row_end,
-                               SubTable& out) const;
-  JoinStats probe_range_batched(const SubTable& right, const JoinKey& right_key,
-                                std::size_t row_begin, std::size_t row_end,
-                                SubTable& out) const;
-
   std::shared_ptr<const SubTable> left_;
   JoinKey key_;
-  JoinKernelOptions options_;
   mutable std::once_flag key_box_once_;
   mutable std::vector<KeyRange> key_box_;  // one per key attribute
   std::vector<Slot> slots_;
@@ -216,7 +182,10 @@ SubTable hash_join(const SubTable& left, const SubTable& right,
                    const std::vector<std::string>& key_attrs,
                    SubTableId result_id, JoinStats* stats = nullptr);
 
-/// Reference nested-loop join for correctness checks (O(n*m)).
+/// Reference nested-loop join for correctness checks (O(n*m)), and the
+/// byte-order reference of BuiltHashTable::probe_range: rows come out in
+/// right-row order, and each right row's matches in ascending left-row
+/// order.
 SubTable nested_loop_join(const SubTable& left, const SubTable& right,
                           const std::vector<std::string>& key_attrs,
                           SubTableId result_id);

@@ -91,4 +91,24 @@ inline std::uint64_t key_lane_from_bytes(AttrType type, const std::byte* p) {
   throw_bad_attr_type("key_lane_from_bytes");
 }
 
+/// Numeric view straight from record bytes, widened to double exactly as
+/// Value::as_double() does.
+inline double as_double_from_bytes(AttrType type, const std::byte* p) {
+  const auto read = [p](auto v) {
+    std::memcpy(&v, p, sizeof(v));
+    return static_cast<double>(v);
+  };
+  switch (type) {
+    case AttrType::Int32:
+      return read(std::int32_t{});
+    case AttrType::Int64:
+      return read(std::int64_t{});
+    case AttrType::Float32:
+      return read(float{});
+    case AttrType::Float64:
+      return read(double{});
+  }
+  throw_bad_attr_type("as_double_from_bytes");
+}
+
 }  // namespace orv

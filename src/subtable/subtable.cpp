@@ -74,7 +74,8 @@ Value SubTable::value(std::size_t r, std::size_t attr) const {
 }
 
 double SubTable::as_double(std::size_t r, std::size_t attr) const {
-  return value(r, attr).as_double();
+  return as_double_from_bytes(schema_->attr(attr).type,
+                              row(r) + schema_->offset(attr));
 }
 
 void SubTable::adopt_bytes(std::vector<std::byte> payload) {

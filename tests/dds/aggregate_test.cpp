@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <map>
+
 #include "common/error.hpp"
 
 namespace orv {
@@ -152,6 +157,91 @@ TEST(Aggregate, MergeRequiresSameSpec) {
   GroupByAggregator b(rows_schema(), {},
                       {AggSpec{AggSpec::Fn::Sum, "v", "s"}});
   EXPECT_THROW(a.merge(b), InvalidArgument);
+}
+
+/// Bit-for-bit double equality: tells -0.0 from +0.0.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Aggregate, TypedGroupKeysMatchTheValueReference) {
+  // Group by one column of each type and aggregate each of them. -0.0 and
+  // +0.0 share a group, and int64 keys past 2^53 stay distinct groups even
+  // though they widen to the same double. The reference boxes every cell
+  // through Value, row by row, in the same order.
+  auto schema = Schema::make({{"i32", AttrType::Int32},
+                              {"i64", AttrType::Int64},
+                              {"f32", AttrType::Float32},
+                              {"f64", AttrType::Float64},
+                              {"v", AttrType::Float32}});
+  const std::int64_t big = std::int64_t{1} << 53;
+  const std::int64_t i64s[] = {big, big + 1};
+  const float f32s[] = {-0.0f, 0.0f, 1.5f};
+  const double f64s[] = {0.0, 2.5, -0.0};
+  SubTable input(schema, SubTableId{1, 0});
+  for (int i = 0; i < 216; ++i) {
+    const Value vals[] = {Value(i % 3 - 1), Value(i64s[i % 2]),
+                          Value(f32s[(i / 3) % 3]), Value(f64s[(i / 9) % 3]),
+                          Value(static_cast<float>(i) * 0.25f)};
+    input.append_values(vals);
+  }
+  const std::vector<std::string> group_by{"i32", "i64", "f32", "f64"};
+  const std::vector<AggSpec> aggs{
+      AggSpec{AggSpec::Fn::Avg, "i32", "avg_i32"},
+      AggSpec{AggSpec::Fn::Sum, "i64", "sum_i64"},
+      AggSpec{AggSpec::Fn::Min, "f32", "min_f32"},
+      AggSpec{AggSpec::Fn::Max, "f64", "max_f64"},
+      AggSpec{AggSpec::Fn::Sum, "v", "sum_v"},
+      AggSpec{AggSpec::Fn::Count, "", "n"}};
+  GroupByAggregator agg(schema, group_by, aggs);
+  agg.consume(input);
+  const SubTable out = agg.finish();
+
+  struct RefGroup {
+    std::vector<double> key_values;  // first row's values
+    double avg_i32 = 0, sum_i64 = 0, sum_v = 0;
+    double min_f32 = std::numeric_limits<double>::infinity();
+    double max_f64 = -std::numeric_limits<double>::infinity();
+    double n = 0;
+  };
+  std::map<std::vector<std::uint64_t>, RefGroup> ref;  // finish() order
+  for (std::size_t r = 0; r < input.num_rows(); ++r) {
+    std::vector<std::uint64_t> lanes;
+    for (std::size_t a = 0; a < 4; ++a) {
+      lanes.push_back(input.value(r, a).key_lane());
+    }
+    auto [it, inserted] = ref.try_emplace(lanes);
+    RefGroup& g = it->second;
+    if (inserted) {
+      for (std::size_t a = 0; a < 4; ++a) {
+        g.key_values.push_back(input.value(r, a).as_double());
+      }
+    }
+    g.avg_i32 += input.value(r, 0).as_double();
+    g.sum_i64 += input.value(r, 1).as_double();
+    g.min_f32 = std::min(g.min_f32, input.value(r, 2).as_double());
+    g.max_f64 = std::max(g.max_f64, input.value(r, 3).as_double());
+    g.sum_v += input.value(r, 4).as_double();
+    g.n += 1;
+  }
+  // 3 x 2 x 2 x 2 groups: the zeros of each float column fold together.
+  EXPECT_EQ(ref.size(), 24u);
+  ASSERT_EQ(out.num_rows(), ref.size());
+  EXPECT_EQ(agg.num_groups(), ref.size());
+  std::size_t row = 0;
+  for (const auto& [lanes, g] : ref) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_TRUE(same_bits(out.as_double(row, k), g.key_values[k]))
+          << "row " << row << " key " << k;
+    }
+    const double want[] = {g.avg_i32 / g.n, g.sum_i64, g.min_f32,
+                           g.max_f64,       g.sum_v,   g.n};
+    for (std::size_t a = 0; a < 6; ++a) {
+      EXPECT_TRUE(same_bits(out.as_double(row, 4 + a), want[a]))
+          << "row " << row << " aggregate " << a;
+    }
+    ++row;
+  }
 }
 
 }  // namespace

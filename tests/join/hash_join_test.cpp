@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/prng.hpp"
 
@@ -61,6 +63,11 @@ TEST(HashJoin, MatchesNestedLoopOnRandomData) {
     auto slow = nested_loop_join(left, right, {"k"}, {9, 1});
     EXPECT_EQ(fast.num_rows(), slow.num_rows()) << "trial " << trial;
     EXPECT_EQ(fast.unordered_fingerprint(), slow.unordered_fingerprint())
+        << "trial " << trial;
+    // Same bytes in the same order: nested_loop_join is the byte-order
+    // reference of the hash join.
+    EXPECT_TRUE(std::equal(fast.bytes().begin(), fast.bytes().end(),
+                           slow.bytes().begin(), slow.bytes().end()))
         << "trial " << trial;
   }
 }
@@ -230,15 +237,12 @@ TEST(JoinKey, IntegerKeyAgainstFloatKeyThrows) {
   expect_type_mismatch([&] { hash_join(ints, floats, {"k"}, {9, 0}); });
   expect_type_mismatch([&] { hash_join(floats, ints, {"k"}, {9, 0}); });
   expect_type_mismatch([&] { nested_loop_join(ints, floats, {"k"}, {9, 0}); });
-  for (const auto& opt : {JoinKernelOptions{}, JoinKernelOptions::scalar()}) {
-    auto left = std::make_shared<const SubTable>(ints);
-    const BuiltHashTable ht(left, {"k"}, opt);
-    SubTable out(std::make_shared<const Schema>(Schema::join_result(
-                     ints.schema(), floats.schema(),
-                     JoinKey::resolve(floats.schema(), {"k"}).attr_indices())),
-                 {9, 1});
-    expect_type_mismatch([&] { ht.probe(floats, {"k"}, out); });
-  }
+  const BuiltHashTable ht(std::make_shared<const SubTable>(ints), {"k"});
+  SubTable out(std::make_shared<const Schema>(Schema::join_result(
+                   ints.schema(), floats.schema(),
+                   JoinKey::resolve(floats.schema(), {"k"}).attr_indices())),
+               {9, 1});
+  expect_type_mismatch([&] { ht.probe(floats, {"k"}, out); });
 }
 
 TEST(JoinKey, ResolveUnknownAttributeThrows) {
