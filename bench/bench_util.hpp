@@ -4,7 +4,7 @@
 // it with the QPS, runs both QES algorithms on a fresh simulated cluster,
 // and prints paper-style series rows.
 //
-// Instrumentation: when any bench sink variable is set (see Sinks), each
+// Instrumentation: when a bench sink is set (obs::Sinks), each
 // scenario run installs an observability context (virtual-time clock on
 // the scenario's engine), analyses the run once, and hands the result to
 // every sink that is set.
@@ -20,11 +20,11 @@
 #include "datagen/generator.hpp"
 #include "graph/connectivity.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/profile.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/sim_clock.hpp"
+#include "obs/sinks.hpp"
 #include "qes/analysis.hpp"
 #include "qes/qes.hpp"
 #include "qps/planner.hpp"
@@ -32,43 +32,7 @@
 
 namespace orv::bench {
 
-/// The bench sink variables, read once per process. Each one works on its
-/// own: setting any of ORV_PROFILE, ORV_TRACE, ORV_PROM or ORV_DIAG makes
-/// run_scenario instrument its runs.
-///   ORV_PROFILE=<file>   per-query execution profiles, {"profiles": [...]}
-///   ORV_TRACE=<file>     one Chrome trace-event file over every query
-///   ORV_SAMPLE_INTERVAL  occupancy sampling period for ORV_TRACE
-///                        (simulated seconds; 0 disables sampling)
-///   ORV_PROM=<file>      Prometheus exposition of the last query's registry
-///   ORV_DIAG=1           each instrumented query's diagnosis on stdout
-struct Sinks {
-  std::string profile;
-  std::string trace;
-  std::string prom;
-  bool diag = false;
-  // Default chosen so the sub-second figure queries still get tens of
-  // points per counter track; only read when ORV_TRACE is set.
-  double sample_interval = 0.01;
-
-  bool any() const {
-    return !profile.empty() || !trace.empty() || !prom.empty() || diag;
-  }
-};
-
-inline const Sinks& sinks() {
-  static const Sinks s = [] {
-    Sinks out;
-    if (const char* v = std::getenv("ORV_PROFILE")) out.profile = v;
-    if (const char* v = std::getenv("ORV_TRACE")) out.trace = v;
-    if (const char* v = std::getenv("ORV_SAMPLE_INTERVAL")) {
-      out.sample_interval = std::atof(v);
-    }
-    if (const char* v = std::getenv("ORV_PROM")) out.prom = v;
-    out.diag = std::getenv("ORV_DIAG") != nullptr;
-    return out;
-  }();
-  return s;
-}
+using obs::sinks;
 
 struct Scenario {
   DatasetSpec data;
@@ -106,95 +70,33 @@ struct ScenarioResult {
   }
 };
 
-/// Accumulates per-query execution profiles and rewrites the ORV_PROFILE
-/// file after each addition, so a partially completed bench still leaves
-/// valid JSON behind.
-class ProfileReport {
- public:
-  static ProfileReport& instance() {
-    static ProfileReport report;
-    return report;
-  }
+/// Scenario labels, "<figure>#<n>": one per scenario, shared by its two
+/// algorithm runs. print_banner names the figure.
+struct ScenarioLabels {
+  std::string figure = "bench";
+  std::size_t seq = 0;
 
-  bool enabled() const { return !sinks().profile.empty(); }
-
-  void set_figure(std::string figure) { figure_ = std::move(figure); }
-
-  /// One label per scenario; the two algorithm runs share it.
-  std::string next_label() {
-    return strformat("%s#%zu", figure_.c_str(), seq_++);
-  }
-
-  void add(obs::ExecutionProfile profile) {
-    profiles_.push_back(std::move(profile));
-    write();
-  }
-
- private:
-  ProfileReport() = default;
-
-  void write() const {
-    const std::string& path = sinks().profile;
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "ORV_PROFILE: cannot open %s\n", path.c_str());
-      return;
-    }
-    std::string out = "{\"schema_version\":" +
-                      std::to_string(obs::kObsSchemaVersion) +
-                      ",\"profiles\":[";
-    for (std::size_t i = 0; i < profiles_.size(); ++i) {
-      if (i) out += ',';
-      out += profiles_[i].to_json();
-    }
-    out += "]}\n";
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-  }
-
-  std::string figure_ = "bench";
-  std::size_t seq_ = 0;
-  std::vector<obs::ExecutionProfile> profiles_;
+  std::string next() { return strformat("%s#%zu", figure.c_str(), seq++); }
 };
 
-/// Accumulates one Chrome trace-event file across every query of a bench
-/// run when ORV_TRACE names a file. Each query becomes one "process" in
-/// the trace (one track per simulated node inside it), so the file opens
-/// directly in Perfetto / chrome://tracing. Rewritten after each query so
-/// a partially completed bench still leaves valid JSON behind.
-class TraceReport {
- public:
-  static TraceReport& instance() {
-    static TraceReport report;
-    return report;
-  }
+inline ScenarioLabels& scenario_labels() {
+  static ScenarioLabels labels;
+  return labels;
+}
 
-  bool enabled() const { return !sinks().trace.empty(); }
+/// The ORV_PROFILE and ORV_TRACE documents of a bench run, complete JSON
+/// after every query. Each query is one "process" in the trace (one track
+/// per simulated node inside it), so the file opens directly in Perfetto
+/// / chrome://tracing.
+inline obs::DocumentFile<obs::ProfileStream>& profile_report() {
+  static obs::DocumentFile<obs::ProfileStream> file(sinks().profile);
+  return file;
+}
 
-  void add(std::string label, std::vector<obs::SpanRecord> spans,
-           std::vector<obs::TimeSeries> series) {
-    queries_.push_back(obs::ChromeTraceQuery{
-        std::move(label), std::move(spans), std::move(series)});
-    write();
-  }
-
- private:
-  TraceReport() = default;
-
-  void write() const {
-    const std::string& path = sinks().trace;
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "ORV_TRACE: cannot open %s\n", path.c_str());
-      return;
-    }
-    const std::string out = obs::chrome_trace_json(queries_);
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-  }
-
-  std::vector<obs::ChromeTraceQuery> queries_;
-};
+inline obs::DocumentFile<obs::ChromeTraceStream>& trace_report() {
+  static obs::DocumentFile<obs::ChromeTraceStream> file(sinks().trace);
+  return file;
+}
 
 /// The ORV_DIAG form of a diagnosis: findings, confidences and knob
 /// suggestions.
@@ -219,8 +121,8 @@ QesResult run_profiled(const sim::Engine& engine, const std::string& label,
                        obs::Diagnosis* diag_out = nullptr) {
   obs::SimClock clock(engine);
   obs::ObsContext ctx(&clock);
-  const bool tracing = TraceReport::instance().enabled();
-  if (tracing) ctx.sample_interval = sinks().sample_interval;
+  const bool tracing = trace_report().enabled();
+  if (tracing) ctx.sample_interval = obs::kTraceSampleSeconds;
   QesResult result;
   obs::Diagnosis diag;
   {
@@ -238,29 +140,23 @@ QesResult run_profiled(const sim::Engine& engine, const std::string& label,
     if (diag_out != nullptr) *diag_out = diag;
     if (sinks().diag) print_diagnosis(diag);
   }
-  if (ProfileReport::instance().enabled()) {
+  if (profile_report().enabled()) {
     obs::ExecutionProfile profile = obs::build_profile(
         ctx, label, algorithm_name(algorithm), result.elapsed);
     profile.has_diagnosis = true;
     profile.diagnosis = diag;
-    ProfileReport::instance().add(std::move(profile));
+    profile_report().add(profile);
   }
   if (tracing) {
-    TraceReport::instance().add(
+    trace_report().add(obs::ChromeTraceQuery{
         label + "/" + algorithm_name(algorithm), ctx.tracer.snapshot(),
-        ctx.time_series());
+        ctx.time_series()});
   }
   // ORV_PROM: the query's registry snapshot, rewritten per query (a
   // scraper pulls the current state, so last-writer-wins matches the
   // scrape model).
   if (const std::string& prom = sinks().prom; !prom.empty()) {
-    if (std::FILE* f = std::fopen(prom.c_str(), "w")) {
-      const std::string text = obs::prometheus_text(ctx.registry.snapshot());
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "ORV_PROM: cannot open %s\n", prom.c_str());
-    }
+    obs::write_file(prom, obs::prometheus_text(ctx.registry.snapshot()));
   }
   return result;
 }
@@ -282,11 +178,11 @@ inline ScenarioResult run_scenario(Scenario sc) {
   out.stats = ds.stats;
   out.plan = QueryPlanner(sc.cluster).plan(ds.meta, graph, query, &sc.options);
 
-  const bool instrumented = sinks().any();
+  const bool instrumented = sinks().instruments_bench();
   const bool affinity =
       sc.options.assign == ComponentAssign::PlacementAffinity;
   const std::string label =
-      instrumented ? ProfileReport::instance().next_label() : std::string();
+      instrumented ? scenario_labels().next() : std::string();
   {
     sim::Engine engine;
     Cluster cluster(engine, sc.cluster);
@@ -328,11 +224,6 @@ class SeriesJson {
   void add_row(std::string row_json) { rows_.push_back(std::move(row_json)); }
 
   bool write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return false;
-    }
     std::string out = "{\"figure\":\"" + figure_ + "\",\"rows\":[\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       out += "  " + rows_[i];
@@ -340,9 +231,7 @@ class SeriesJson {
       out += '\n';
     }
     out += "]}\n";
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
-    return true;
+    return obs::write_file(path, out);
   }
 
  private:
@@ -368,7 +257,7 @@ inline QesOptions pipelined_options() {
 }
 
 inline void print_banner(const char* figure, const char* description) {
-  ProfileReport::instance().set_figure(figure);
+  scenario_labels().figure = figure;
   std::printf("==============================================================="
               "=================\n");
   std::printf("%s — %s\n", figure, description);

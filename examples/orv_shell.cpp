@@ -5,6 +5,8 @@
 //   orv_shell <dir> "<SQL>" ...           open a dataset and run queries
 //   orv_shell <dir>                       interactive prompt (stdin)
 //
+// The exit status is 0 when every query succeeded and 1 when any failed.
+//
 // Views: a join view "V" over the first two tables (on x,y,z) is defined
 // automatically; base tables are queryable by name.
 //
@@ -45,19 +47,22 @@ int generate(const std::string& dir, int argc, char** argv) {
   return 0;
 }
 
-void run_query(ViewFramework& fw, const std::string& sql) {
+/// Runs one query and prints its answer; returns false when it failed.
+bool run_query(ViewFramework& fw, const std::string& sql) {
   try {
     if (sql.rfind("explain ", 0) == 0 || sql.rfind("EXPLAIN ", 0) == 0) {
       ClusterSpec cluster;
       cluster.num_storage = fw.stores().size();
       cluster.num_compute = fw.stores().size();
       std::printf("%s", fw.explain(sql.substr(8), &cluster).c_str());
-      return;
+      return true;
     }
     const SubTable rows = fw.query(sql);
     std::printf("%s\n", rows.to_string(20).c_str());
+    return true;
   } catch (const Error& e) {
     std::printf("error: %s\n", e.what());
+    return false;
   }
 }
 
@@ -96,12 +101,13 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", tables.size() >= 2 ? "  view V = T1 join T2" : "");
 
+  bool ok = true;
   if (argc > 2) {
     for (int i = 2; i < argc; ++i) {
       std::printf("> %s\n", argv[i]);
-      run_query(fw, argv[i]);
+      ok = run_query(fw, argv[i]) && ok;
     }
-    return 0;
+    return ok ? 0 : 1;
   }
 
   std::string line;
@@ -109,9 +115,9 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   while (std::getline(std::cin, line)) {
     if (line == "quit" || line == "exit") break;
-    if (!line.empty()) run_query(fw, line);
+    if (!line.empty()) ok = run_query(fw, line) && ok;
     std::printf("orv> ");
     std::fflush(stdout);
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "dds/aggregate.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
@@ -58,9 +59,12 @@ void GroupByAggregator::consume(const SubTable& rows) {
     Group& group = it->second;
     if (inserted) {
       group.key_lanes = lanes;
-      for (std::size_t gi : group_indices_) {
-        group.key_values.push_back(as_double_from_bytes(
-            schema.attr(gi).type, rec + schema.offset(gi)));
+      const Schema& out = *output_schema_;
+      group.key_bytes.resize(out.offset(group_indices_.size()));
+      for (std::size_t k = 0; k < group_indices_.size(); ++k) {
+        const std::size_t gi = group_indices_[k];
+        std::memcpy(group.key_bytes.data() + out.offset(k),
+                    rec + schema.offset(gi), attr_size(out.attr(k).type));
       }
       group.accs.resize(aggs_.size());
     } else {
@@ -125,32 +129,17 @@ SubTable GroupByAggregator::finish(SubTableId id) const {
               return a->key_lanes < b->key_lanes;
             });
 
+  const Schema& schema = *output_schema_;
+  const std::size_t ng = group_indices_.size();
   SubTable out(output_schema_, id);
-  std::vector<Value> row;
+  std::vector<std::byte> rec(schema.record_size());
   for (const Group* g : ordered) {
-    row.clear();
-    for (std::size_t k = 0; k < group_indices_.size(); ++k) {
-      // Re-encode the group value with its original attribute type.
-      const AttrType t = output_schema_->attr(k).type;
-      switch (t) {
-        case AttrType::Int32:
-          row.push_back(Value(static_cast<std::int32_t>(g->key_values[k])));
-          break;
-        case AttrType::Int64:
-          row.push_back(Value(static_cast<std::int64_t>(g->key_values[k])));
-          break;
-        case AttrType::Float32:
-          row.push_back(Value(static_cast<float>(g->key_values[k])));
-          break;
-        case AttrType::Float64:
-          row.push_back(Value(g->key_values[k]));
-          break;
-      }
-    }
+    std::copy(g->key_bytes.begin(), g->key_bytes.end(), rec.begin());
     for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      row.push_back(Value(acc_result(g->accs[a], aggs_[a].fn)));
+      const double v = acc_result(g->accs[a], aggs_[a].fn);
+      std::memcpy(rec.data() + schema.offset(ng + a), &v, sizeof(v));
     }
-    out.append_values(row);
+    out.append_row(rec);
   }
   return out;
 }

@@ -52,8 +52,10 @@ class GroupByAggregator {
   };
   struct Group {
     std::vector<std::uint64_t> key_lanes;
-    std::vector<double> key_values;  // numeric group-by values, in order
-    std::vector<Acc> accs;           // one per AggSpec
+    /// The first row's group-by cells, laid out as the output record's
+    /// prefix, so finish() writes every key exactly as it was read.
+    std::vector<std::byte> key_bytes;
+    std::vector<Acc> accs;  // one per AggSpec
   };
 
   double acc_result(const Acc& acc, AggSpec::Fn fn) const;

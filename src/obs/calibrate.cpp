@@ -14,31 +14,30 @@ bool RobustEwma::update(double sample) {
     ++rejected_;
     return false;
   }
-  if (value_ > 0 && sample > 0 && band_ > 0) {
+  if (value_ > 0 && sample > 0 && reject_outliers_) {
     const double ratio = sample / value_;
-    if (ratio < 1.0 / band_ || ratio > band_) {
+    if (ratio < 1.0 / kBand || ratio > kBand) {
       ++rejected_;
       return false;
     }
   }
   // First accepted sample replaces the prior outright: a point estimate
   // with direct physical meaning beats a guessed constant immediately.
-  value_ = accepted_ == 0 ? sample : value_ + alpha_ * (sample - value_);
+  value_ = accepted_ == 0 ? sample : value_ + kAlpha * (sample - value_);
   ++accepted_;
   return true;
 }
 
-Calibrator::Calibrator(const CalibrationState& priors, double alpha,
-                       double band)
+Calibrator::Calibrator(const CalibrationState& priors)
     : priors_(priors),
-      read_io_(priors.read_io_bw, alpha, band),
-      write_io_(priors.write_io_bw, alpha, band),
-      net_(priors.net_bw, alpha, band),
-      local_(priors.local_bus_bw, alpha, band),
-      a_build_(priors.alpha_build, alpha, band),
-      a_lookup_(priors.alpha_lookup, alpha, band),
+      read_io_(priors.read_io_bw),
+      write_io_(priors.write_io_bw),
+      net_(priors.net_bw),
+      local_(priors.local_bus_bw),
+      a_build_(priors.alpha_build),
+      a_lookup_(priors.alpha_lookup),
       // Residual-based: the honest value may be 0, so no rejection band.
-      msg_(priors.msg_overhead, alpha, /*band=*/0) {}
+      msg_(priors.msg_overhead, /*reject_outliers=*/false) {}
 
 void Calibrator::observe(const QueryObservation& o) {
   auto* ctx = obs::context();

@@ -22,16 +22,19 @@
 
 namespace orv::obs {
 
-/// EWMA with relative outlier rejection: a sample whose ratio to the
-/// current estimate falls outside [1/band, band] is rejected (counted, not
-/// folded in). The first accepted sample replaces the prior outright so
-/// one observation suffices to leave a badly mis-set prior; `band <= 0`
-/// disables rejection (used for residual-style parameters whose honest
-/// value may be 0).
+/// EWMA (weight kAlpha on each new sample) with relative outlier
+/// rejection: a sample whose ratio to the current estimate falls outside
+/// [1/kBand, kBand] is rejected (counted, not folded in). The first
+/// accepted sample replaces the prior outright so one observation
+/// suffices to leave a badly mis-set prior. `reject_outliers = false`
+/// serves residual-style parameters whose honest value may be 0.
 class RobustEwma {
  public:
-  explicit RobustEwma(double prior, double alpha = 0.5, double band = 8.0)
-      : value_(prior), alpha_(alpha), band_(band) {}
+  static constexpr double kAlpha = 0.5;
+  static constexpr double kBand = 8.0;
+
+  explicit RobustEwma(double prior, bool reject_outliers = true)
+      : value_(prior), reject_outliers_(reject_outliers) {}
 
   /// Returns false when the sample was rejected as an outlier.
   bool update(double sample);
@@ -42,8 +45,7 @@ class RobustEwma {
 
  private:
   double value_;
-  double alpha_;
-  double band_;
+  bool reject_outliers_;
   std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;
 };
@@ -113,8 +115,7 @@ struct QueryObservation {
 /// calibration loop is itself observable.
 class Calibrator {
  public:
-  explicit Calibrator(const CalibrationState& priors, double alpha = 0.5,
-                      double band = 8.0);
+  explicit Calibrator(const CalibrationState& priors);
 
   /// Folds one query's measurements in (no-op for degraded queries beyond
   /// counting the exclusion).

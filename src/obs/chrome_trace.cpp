@@ -60,7 +60,7 @@ class Emitter {
       if (!s.closed()) continue;  // counted in openSpans, never emitted
       const std::uint64_t tid = tid_of(track_of(dag, s));
       span_tid[s.id.value] = tid;
-      complete_event(q, dag, s, pid, tid);
+      complete_event(s, pid, tid);
     }
     for (const SpanRecord& s : dag.spans()) {
       if (!s.closed()) continue;
@@ -109,11 +109,8 @@ class Emitter {
     w_.end_object();
   }
 
-  void complete_event(const ChromeTraceQuery& q, const TraceDag& dag,
-                      const SpanRecord& s, std::uint64_t pid,
+  void complete_event(const SpanRecord& s, std::uint64_t pid,
                       std::uint64_t tid) {
-    (void)q;
-    (void)dag;
     common("X", pid, tid, s.name, s.start);
     w_.key("dur");
     w_.value(s.duration() * kUsPerSecond);
@@ -176,30 +173,29 @@ class Emitter {
 
 }  // namespace
 
-void write_chrome_trace(JsonWriter& w,
-                        const std::vector<ChromeTraceQuery>& queries) {
-  std::size_t open_spans = 0;
-  w.begin_object();
-  w.key("schemaVersion");
-  w.value(kObsSchemaVersion);
-  w.key("displayTimeUnit");
-  w.value("ms");
-  w.key("traceEvents");
-  w.begin_array();
-  Emitter em(w);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    em.emit_query(queries[i], static_cast<std::uint64_t>(i + 1), &open_spans);
-  }
-  w.end_array();
-  w.key("openSpans");
-  w.value(static_cast<std::uint64_t>(open_spans));
-  w.end_object();
+ChromeTraceStream::ChromeTraceStream() {
+  w_.begin_object();
+  w_.key("schemaVersion");
+  w_.value(kObsSchemaVersion);
+  w_.key("displayTimeUnit");
+  w_.value("ms");
+  w_.key("traceEvents");
+  w_.begin_array();
+}
+
+void ChromeTraceStream::add(const ChromeTraceQuery& q) {
+  Emitter(w_).emit_query(q, ++pid_, &open_spans_);
+}
+
+std::string ChromeTraceStream::trailer() const {
+  return strformat("],\"openSpans\":%llu}",
+                   static_cast<unsigned long long>(open_spans_));
 }
 
 std::string chrome_trace_json(const std::vector<ChromeTraceQuery>& queries) {
-  JsonWriter w;
-  write_chrome_trace(w, queries);
-  return w.str();
+  ChromeTraceStream stream;
+  for (const ChromeTraceQuery& q : queries) stream.add(q);
+  return stream.take() + stream.trailer();
 }
 
 }  // namespace orv::obs

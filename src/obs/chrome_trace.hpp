@@ -27,13 +27,26 @@ struct ChromeTraceQuery {
   std::vector<TimeSeries> series;     // sampler counter tracks
 };
 
-/// Writes {"traceEvents": [...], "displayTimeUnit": "ms",
-/// "openSpans": n} covering all queries. Virtual seconds map to trace
-/// microseconds. Open spans are counted but not emitted as events, so a
-/// well-formed file always has openSpans == 0.
-void write_chrome_trace(JsonWriter& w,
-                        const std::vector<ChromeTraceQuery>& queries);
+/// Writes {"schemaVersion": 3, "displayTimeUnit": "ms", "traceEvents":
+/// [...], "openSpans": n} query by query, one pid per query, in trace
+/// microseconds. Open spans are counted but not emitted, so a well-formed
+/// file has openSpans == 0. take() returns the bytes written since the
+/// last take(); trailer() closes the document as it stands (DocumentFile).
+class ChromeTraceStream {
+ public:
+  ChromeTraceStream();
 
+  void add(const ChromeTraceQuery& q);
+  std::string take() { return w_.take(); }
+  std::string trailer() const;
+
+ private:
+  JsonWriter w_;
+  std::uint64_t pid_ = 0;
+  std::size_t open_spans_ = 0;
+};
+
+/// The whole document over `queries`, the same bytes a stream gives.
 std::string chrome_trace_json(const std::vector<ChromeTraceQuery>& queries);
 
 }  // namespace orv::obs

@@ -1,10 +1,9 @@
 #include "obs/flight.hpp"
 
-#include <fstream>
-
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "obs/json.hpp"
+#include "obs/sinks.hpp"
 
 namespace orv::obs {
 
@@ -135,10 +134,7 @@ bool FlightRecorder::dump(std::string_view reason, double now) {
   if (!cfg_.dump_dir.empty()) {
     d.path = strformat("%s/flight_%04llu.json", cfg_.dump_dir.c_str(),
                        static_cast<unsigned long long>(d.seq));
-    std::ofstream out(d.path, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out << d.json << "\n";
-    } else {
+    if (!write_file(d.path, d.json + "\n")) {
       d.path.clear();  // unwritable directory: keep the in-memory dump
     }
   }

@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 
 #include "common/strings.hpp"
@@ -42,7 +43,7 @@ void JsonWriter::end_array() {
 void JsonWriter::key(std::string_view k) {
   comma();
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(k);
   out_ += "\":";
   pending_key_ = true;
 }
@@ -50,7 +51,7 @@ void JsonWriter::key(std::string_view k) {
 void JsonWriter::value(std::string_view v) {
   comma();
   out_ += '"';
-  out_ += escape(v);
+  append_escaped(v);
   out_ += '"';
 }
 
@@ -60,12 +61,19 @@ void JsonWriter::value(double v) {
     out_ += "null";  // JSON has no inf/nan
     return;
   }
-  out_ += strformat("%.9g", v);
+  // The same bytes as printf("%.9g"), without a format-string parse or a
+  // temporary string per number.
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 9);
+  out_.append(buf, r.ptr);
 }
 
 void JsonWriter::value(std::uint64_t v) {
   comma();
-  out_ += strformat("%llu", static_cast<unsigned long long>(v));
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out_.append(buf, r.ptr);
 }
 
 void JsonWriter::value(bool v) {
@@ -78,25 +86,22 @@ void JsonWriter::raw(std::string_view json) {
   out_ += json;
 }
 
-std::string JsonWriter::escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+void JsonWriter::append_escaped(std::string_view s) {
   for (const char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          out += strformat("\\u%04x", c);
+          out_ += strformat("\\u%04x", c);
         } else {
-          out += c;
+          out_ += c;
         }
     }
   }
-  return out;
 }
 
 }  // namespace orv::obs

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace orv::obs {
@@ -39,10 +40,13 @@ class JsonWriter {
   void raw(std::string_view json);
 
   const std::string& str() const { return out_; }
-  static std::string escape(std::string_view s);
+  /// Returns the bytes written since the last take() and keeps the
+  /// nesting state, so a document can be written out piece by piece.
+  std::string take() { return std::exchange(out_, {}); }
 
  private:
   void comma();
+  void append_escaped(std::string_view s);
 
   std::string out_;
   std::vector<bool> first_in_scope_;

@@ -19,13 +19,8 @@ const char* severity_name(Severity s) {
 
 const char* selector_name(Selector s) {
   switch (s) {
-    case Selector::CounterValue: return "counter";
     case Selector::GaugeValue: return "gauge";
     case Selector::WindowRate: return "rate";
-    case Selector::WindowTotal: return "wtotal";
-    case Selector::WindowP50: return "wp50";
-    case Selector::WindowP95: return "wp95";
-    case Selector::WindowP99: return "wp99";
   }
   return "?";
 }
@@ -33,7 +28,6 @@ const char* selector_name(Selector s) {
 bool cmp_eval(Cmp c, double value, double threshold) {
   switch (c) {
     case Cmp::LT: return value < threshold;
-    case Cmp::LE: return value <= threshold;
     case Cmp::GT: return value > threshold;
     case Cmp::GE: return value >= threshold;
   }
@@ -116,21 +110,10 @@ Monitor::Monitor(Registry& registry, std::vector<Rule> rules)
 
 double Monitor::read_selector(Selector sel, const std::string& metric) const {
   switch (sel) {
-    case Selector::CounterValue:
-      return static_cast<double>(registry_.counter(metric).value());
     case Selector::GaugeValue:
       return registry_.gauge(metric).value();
     case Selector::WindowRate:
       return registry_.windowed_counter(metric).rate();
-    case Selector::WindowTotal:
-      return static_cast<double>(
-          registry_.windowed_counter(metric).windowed_total());
-    case Selector::WindowP50:
-      return registry_.windowed_histogram(metric).merged().p50;
-    case Selector::WindowP95:
-      return registry_.windowed_histogram(metric).merged().p95;
-    case Selector::WindowP99:
-      return registry_.windowed_histogram(metric).merged().p99;
   }
   return 0;
 }
@@ -252,16 +235,13 @@ std::vector<std::string> Monitor::active_rules() const {
 
 NodeHealthTracker::NodeHealthTracker(Registry& registry,
                                      std::size_t num_storage,
-                                     std::size_t num_compute,
-                                     NodeHealthConfig cfg)
-    : registry_(registry), cfg_(cfg) {
-  ORV_REQUIRE(cfg_.fault_window_seconds > 0,
-              "node health needs a positive fault window");
+                                     std::size_t num_compute)
+    : registry_(registry) {
   auto init = [&](std::vector<NodeState>& lane, std::size_t n) {
     lane.resize(n);
     for (NodeState& s : lane) {
-      s.faults = std::make_unique<WindowedCounter>(
-          cfg_.fault_window_seconds / 8.0, 8);
+      s.faults =
+          std::make_unique<WindowedCounter>(kFaultWindowSeconds / 8.0, 8);
     }
   };
   init(storage_, num_storage);
@@ -308,13 +288,11 @@ void NodeHealthTracker::recompute(NodeState& n, double now) {
   n.faults->add(now, 0);
   const double faults =
       static_cast<double>(n.faults->windowed_total());
-  const double fault_pen =
-      std::min(cfg_.fault_cap, cfg_.fault_weight * faults);
-  const double straggler_pen = std::min(
-      cfg_.straggler_cap,
-      std::max(0.0, n.straggler_dev - cfg_.straggler_start));
+  const double fault_pen = std::min(kFaultCap, kFaultWeight * faults);
+  const double straggler_pen =
+      std::min(kStragglerCap, std::max(0.0, n.straggler_dev - kStragglerStart));
   const double busy_pen =
-      std::min(cfg_.busy_cap, std::max(0.0, n.busy_frac - cfg_.busy_start));
+      std::min(kBusyCap, std::max(0.0, n.busy_frac - kBusyStart));
   n.score = std::clamp(1.0 - fault_pen - straggler_pen - busy_pen, 0.0, 1.0);
 }
 
@@ -347,13 +325,11 @@ double NodeHealthTracker::capacity_fraction() const {
   return std::clamp(sum / static_cast<double>(compute_.size()), 0.0, 1.0);
 }
 
-std::vector<Rule> default_workload_rules(double slo_budget,
-                                         double p99_slo_seconds,
-                                         double node_alert_threshold) {
+std::vector<Rule> default_workload_rules() {
   std::vector<Rule> rules;
   rules.push_back(Rule::make_burn_rate(
-      "slo-burn", "workload.slo_missed", "workload.slo_total", slo_budget,
-      5.0, 60.0, 2.0, Severity::Critical));
+      "slo-burn", "workload.slo_missed", "workload.slo_total", 0.05, 5.0,
+      60.0, 2.0, Severity::Critical));
   rules.push_back(Rule::make_threshold(
       "reject-rate", Selector::WindowRate, "workload.rejected", Cmp::GT, 0.0,
       Severity::Warning));
@@ -362,12 +338,7 @@ std::vector<Rule> default_workload_rules(double slo_budget,
       2.0, Severity::Info));
   rules.push_back(Rule::make_threshold(
       "node-health", Selector::GaugeValue, "node.health.min", Cmp::LT,
-      node_alert_threshold, Severity::Critical));
-  if (p99_slo_seconds > 0) {
-    rules.push_back(Rule::make_threshold(
-        "latency-p99", Selector::WindowP99, "workload.latency_seconds",
-        Cmp::GT, p99_slo_seconds, Severity::Warning));
-  }
+      NodeHealthTracker::kAlertThreshold, Severity::Critical));
   return rules;
 }
 

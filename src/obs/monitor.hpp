@@ -44,17 +44,12 @@ enum class RuleKind { Threshold, RateOfChange, BurnRate };
 
 /// Which scalar of a registry instrument a rule reads.
 enum class Selector {
-  CounterValue,  // cumulative counter
   GaugeValue,
-  WindowRate,   // windowed counter, events/second over its window
-  WindowTotal,  // windowed counter, events in window
-  WindowP50,    // windowed histogram quantiles
-  WindowP95,
-  WindowP99,
+  WindowRate,  // windowed counter, events/second over its window
 };
 const char* selector_name(Selector s);
 
-enum class Cmp { LT, LE, GT, GE };
+enum class Cmp { LT, GT, GE };
 bool cmp_eval(Cmp c, double value, double threshold);
 
 struct Rule {
@@ -126,7 +121,6 @@ class Monitor {
   std::size_t fired_count() const { return fired_; }
   bool active(std::string_view rule_name) const;
   std::vector<std::string> active_rules() const;
-  std::size_t num_rules() const { return states_.size(); }
 
   /// Invoked on every transition, after the alert is appended. Used to
   /// chain the flight recorder and dashboard.
@@ -162,27 +156,6 @@ class Monitor {
 
 // ------------------------------------------------------------- health --
 
-struct NodeHealthConfig {
-  /// Fault events decay out of the score over this window.
-  double fault_window_seconds = 5.0;
-  /// Penalty per fault event inside the window, and its cap. The cap is
-  /// the only penalty that can push a node below the alert threshold:
-  /// busy/straggler caps sum to less than (1 - alert_threshold), so a
-  /// fault-free node can never page regardless of skew.
-  double fault_weight = 0.15;
-  double fault_cap = 0.6;
-  /// Straggler deviation (node busy vs mean node busy of the last query)
-  /// starts costing above this fraction, capped.
-  double straggler_start = 0.5;
-  double straggler_cap = 0.25;
-  /// Sustained occupancy above this busy fraction costs up to busy_cap.
-  double busy_start = 0.95;
-  double busy_cap = 0.1;
-  /// Default node-health alert threshold (the rule default_node_rule
-  /// builds compares `node.health.min` against this).
-  double alert_threshold = 0.5;
-};
-
 /// Per-node health scoring over deterministic observations. The tracker
 /// never reads the cluster itself — callers feed it plain scalars
 /// (occupancy busy fractions, per-node busy seconds of a finished query,
@@ -191,8 +164,27 @@ struct NodeHealthConfig {
 /// `node.health.min`, ready for the Prometheus label extraction.
 class NodeHealthTracker {
  public:
+  /// Fault events decay out of the score over this window.
+  static constexpr double kFaultWindowSeconds = 5.0;
+  /// Penalty per fault event inside the window, and its cap. The cap is
+  /// the only penalty that can push a node below the alert threshold:
+  /// busy/straggler caps sum to less than (1 - kAlertThreshold), so a
+  /// fault-free node can never page regardless of skew.
+  static constexpr double kFaultWeight = 0.15;
+  static constexpr double kFaultCap = 0.6;
+  /// Straggler deviation (node busy vs mean node busy of the last query)
+  /// starts costing above this fraction, capped.
+  static constexpr double kStragglerStart = 0.5;
+  static constexpr double kStragglerCap = 0.25;
+  /// Sustained occupancy above this busy fraction costs up to kBusyCap.
+  static constexpr double kBusyStart = 0.95;
+  static constexpr double kBusyCap = 0.1;
+  /// The node-health rule of default_workload_rules pages when
+  /// `node.health.min` falls below this.
+  static constexpr double kAlertThreshold = 0.5;
+
   NodeHealthTracker(Registry& registry, std::size_t num_storage,
-                    std::size_t num_compute, NodeHealthConfig cfg = {});
+                    std::size_t num_compute);
 
   /// A fault event attributed to a node (injected I/O error, observed
   /// crash, retry burst). `storage` selects the node namespace.
@@ -215,7 +207,6 @@ class NodeHealthTracker {
 
   std::size_t num_storage() const { return storage_.size(); }
   std::size_t num_compute() const { return compute_.size(); }
-  const NodeHealthConfig& config() const { return cfg_; }
 
  private:
   struct NodeState {
@@ -231,18 +222,15 @@ class NodeHealthTracker {
   }
 
   Registry& registry_;
-  NodeHealthConfig cfg_;
   std::vector<NodeState> storage_;
   std::vector<NodeState> compute_;
   double min_health_ = 1.0;
 };
 
-/// Default rule set for workload runs: sustained deadline-miss burn
-/// (5s/60s windows over workload.slo_missed vs workload.slo_total),
-/// rejection backpressure, queue-depth growth, and the node-health page.
-/// `p99_slo_seconds` > 0 adds a windowed p99 latency threshold.
-std::vector<Rule> default_workload_rules(
-    double slo_budget = 0.05, double p99_slo_seconds = 0,
-    double node_alert_threshold = 0.5);
+/// The rule set of workload runs: sustained deadline-miss burn (a 5%
+/// budget over 5s/60s windows of workload.slo_missed vs
+/// workload.slo_total), rejection backpressure, queue-depth growth, and
+/// the node-health page at NodeHealthTracker::kAlertThreshold.
+std::vector<Rule> default_workload_rules();
 
 }  // namespace orv::obs

@@ -57,6 +57,14 @@ ExecutionProfile build_profile(const ObsContext& ctx, std::string query,
   return p;
 }
 
+ProfileStream::ProfileStream() {
+  w_.begin_object();
+  w_.key("schema_version");
+  w_.value(kObsSchemaVersion);
+  w_.key("profiles");
+  w_.begin_array();
+}
+
 std::string ExecutionProfile::to_json() const {
   JsonWriter w;
   w.begin_object();

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/diag.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace orv::obs {
@@ -45,5 +46,19 @@ std::vector<StageTime> aggregate_stages(const ObsContext& ctx);
 /// Assembles a profile from the installed-run context.
 ExecutionProfile build_profile(const ObsContext& ctx, std::string query,
                                std::string algorithm, double elapsed);
+
+/// Writes the profile report, {"schema_version": 3, "profiles": [...]},
+/// profile by profile, with ChromeTraceStream's take()/trailer().
+class ProfileStream {
+ public:
+  ProfileStream();
+
+  void add(const ExecutionProfile& profile) { w_.raw(profile.to_json()); }
+  std::string take() { return w_.take(); }
+  std::string trailer() const { return "]}\n"; }
+
+ private:
+  JsonWriter w_;
+};
 
 }  // namespace orv::obs

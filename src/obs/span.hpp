@@ -44,12 +44,6 @@ struct SpanRecord {
 
   bool closed() const { return end >= start; }
   double duration() const { return closed() ? end - start : 0; }
-  bool has_tag(std::string_view key) const {
-    for (const auto& [k, v] : tags) {
-      if (k == key) return true;
-    }
-    return false;
-  }
   const std::string* tag_value(std::string_view key) const {
     for (const auto& [k, v] : tags) {
       if (k == key) return &v;

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <tuple>
+#include <vector>
 
 namespace orv::obs {
 
@@ -91,16 +92,25 @@ namespace {
 class Walker {
  public:
   Walker(const TraceDag& dag, CriticalPath& out, double eps)
-      : dag_(dag), out_(out), eps_(eps) {}
+      : dag_(dag), out_(out), eps_(eps), used_(dag.spans().size(), false) {}
 
   double walk(const SpanRecord& s, double t_hi) {
+    const std::vector<const SpanRecord*> cands = candidates(s);
+    std::size_t next = 0;
     double t = t_hi;
     while (t > s.start + eps_) {
-      const SpanRecord* c = best_contributor(s, t);
-      if (!c) break;
-      if (t > c->end) attribute(s, c->end, t);
-      used_.insert(c->id.value);
-      t = walk(*c, std::min(c->end, t));
+      // The best contributor is the first unused candidate that ends by
+      // t (within eps). t only falls, so a candidate passed over here
+      // never qualifies again and one cursor serves the whole walk.
+      while (next < cands.size() &&
+             (cands[next]->end > t + eps_ || used_[pos(*cands[next])])) {
+        ++next;
+      }
+      if (next == cands.size() || cands[next]->end < s.start - eps_) break;
+      const SpanRecord& c = *cands[next++];
+      if (t > c.end) attribute(s, c.end, t);
+      used_[pos(c)] = true;
+      t = walk(c, std::min(c.end, t));
     }
     if (t > s.start) {
       attribute(s, s.start, t);
@@ -110,25 +120,27 @@ class Walker {
   }
 
  private:
-  // Latest-ending closed, unused contributor whose end falls within
-  // (s.start, t]: structural children plus the span's link parent (the
-  // remote sender that produced the message this span waited on).
-  const SpanRecord* best_contributor(const SpanRecord& s, double t) {
-    const SpanRecord* best = nullptr;
+  // The span's closed contributors: structural children plus its link
+  // parent (the remote sender that produced the message this span waited
+  // on), latest end first; equal ends break toward the longer span, then
+  // the lower id.
+  std::vector<const SpanRecord*> candidates(const SpanRecord& s) const {
+    std::vector<const SpanRecord*> out;
     auto consider = [&](const SpanRecord* c) {
-      if (!c || !c->closed() || used_.count(c->id.value)) return;
-      if (c->end > t + eps_ || c->end < s.start - eps_) return;
-      if (!best || c->end > best->end + eps_ ||
-          (std::abs(c->end - best->end) <= eps_ &&
-           (c->duration() > best->duration() + eps_ ||
-            (std::abs(c->duration() - best->duration()) <= eps_ &&
-             c->id.value < best->id.value)))) {
-        best = c;
-      }
+      if (c && c->closed()) out.push_back(c);
     };
     for (SpanId cid : dag_.children_of(s.id)) consider(dag_.find(cid));
     if (s.link) consider(dag_.find(s.link));
-    return best;
+    auto key = [](const SpanRecord* c) {
+      return std::tuple(-c->end, -c->duration(), c->id.value);
+    };
+    std::sort(out.begin(), out.end(),
+              [&](const auto* a, const auto* b) { return key(a) < key(b); });
+    return out;
+  }
+
+  std::size_t pos(const SpanRecord& s) const {
+    return static_cast<std::size_t>(&s - dag_.spans().data());
   }
 
   void attribute(const SpanRecord& s, double begin, double end) {
@@ -146,7 +158,7 @@ class Walker {
   const TraceDag& dag_;
   CriticalPath& out_;
   double eps_;
-  std::unordered_set<std::uint32_t> used_;
+  std::vector<bool> used_;  // by DAG position
 };
 
 }  // namespace

@@ -102,7 +102,8 @@ struct CriticalPath {
 /// Backward-walk critical path from `root`'s end to its start. Contributor
 /// candidates at a span are its structural children plus its link parent;
 /// ties on end time break toward the longer span, then the lower id, so
-/// the result is deterministic.
+/// the result is deterministic. Ties are exact (eps only widens the window
+/// a candidate's end may fall in); the walk is O(n log n) in the spans.
 CriticalPath critical_path(const TraceDag& dag, SpanId root);
 
 }  // namespace orv::obs

@@ -2,20 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
 #include "common/strings.hpp"
-#include "obs/dash.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
+#include "obs/sinks.hpp"
 
 namespace orv {
 
 namespace {
+
+/// Virtual seconds between monitor ticks (occupancy sampling, rule
+/// evaluation, dashboard lines).
+constexpr double kMonitorTickSeconds = 0.25;
+/// Window of the monitor's windowed counters and histograms, in 20 slots.
+constexpr double kMonitorWindowSeconds = 5.0;
+constexpr std::size_t kMonitorWindowSlots = 20;
 
 /// One generated arrival, before execution.
 struct Arrival {
@@ -74,7 +80,6 @@ std::vector<Arrival> generate_arrivals(const WorkloadSpec& spec) {
 /// flight recorder and dashboard, plus the per-node occupancy sampling
 /// state (pure busy-time-delta reads, like ContentionMonitor).
 struct MonitorRig {
-  WorkloadMonitorOptions opt;
   obs::Registry own_registry;        // used when no ObsContext is installed
   obs::Registry* reg = nullptr;      // where all monitor telemetry lives
   std::unique_ptr<obs::NodeHealthTracker> health;
@@ -82,7 +87,7 @@ struct MonitorRig {
   std::unique_ptr<obs::FlightRecorder> own_flight;
   obs::FlightRecorder* flight = nullptr;
   std::unique_ptr<obs::ScopedFlight> scoped_flight;
-  obs::JsonLinesWriter dash;
+  obs::SinkFile dash;
 
   // Occupancy sampling state (busy-time deltas between ticks).
   double last_tick = 0;
@@ -117,58 +122,44 @@ bool parse_node_id(const std::string& s, bool* storage, std::size_t* node) {
 }
 
 /// Builds the monitor rig for one run, or returns null when monitoring is
-/// off. Env hooks (ORV_FLIGHT / ORV_DASH) and health-aware admission
-/// force it on.
+/// off. A flight or dash sink and health-aware admission force it on.
 std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
-                                             const WorkloadSpec& spec) {
-  WorkloadMonitorOptions opt = spec.monitor;
-  if (const char* dir = std::getenv("ORV_FLIGHT");
-      dir != nullptr && *dir != '\0') {
-    opt.enabled = true;
-    if (opt.flight_dir.empty()) opt.flight_dir = dir;
+                                             const WorkloadSpec& spec,
+                                             const obs::Sinks& sinks) {
+  if (!spec.monitor.enabled && !sinks.monitors_workload() &&
+      !spec.health_aware_admission) {
+    return nullptr;
   }
-  if (const char* path = std::getenv("ORV_DASH");
-      path != nullptr && *path != '\0') {
-    opt.enabled = true;
-    if (opt.dash_path.empty()) opt.dash_path = path;
-  }
-  if (spec.health_aware_admission) opt.enabled = true;
-  if (!opt.enabled) return nullptr;
 
   auto rig = std::make_unique<MonitorRig>();
-  rig->opt = opt;
   auto* ctx = obs::context();
   rig->reg = ctx != nullptr ? &ctx->registry : &rig->own_registry;
   obs::Registry& reg = *rig->reg;
 
   // Pre-create the windowed instruments with the rig's window geometry
   // (slot parameters bind on first creation; later lookups reuse them).
-  const double win =
-      opt.hist_window_seconds > 0 ? opt.hist_window_seconds : 5.0;
-  const double slot = win / 20.0;
-  reg.windowed_counter("workload.completed", slot, 20);
-  reg.windowed_counter("workload.rejected", slot, 20);
-  reg.windowed_counter("workload.failed", slot, 20);
-  reg.windowed_histogram("workload.latency_seconds", obs::duration_bounds(),
-                         slot, 20);
-  reg.windowed_histogram("workload.queue_wait_seconds",
-                         obs::duration_bounds(), slot, 20);
-  reg.windowed_histogram("workload.service_seconds", obs::duration_bounds(),
-                         slot, 20);
+  const double slot = kMonitorWindowSeconds / kMonitorWindowSlots;
+  for (const char* name :
+       {"workload.completed", "workload.rejected", "workload.failed"}) {
+    reg.windowed_counter(name, slot, kMonitorWindowSlots);
+  }
+  for (const char* name :
+       {"workload.latency_seconds", "workload.queue_wait_seconds",
+        "workload.service_seconds"}) {
+    reg.windowed_histogram(name, obs::duration_bounds(), slot,
+                           kMonitorWindowSlots);
+  }
 
   rig->health = std::make_unique<obs::NodeHealthTracker>(
-      reg, cluster.num_storage(), cluster.num_compute(), opt.health);
-  rig->monitor = std::make_unique<obs::Monitor>(
-      reg,
-      !opt.rules.empty() ? opt.rules
-                         : obs::default_workload_rules(
-                               0.05, 0, opt.health.alert_threshold));
+      reg, cluster.num_storage(), cluster.num_compute());
+  rig->monitor =
+      std::make_unique<obs::Monitor>(reg, obs::default_workload_rules());
 
-  if (opt.flight != nullptr) {
-    rig->flight = opt.flight;
+  if (spec.monitor.flight != nullptr) {
+    rig->flight = spec.monitor.flight;
   } else {
     obs::FlightRecorder::Config fc;
-    fc.dump_dir = opt.flight_dir;
+    fc.dump_dir = sinks.flight;
     rig->own_flight = std::make_unique<obs::FlightRecorder>(fc);
     rig->flight = rig->own_flight.get();
   }
@@ -189,9 +180,7 @@ std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
     if (!a.resolved) r->flight->dump("alert:" + a.rule, a.time);
   });
 
-  if (!opt.dash_path.empty()) {
-    rig->dash = obs::JsonLinesWriter(opt.dash_path);
-  }
+  if (!sinks.dash.empty()) rig->dash = obs::SinkFile(sinks.dash);
 
   rig->last_tick = cluster.engine().now();
   rig->last_busy = cluster.busy_times();
@@ -327,7 +316,7 @@ void dash_emit(Driver& d, double now) {
   }
   w.end_array();
   w.end_object();
-  m.dash.write(w.str());
+  m.dash.append(w.take() + '\n');
 }
 
 /// Per-node occupancy sampling: pure busy-time-delta reads, feeding the
@@ -357,10 +346,8 @@ void sample_occupancy(Driver& d, Cluster& cluster, double now) {
 /// outcomes resolved so the engine run still drains.
 sim::Task<> monitor_tick(Driver& d, Cluster& cluster) {
   sim::Engine& engine = cluster.engine();
-  const double tick = d.mon->opt.tick_seconds > 0 ? d.mon->opt.tick_seconds
-                                                  : 0.25;
   while (d.resolved < d.total) {
-    co_await engine.sleep(tick);
+    co_await engine.sleep(kMonitorTickSeconds);
     const double now = engine.now();
     sample_occupancy(d, cluster, now);
     monitor_eval(d, now);
@@ -521,14 +508,15 @@ std::string WorkloadResult::to_string() const {
 
 WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
                             const MetaDataService& meta,
-                            const WorkloadSpec& spec) {
+                            const WorkloadSpec& spec,
+                            const obs::Sinks& sinks) {
   sim::Engine& engine = cluster.engine();
   const std::vector<Arrival> arrivals = generate_arrivals(spec);
 
   QesSession session(cluster, bds, meta, spec.session);
   AdmissionController admission(engine, spec.admission);
   ContentionMonitor monitor(cluster);
-  std::unique_ptr<MonitorRig> rig = make_monitor_rig(cluster, spec);
+  std::unique_ptr<MonitorRig> rig = make_monitor_rig(cluster, spec, sinks);
   if (rig != nullptr && spec.health_aware_admission) {
     admission.set_capacity_provider(
         [h = rig->health.get()] { return h->capacity_fraction(); });
@@ -569,7 +557,7 @@ WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
       result.compute_health.push_back(rig->health->health(false, j));
     }
     result.flight_dumps = rig->flight->dumps().size();
-    result.dash_lines = rig->dash.lines();
+    result.dash_lines = rig->dash.records();
   }
 
   result.submitted = arrivals.size();

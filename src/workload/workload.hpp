@@ -24,6 +24,7 @@
 #include "cost/cost_model.hpp"
 #include "obs/flight.hpp"
 #include "obs/monitor.hpp"
+#include "obs/sinks.hpp"
 #include "qes/session.hpp"
 #include "sched/admission.hpp"
 
@@ -55,23 +56,11 @@ struct WorkloadClientSpec {
 /// Live-monitoring configuration for one workload run. Monitoring is
 /// perturbation-free: every input is a pure read (busy-time deltas,
 /// registry snapshots) and the tick coroutine only sleeps, so outcomes
-/// with monitoring on are bit-identical to monitoring off.
+/// with monitoring on are bit-identical to monitoring off. The monitor
+/// evaluates obs::default_workload_rules() every 0.25 virtual seconds and
+/// after every query outcome; the sinks say where it writes.
 struct WorkloadMonitorOptions {
   bool enabled = false;
-  /// Virtual seconds between monitor ticks (rule evaluation, occupancy
-  /// sampling, dashboard lines). Rules are additionally evaluated after
-  /// every query outcome, so alerting is not quantized to the tick.
-  double tick_seconds = 0.25;
-  /// Window of the driver's windowed latency/service histograms.
-  double hist_window_seconds = 5.0;
-  /// Rule set; empty selects obs::default_workload_rules().
-  std::vector<obs::Rule> rules;
-  obs::NodeHealthConfig health;
-  /// Flight-recorder dump directory (also set via ORV_FLIGHT); empty
-  /// keeps dumps in memory only.
-  std::string flight_dir;
-  /// Dashboard JSON-lines path (also set via ORV_DASH).
-  std::string dash_path;
   /// Test hook: use this recorder instead of an internally owned one
   /// (not owned; must outlive the run).
   obs::FlightRecorder* flight = nullptr;
@@ -92,8 +81,8 @@ struct WorkloadSpec {
   /// controller's concurrency, so sick nodes shrink capacity instead of
   /// collecting queries that will straggle. Default off.
   bool health_aware_admission = false;
-  /// Live monitor / flight recorder / dashboard (ORV_DASH and ORV_FLIGHT
-  /// enable this implicitly). health_aware_admission also forces it on:
+  /// Live monitor / flight recorder / dashboard (a flight or dash sink
+  /// enables this implicitly). health_aware_admission also forces it on:
   /// the admission controller needs the health tracker.
   WorkloadMonitorOptions monitor;
 };
@@ -181,8 +170,10 @@ class ContentionMonitor {
 
 /// Runs the whole workload on the cluster's engine (one Engine::run) and
 /// blocks until every query resolved. Deterministic per (spec, cluster).
+/// `sinks` says where the monitor's flight dumps and dashboard go.
 WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
                             const MetaDataService& meta,
-                            const WorkloadSpec& spec);
+                            const WorkloadSpec& spec,
+                            const obs::Sinks& sinks = obs::sinks());
 
 }  // namespace orv

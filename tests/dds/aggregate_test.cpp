@@ -244,5 +244,33 @@ TEST(Aggregate, TypedGroupKeysMatchTheValueReference) {
   }
 }
 
+TEST(Aggregate, Int64KeysPast2To53StayExactThroughMerge) {
+  // 2^53 and 2^53 + 1 widen to the same double; the output keys must
+  // still be the exact int64 values, through consume, merge and finish.
+  auto schema = Schema::make({{"k", AttrType::Int64}, {"v", AttrType::Int32}});
+  const std::int64_t big = std::int64_t{1} << 53;
+  auto rows = [&](std::initializer_list<std::int64_t> keys) {
+    SubTable st(schema, SubTableId{1, 0});
+    for (const std::int64_t k : keys) {
+      const Value vals[] = {Value(k), Value(std::int32_t{1})};
+      st.append_values(vals);
+    }
+    return st;
+  };
+  const std::vector<AggSpec> aggs{AggSpec{AggSpec::Fn::Count, "", "n"}};
+  GroupByAggregator left(schema, {"k"}, aggs);
+  GroupByAggregator right(schema, {"k"}, aggs);
+  left.consume(rows({big + 1, big}));
+  right.consume(rows({big + 1, big + 1}));
+  left.merge(right);
+  const SubTable out = left.finish();
+  ASSERT_EQ(out.num_rows(), 2u);
+  EXPECT_EQ(out.schema().attr(0).type, AttrType::Int64);
+  EXPECT_EQ(out.value(0, 0).as_int64(), big);
+  EXPECT_DOUBLE_EQ(out.as_double(0, 1), 1);
+  EXPECT_EQ(out.value(1, 0).as_int64(), big + 1);
+  EXPECT_DOUBLE_EQ(out.as_double(1, 1), 3);
+}
+
 }  // namespace
 }  // namespace orv

@@ -17,7 +17,7 @@ namespace {
 // ---------------------------------------------------------- RobustEwma
 
 TEST(RobustEwmaTest, FirstAcceptedSampleReplacesPrior) {
-  RobustEwma e(/*prior=*/100.0, /*alpha=*/0.5, /*band=*/8.0);
+  RobustEwma e(/*prior=*/100.0);  // alpha 0.5, band 8
   EXPECT_TRUE(e.update(40.0));  // within band [12.5, 800]
   EXPECT_DOUBLE_EQ(e.value(), 40.0);  // replaced, not averaged
   EXPECT_TRUE(e.update(60.0));
@@ -26,7 +26,7 @@ TEST(RobustEwmaTest, FirstAcceptedSampleReplacesPrior) {
 }
 
 TEST(RobustEwmaTest, OutlierBandRejectsRelativeToCurrentEstimate) {
-  RobustEwma e(100.0, 0.5, 8.0);
+  RobustEwma e(100.0);
   EXPECT_FALSE(e.update(900.0));   // ratio 9 > band
   EXPECT_FALSE(e.update(10.0));    // ratio 0.1 < 1/band
   EXPECT_DOUBLE_EQ(e.value(), 100.0);
@@ -45,7 +45,7 @@ TEST(RobustEwmaTest, NonFiniteAndNegativeSamplesRejected) {
 }
 
 TEST(RobustEwmaTest, ZeroBandDisablesRejection) {
-  RobustEwma e(1.0, 0.5, /*band=*/0);
+  RobustEwma e(1.0, /*reject_outliers=*/false);
   EXPECT_TRUE(e.update(1000.0));  // 1000x jump accepted
   EXPECT_DOUBLE_EQ(e.value(), 1000.0);
   EXPECT_TRUE(e.update(0.0));  // an honest zero is a valid residual

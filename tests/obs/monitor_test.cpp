@@ -194,12 +194,13 @@ TEST(NodeHealth, FreshNodesAreFullyHealthy) {
 
 TEST(NodeHealth, FaultsDepressHealthThenDecayOut) {
   Registry reg;
-  NodeHealthConfig cfg;  // fault window 5s, 0.15/fault capped at 0.6
-  NodeHealthTracker h(reg, 2, 2, cfg);
+  // Fault window 5s, 0.15 per fault capped at 0.6.
+  NodeHealthTracker h(reg, 2, 2);
   for (int i = 0; i < 4; ++i) h.note_fault(true, 0, 1.0);
   h.publish(1.0);
   EXPECT_NEAR(h.health(true, 0), 1.0 - 4 * 0.15, 1e-12);
-  EXPECT_LT(h.min_health(), cfg.alert_threshold);  // enough faults page
+  EXPECT_LT(h.min_health(),
+            NodeHealthTracker::kAlertThreshold);  // enough faults page
   EXPECT_DOUBLE_EQ(h.health(true, 1), 1.0);        // attribution is per-node
 
   // Far past the fault window: the burst decays and health recovers.
@@ -218,20 +219,20 @@ TEST(NodeHealth, FaultPenaltyIsCapped) {
 
 TEST(NodeHealth, FaultFreeNodesCanNeverPage) {
   // The engineered invariant behind "zero false-positive node alerts":
-  // straggler_cap + busy_cap < 1 - alert_threshold, so without fault
+  // kStragglerCap + kBusyCap < 1 - kAlertThreshold, so without fault
   // events even the worst skew and saturation stay above the threshold.
+  using H = NodeHealthTracker;
   Registry reg;
-  NodeHealthConfig cfg;
-  NodeHealthTracker h(reg, 1, 3, cfg);
+  NodeHealthTracker h(reg, 1, 3);
   h.observe_occupancy(false, 0, 1.0);                 // fully saturated
   h.observe_query_work({100.0, 0.0, 0.0});            // extreme straggler
   h.observe_occupancy(true, 0, 1.0);
   h.publish(1.0);
-  EXPECT_GT(h.min_health(), cfg.alert_threshold);
+  EXPECT_GT(h.min_health(), H::kAlertThreshold);
   // Straggler penalty is capped; busy penalty at full saturation is
-  // (1.0 - busy_start). Worst fault-free total: 0.25 + 0.05 = 0.3.
+  // (1.0 - kBusyStart). Worst fault-free total: 0.25 + 0.05 = 0.3.
   EXPECT_NEAR(h.health(false, 0),
-              1.0 - cfg.straggler_cap - (1.0 - cfg.busy_start), 1e-12);
+              1.0 - H::kStragglerCap - (1.0 - H::kBusyStart), 1e-12);
 }
 
 TEST(NodeHealth, StragglerDeviationComesFromQueryWork) {
@@ -278,9 +279,7 @@ TEST(DefaultRules, CoverSloRejectQueueAndNodeHealth) {
   EXPECT_EQ(rules[0].kind, RuleKind::BurnRate);
   EXPECT_EQ(rules[0].bad_metric, "workload.slo_missed");
   EXPECT_EQ(rules[3].name, "node-health");
-  const auto with_p99 = default_workload_rules(0.05, 0.5);
-  ASSERT_EQ(with_p99.size(), 5u);
-  EXPECT_EQ(with_p99[4].name, "latency-p99");
+  EXPECT_DOUBLE_EQ(rules[3].threshold, NodeHealthTracker::kAlertThreshold);
 }
 
 }  // namespace

@@ -291,7 +291,9 @@ TEST(PlanValidationTest, ErrorRatio) {
 // ------------------------------------------------------------------- JSON
 
 TEST(Json, EscapesSpecials) {
-  EXPECT_EQ(JsonWriter::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  JsonWriter w;
+  w.value("a\"b\\c\nd");
+  EXPECT_EQ(w.str(), "\"a\\\"b\\\\c\\nd\"");
 }
 
 TEST(Json, WriterProducesValidStructure) {

@@ -122,6 +122,48 @@ TEST(CriticalPath, FanInTieBreaksTowardLongerSpanThenLowerId) {
   EXPECT_DOUBLE_EQ(sum_segments(cp2), 10);
 }
 
+TEST(CriticalPath, NearTieWithinEpsGoesToTheLaterEnd) {
+  // a and b end less than eps (1e-9 of the root's end) apart; b is the
+  // longer span. Ties are exact, so a's strictly later end wins and b
+  // never reaches the path: eps widens the window a candidate's end may
+  // fall in, it does not merge nearby ends into a tie.
+  const auto dag = obs::TraceDag::assemble({
+      mk(1, 0, "q", 0, 10),
+      mk(2, 1, "a", 1, 6),
+      mk(3, 1, "b", 0, 6 - 1e-12),
+  });
+  const auto cp = obs::critical_path(dag, obs::SpanId{1});
+  EXPECT_DOUBLE_EQ(cp.total, 10);
+  expect_contiguous(cp, 0, 10);
+  ASSERT_EQ(cp.segments.size(), 3u);
+  EXPECT_EQ(cp.segments[0].name, "q");  // [0, 1]: b was passed over
+  EXPECT_EQ(cp.segments[1].name, "a");
+  EXPECT_DOUBLE_EQ(cp.segments[1].begin, 1);
+  EXPECT_EQ(cp.segments[2].name, "q");  // [6, 10]
+}
+
+TEST(CriticalPath, WideRootWalksInLinearTime) {
+  // A root with 2e5 back-to-back children, the shape of a query root
+  // over thousands of fetches and probes. A walk that rescans every
+  // child per step does 4e10 steps here and cannot finish inside this
+  // test binary's timeout (tests/CMakeLists.txt); a sorted walk takes
+  // milliseconds.
+  constexpr std::uint32_t kChildren = 200000;
+  std::vector<obs::SpanRecord> spans;
+  spans.reserve(kChildren + 1);
+  spans.push_back(mk(1, 0, "q", 0, kChildren));
+  for (std::uint32_t i = 0; i < kChildren; ++i) {
+    spans.push_back(mk(i + 2, 1, "ij.probe", i, i + 1.0));
+  }
+  const auto dag = obs::TraceDag::assemble(std::move(spans));
+  const auto cp = obs::critical_path(dag, obs::SpanId{1});
+  EXPECT_DOUBLE_EQ(cp.total, kChildren);
+  EXPECT_EQ(cp.segments.size(), kChildren);
+  EXPECT_DOUBLE_EQ(cp.stage_seconds(obs::Stage::Cpu), kChildren);
+  EXPECT_EQ(cp.segments.front().span.value, 2u);
+  EXPECT_EQ(cp.segments.back().span.value, kChildren + 1);
+}
+
 TEST(CriticalPath, RetryDuplicatesBothAppearAndZeroDurationTerminates) {
   // A retried fetch leaves two sibling spans with the same name; both lie
   // on the path. The zero-duration marker at t=10 must not loop the walk.

@@ -41,11 +41,12 @@ struct Rig {
     cspec.num_compute = 3;
   }
 
-  WorkloadResult run(const WorkloadSpec& spec) {
+  WorkloadResult run(const WorkloadSpec& spec,
+                     const obs::Sinks& sinks = obs::sinks()) {
     sim::Engine engine;
     Cluster cluster(engine, cspec);
     BdsService bds(cluster, ds.meta, ds.stores);
-    return run_workload(cluster, bds, ds.meta, spec);
+    return run_workload(cluster, bds, ds.meta, spec, sinks);
   }
 
   /// Two-client Poisson mix with per-query deadlines.
@@ -147,9 +148,9 @@ TEST(MonitorWorkload, DashboardStreamsJsonLines) {
   TempDir dir("dash");
   const std::string path = dir.file("dash.jsonl").string();
   WorkloadSpec spec = rig.poisson_spec(5.0);
-  spec.monitor.enabled = true;
-  spec.monitor.dash_path = path;
-  const WorkloadResult r = rig.run(spec);
+  obs::Sinks sinks;
+  sinks.dash = path;  // turns the monitor on by itself
+  const WorkloadResult r = rig.run(spec, sinks);
   ASSERT_GT(r.dash_lines, 0u);
 
   std::ifstream in(path);
