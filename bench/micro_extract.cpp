@@ -2,10 +2,12 @@
 // layout. Validates the paper's assumption that extraction cost is much
 // less than the I/O cost of retrieving the chunk (GB/s here vs tens of
 // MB/s disks). Also times the record-level range selection and the
-// bounds pass that run on every extracted sub-table.
+// bounds pass that run on every extracted sub-table, and the CRC-32 that
+// verifies every chunk read.
 
 #include <benchmark/benchmark.h>
 
+#include "common/bytes.hpp"
 #include "datagen/generator.hpp"
 #include "extract/extractor.hpp"
 #include "meta/metadata.hpp"
@@ -98,6 +100,20 @@ void BM_ComputeBounds(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * st.num_rows());
 }
 BENCHMARK(BM_ComputeBounds);
+
+// Checksum of every chunk read: the dispatched crc32 kernel at a page-sized
+// and a chunk-sized input.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::byte> data(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i * 2654435761u >> 24);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(1 << 20);
 
 }  // namespace
 

@@ -18,9 +18,29 @@
 
 namespace orv {
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte span. Runs the
+/// carry-less-multiply kernel where the CPU has it, else slicing-by-8; both
+/// give the same value.
 std::uint32_t crc32(std::span<const std::byte> data,
                     std::uint32_t seed = 0xffffffffu);
+
+namespace detail {
+
+/// The two CRC-32 kernels behind crc32(), exposed so tests can check each
+/// against a reference. Same contract as crc32().
+std::uint32_t crc32_slice8(std::span<const std::byte> data,
+                           std::uint32_t seed = 0xffffffffu);
+
+/// Folds the 16-byte multiple prefix of inputs of 64 bytes or more with
+/// PCLMULQDQ, then finishes with slicing-by-8. Call only when
+/// crc32_clmul_supported().
+std::uint32_t crc32_clmul(std::span<const std::byte> data,
+                          std::uint32_t seed = 0xffffffffu);
+
+/// True when this CPU has PCLMULQDQ and SSE4.1 (always false off x86).
+bool crc32_clmul_supported();
+
+}  // namespace detail
 
 /// Appends little-endian encoded primitives to a growable byte buffer.
 class ByteWriter {

@@ -1,8 +1,8 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <charconv>
 
-#include "common/strings.hpp"
 #include "obs/flight.hpp"
 
 namespace orv::obs {
@@ -57,12 +57,19 @@ void Tracer::tag(SpanId id, std::string_view key, std::string value) {
   spans_[id.value - 1].tags.emplace_back(std::string(key), std::move(value));
 }
 
+// Numbers are formatted as JsonWriter::value formats them: the same bytes
+// as printf's "%.9g" and "%llu", without a format-string parse.
 void Tracer::tag(SpanId id, std::string_view key, double value) {
-  tag(id, key, strformat("%.9g", value));
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), value,
+                               std::chars_format::general, 9);
+  tag(id, key, std::string(buf, r.ptr));
 }
 
 void Tracer::tag(SpanId id, std::string_view key, std::uint64_t value) {
-  tag(id, key, strformat("%llu", static_cast<unsigned long long>(value)));
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), value);
+  tag(id, key, std::string(buf, r.ptr));
 }
 
 std::size_t Tracer::num_spans() const {

@@ -105,9 +105,10 @@ TEST(Crc32, EmptyInput) {
 }
 
 /// Bit-at-a-time CRC-32 (IEEE, reflected), independent of the library's
-/// table-driven implementation.
-std::uint32_t reference_crc32(std::span<const std::byte> data) {
-  std::uint32_t c = 0xffffffffu;
+/// table-driven and carry-less-multiply kernels.
+std::uint32_t reference_crc32(std::span<const std::byte> data,
+                              std::uint32_t seed = 0xffffffffu) {
+  std::uint32_t c = seed;
   for (std::byte b : data) {
     c ^= static_cast<std::uint8_t>(b);
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
@@ -115,26 +116,62 @@ std::uint32_t reference_crc32(std::span<const std::byte> data) {
   return c ^ 0xffffffffu;
 }
 
-TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
-  // Lengths 0..64 cover the word loop with every tail length 0..7; 4099
-  // is a multi-KiB run ending in a 3-byte tail. Each is checked at every
-  // start offset 0..7 so unaligned word loads are exercised.
-  constexpr std::size_t kLong = 4099;
-  std::vector<std::byte> buf(kLong + 8);
-  std::uint32_t x = 0x9e3779b9u;
+using CrcKernel = std::uint32_t (*)(std::span<const std::byte>,
+                                    std::uint32_t);
+
+/// Checks a kernel against the bit-at-a-time reference at lengths 0..300
+/// (across the 16-byte fold step and the 64-byte fold minimum), 4099 and
+/// 1 MiB, at start offsets 0..15, with the default seed and another one.
+void expect_kernel_matches_reference(CrcKernel kernel) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  std::vector<std::byte> buf(kMiB + 16);
+  std::uint32_t x = 0x2545f491u;
   for (auto& b : buf) {
     x = x * 1664525u + 1013904223u;
     b = static_cast<std::byte>(x >> 24);
   }
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
-  lengths.push_back(kLong);
-  for (std::size_t align = 0; align < 8; ++align) {
-    for (std::size_t n : lengths) {
-      const std::span<const std::byte> data(buf.data() + align, n);
-      ASSERT_EQ(crc32(data), reference_crc32(data))
-          << "length " << n << " alignment " << align;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(4099);
+  lengths.push_back(kMiB);
+  for (const std::uint32_t seed : {0xffffffffu, 0x1d0c4b5au}) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      for (std::size_t n : lengths) {
+        const std::span<const std::byte> data(buf.data() + offset, n);
+        ASSERT_EQ(kernel(data, seed), reference_crc32(data, seed))
+            << "length " << n << " offset " << offset << " seed " << seed;
+      }
     }
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  expect_kernel_matches_reference(crc32);
+}
+
+TEST(Crc32, SlicingBy8KernelMatchesReference) {
+  expect_kernel_matches_reference(detail::crc32_slice8);
+}
+
+TEST(Crc32, ClmulKernelMatchesReference) {
+  if (!detail::crc32_clmul_supported()) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1";
+  }
+  expect_kernel_matches_reference(detail::crc32_clmul);
+}
+
+TEST(Crc32, DispatchesToTheSupportedKernel) {
+  const CrcKernel expected = detail::crc32_clmul_supported()
+                                 ? detail::crc32_clmul
+                                 : detail::crc32_slice8;
+  std::vector<std::byte> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i * 131 + 7);
+  }
+  for (const std::size_t n : {0, 63, 64, 100, 1000}) {
+    const std::span<const std::byte> head(data.data(), n);
+    EXPECT_EQ(crc32(head), expected(head, 0xffffffffu)) << "length " << n;
+    EXPECT_EQ(crc32(head, 42u), expected(head, 42u)) << "length " << n;
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/prng.hpp"
 
@@ -100,6 +102,62 @@ INSTANTIATE_TEST_SUITE_P(
         RoundTripCase{LayoutId::BlockedRows, 65, 4},   // block + 1
         RoundTripCase{LayoutId::BlockedRows, 1000, 6}  // ragged tail
         ));
+
+/// Per-cell column encoder, independent of the library's transposition:
+/// for each block of `block` rows, every cell of attribute 0, then of
+/// attribute 1, and so on.
+std::vector<std::byte> reference_encode(const SubTable& t, std::size_t block) {
+  const Schema& schema = t.schema();
+  const std::size_t rs = schema.record_size();
+  const std::byte* rows = t.bytes().data();
+  std::vector<std::byte> out;
+  for (std::size_t first = 0; first < t.num_rows(); first += block) {
+    const std::size_t last = std::min(first + block, t.num_rows());
+    for (std::size_t a = 0; a < schema.num_attrs(); ++a) {
+      const std::size_t w = attr_size(schema.attr(a).type);
+      for (std::size_t r = first; r < last; ++r) {
+        const std::byte* cell = rows + r * rs + schema.offset(a);
+        out.insert(out.end(), cell, cell + w);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ColumnLayouts, MixedWidthsRoundTripAndMatchPerCellEncoder) {
+  // random_table(.., 5, ..) has Float32, Float64, Int32, Int64, Float64
+  // columns, so 4- and 8-byte cells alternate within a record.
+  const std::vector<std::size_t> row_counts = {
+      0, 1, 7, kBlockedRowsBlock - 1, kBlockedRowsBlock, kBlockedRowsBlock + 1};
+  const auto& registry = ExtractorRegistry::global();
+  for (const LayoutId layout : {LayoutId::ColMajor, LayoutId::BlockedRows}) {
+    const Extractor& extractor = registry.for_layout(layout);
+    for (const std::size_t rows : row_counts) {
+      SCOPED_TRACE(extractor.name() + " rows=" + std::to_string(rows));
+      const SubTable t = random_table(rows, 5, 7 + rows);
+      const auto payload = extractor.encode(t);
+      const std::size_t block =
+          layout == LayoutId::ColMajor ? std::max<std::size_t>(rows, 1)
+                                       : kBlockedRowsBlock;
+      EXPECT_EQ(payload, reference_encode(t, block));
+
+      ChunkHeader header;
+      header.layout = layout;
+      header.table = t.id().table;
+      header.chunk = t.id().chunk;
+      header.num_rows = rows;
+      header.schema = t.schema();
+      header.bounds = t.bounds();
+      header.payload_size = payload.size();
+      const SubTable back = extractor.extract(header, payload);
+      EXPECT_EQ(back.bounds(), t.bounds());
+      ASSERT_EQ(back.size_bytes(), t.size_bytes());
+      const auto tb = t.bytes();
+      const auto bb = back.bytes();
+      EXPECT_TRUE(std::equal(tb.begin(), tb.end(), bb.begin()));
+    }
+  }
+}
 
 TEST(ExtractorRegistry, ResolvesBuiltins) {
   auto& reg = ExtractorRegistry::global();
