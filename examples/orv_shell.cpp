@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
   }
 
   ViewFramework fw = open_dataset_dir(argv[1]);
-  fw.enable_parallel_local_execution();
 
   // Define a convenience join view over the first two tables.
   const auto tables = fw.meta().table_ids();

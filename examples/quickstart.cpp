@@ -71,11 +71,5 @@ int main() {
   std::printf("  executed: %s\n", run.qes.to_string().c_str());
   std::printf("  predicted %.3fs, simulated %.3fs\n",
               run.decision.predicted_seconds(), run.qes.elapsed);
-
-  // --- 7. Parallel local execution (same results, multithreaded). -------
-  fw.enable_parallel_local_execution();
-  const SubTable again = fw.query("SELECT * FROM V1");
-  std::printf("\nParallel local executor: %zu rows (identical result)\n",
-              again.num_rows());
   return 0;
 }

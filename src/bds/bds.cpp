@@ -94,34 +94,31 @@ sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
 }
 
 sim::Task<std::shared_ptr<const SubTable>> BdsInstance::fetch_to_compute(
-    SubTableId id, std::size_t compute_node,
-    const std::vector<AttrRange>* ranges, obs::TraceContext rpc) {
+    SubTableId id, std::size_t compute_node, obs::TraceContext rpc) {
   const ChunkMeta* cm = &local_chunk(id);
   std::shared_ptr<const SubTable> st;
   co_await serve(std::span<const ChunkMeta*>(&cm, 1),
                  std::span<std::shared_ptr<const SubTable>>(&st, 1),
-                 compute_node, ranges, rpc, /*batch=*/false);
+                 compute_node, rpc, /*batch=*/false);
   co_return st;
 }
 
 sim::Task<std::vector<std::shared_ptr<const SubTable>>>
 BdsInstance::fetch_batch_to_compute(std::vector<SubTableId> ids,
                                     std::size_t compute_node,
-                                    const std::vector<AttrRange>* ranges,
                                     obs::TraceContext rpc) {
   ORV_REQUIRE(!ids.empty(), "batch fetch needs at least one id");
   std::vector<const ChunkMeta*> chunks;
   chunks.reserve(ids.size());
   for (const auto& id : ids) chunks.push_back(&local_chunk(id));
   std::vector<std::shared_ptr<const SubTable>> out(ids.size());
-  co_await serve(chunks, out, compute_node, ranges, rpc, /*batch=*/true);
+  co_await serve(chunks, out, compute_node, rpc, /*batch=*/true);
   co_return out;
 }
 
 sim::Task<> BdsInstance::serve(std::span<const ChunkMeta*> chunks,
                                std::span<std::shared_ptr<const SubTable>> out,
                                std::size_t compute_node,
-                               const std::vector<AttrRange>* ranges,
                                obs::TraceContext rpc, bool batch) {
   obs::StageScope stage(obs::context(), "bds.fetch", rpc.parent);
   stage.tag("storage_node", static_cast<std::uint64_t>(node_));
@@ -139,8 +136,7 @@ sim::Task<> BdsInstance::serve(std::span<const ChunkMeta*> chunks,
   std::uint64_t chunk_bytes = 0;
   std::uint64_t shipped_bytes = 0;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    out[i] = std::make_shared<const SubTable>(
-        load_chunk(*store_, *chunks[i], ranges));
+    out[i] = std::make_shared<const SubTable>(load_chunk(*store_, *chunks[i]));
     chunk_bytes += chunks[i]->location.size;
     shipped_bytes += out[i]->size_bytes();
   }

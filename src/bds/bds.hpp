@@ -68,16 +68,11 @@ class BdsInstance {
   sim::Task<std::shared_ptr<const SubTable>> produce(
       SubTableId id, obs::TraceContext rpc = {});
 
-  /// produce() followed by a network transfer of the sub-table's bytes to
-  /// the given compute node. If `ranges` is non-null and non-empty, the
-  /// record-level selection is pushed down: rows are filtered *at the
-  /// storage node* and only survivors cross the network (an extension the
-  /// extractor layer enables; the paper filters at the compute side).
-  /// The serve body run over one id, after the fault gate.
+  /// produce() followed by a network transfer of the whole sub-table's
+  /// bytes to the given compute node, which applies any selection (as the
+  /// paper does). The serve body run over one id, after the fault gate.
   sim::Task<std::shared_ptr<const SubTable>> fetch_to_compute(
-      SubTableId id, std::size_t compute_node,
-      const std::vector<AttrRange>* ranges = nullptr,
-      obs::TraceContext rpc = {});
+      SubTableId id, std::size_t compute_node, obs::TraceContext rpc = {});
 
   /// Batched fetch_to_compute over several of this node's chunks, for the
   /// pipelined prefetcher: chunk reads that are adjacent on disk (same
@@ -90,7 +85,6 @@ class BdsInstance {
   /// installed.
   sim::Task<std::vector<std::shared_ptr<const SubTable>>>
   fetch_batch_to_compute(std::vector<SubTableId> ids, std::size_t compute_node,
-                         const std::vector<AttrRange>* ranges = nullptr,
                          obs::TraceContext rpc = {});
 
  private:
@@ -114,9 +108,8 @@ class BdsInstance {
   /// it skips the fault gate, which the single path runs.
   sim::Task<> serve(std::span<const ChunkMeta*> chunks,
                     std::span<std::shared_ptr<const SubTable>> out,
-                    std::size_t compute_node,
-                    const std::vector<AttrRange>* ranges,
-                    obs::TraceContext rpc, bool batch);
+                    std::size_t compute_node, obs::TraceContext rpc,
+                    bool batch);
 
   /// Adds one request's served sub-tables to the stats and the `bds.*`
   /// counters.

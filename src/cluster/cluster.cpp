@@ -96,18 +96,16 @@ Cluster::DiskTotals Cluster::disk_totals() const {
   if (nfs_) {
     t.storage_read = t.scratch_read = nfs_->bytes_read();
     t.scratch_written = nfs_->bytes_written();
-    t.storage_busy = t.busy = nfs_->busy_time();
+    t.storage_busy = nfs_->busy_time();
     return t;
   }
   for (const auto& d : storage_disks_) {
     t.storage_read += d->bytes_read();
     t.storage_busy += d->busy_time();
   }
-  t.busy = t.storage_busy;
   for (const auto& d : compute_disks_) {
     t.scratch_written += d->bytes_written();
     t.scratch_read += d->bytes_read();
-    t.busy += d->busy_time();
   }
   return t;
 }
@@ -119,10 +117,6 @@ Cluster::BusyTimes Cluster::busy_times() const {
   for (const auto& r : compute_cpus_) t.compute_cpu.push_back(r->busy_time());
   t.network_switch = switch_.busy_time();
   return t;
-}
-
-std::size_t Cluster::num_disks() const {
-  return nfs_ ? 1 : storage_disks_.size() + compute_disks_.size();
 }
 
 sim::Resource& Cluster::compute_cpu(std::size_t j) {

@@ -121,15 +121,12 @@ class Cluster {
     double scratch_written = 0;  // bytes written to scratch disks
     double scratch_read = 0;     // bytes read back from scratch disks
     double storage_busy = 0;     // busy seconds of the storage-side disks
-    double busy = 0;             // busy seconds of every distinct disk
   };
   DiskTotals disk_totals() const;
-  /// Number of distinct disks (1 in shared-filesystem mode).
-  std::size_t num_disks() const;
 
   /// Busy seconds of every NIC and compute CPU, by node index, and of the
-  /// switch: the one reading the occupancy sampler, the contention monitor
-  /// and the workload monitor take their deltas from.
+  /// switch: the one reading the occupancy sampler and the workload
+  /// monitor take their deltas from.
   struct BusyTimes {
     std::vector<double> storage_nic;
     std::vector<double> compute_nic;

@@ -11,11 +11,6 @@ ViewFramework::ViewFramework(MetaDataService meta,
       stores_(std::move(stores)),
       local_(meta_, stores_) {}
 
-void ViewFramework::enable_parallel_local_execution(std::size_t threads) {
-  pool_ = std::make_unique<ThreadPool>(threads);
-  local_.set_pool(pool_.get());
-}
-
 void ViewFramework::define_view(const std::string& name, ViewPtr view) {
   ORV_REQUIRE(view != nullptr, "cannot define a null view");
   ORV_REQUIRE(!meta_.has_table(name),

@@ -67,17 +67,9 @@ class ViewFramework {
                                    SubTable* rows_out = nullptr,
                                    QesOptions options = {}) const;
 
-  LocalExecutor& local() { return local_; }
-
-  /// Enables multithreaded local execution (scans and join probes).
-  /// `threads` = 0 picks hardware concurrency. Results are bit-identical
-  /// to single-threaded execution.
-  void enable_parallel_local_execution(std::size_t threads = 0);
-
  private:
   MetaDataService meta_;
   std::vector<std::shared_ptr<ChunkStore>> stores_;
-  std::unique_ptr<ThreadPool> pool_;
   LocalExecutor local_;
   std::map<std::string, ViewPtr> views_;
 };

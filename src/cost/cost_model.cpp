@@ -209,30 +209,6 @@ std::string CostParams::to_string() const {
            : "");
 }
 
-std::string ContentionFactors::to_string() const {
-  return strformat("contention(disk=%.2f net=%.2f cpu=%.2f)", disk_busy,
-                   net_busy, cpu_busy);
-}
-
-CostParams apply_contention(CostParams p, const ContentionFactors& f) {
-  if (!f.any()) return p;
-  // A busy fraction b leaves (1 - b) of the resource for the new query;
-  // clamp so a saturated resource yields a finite (20x) degradation.
-  auto residual = [](double busy) {
-    return 1.0 - std::clamp(busy, 0.0, 0.95);
-  };
-  const double disk = residual(f.disk_busy);
-  const double net = residual(f.net_busy);
-  const double cpu = residual(f.cpu_busy);
-  p.read_io_bw *= disk;
-  p.write_io_bw *= disk;
-  p.net_bw *= net;
-  p.local_bw *= net;
-  p.alpha_build /= cpu;
-  p.alpha_lookup /= cpu;
-  return p;
-}
-
 std::string CostBreakdown::to_string() const {
   std::string s = strformat(
       "total=%.3fs (transfer=%.3f write=%.3f read=%.3f build=%.3f "

@@ -191,27 +191,4 @@ double crossover_ne_cs(const CostParams& p);
 /// IO_bw/F < 2 (RS_R+RS_S) / (gamma_lookup (n_e/m_S - 1)).
 double io_per_flop_threshold(const CostParams& p, double gamma_lookup);
 
-/// Observed resource contention, expressed as busy fractions in [0, 1):
-/// what share of recent virtual time the shared disks, network path and
-/// compute CPUs spent serving *other* work. The concurrent-workload
-/// driver samples these from the live cluster (busy-time deltas between
-/// plan points); Table 1's parameters describe an idle cluster, so under
-/// load the planner derates them by the residual capacity.
-struct ContentionFactors {
-  double disk_busy = 0;  // storage-disk busy fraction
-  double net_busy = 0;   // max of NIC / switch busy fractions
-  double cpu_busy = 0;   // compute-CPU busy fraction
-
-  bool any() const { return disk_busy > 0 || net_busy > 0 || cpu_busy > 0; }
-  std::string to_string() const;
-};
-
-/// Derates the system parameters by the observed contention: bandwidth
-/// terms scale by the residual fraction (1 - busy), CPU alphas stretch by
-/// 1 / (1 - busy). Busy fractions are clamped to 0.95 so a saturated
-/// resource degrades the plan rather than producing infinities. With
-/// all-zero factors the parameters are returned bit-identical, so every
-/// single-query plan (and all committed baselines) is unaffected.
-CostParams apply_contention(CostParams p, const ContentionFactors& f);
-
 }  // namespace orv

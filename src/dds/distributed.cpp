@@ -1,37 +1,10 @@
 #include "dds/distributed.hpp"
 
-#include <cstring>
-
 #include "common/error.hpp"
 #include "dds/aggregate.hpp"
 #include "dds/local_executor.hpp"
 
 namespace orv {
-
-namespace {
-
-/// Copies `fragment` rows into `out`, applying an optional projection.
-void append_fragment(const SubTable& fragment,
-                     const std::vector<std::size_t>& proj_indices,
-                     SubTable& out) {
-  if (proj_indices.empty()) {
-    out.append_rows(fragment);
-    return;
-  }
-  std::vector<std::byte> row(out.record_size());
-  for (std::size_t r = 0; r < fragment.num_rows(); ++r) {
-    std::size_t dst = 0;
-    for (std::size_t idx : proj_indices) {
-      const std::size_t sz = attr_size(fragment.schema().attr(idx).type);
-      std::memcpy(row.data() + dst, fragment.row(r) + fragment.schema().offset(idx),
-                  sz);
-      dst += sz;
-    }
-    out.append_row(row);
-  }
-}
-
-}  // namespace
 
 DdsShape match_dds_view(const ViewDef& view) {
   DdsShape shape;
@@ -136,7 +109,11 @@ DistributedRun DistributedDds::run_join(const DdsShape& dds_shape,
     *rows_out = SubTable(out_schema, SubTableId{0, 0});
     options.result_sink = [rows_out, &proj_indices](
                               std::size_t, const SubTable& fragment) {
-      append_fragment(fragment, proj_indices, *rows_out);
+      if (proj_indices.empty()) {
+        rows_out->append_rows(fragment);
+      } else {
+        append_projected(fragment, proj_indices, *rows_out);
+      }
     };
   } else if (agg_node != nullptr) {
     for (auto& a : node_aggs) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "chunkio/chunk_store.hpp"
-#include "common/thread_pool.hpp"
 #include "dds/view_def.hpp"
 #include "subtable/subtable.hpp"
 
@@ -25,13 +24,9 @@ SubTable sort_rows(const SubTable& in, const std::vector<SortKey>& keys,
 
 class LocalExecutor {
  public:
-  /// `pool` (optional, non-owning) parallelizes chunk scans and join
-  /// probes across threads; results are bit-identical to sequential
-  /// execution (work is partitioned in deterministic order).
   LocalExecutor(const MetaDataService& meta,
-                std::vector<std::shared_ptr<ChunkStore>> stores,
-                ThreadPool* pool = nullptr)
-      : meta_(meta), stores_(std::move(stores)), pool_(pool) {}
+                std::vector<std::shared_ptr<ChunkStore>> stores)
+      : meta_(meta), stores_(std::move(stores)) {}
 
   /// Materializes the view's rows.
   SubTable execute(const ViewDef& view) const;
@@ -39,15 +34,9 @@ class LocalExecutor {
   /// Rows of one base table under optional ranges, with chunk pruning.
   SubTable scan(TableId table, const std::vector<AttrRange>& ranges) const;
 
-  /// Attaches (or detaches, with nullptr) a thread pool after construction.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
-
  private:
-  SubTable execute_join(const ViewDef& view) const;
-
   const MetaDataService& meta_;
   std::vector<std::shared_ptr<ChunkStore>> stores_;
-  ThreadPool* pool_;
 };
 
 }  // namespace orv

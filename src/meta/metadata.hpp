@@ -51,8 +51,8 @@ bool satisfies_ranges(const ChunkMeta& chunk,
 /// endpoints inclusive), in order, same schema and id, bounds recomputed.
 /// Once a range applies, a NaN in any attribute, named or not, drops the
 /// row. When no range names one of its attributes, `st` comes back whole
-/// with its bounds kept. The BDS (pushdown), the QES and the oracles all
-/// use it.
+/// with its bounds kept. The local scan, the QES and the oracles all use
+/// it.
 SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges);
 
 class MetaDataService {

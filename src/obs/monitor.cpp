@@ -318,13 +318,6 @@ double NodeHealthTracker::health(bool storage, std::size_t node) const {
 
 double NodeHealthTracker::min_health() const { return min_health_; }
 
-double NodeHealthTracker::capacity_fraction() const {
-  if (compute_.empty()) return 1.0;
-  double sum = 0;
-  for (const NodeState& n : compute_) sum += n.score;
-  return std::clamp(sum / static_cast<double>(compute_.size()), 0.0, 1.0);
-}
-
 std::vector<Rule> default_workload_rules() {
   std::vector<Rule> rules;
   rules.push_back(Rule::make_burn_rate(

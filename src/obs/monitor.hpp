@@ -201,9 +201,6 @@ class NodeHealthTracker {
 
   double health(bool storage, std::size_t node) const;
   double min_health() const;
-  /// Healthy-capacity fraction for admission derating: mean compute
-  /// health, floored at a fraction that always keeps one slot.
-  double capacity_fraction() const;
 
   std::size_t num_storage() const { return storage_.size(); }
   std::size_t num_compute() const { return compute_.size(); }

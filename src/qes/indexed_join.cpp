@@ -44,9 +44,7 @@ struct IjShared {
            qes_detail::NodeCaches nc, SchemaPtr schema)
       : cluster(c), bds(b), meta(m), query(q), options(o), caches(nc),
         result_schema(std::move(schema)),
-        pushed_ranges(shared() || !o.pushdown_selection ? Ranges{}
-                                                        : q.ranges),
-        fetch_ranges(shared() || o.pushdown_selection ? Ranges{} : q.ranges),
+        fetch_ranges(shared() ? Ranges{} : q.ranges),
         output_ranges(shared() ? q.ranges : Ranges{}) {}
 
   bool shared() const { return !caches.shared.empty(); }
@@ -59,12 +57,11 @@ struct IjShared {
   const qes_detail::NodeCaches caches;
   SchemaPtr result_schema;
 
-  /// The query's selection, placed once; the other two stay empty. With
+  /// The query's selection, placed once; the other one stays empty. With
   /// session caches, which hold raw sub-tables so later queries with other
   /// predicates can reuse them, it applies to each join output. Otherwise
-  /// the storage node applies it to each fetch (pushdown: fewer bytes on
-  /// the wire), or the join loop to each fetched sub-table.
-  const Ranges pushed_ranges;
+  /// the join loop applies it to each fetched sub-table (the paper filters
+  /// at the compute side).
   const Ranges fetch_ranges;
   const Ranges output_ranges;
 
@@ -103,8 +100,7 @@ sim::Task<std::shared_ptr<const SubTable>> fetch_subtable(
           stage.tag("retry", static_cast<std::uint64_t>(attempt));
         }
         return sh.bds.instance_for(id).fetch_to_compute(
-            id, node, &sh.pushed_ranges,
-            obs::TraceContext{sh.frame.trace_id, stage.id()});
+            id, node, obs::TraceContext{sh.frame.trace_id, stage.id()});
       },
       [&] { cache.invalidate(id); });
   st = qes_detail::select_rows(std::move(st), sh.fetch_ranges);
@@ -209,7 +205,7 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node,
     sh.result.subtable_fetches += batch.size();
     auto tables = co_await sh.bds.instance(loc.storage_node)
                       .fetch_batch_to_compute(
-                          batch, node, &sh.pushed_ranges,
+                          batch, node,
                           obs::TraceContext{sh.frame.trace_id, stage.id()});
     for (std::size_t i = 0; i < batch.size(); ++i) {
       cache.put_pinned(batch[i], qes_detail::select_rows(std::move(tables[i]),

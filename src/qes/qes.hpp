@@ -37,14 +37,12 @@ class Calibrator;
 
 namespace orv {
 
-struct ContentionFactors;  // cost/cost_model.hpp
-
 /// An equi-join view query: V = left ⊕_attrs right [WHERE ranges].
 struct JoinQuery {
   TableId left_table = 0;
   TableId right_table = 0;
   std::vector<std::string> join_attrs;
-  std::vector<AttrRange> ranges;  // optional selection, pushed down
+  std::vector<AttrRange> ranges;  // optional selection
 };
 
 struct QesOptions {
@@ -53,10 +51,6 @@ struct QesOptions {
   double cpu_work_factor = 1.0;
 
   /// Indexed Join knobs.
-  /// Push the query's record-level selection down to the BDS instances so
-  /// only surviving rows cross the network (extension; the paper filters
-  /// at the compute side, which is the default).
-  bool pushdown_selection = false;
   ComponentAssign assign = ComponentAssign::RoundRobin;
   PairOrder pair_order = PairOrder::Lexicographic;
 
@@ -99,14 +93,6 @@ struct QesOptions {
   /// byte-identical. Not owned; must outlive the planner calls that read
   /// it.
   obs::Calibrator* calibrator = nullptr;
-
-  /// Observed resource busy fractions at plan time (concurrent workloads):
-  /// when set, the planner derates the Table 1 bandwidth/CPU parameters by
-  /// the residual capacity (cost/cost_model.hpp's apply_contention) so plan
-  /// choice shifts under load. Default null — single-query plans and every
-  /// committed baseline are untouched. Not owned; must outlive the plan
-  /// call.
-  const ContentionFactors* contention = nullptr;
 
   std::uint64_t seed = 0;  // for randomized ablation strategies
 

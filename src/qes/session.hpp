@@ -56,7 +56,7 @@ class QesSession {
              Config config = {});
 
   /// One query, start to finish, as a spawnable coroutine: plan (QPS cost
-  /// models, honouring options.contention when set), execute the chosen
+  /// models), execute the chosen
   /// algorithm on the shared cluster, deposit into `*out`. `force` pins
   /// the algorithm (the plan is still recorded for its cost estimate).
   /// Under an obs context, success records the run's PlanValidation.

@@ -28,8 +28,7 @@ void price(PlanDecision& d) {
 
 /// Assembles the spec-sheet parameters, completes them with the executor
 /// knobs and the installed aggregator's flush threshold, then derives the
-/// plan — and, with a calibrator, the prior plan — from that one base,
-/// each derated for the observed contention exactly once.
+/// plan — and, with a calibrator, the prior plan — from that one base.
 PlanDecision decide(const ClusterSpec& cluster, const ConnectivityStats& data,
                     std::size_t rs_left, std::size_t rs_right,
                     double local_fraction, const QesOptions* qes) {
@@ -46,29 +45,21 @@ PlanDecision decide(const ClusterSpec& cluster, const ConnectivityStats& data,
     base.agg_flush_batches = static_cast<double>(agg->flush_batches());
   }
   PlanDecision d;
-  ContentionFactors load;
   if (qes != nullptr) {
     base.batch_bytes = static_cast<double>(qes->batch_bytes);
     base.bucket_pair_bytes = static_cast<double>(qes->bucket_pair_bytes);
     base.prefetch_lookahead = static_cast<double>(qes->prefetch_lookahead);
     base.gh_double_buffer = qes->gh_double_buffer;
     d.pipelined = qes->pipelined();
-    if (qes->contention != nullptr) load = *qes->contention;
   }
-  // Shared cluster under load: derate the idle-cluster parameters by the
-  // observed residual capacity (a no-op without contention).
-  if (load.any()) stage.tag("contended", std::uint64_t{1});
-  d.params = apply_contention(base, load);
+  d.params = base;
   if (qes != nullptr && qes->calibrator != nullptr) {
     // Re-plan with the calibrator's learned hardware parameters; the
     // spec-sheet plan is kept as the prior so validation can report the
-    // pre/post error ratio. The learned values describe the same idle
-    // hardware as the spec sheet, so they are derated the same way.
+    // pre/post error ratio.
     d.calibrated = true;
-    d.prior_params = d.params;
-    d.params =
-        apply_contention(apply_calibration(base, qes->calibrator->state()),
-                         load);
+    d.prior_params = base;
+    d.params = apply_calibration(base, qes->calibrator->state());
     stage.tag("calibrated", std::uint64_t{1});
   }
   price(d);

@@ -24,8 +24,7 @@ struct PlanDecision {
   /// with the calibrator's learned ones: `params`/`ij`/`gh` then hold the
   /// calibrated plan, and the prior (uncalibrated) plan is kept here so
   /// validation can report the before/after error ratio. Both plans start
-  /// from the same spec-sheet parameters and are derated for contention
-  /// once each.
+  /// from the same spec-sheet parameters.
   bool calibrated = false;
   CostParams prior_params;
   CostBreakdown prior_ij;

@@ -1,8 +1,5 @@
 #include "sched/admission.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace orv {
@@ -23,25 +20,10 @@ AdmissionController::AdmissionController(sim::Engine& engine,
                                          AdmissionConfig config)
     : engine_(engine), config_(config) {}
 
-void AdmissionController::set_capacity_provider(
-    std::function<double()> provider) {
-  capacity_provider_ = std::move(provider);
-}
-
-std::size_t AdmissionController::effective_max_running() const {
-  if (!capacity_provider_ || config_.max_running == 0) {
-    return config_.max_running;
-  }
-  const double frac = std::clamp(capacity_provider_(), 0.0, 1.0);
-  const double derated =
-      std::ceil(static_cast<double>(config_.max_running) * frac);
-  return std::max<std::size_t>(1, static_cast<std::size_t>(derated));
-}
-
 sim::Task<bool> AdmissionController::admit(std::size_t client,
                                            double predicted_cost) {
   if (client >= service_.size()) service_.resize(client + 1, 0.0);
-  if (config_.max_running == 0 || running_ < effective_max_running()) {
+  if (config_.max_running == 0 || running_ < config_.max_running) {
     ++running_;
     ++admitted_;
     co_return true;
@@ -102,9 +84,7 @@ void AdmissionController::release(std::size_t client, double service_seconds) {
   ORV_CHECK(running_ > 0, "admission release without a running query");
   if (client >= service_.size()) service_.resize(client + 1, 0.0);
   service_[client] += service_seconds;
-  // Under health derating a freed slot retires when we are over the
-  // current effective cap; otherwise it hands straight to a waiter.
-  if (!waiting_.empty() && running_ <= effective_max_running()) {
+  if (!waiting_.empty()) {
     // Hand the slot straight to the chosen waiter: running_ is unchanged.
     grant(pick_next());
     return;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -67,17 +66,6 @@ class AdmissionController {
   /// ledger; grows on release).
   double client_service(std::size_t client) const;
 
-  /// Health-aware derating (WorkloadSpec::health_aware_admission): the
-  /// provider returns the cluster's healthy-capacity fraction in [0, 1]
-  /// and the controller admits at most ceil(max_running * fraction)
-  /// concurrent queries (never below 1, so the system cannot wedge). A
-  /// slot freed while over the derated cap retires instead of handing off
-  /// to a waiter. No provider (the default) leaves behaviour — and every
-  /// committed baseline — untouched. The provider must be deterministic
-  /// in virtual time; it is consulted on admit and release only.
-  void set_capacity_provider(std::function<double()> provider);
-  std::size_t effective_max_running() const;
-
   const AdmissionConfig& config() const { return config_; }
 
  private:
@@ -94,7 +82,6 @@ class AdmissionController {
 
   sim::Engine& engine_;
   AdmissionConfig config_;
-  std::function<double()> capacity_provider_;
   std::deque<Waiter> waiting_;
   std::vector<double> service_;  // per-client accumulated service seconds
   std::size_t running_ = 0;

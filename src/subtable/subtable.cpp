@@ -47,6 +47,34 @@ void SubTable::append_rows_commit(std::size_t n) {
 
 void SubTable::append_rows_trim() { data_.resize(num_rows_ * record_size()); }
 
+void append_projected(const SubTable& in, const std::vector<std::size_t>& attrs,
+                      SubTable& out) {
+  struct Field {
+    std::size_t src = 0;
+    std::size_t dst = 0;
+    std::size_t size = 0;
+  };
+  std::vector<Field> fields;
+  std::size_t dst = 0;
+  for (std::size_t a : attrs) {
+    const std::size_t size = attr_size(in.schema().attr(a).type);
+    fields.push_back({in.schema().offset(a), dst, size});
+    dst += size;
+  }
+  ORV_REQUIRE(dst == out.record_size(),
+              "append_projected record size mismatch");
+  const std::size_t n = in.num_rows();
+  if (n == 0) return;  // an empty table's buffer may be null
+  std::byte* to = out.append_rows_reserve(n);
+  const std::byte* from = in.row(0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const Field& f : fields) std::memcpy(to + f.dst, from + f.src, f.size);
+    to += dst;
+    from += in.record_size();
+  }
+  out.append_rows_commit(n);
+}
+
 void SubTable::append_values(std::span<const Value> values) {
   ORV_REQUIRE(values.size() == schema_->num_attrs(),
               "append_values arity mismatch");

@@ -164,4 +164,10 @@ class SubTable {
   Rect bounds_;
 };
 
+/// Appends attributes `attrs` of every row of `in`, in that order, as rows
+/// of `out` (whose record must be exactly those attributes). Offsets and
+/// sizes are resolved once, not per cell; bounds are left as they are.
+void append_projected(const SubTable& in, const std::vector<std::size_t>& attrs,
+                      SubTable& out);
+
 }  // namespace orv

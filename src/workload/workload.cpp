@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "common/prng.hpp"
@@ -78,7 +77,7 @@ std::vector<Arrival> generate_arrivals(const WorkloadSpec& spec) {
 
 /// Live-monitoring state for one run: the rule monitor, node health,
 /// flight recorder and dashboard, plus the per-node occupancy sampling
-/// state (pure busy-time-delta reads, like ContentionMonitor).
+/// state (pure busy-time-delta reads).
 struct MonitorRig {
   obs::Registry own_registry;        // used when no ObsContext is installed
   obs::Registry* reg = nullptr;      // where all monitor telemetry lives
@@ -122,14 +121,11 @@ bool parse_node_id(const std::string& s, bool* storage, std::size_t* node) {
 }
 
 /// Builds the monitor rig for one run, or returns null when monitoring is
-/// off. A flight or dash sink and health-aware admission force it on.
+/// off. A flight or dash sink forces it on.
 std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
                                              const WorkloadSpec& spec,
                                              const obs::Sinks& sinks) {
-  if (!spec.monitor.enabled && !sinks.monitors_workload() &&
-      !spec.health_aware_admission) {
-    return nullptr;
-  }
+  if (!spec.monitor.enabled && !sinks.monitors_workload()) return nullptr;
 
   auto rig = std::make_unique<MonitorRig>();
   auto* ctx = obs::context();
@@ -192,7 +188,6 @@ struct Driver {
   const WorkloadSpec& spec;
   QesSession& session;
   AdmissionController& admission;
-  ContentionMonitor& monitor;
   const MetaDataService& meta;
   double start = 0;  // engine time when the workload began
   std::vector<QueryOutcome>* outcomes = nullptr;
@@ -371,14 +366,8 @@ sim::Task<> one_query(Driver& d, Arrival a) {
   ++d.arrived;
 
   // Plan once up front: ShortestCostFirst needs the estimate before the
-  // queue, and the contention factors must live in this frame across the
-  // plan call.
-  ContentionFactors contention;
-  QesOptions options = d.spec.base_options;
-  if (d.spec.contention_aware) {
-    contention = d.monitor.sample();
-    options.contention = &contention;
-  }
+  // queue.
+  const QesOptions& options = d.spec.base_options;
   const PlanDecision pre = d.session.planner().plan(
       d.meta, d.session.graph_for(qs.query), qs.query, &options);
   out.predicted = pre.predicted_seconds();
@@ -397,11 +386,6 @@ sim::Task<> one_query(Driver& d, Arrival a) {
   }
   out.admit_time = engine.now();
 
-  if (d.spec.contention_aware) {
-    // Queue wait may have changed the picture; execute (and re-plan)
-    // against the load observed *now*.
-    contention = d.monitor.sample();
-  }
   QesSession::Outcome so;
   co_await d.session.run_query(qs.query, options, &so, qs.force);
   out.finish = engine.now();
@@ -457,45 +441,6 @@ double exact_quantile(std::vector<double> v, double q) {
 
 }  // namespace
 
-ContentionMonitor::ContentionMonitor(Cluster& cluster) : cluster_(cluster) {
-  n_nics_ = cluster_.num_storage() + cluster_.num_compute();
-  sample();
-}
-
-ContentionFactors ContentionMonitor::sample() {
-  const double now = cluster_.engine().now();
-  const double disk = cluster_.disk_totals().busy;
-  const Cluster::BusyTimes b = cluster_.busy_times();
-  // One running sum over every NIC, storage NICs first.
-  const double nic =
-      std::accumulate(b.compute_nic.begin(), b.compute_nic.end(),
-                      std::accumulate(b.storage_nic.begin(),
-                                      b.storage_nic.end(), 0.0));
-  const double cpu =
-      std::accumulate(b.compute_cpu.begin(), b.compute_cpu.end(), 0.0);
-  ContentionFactors f;
-  const double dt = now - last_t_;
-  if (dt > 0) {
-    auto frac = [dt](double delta, double n) {
-      return std::clamp(delta / (dt * (n > 0 ? n : 1)), 0.0, 1.0);
-    };
-    f.disk_busy = frac(disk - last_disk_,
-                       static_cast<double>(cluster_.num_disks()));
-    // The network path is limited by its most loaded hop: the switch, or
-    // the average endpoint NIC.
-    f.net_busy = std::max(frac(b.network_switch - last_switch_, 1.0),
-                          frac(nic - last_nic_, static_cast<double>(n_nics_)));
-    f.cpu_busy = frac(cpu - last_cpu_,
-                      static_cast<double>(cluster_.num_compute()));
-  }
-  last_t_ = now;
-  last_disk_ = disk;
-  last_nic_ = nic;
-  last_switch_ = b.network_switch;
-  last_cpu_ = cpu;
-  return f;
-}
-
 std::string WorkloadResult::to_string() const {
   return strformat(
       "workload: %zu submitted, %zu completed (%zu degraded), %zu rejected, "
@@ -515,17 +460,11 @@ WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
 
   QesSession session(cluster, bds, meta, spec.session);
   AdmissionController admission(engine, spec.admission);
-  ContentionMonitor monitor(cluster);
   std::unique_ptr<MonitorRig> rig = make_monitor_rig(cluster, spec, sinks);
-  if (rig != nullptr && spec.health_aware_admission) {
-    admission.set_capacity_provider(
-        [h = rig->health.get()] { return h->capacity_fraction(); });
-  }
 
   WorkloadResult result;
   result.outcomes.resize(arrivals.size());
-  Driver driver{spec,    session, admission,
-                monitor, meta,    engine.now(),
+  Driver driver{spec, session, admission, meta, engine.now(),
                 &result.outcomes};
   driver.mon = rig.get();
   driver.total = arrivals.size();

@@ -9,12 +9,11 @@
 // source of randomness flows through one seed; a workload replays
 // bit-identically.
 //
-// Each query's life cycle: arrive → plan (optionally contention-aware:
-// the planner sees live busy fractions sampled from the cluster) →
-// admission (bounded run queue, FIFO / shortest-cost / fair-share;
-// rejection = backpressure) → execute concurrently → SLO accounting
-// (queue wait vs service, deadline met/missed) into per-query outcomes,
-// exact latency quantiles, and the obs histogram registry.
+// Each query's life cycle: arrive → plan → admission (bounded run queue,
+// FIFO / shortest-cost / fair-share; rejection = backpressure) → execute
+// concurrently → SLO accounting (queue wait vs service, deadline
+// met/missed) into per-query outcomes, exact latency quantiles, and the
+// obs histogram registry.
 
 #include <cstdint>
 #include <optional>
@@ -71,19 +70,10 @@ struct WorkloadSpec {
   std::vector<WorkloadClientSpec> clients;
   AdmissionConfig admission;
   QesSession::Config session;
-  /// Base execution options applied to every query (the driver overlays
-  /// contention when enabled).
+  /// Execution options applied to every query.
   QesOptions base_options;
-  /// Re-plan each query against live busy fractions sampled from the
-  /// cluster at submission (cost/cost_model.hpp's apply_contention).
-  bool contention_aware = false;
-  /// Let the live monitor's per-node health scores derate the admission
-  /// controller's concurrency, so sick nodes shrink capacity instead of
-  /// collecting queries that will straggle. Default off.
-  bool health_aware_admission = false;
   /// Live monitor / flight recorder / dashboard (a flight or dash sink
-  /// enables this implicitly). health_aware_admission also forces it on:
-  /// the admission controller needs the health tracker.
+  /// enables this implicitly).
   WorkloadMonitorOptions monitor;
 };
 
@@ -145,27 +135,6 @@ struct WorkloadResult {
   std::size_t dash_lines = 0;
 
   std::string to_string() const;
-};
-
-/// Live busy fractions of the shared cluster, measured as busy-time
-/// deltas between samples (a pure read of Resource/Disk counters: no
-/// events are scheduled, so sampling never perturbs the simulation).
-class ContentionMonitor {
- public:
-  explicit ContentionMonitor(Cluster& cluster);
-
-  /// Busy fractions over the window since the previous sample (or since
-  /// construction). A zero-length window yields all-zero factors.
-  ContentionFactors sample();
-
- private:
-  Cluster& cluster_;
-  std::size_t n_nics_ = 0;
-  double last_t_ = 0;
-  double last_disk_ = 0;
-  double last_nic_ = 0;
-  double last_switch_ = 0;
-  double last_cpu_ = 0;
 };
 
 /// Runs the whole workload on the cluster's engine (one Engine::run) and

@@ -291,69 +291,6 @@ INSTANTIATE_TEST_SUITE_P(
         ValidationCase{{16, 4, 8}, {4, 16, 8}, 5, 5, 4.0},
         ValidationCase{{8, 8, 8}, {4, 4, 4}, 4, 4, 1.0}));
 
-TEST(Contention, ZeroFactorsAreBitIdentical) {
-  const CostParams p = hand_params();
-  const CostParams q = apply_contention(p, {});
-  // No observed load must mean no change at all — the single-query plan
-  // path stays bit-identical when a zero contention term is wired through
-  // the planner.
-  EXPECT_DOUBLE_EQ(q.read_io_bw, p.read_io_bw);
-  EXPECT_DOUBLE_EQ(q.write_io_bw, p.write_io_bw);
-  EXPECT_DOUBLE_EQ(q.net_bw, p.net_bw);
-  EXPECT_DOUBLE_EQ(q.local_bw, p.local_bw);
-  EXPECT_DOUBLE_EQ(q.alpha_build, p.alpha_build);
-  EXPECT_DOUBLE_EQ(q.alpha_lookup, p.alpha_lookup);
-  EXPECT_DOUBLE_EQ(cost(Algorithm::IndexedJoin, q).total(),
-                   cost(Algorithm::IndexedJoin, p).total());
-  EXPECT_DOUBLE_EQ(cost(Algorithm::GraceHash, q).total(),
-                   cost(Algorithm::GraceHash, p).total());
-}
-
-TEST(Contention, DeratesBandwidthAndStretchesCpu) {
-  const CostParams p = hand_params();
-  ContentionFactors f;
-  f.disk_busy = 0.5;
-  f.net_busy = 0.25;
-  f.cpu_busy = 0.2;
-  ASSERT_TRUE(f.any());
-  const CostParams q = apply_contention(p, f);
-  // Residual-capacity derating: a disk observed 50% busy has half its
-  // bandwidth left for a new query.
-  EXPECT_DOUBLE_EQ(q.read_io_bw, 0.5 * p.read_io_bw);
-  EXPECT_DOUBLE_EQ(q.write_io_bw, 0.5 * p.write_io_bw);
-  EXPECT_DOUBLE_EQ(q.net_bw, 0.75 * p.net_bw);
-  EXPECT_DOUBLE_EQ(q.alpha_build, p.alpha_build / 0.8);
-  EXPECT_DOUBLE_EQ(q.alpha_lookup, p.alpha_lookup / 0.8);
-  // Dataset shape is untouched.
-  EXPECT_DOUBLE_EQ(q.T, p.T);
-  EXPECT_DOUBLE_EQ(q.n_e, p.n_e);
-}
-
-TEST(Contention, PredictedCostsRiseUnderLoad) {
-  const CostParams idle = hand_params();
-  ContentionFactors f;
-  f.disk_busy = 0.6;
-  f.net_busy = 0.6;
-  f.cpu_busy = 0.6;
-  const CostParams busy = apply_contention(idle, f);
-  EXPECT_GT(cost(Algorithm::IndexedJoin, busy).total(),
-            cost(Algorithm::IndexedJoin, idle).total());
-  EXPECT_GT(cost(Algorithm::GraceHash, busy).total(),
-            cost(Algorithm::GraceHash, idle).total());
-}
-
-TEST(Contention, BusyFractionClampedBelowFullSaturation) {
-  const CostParams p = hand_params();
-  ContentionFactors f;
-  f.disk_busy = 1.0;  // momentarily 100% busy must not zero the bandwidth
-  f.net_busy = 2.0;   // and out-of-range samples must not flip the sign
-  const CostParams q = apply_contention(p, f);
-  EXPECT_GT(q.read_io_bw, 0.0);
-  EXPECT_GT(q.net_bw, 0.0);
-  EXPECT_NEAR(q.read_io_bw, 0.05 * p.read_io_bw, 1e-6 * p.read_io_bw);
-  EXPECT_NEAR(q.net_bw, 0.05 * p.net_bw, 1e-6 * p.net_bw);
-}
-
 // ------------------------------------------------------------------
 // Message aggregation: the shared h1 message-count derivation, the
 // per-frame overhead term, and validation of the aggregated executor

@@ -161,6 +161,29 @@ TEST(LocalExecutor, SortMultiKeyStable) {
   }
 }
 
+TEST(LocalExecutor, SortsInt64KeysPast2To53Exactly) {
+  // 2^53 and 2^53 + 1 widen to the same double; ORDER BY must still tell
+  // them apart.
+  auto schema = Schema::make({{"k", AttrType::Int64}});
+  const std::int64_t big = std::int64_t{1} << 53;
+  SubTable in(schema, SubTableId{1, 0});
+  for (const std::int64_t k : {big + 1, big}) {
+    const Value vals[] = {Value(k)};
+    in.append_values(vals);
+  }
+  const SubTable asc = sort_rows(in, {{"k", false}}, 0);
+  ASSERT_EQ(asc.num_rows(), 2u);
+  EXPECT_EQ(asc.get<std::int64_t>(0, 0), big);
+  EXPECT_EQ(asc.get<std::int64_t>(1, 0), big + 1);
+  const SubTable desc = sort_rows(in, {{"k", true}}, 0);
+  ASSERT_EQ(desc.num_rows(), 2u);
+  EXPECT_EQ(desc.get<std::int64_t>(0, 0), big + 1);
+  EXPECT_EQ(desc.get<std::int64_t>(1, 0), big);
+  const SubTable first = sort_rows(in, {{"k", false}}, 1);
+  ASSERT_EQ(first.num_rows(), 1u);
+  EXPECT_EQ(first.get<std::int64_t>(0, 0), big);
+}
+
 TEST(LocalExecutor, LimitWithoutKeysTruncates) {
   Fixture f;
   const auto v = ViewDef::sort(ViewDef::base(2), {}, 7);

@@ -114,23 +114,5 @@ TEST(Differential, PlacementPoliciesAgreeByteForByte) {
   }
 }
 
-TEST(Differential, PushdownSelectionMatchesComputeSideFiltering) {
-  // Same query, selection applied at the storage side vs the compute side:
-  // the surviving row multiset must be identical.
-  const std::uint64_t base = chaos::env_u64("ORV_DIFF_SEED", 5000);
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    const std::uint64_t seed = base + 100 + i;
-    SCOPED_TRACE("pushdown seed=" + std::to_string(seed));
-    chaos::ChaosRig rig(seed);
-    if (rig.sc.ranges.empty()) continue;  // pushdown is a no-op without one
-    QesOptions pushdown;
-    pushdown.pushdown_selection = true;
-    const QesResult a = rig.run(true);
-    const QesResult b = rig.run(true, nullptr, pushdown);
-    EXPECT_EQ(a.result_tuples, b.result_tuples);
-    EXPECT_EQ(a.result_fingerprint, b.result_fingerprint);
-  }
-}
-
 }  // namespace
 }  // namespace orv

@@ -187,7 +187,6 @@ TEST(NodeHealth, FreshNodesAreFullyHealthy) {
   EXPECT_DOUBLE_EQ(h.min_health(), 1.0);
   EXPECT_DOUBLE_EQ(h.health(true, 0), 1.0);
   EXPECT_DOUBLE_EQ(h.health(false, 2), 1.0);
-  EXPECT_DOUBLE_EQ(h.capacity_fraction(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("node.health.node.storage0").value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("node.health.min").value(), 1.0);
 }
@@ -249,18 +248,6 @@ TEST(NodeHealth, StragglerDeviationComesFromQueryWork) {
   h.publish(2.0);
   EXPECT_NEAR(h.health(false, 0), 1.0 - (2.0 / 3.0 - 0.5), 1e-12);
   EXPECT_DOUBLE_EQ(h.health(false, 1), 1.0);
-}
-
-TEST(NodeHealth, CapacityFractionIsMeanComputeHealth) {
-  Registry reg;
-  NodeHealthTracker h(reg, 1, 2);
-  for (int i = 0; i < 100; ++i) h.note_fault(false, 0, 1.0);  // -> 0.4
-  h.publish(1.0);
-  EXPECT_NEAR(h.capacity_fraction(), (0.4 + 1.0) / 2.0, 1e-12);
-  // Storage faults do not reduce compute capacity.
-  for (int i = 0; i < 100; ++i) h.note_fault(true, 0, 1.0);
-  h.publish(1.0);
-  EXPECT_NEAR(h.capacity_fraction(), (0.4 + 1.0) / 2.0, 1e-12);
 }
 
 TEST(NodeHealth, UnknownNodeIndicesAreIgnored) {

@@ -209,13 +209,12 @@ TEST(PipelinedIj, ShuffledScheduleAndSelectionStillCorrect) {
   EXPECT_EQ(pipe.result_fingerprint, base.result_fingerprint);
 }
 
-TEST(PipelinedIj, PushdownSelectionComposesWithPrefetch) {
+TEST(PipelinedIj, NonKeySelectionComposesWithPrefetch) {
   std::vector<AttrRange> ranges = {{"x", {0, 7}}, {"wp", {0.0, 0.5}}};
   auto run_with = [&](std::size_t lookahead) {
     TestRig rig(overlap_spec(), overlap_cluster(), {"x", "y", "z"}, ranges);
     QesOptions opt;
     opt.cpu_work_factor = 8;
-    opt.pushdown_selection = true;
     opt.prefetch_lookahead = lookahead;
     return run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta, rig.graph,
                             rig.query, opt);
@@ -224,6 +223,14 @@ TEST(PipelinedIj, PushdownSelectionComposesWithPrefetch) {
   const QesResult pipe = run_with(4);
   EXPECT_EQ(pipe.result_tuples, base.result_tuples);
   EXPECT_EQ(pipe.result_fingerprint, base.result_fingerprint);
+  // The compute side filters on the value attribute exactly as the
+  // reference join does.
+  const TestRig rig(overlap_spec(), overlap_cluster(), {"x", "y", "z"}, ranges);
+  const ReferenceResult ref =
+      reference_join(rig.ds.meta, rig.ds.stores, rig.query);
+  ASSERT_GT(ref.result_tuples, 0u);
+  EXPECT_EQ(base.result_tuples, ref.result_tuples);
+  EXPECT_EQ(base.result_fingerprint, ref.result_fingerprint);
 }
 
 TEST(PipelinedGh, DoubleBufferIdenticalResultAndFaster) {

@@ -212,35 +212,6 @@ TEST(IndexedJoin, WorkFactorScalesCpuTime) {
   EXPECT_GT(run_with(8.0), run_with(1.0));
 }
 
-TEST(IndexedJoin, SelectionPushdownSameResultFewerBytes) {
-  std::vector<AttrRange> ranges = {{"x", {0, 3}}, {"wp", {0.0, 0.4}}};
-  const auto ref = [&] {
-    TestRig rig(tiny_spec(), tiny_cluster(), {"x", "y", "z"}, ranges);
-    return rig.reference();
-  }();
-
-  QesResult at_compute;
-  QesResult at_storage;
-  {
-    TestRig rig(tiny_spec(), tiny_cluster(), {"x", "y", "z"}, ranges);
-    at_compute = run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
-                                  rig.graph, rig.query);
-  }
-  {
-    TestRig rig(tiny_spec(), tiny_cluster(), {"x", "y", "z"}, ranges);
-    QesOptions options;
-    options.pushdown_selection = true;
-    at_storage = run_indexed_join(*rig.cluster, *rig.bds, rig.ds.meta,
-                                  rig.graph, rig.query, options);
-  }
-  EXPECT_EQ(at_compute.result_tuples, ref.result_tuples);
-  EXPECT_EQ(at_storage.result_tuples, ref.result_tuples);
-  EXPECT_EQ(at_storage.result_fingerprint, ref.result_fingerprint);
-  // Pushdown ships strictly fewer bytes and cannot be slower.
-  EXPECT_LT(at_storage.network_bytes, at_compute.network_bytes);
-  EXPECT_LE(at_storage.elapsed, at_compute.elapsed + 1e-9);
-}
-
 TEST(IndexedJoin, GreedyLocalityOrderCorrectAndNoWorseFetches) {
   TestRig rig(tiny_spec(), tiny_cluster());
   QesOptions options;

@@ -243,7 +243,7 @@ TEST(Planner, AggFlushKnobFlowsIntoThePricedParams) {
   EXPECT_DOUBLE_EQ(after.gh.total(), base.gh.total());
 }
 
-TEST(Planner, CalibratedPlanUnderContentionIsDeratedOnce) {
+TEST(Planner, CalibratedPlanTakesLearnedParamsAndKeepsTheSpecSheetPrior) {
   DatasetSpec data;
   data.grid = {32, 32, 32};
   data.part1 = {8, 8, 8};
@@ -258,27 +258,22 @@ TEST(Planner, CalibratedPlanUnderContentionIsDeratedOnce) {
   obs::CalibrationState learned;
   learned.net_bw = 0.5 * spec.net_bw;
   obs::Calibrator calibrator(learned);
-  ContentionFactors load;
-  load.disk_busy = 0.5;
-  load.net_busy = 0.25;
-  load.cpu_busy = 0.2;
   QesOptions qes;
   qes.calibrator = &calibrator;
-  qes.contention = &load;
 
   const auto d = planner.plan(stats, 16, 16, &qes);
   ASSERT_TRUE(d.calibrated);
-  // Unlearned parameters: derated by the residual exactly once.
-  EXPECT_DOUBLE_EQ(d.params.read_io_bw, spec.read_io_bw * 0.5);
-  EXPECT_DOUBLE_EQ(d.params.write_io_bw, spec.write_io_bw * 0.5);
-  EXPECT_DOUBLE_EQ(d.params.alpha_build, spec.alpha_build / 0.8);
-  EXPECT_DOUBLE_EQ(d.params.alpha_lookup, spec.alpha_lookup / 0.8);
-  // The learned parameter: also derated once.
-  EXPECT_DOUBLE_EQ(d.params.net_bw, learned.net_bw * 0.75);
-  // The prior plan is the spec sheet, derated once.
-  EXPECT_DOUBLE_EQ(d.prior_params.read_io_bw, spec.read_io_bw * 0.5);
-  EXPECT_DOUBLE_EQ(d.prior_params.net_bw, spec.net_bw * 0.75);
-  EXPECT_DOUBLE_EQ(d.prior_params.alpha_build, spec.alpha_build / 0.8);
+  // Unlearned parameters: the spec sheet's.
+  EXPECT_DOUBLE_EQ(d.params.read_io_bw, spec.read_io_bw);
+  EXPECT_DOUBLE_EQ(d.params.write_io_bw, spec.write_io_bw);
+  EXPECT_DOUBLE_EQ(d.params.alpha_build, spec.alpha_build);
+  EXPECT_DOUBLE_EQ(d.params.alpha_lookup, spec.alpha_lookup);
+  // The learned parameter.
+  EXPECT_DOUBLE_EQ(d.params.net_bw, learned.net_bw);
+  // The prior plan is the spec sheet.
+  EXPECT_DOUBLE_EQ(d.prior_params.read_io_bw, spec.read_io_bw);
+  EXPECT_DOUBLE_EQ(d.prior_params.net_bw, spec.net_bw);
+  EXPECT_DOUBLE_EQ(d.prior_params.alpha_build, spec.alpha_build);
 }
 
 TEST(Planner, PlanValidationOfACalibratedPlanKeepsThePriorPrediction) {

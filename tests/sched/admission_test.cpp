@@ -132,75 +132,6 @@ TEST(Admission, FairShareFavorsLightClient) {
   EXPECT_DOUBLE_EQ(adm.client_service(1), 10.0);
 }
 
-TEST(Admission, CapacityProviderDeratesConcurrency) {
-  sim::Engine engine;
-  AdmissionConfig cfg;
-  cfg.max_running = 4;
-  AdmissionController adm(engine, cfg);
-  // Half capacity: ceil(4 * 0.5) = 2 effective slots.
-  adm.set_capacity_provider([] { return 0.5; });
-  EXPECT_EQ(adm.effective_max_running(), 2u);
-  std::vector<QueryRun> runs(4);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    engine.spawn(synthetic_query(engine, adm, i, 0.0, 10.0, 1.0, runs[i]));
-  }
-  engine.run();
-  // Two run immediately, two wait a full service period — but all drain.
-  EXPECT_DOUBLE_EQ(runs[0].admitted_at, 0.0);
-  EXPECT_DOUBLE_EQ(runs[1].admitted_at, 0.0);
-  EXPECT_DOUBLE_EQ(runs[2].admitted_at, 10.0);
-  EXPECT_DOUBLE_EQ(runs[3].admitted_at, 10.0);
-  EXPECT_EQ(adm.admitted(), 4u);
-  EXPECT_EQ(adm.running(), 0u);
-}
-
-TEST(Admission, ZeroCapacityStillKeepsOneSlot) {
-  sim::Engine engine;
-  AdmissionConfig cfg;
-  cfg.max_running = 3;
-  AdmissionController adm(engine, cfg);
-  // Pathological provider: the floor of one slot prevents a wedge.
-  adm.set_capacity_provider([] { return 0.0; });
-  EXPECT_EQ(adm.effective_max_running(), 1u);
-  std::vector<QueryRun> runs(3);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    engine.spawn(synthetic_query(engine, adm, i, 0.0, 5.0, 1.0, runs[i]));
-  }
-  engine.run();
-  EXPECT_DOUBLE_EQ(runs[0].admitted_at, 0.0);
-  EXPECT_DOUBLE_EQ(runs[1].admitted_at, 5.0);  // strictly serialized
-  EXPECT_DOUBLE_EQ(runs[2].admitted_at, 10.0);
-  EXPECT_EQ(adm.admitted(), 3u);
-  for (const auto& r : runs) EXPECT_FALSE(r.rejected);
-}
-
-TEST(Admission, RecoveringCapacityReopensSlotsForNewArrivals) {
-  sim::Engine engine;
-  AdmissionConfig cfg;
-  cfg.max_running = 2;
-  AdmissionController adm(engine, cfg);
-  // Degraded until t=8, healthy afterwards (deterministic in virtual
-  // time, as the contract requires). The provider is consulted on admit
-  // and release only: releases hand off one slot each, and recovered
-  // capacity reopens through fresh admissions.
-  adm.set_capacity_provider([&engine] {
-    return engine.now() < 8.0 ? 0.25 : 1.0;
-  });
-  std::vector<QueryRun> runs(4);
-  for (std::size_t i = 0; i < 3; ++i) {
-    engine.spawn(synthetic_query(engine, adm, i, 0.0, 10.0, 1.0, runs[i]));
-  }
-  // Arrives after recovery, while q1 still holds the handed-off slot:
-  // the second (recovered) slot admits it immediately.
-  engine.spawn(synthetic_query(engine, adm, 3, 12.0, 10.0, 1.0, runs[3]));
-  engine.run();
-  EXPECT_DOUBLE_EQ(runs[0].admitted_at, 0.0);   // only slot while degraded
-  EXPECT_DOUBLE_EQ(runs[1].admitted_at, 10.0);  // handoff from q0
-  EXPECT_DOUBLE_EQ(runs[3].admitted_at, 12.0);  // recovered second slot
-  EXPECT_DOUBLE_EQ(runs[2].admitted_at, 20.0);  // handoff from q1
-  for (const auto& r : runs) EXPECT_FALSE(r.rejected);
-}
-
 TEST(Admission, SlotHandoffKeepsRunningConstant) {
   sim::Engine engine;
   AdmissionConfig cfg;

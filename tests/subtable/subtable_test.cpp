@@ -167,6 +167,39 @@ TEST(SubTable, AppendRowsMustMatchRecordSize) {
   EXPECT_THROW(st.append_rows(narrow), InvalidArgument);
 }
 
+TEST(SubTable, AppendProjectedCopiesTheNamedColumnsInOrder) {
+  // Mixed widths in a new column order.
+  const auto schema = Schema::make({{"a", AttrType::Int64},
+                                    {"b", AttrType::Float32},
+                                    {"c", AttrType::Float64},
+                                    {"d", AttrType::Int32}});
+  SubTable in(schema, SubTableId{1, 0});
+  for (std::int64_t i = 0; i < 5; ++i) {
+    const Value vals[] = {Value(i << 40), Value(float(i) / 4),
+                          Value(double(i) * 1e300),
+                          Value(static_cast<std::int32_t>(-i))};
+    in.append_values(vals);
+  }
+  const std::vector<std::size_t> attrs = {3, 0, 2, 1};
+  SubTable out(std::make_shared<const Schema>(schema->project(attrs)),
+               SubTableId{1, 0});
+  append_projected(SubTable(schema, SubTableId{1, 0}), attrs, out);
+  EXPECT_TRUE(out.empty());
+  append_projected(in, attrs, out);
+  append_projected(in, attrs, out);
+  ASSERT_EQ(out.num_rows(), 10u);
+  EXPECT_EQ(out.size_bytes(), 10 * out.record_size());
+  for (std::size_t r = 0; r < out.num_rows(); ++r) {
+    const std::size_t i = r % 5;
+    EXPECT_EQ(out.get<std::int32_t>(r, 0), in.get<std::int32_t>(i, 3));
+    EXPECT_EQ(out.get<std::int64_t>(r, 1), in.get<std::int64_t>(i, 0));
+    EXPECT_EQ(out.get<double>(r, 2), in.get<double>(i, 2));
+    EXPECT_EQ(out.get<float>(r, 3), in.get<float>(i, 1));
+  }
+  // The output record must be exactly the named columns.
+  EXPECT_THROW(append_projected(in, {0, 1}, out), InvalidArgument);
+}
+
 TEST(SubTable, AppendRowsGrowsGeometrically) {
   // An exact reserve per append would move the buffer on all 4096 calls.
   const SubTable one = sample(1);

@@ -312,29 +312,5 @@ TEST(MonitorChaos, FaultFreeSweepNeverPagesNodeHealth) {
   }
 }
 
-TEST(MonitorChaos, HealthAwareAdmissionDeratesWithoutWedging) {
-  const std::uint64_t seed = chaos::env_u64("ORV_CHAOS_SEED", 7013);
-  chaos::ChaosRig rig(seed);
-  const fault::FaultPlan plan = fault::FaultPlan::chaos(
-      seed, rig.sc.cspec.num_storage, rig.sc.cspec.num_compute);
-  WorkloadSpec spec = chaos_workload(rig);
-  spec.monitor.enabled = false;  // forced back on by health_aware_admission
-  spec.health_aware_admission = true;
-  spec.admission.max_running = 2;
-
-  obs::FlightRecorder rec;
-  spec.monitor.flight = &rec;
-  fault::FaultStats stats;
-  const WorkloadResult r = run_faulted(rig, spec, plan, &stats);
-  // Derating can slow admission but never wedge it: the floor of one
-  // effective slot guarantees the queue drains and every query resolves.
-  EXPECT_EQ(r.submitted, 6u);
-  EXPECT_EQ(r.completed + r.failed, 6u) << "queue did not drain";
-  EXPECT_EQ(r.rejected, 0u);  // unbounded queue: nobody bounced
-  // health_aware_admission forces the rig on even with enabled=false.
-  EXPECT_EQ(r.storage_health.size(), rig.sc.cspec.num_storage);
-  EXPECT_EQ(r.compute_health.size(), rig.sc.cspec.num_compute);
-}
-
 }  // namespace
 }  // namespace orv

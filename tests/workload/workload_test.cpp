@@ -215,53 +215,5 @@ TEST(Workload, MetricsLandInHistogramRegistry) {
   (void)reg;
 }
 
-TEST(Workload, ContentionMonitorSeesLoad) {
-  Rig rig;
-  sim::Engine engine;
-  Cluster cluster(engine, rig.cspec);
-  BdsService bds(cluster, rig.ds.meta, rig.ds.stores);
-  ContentionMonitor monitor(cluster);
-  // Idle cluster: nothing busy.
-  EXPECT_FALSE(monitor.sample().any());
-
-  const auto graph = ConnectivityGraph::build(rig.ds.meta, 1, 2,
-                                              {"x", "y", "z"});
-  (void)run_indexed_join(cluster, bds, rig.ds.meta, graph, rig.full);
-  const ContentionFactors f = monitor.sample();
-  EXPECT_TRUE(f.any());
-  EXPECT_GE(f.disk_busy, 0.0);
-  EXPECT_LE(f.disk_busy, 1.0);
-  EXPECT_LE(f.net_busy, 1.0);
-  EXPECT_LE(f.cpu_busy, 1.0);
-  EXPECT_GT(f.disk_busy + f.net_busy + f.cpu_busy, 0.0);
-  // The window resets: sampling again right away sees an idle delta.
-  EXPECT_FALSE(monitor.sample().any());
-}
-
-TEST(Workload, ContentionAwarePlanningStaysCorrect) {
-  Rig rig;
-  WorkloadSpec spec;
-  WorkloadClientSpec client;
-  client.name = "c0";
-  client.mix.push_back({rig.full, std::nullopt, 1.0, 0.0});  // planner picks
-  client.poisson_rate = 8.0;
-  client.num_queries = 10;
-  spec.clients.push_back(client);
-  spec.contention_aware = true;
-  const WorkloadResult wl = rig.run(spec);
-  ASSERT_EQ(wl.completed, 10u);
-  const std::uint64_t expect = wl.outcomes[0].fingerprint;
-  for (const auto& out : wl.outcomes) {
-    EXPECT_EQ(out.fingerprint, expect);
-    EXPECT_GT(out.predicted, 0.0);
-  }
-  // Deterministic under replay even with live contention sampling.
-  const WorkloadResult again = rig.run(spec);
-  for (std::size_t i = 0; i < wl.outcomes.size(); ++i) {
-    EXPECT_DOUBLE_EQ(wl.outcomes[i].finish, again.outcomes[i].finish);
-    EXPECT_EQ(wl.outcomes[i].algorithm, again.outcomes[i].algorithm);
-  }
-}
-
 }  // namespace
 }  // namespace orv
