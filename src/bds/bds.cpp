@@ -16,7 +16,7 @@ SubTable load_chunk(const ChunkStore& store, const ChunkMeta& cm,
   SubTable st = extract_chunk(store.read(cm.location));
   ORV_CHECK(st.id() == cm.id, "extracted sub-table id mismatch");
   if (ranges == nullptr || ranges->empty()) return st;
-  return filter_rows(st, *ranges);
+  return filter_rows(std::move(st), *ranges);
 }
 
 BdsInstance::BdsInstance(Cluster& cluster, std::size_t storage_node,

@@ -44,7 +44,8 @@ struct BdsStats {
 
 /// Reads chunk `cm` from `store`, extracts it, checks that the sub-table
 /// carries the chunk's id, and applies `ranges` with filter_rows() unless
-/// `ranges` is null or empty. No virtual time is charged here.
+/// `ranges` is null or empty. A chunk whose rows all pass comes back as
+/// extracted, with no second copy. No virtual time is charged here.
 SubTable load_chunk(const ChunkStore& store, const ChunkMeta& cm,
                     const std::vector<AttrRange>* ranges = nullptr);
 

@@ -68,8 +68,8 @@ std::string ViewFramework::explain(const std::string& sql,
   if (cluster_spec != nullptr) {
     const JoinViewShape& shape = dds.join;
     const auto graph =
-        ConnectivityGraph::build(meta_, shape.left_table, shape.right_table,
-                                 shape.join_attrs, shape.ranges);
+        local_.join_graph(shape.left_table, shape.ranges, shape.right_table,
+                          shape.ranges, shape.join_attrs);
     out += "graph:  " +
            graph.stats(meta_, shape.left_table, shape.right_table)
                .to_string() +

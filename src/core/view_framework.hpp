@@ -5,7 +5,11 @@
 //
 // It wires the MetaData Service, chunk stores, Basic Data Source Service,
 // view registry, query parser and the two execution paths:
-//  - local: any view tree, executed in-process against the flat files;
+//  - local: any view tree, executed in-process against the flat files. A
+//    join of (range-selected) base tables walks the page-level join index
+//    one component at a time, so only one component's chunks are
+//    resident (the paper's memory contract), and its rows come out in
+//    component order: add ORDER BY where the order matters;
 //  - distributed: join-based DDS views, planned by the QPS cost models and
 //    executed by the IJ/GH QES on a simulated cluster.
 //

@@ -1,6 +1,7 @@
 #include "dds/local_executor.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "bds/bds.hpp"
 #include "common/error.hpp"
@@ -56,11 +57,67 @@ SubTable LocalExecutor::scan(TableId table,
   SubTable all(schema, SubTableId{table, 0});
   // Chunk-level pruning via the R-tree, then record-level filtering.
   for (const auto& id : meta_.find_chunks(table, ranges)) {
-    const auto& cm = meta_.chunk(id);
-    all.append_rows(
-        load_chunk(*stores_.at(cm.location.storage_node), cm, &ranges));
+    all.append_rows(load(id, ranges));
   }
   return all;
+}
+
+SubTable LocalExecutor::load(SubTableId id,
+                             const std::vector<AttrRange>& ranges) const {
+  const ChunkMeta& cm = meta_.chunk(id);
+  return load_chunk(*stores_.at(cm.location.storage_node), cm, &ranges);
+}
+
+ConnectivityGraph LocalExecutor::join_graph(
+    TableId left, const std::vector<AttrRange>& left_ranges, TableId right,
+    const std::vector<AttrRange>& right_ranges,
+    const std::vector<std::string>& attrs) const {
+  return ConnectivityGraph::build(meta_, left, left_ranges, right,
+                                  right_ranges, attrs);
+}
+
+bool LocalExecutor::join_pairs(const ViewDef& join,
+                               const PairSink& sink) const {
+  TableId lt = 0, rt = 0;
+  std::vector<AttrRange> lr, rr;
+  if (!match_selected_base(*join.left, &lt, &lr) ||
+      !match_selected_base(*join.right, &rt, &rr)) {
+    return false;
+  }
+  const auto& attrs = join.join_attrs;
+  ORV_REQUIRE(
+      JoinKey::resolve(*meta_.table_schema(lt), attrs)
+          .compatible_with(JoinKey::resolve(*meta_.table_schema(rt), attrs)),
+      "join key type mismatch");
+  // A range on a join attribute selects both sides: matched rows have
+  // equal keys.
+  const auto is_key = [&](const AttrRange& r) {
+    return std::find(attrs.begin(), attrs.end(), r.attr) != attrs.end();
+  };
+  const std::size_t own = lr.size();
+  std::copy_if(rr.begin(), rr.end(), std::back_inserter(lr), is_key);
+  std::copy_if(lr.begin(), lr.begin() + own, std::back_inserter(rr), is_key);
+
+  PairJoin pairs{join.output_schema(meta_), attrs, {}, {}};
+  const ConnectivityGraph graph = join_graph(lt, lr, rt, rr, attrs);
+  for (const Component& c : graph.components()) {
+    std::vector<SubTable> rights;
+    for (const SubTableId id : c.right_subtables) {
+      rights.push_back(load(id, rr));
+    }
+    // Pairs are sorted, so each left sub-table's pairs are adjacent: it is
+    // loaded and its table built once, then dropped when the next starts.
+    std::shared_ptr<const BuiltHashTable> table;
+    for (const SubTablePair& p : c.pairs) {
+      if (!table || table->left().id() != p.left) {
+        table = pairs.build(std::make_shared<const SubTable>(load(p.left, lr)));
+      }
+      const auto at = std::lower_bound(c.right_subtables.begin(),
+                                       c.right_subtables.end(), p.right);
+      sink(pairs.probe(*table, rights[at - c.right_subtables.begin()], {}));
+    }
+  }
+  return true;
 }
 
 SubTable LocalExecutor::execute(const ViewDef& view) const {
@@ -73,8 +130,7 @@ SubTable LocalExecutor::execute(const ViewDef& view) const {
       if (view.input->kind == ViewDef::Kind::BaseTable) {
         return scan(view.input->table, view.ranges);
       }
-      SubTable in = execute(*view.input);
-      return filter_rows(in, view.ranges);
+      return filter_rows(execute(*view.input), view.ranges);
     }
 
     case ViewDef::Kind::Project: {
@@ -90,15 +146,24 @@ SubTable LocalExecutor::execute(const ViewDef& view) const {
     }
 
     case ViewDef::Kind::Join: {
-      const SubTable left = execute(*view.left);
-      const SubTable right = execute(*view.right);
-      return hash_join(left, right, view.join_attrs, SubTableId{0, 0});
+      SubTable out(view.output_schema(meta_), SubTableId{0, 0});
+      if (join_pairs(view, [&](const SubTable& part) {
+            out.append_rows(part);
+          })) {
+        return out;
+      }
+      return hash_join(execute(*view.left), execute(*view.right),
+                       view.join_attrs, SubTableId{0, 0});
     }
 
     case ViewDef::Kind::Aggregate: {
-      const SubTable in = execute(*view.input);
-      GroupByAggregator agg(in.schema_ptr(), view.group_by, view.aggs);
-      agg.consume(in);
+      GroupByAggregator agg(view.input->output_schema(meta_), view.group_by,
+                            view.aggs);
+      const auto consume = [&](const SubTable& part) { agg.consume(part); };
+      if (view.input->kind != ViewDef::Kind::Join ||
+          !join_pairs(*view.input, consume)) {
+        agg.consume(execute(*view.input));
+      }
       return agg.finish();
     }
 

@@ -176,9 +176,6 @@ std::string ViewDef::to_string(const MetaDataService& meta) const {
   return "?";
 }
 
-namespace {
-
-/// Peels Select layers off a base table, collecting ranges.
 bool match_selected_base(const ViewDef& v, TableId* table,
                          std::vector<AttrRange>* ranges) {
   const ViewDef* cur = &v;
@@ -190,8 +187,6 @@ bool match_selected_base(const ViewDef& v, TableId* table,
   *table = cur->table;
   return true;
 }
-
-}  // namespace
 
 bool match_join_view(const ViewDef& view, JoinViewShape* shape) {
   const ViewDef* cur = &view;

@@ -96,6 +96,11 @@ struct JoinViewShape {
   std::vector<std::string> projection;    // empty = all columns
 };
 
+/// Peels Select layers off a base table, appending their ranges to
+/// `ranges`; false when `v` is not a (selected) base table.
+bool match_selected_base(const ViewDef& v, TableId* table,
+                         std::vector<AttrRange>* ranges);
+
 /// Attempts to recognize `view` as a JoinViewShape; returns false if the
 /// tree has a different shape (local execution still works).
 bool match_join_view(const ViewDef& view, JoinViewShape* shape);

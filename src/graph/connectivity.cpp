@@ -54,12 +54,20 @@ ConnectivityGraph ConnectivityGraph::build(
     const MetaDataService& meta, TableId left_table, TableId right_table,
     const std::vector<std::string>& join_attrs,
     const std::vector<AttrRange>& ranges) {
+  return build(meta, left_table, ranges, right_table, ranges, join_attrs);
+}
+
+ConnectivityGraph ConnectivityGraph::build(
+    const MetaDataService& meta, TableId left_table,
+    const std::vector<AttrRange>& left_ranges, TableId right_table,
+    const std::vector<AttrRange>& right_ranges,
+    const std::vector<std::string>& join_attrs) {
   ORV_REQUIRE(!join_attrs.empty(), "join needs at least one attribute");
   obs::StageScope stage(obs::context(), "graph.build");
   ConnectivityGraph g;
 
-  // Prune right chunks by the range predicate once; index survivors by
-  // position for the R-tree pass below.
+  // Prune right chunks by their ranges once; index survivors by position
+  // for the R-tree pass below.
   const auto& right_chunks = meta.chunks(right_table);
 
   // Build an R-tree over the *join attributes only* of surviving right
@@ -69,7 +77,7 @@ ConnectivityGraph ConnectivityGraph::build(
   {
     std::vector<std::pair<Rect, std::uint64_t>> entries;
     for (std::size_t i = 0; i < right_chunks.size(); ++i) {
-      if (!satisfies_ranges(right_chunks[i], ranges)) continue;
+      if (!satisfies_ranges(right_chunks[i], right_ranges)) continue;
       Rect box(dims);
       for (std::size_t d = 0; d < dims; ++d) {
         if (auto idx = right_chunks[i].schema->index_of(join_attrs[d])) {
@@ -82,7 +90,7 @@ ConnectivityGraph ConnectivityGraph::build(
   }
 
   for (const auto& lc : meta.chunks(left_table)) {
-    if (!satisfies_ranges(lc, ranges)) continue;
+    if (!satisfies_ranges(lc, left_ranges)) continue;
     Rect probe(dims);
     for (std::size_t d = 0; d < dims; ++d) {
       if (auto idx = lc.schema->index_of(join_attrs[d])) {
@@ -194,16 +202,6 @@ std::string GraphStats::to_string() const {
       avg_left_degree, avg_right_degree, edge_ratio);
 }
 
-void ConnectivityGraph::serialize(ByteWriter& w) const {
-  w.put_u64(edges_.size());
-  for (const auto& e : edges_) {
-    w.put_u32(e.left.table);
-    w.put_u32(e.left.chunk);
-    w.put_u32(e.right.table);
-    w.put_u32(e.right.chunk);
-  }
-}
-
 ConnectivityGraph ConnectivityGraph::from_edges(
     std::vector<SubTablePair> edges) {
   ConnectivityGraph g;
@@ -211,22 +209,6 @@ ConnectivityGraph ConnectivityGraph::from_edges(
   std::sort(g.edges_.begin(), g.edges_.end());
   g.compute_components();
   return g;
-}
-
-ConnectivityGraph ConnectivityGraph::deserialize(ByteReader& r) {
-  const std::uint64_t n = r.get_u64();
-  r.check_count(n, 16);  // four u32 per edge
-  std::vector<SubTablePair> edges;
-  edges.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SubTablePair e;
-    e.left.table = r.get_u32();
-    e.left.chunk = r.get_u32();
-    e.right.table = r.get_u32();
-    e.right.chunk = r.get_u32();
-    edges.push_back(e);
-  }
-  return from_edges(std::move(edges));
 }
 
 }  // namespace orv

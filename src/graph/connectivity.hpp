@@ -5,8 +5,8 @@
 // Nodes are basic sub-tables of the two tables; an edge joins a left and a
 // right sub-table whose bounding boxes overlap on the join attributes
 // (attributes absent from a sub-table are unbounded). Connected components
-// are the scheduling unit of the Indexed Join. The graph can be serialized,
-// standing in for the paper's precomputed page-level join index.
+// are the scheduling unit of the Indexed Join, and the local executor's
+// join walks them one at a time too.
 
 #include <cstdint>
 #include <string>
@@ -58,6 +58,15 @@ class ConnectivityGraph {
                                  const std::vector<std::string>& join_attrs,
                                  const std::vector<AttrRange>& ranges = {});
 
+  /// As above, with each side's sub-tables pruned by that side's own
+  /// ranges.
+  static ConnectivityGraph build(const MetaDataService& meta,
+                                 TableId left_table,
+                                 const std::vector<AttrRange>& left_ranges,
+                                 TableId right_table,
+                                 const std::vector<AttrRange>& right_ranges,
+                                 const std::vector<std::string>& join_attrs);
+
   const std::vector<SubTablePair>& edges() const { return edges_; }
   std::size_t num_edges() const { return edges_.size(); }
 
@@ -70,11 +79,8 @@ class ConnectivityGraph {
                    TableId right_table) const;
 
   /// A graph over a given candidate-pair list (sorted here); components
-  /// are recomputed. Deserialization and range pruning build through it.
+  /// are recomputed. Range pruning of a cached graph builds through it.
   static ConnectivityGraph from_edges(std::vector<SubTablePair> edges);
-
-  void serialize(ByteWriter& w) const;
-  static ConnectivityGraph deserialize(ByteReader& r);
 
  private:
   void compute_components();

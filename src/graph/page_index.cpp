@@ -40,38 +40,4 @@ const ConnectivityGraph& PageIndexService::pruned_graph(
   return it->second;
 }
 
-bool PageIndexService::precompute(TableId left, TableId right,
-                                  const std::vector<std::string>& attrs) {
-  const std::uint64_t before = builds_;
-  full_graph(left, right, attrs);
-  return builds_ != before;
-}
-
-void PageIndexService::serialize(ByteWriter& w) const {
-  w.put_u32(static_cast<std::uint32_t>(cache_.size()));
-  for (const auto& [key, graph] : cache_) {
-    w.put_u32(std::get<0>(key));
-    w.put_u32(std::get<1>(key));
-    const auto& attrs = std::get<2>(key);
-    w.put_u32(static_cast<std::uint32_t>(attrs.size()));
-    for (const auto& a : attrs) w.put_string(a);
-    graph.serialize(w);
-  }
-}
-
-void PageIndexService::load(ByteReader& r) {
-  const std::uint32_t n = r.get_u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const TableId left = r.get_u32();
-    const TableId right = r.get_u32();
-    const std::uint32_t n_attrs = r.get_u32();
-    std::vector<std::string> attrs;
-    for (std::uint32_t a = 0; a < n_attrs; ++a) {
-      attrs.push_back(r.get_string());
-    }
-    cache_.insert_or_assign(Key{left, right, std::move(attrs)},
-                            ConnectivityGraph::deserialize(r));
-  }
-}
-
 }  // namespace orv

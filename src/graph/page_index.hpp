@@ -8,8 +8,7 @@
 // constraints then prune the cached graph ("any additional range
 // constraints may be applied at the sub-table level to prune away
 // unwanted edges and nodes") once per range set, instead of re-pairing
-// chunks. The full graphs can be persisted through the MetaData
-// Service's byte format.
+// chunks.
 
 #include <map>
 #include <string>
@@ -36,19 +35,10 @@ class PageIndexService {
                                         const std::vector<std::string>& attrs,
                                         const std::vector<AttrRange>& ranges);
 
-  /// Precomputes (or re-uses) the index for a key; returns whether a
-  /// build happened.
-  bool precompute(TableId left, TableId right,
-                  const std::vector<std::string>& attrs);
-
   std::size_t num_cached() const { return cache_.size(); }
   /// Full-graph builds; lookups served without one count as hits.
   std::uint64_t builds() const { return builds_; }
   std::uint64_t hits() const { return hits_; }
-
-  /// Persists every cached index (with its key) for a future session.
-  void serialize(ByteWriter& w) const;
-  void load(ByteReader& r);
 
  private:
   using Key = std::tuple<TableId, TableId, std::vector<std::string>>;

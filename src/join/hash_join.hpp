@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "join/key.hpp"
+#include "meta/metadata.hpp"
 #include "subtable/subtable.hpp"
 
 namespace orv {
@@ -181,6 +182,32 @@ class BuiltHashTable {
 SubTable hash_join(const SubTable& left, const SubTable& right,
                    const std::vector<std::string>& key_attrs,
                    SubTableId result_id, JoinStats* stats = nullptr);
+
+/// The Indexed Join's pair step (paper Section 4.1), host work only: each
+/// left sub-table's hash table is built once, then probed by every right
+/// sub-table paired with it. The simulated IJ node calls it between its
+/// fetches and CPU charges; the local executor's join calls it directly.
+struct PairJoin {
+  SchemaPtr result_schema;  // Schema::join_result of the two sides
+  std::vector<std::string> key_attrs;
+  std::vector<AttrRange> output_ranges;  // applied to every pair's output
+  JoinStats stats;  // build, probe and output tuples of every call
+
+  std::shared_ptr<const BuiltHashTable> build(
+      std::shared_ptr<const SubTable> left) {
+    stats.build_tuples += left->num_rows();
+    return std::make_shared<const BuiltHashTable>(std::move(left), key_attrs);
+  }
+  /// `right` joined with the table's left rows, as sub-table `id`.
+  SubTable probe(const BuiltHashTable& table, const SubTable& right,
+                 SubTableId id) {
+    SubTable out(result_schema, id);
+    stats.probe_tuples += table.probe(right, key_attrs, out).probe_tuples;
+    out = filter_rows(std::move(out), output_ranges);
+    stats.result_tuples += out.num_rows();
+    return out;
+  }
+};
 
 /// Reference nested-loop join for correctness checks (O(n*m)), and the
 /// byte-order reference of BuiltHashTable::probe_range: rows come out in

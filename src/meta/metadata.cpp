@@ -18,7 +18,14 @@ bool satisfies_ranges(const ChunkMeta& chunk,
   return true;
 }
 
-SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
+namespace {
+
+/// Per-row pass mask of `ranges` over `st`, or nothing when no range names
+/// one of its attributes. Every attribute is tested, so the unbounded
+/// interval of an attribute no range names still rejects NaN; an integer
+/// attribute under the unbounded interval always passes and is skipped.
+std::optional<std::vector<std::uint8_t>> keep_mask(
+    const SubTable& st, const std::vector<AttrRange>& ranges) {
   const Schema& schema = st.schema();
   Rect pred = Rect::unbounded(schema.num_attrs());
   bool constrained = false;
@@ -28,10 +35,7 @@ SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
       constrained = true;
     }
   }
-  if (!constrained) return st;
-  // Every attribute is tested, so the unbounded interval of an attribute
-  // no range names still rejects NaN; an integer attribute under the
-  // unbounded interval always passes and is skipped.
+  if (!constrained) return std::nullopt;
   std::vector<std::uint8_t> keep(st.num_rows(), 1);
   for (std::size_t d = 0; d < schema.num_attrs(); ++d) {
     const Interval iv = pred[d];
@@ -42,8 +46,12 @@ SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
       keep[r] &= static_cast<std::uint8_t>(iv.contains(v));
     });
   }
-  // Size the output exactly, then copy each maximal run of passing rows
-  // with one memcpy.
+  return keep;
+}
+
+/// The rows of `st` that `keep` marks. Sizes the output exactly, then
+/// copies each maximal run of passing rows with one memcpy.
+SubTable copy_kept(const SubTable& st, const std::vector<std::uint8_t>& keep) {
   const auto kept = static_cast<std::size_t>(
       std::count(keep.begin(), keep.end(), std::uint8_t{1}));
   SubTable out(st.schema_ptr(), st.id());
@@ -63,6 +71,21 @@ SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
   out.append_rows_commit(kept);
   out.compute_bounds();
   return out;
+}
+
+}  // namespace
+
+SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges) {
+  const auto keep = keep_mask(st, ranges);
+  return keep ? copy_kept(st, *keep) : st;
+}
+
+SubTable filter_rows(SubTable&& st, const std::vector<AttrRange>& ranges) {
+  const auto keep = keep_mask(st, ranges);
+  if (keep && std::find(keep->begin(), keep->end(), 0) != keep->end()) {
+    return copy_kept(st, *keep);
+  }
+  return std::move(st);
 }
 
 void MetaDataService::register_table(TableId table, std::string name,

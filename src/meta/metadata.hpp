@@ -55,6 +55,10 @@ bool satisfies_ranges(const ChunkMeta& chunk,
 /// it.
 SubTable filter_rows(const SubTable& st, const std::vector<AttrRange>& ranges);
 
+/// As above, but when every row passes `st` itself comes back, moved,
+/// with its declared bounds kept rather than recomputed: no copy.
+SubTable filter_rows(SubTable&& st, const std::vector<AttrRange>& ranges);
+
 class MetaDataService {
  public:
   MetaDataService() = default;

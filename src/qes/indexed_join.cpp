@@ -43,9 +43,9 @@ struct IjShared {
            const JoinQuery& q, const QesOptions& o,
            qes_detail::NodeCaches nc, SchemaPtr schema)
       : cluster(c), bds(b), meta(m), query(q), options(o), caches(nc),
-        result_schema(std::move(schema)),
         fetch_ranges(shared() ? Ranges{} : q.ranges),
-        output_ranges(shared() ? q.ranges : Ranges{}) {}
+        pairs{std::move(schema), q.join_attrs,
+              shared() ? q.ranges : Ranges{}, {}} {}
 
   bool shared() const { return !caches.shared.empty(); }
 
@@ -55,15 +55,17 @@ struct IjShared {
   const JoinQuery& query;
   const QesOptions& options;
   const qes_detail::NodeCaches caches;
-  SchemaPtr result_schema;
 
-  /// The query's selection, placed once; the other one stays empty. With
-  /// session caches, which hold raw sub-tables so later queries with other
-  /// predicates can reuse them, it applies to each join output. Otherwise
-  /// the join loop applies it to each fetched sub-table (the paper filters
-  /// at the compute side).
+  /// The query's selection, placed once: here or in pairs.output_ranges,
+  /// the other one stays empty. With session caches, which hold raw
+  /// sub-tables so later queries with other predicates can reuse them, it
+  /// applies to each join output (equivalent for conjunctive per-attribute
+  /// ranges: key attributes survive the join). Otherwise the join loop
+  /// applies it to each fetched sub-table (the paper filters at the
+  /// compute side).
   const Ranges fetch_ranges;
-  const Ranges output_ranges;
+  /// The build and probe of every pair; its stats become the result's.
+  PairJoin pairs;
 
   qes_detail::QueryFrame frame;
   /// Accumulated in place (single-threaded engine: plain writes are safe).
@@ -105,6 +107,19 @@ sim::Task<std::shared_ptr<const SubTable>> fetch_subtable(
       [&] { cache.invalidate(id); });
   st = qes_detail::select_rows(std::move(st), sh.fetch_ranges);
   sh.result.node_work[node].bytes += static_cast<double>(st->size_bytes());
+  co_return st;
+}
+
+/// `id` from the node's cache, else fetched and cached. A pipelined pair's
+/// side is missing only when it was doomed while pinned (a failing re-fetch
+/// of the same chunk invalidated it): it is fetched fresh.
+sim::Task<std::shared_ptr<const SubTable>> resident(IjShared& sh,
+                                                    SubTableId id,
+                                                    std::size_t node,
+                                                    CachingService& cache) {
+  if (auto st = cache.get(id)) co_return st;
+  auto st = co_await fetch_subtable(sh, id, node, cache);
+  cache.put(id, st);
   co_return st;
 }
 
@@ -325,6 +340,7 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
 
   auto* inj = fault::context();
   bool died = false;
+  const auto down = [&] { return died = inj && inj->compute_down(node); };
   std::size_t next = 0;  // first pair whose output has NOT been accumulated
   std::optional<std::size_t> inflight;  // recv'd pair whose pins we hold
   std::exception_ptr error;
@@ -359,66 +375,34 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
       // output, so every pair's result is emitted exactly once (here or at
       // the surviving node the supervisor re-assigns it to). An abandoned
       // in-flight pair's pins are released by the shutdown protocol below.
-      if (inj && inj->compute_down(node)) {
-        died = true;
-        break;
-      }
+      if (down()) break;
 
-      // Left sub-table + its hash table (built once, cached). A pipelined
-      // pair's side is missing only when it was doomed while pinned (a
-      // failing re-fetch of the same chunk invalidated it): fetch fresh.
-      auto left = cache.get(pair.left);
-      if (!left) {
-        left = co_await fetch_subtable(sh, pair.left, node, cache);
-        cache.put(pair.left, left);
-      }
+      // Left sub-table + its hash table (built once, cached).
+      const auto left = co_await resident(sh, pair.left, node, cache);
       auto ht = cache.get_hash_table(pair.left);
       if (!ht) {
         obs::StageScope build_stage(obs::context(), "ij.build",
                                     node_stage.id());
         co_await cpu.use(hw.gamma_build * factor *
                          static_cast<double>(left->num_rows()));
-        ht = std::make_shared<const BuiltHashTable>(left,
-                                                    sh.query.join_attrs);
+        ht = sh.pairs.build(left);
         cache.attach_hash_table(pair.left, ht);
         ++sh.result.hash_tables_built;
-        sh.result.join_stats.build_tuples += left->num_rows();
         build_stage.tag("rows", left->num_rows());
       }
-      if (inj && inj->compute_down(node)) {  // mid-pair: fetches take time
-        died = true;
-        break;
-      }
-
-      // Right sub-table.
-      auto right = cache.get(pair.right);
-      if (!right) {
-        right = co_await fetch_subtable(sh, pair.right, node, cache);
-        cache.put(pair.right, right);
-      }
+      if (down()) break;  // mid-pair: fetches take time
+      const auto right = co_await resident(sh, pair.right, node, cache);
 
       // Probe: one lookup per right record (join selectivity 1 per Sec. 5).
       obs::StageScope probe_stage(obs::context(), "ij.probe",
                                   node_stage.id());
       co_await cpu.use(hw.gamma_lookup * factor *
                        static_cast<double>(right->num_rows()));
-      if (inj && inj->compute_down(node)) {  // pre-accumulation check
-        probe_stage.close();
-        died = true;
-        break;
-      }
-      SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-      const JoinStats s = ht->probe(*right, sh.query.join_attrs, out);
+      if (down()) break;  // pre-accumulation check
+      const SubTable out =
+          sh.pairs.probe(*ht, *right, SubTableId{0, out_seq++});
       probe_stage.tag("rows", right->num_rows());
       probe_stage.close();
-      sh.result.join_stats.probe_tuples += s.probe_tuples;
-      if (!sh.output_ranges.empty()) {
-        // Selection over the join output: equivalent to filtering the
-        // inputs for conjunctive per-attribute ranges (key attrs survive
-        // the join).
-        out = filter_rows(out, sh.output_ranges);
-      }
-      sh.result.join_stats.result_tuples += out.num_rows();
       sh.result.result_fingerprint += out.unordered_fingerprint();
       if (sh.options.result_sink) sh.options.result_sink(node, out);
       if (inflight) {
@@ -617,6 +601,7 @@ sim::Task<QesResult> qes_detail::indexed_join_task(
   result.elapsed =
       co_await sh.frame.join(cluster, std::move(procs), "ij-sampler");
   result.join_phase = result.elapsed;
+  result.join_stats = sh.pairs.stats;
   result.result_tuples = result.join_stats.result_tuples;
   result.network_bytes = cluster.network_bytes() - net0;
   result.cross_switch_bytes = cluster.switch_bytes() - switch0;

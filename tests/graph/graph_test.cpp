@@ -1,5 +1,5 @@
 // Connectivity graph beyond the datagen formula sweep: range pruning,
-// missing join attributes, component structure, serialization, stats.
+// missing join attributes, component structure, stats.
 
 #include "graph/connectivity.hpp"
 
@@ -58,6 +58,25 @@ TEST(Graph, RangePruningDropsNodesAndEdges) {
   }
 }
 
+TEST(Graph, PerSideRangesPruneOnlyTheirSide) {
+  auto ds = make_ds({16, 16, 16}, {4, 4, 4}, {4, 4, 4});
+  const std::vector<std::string> attrs = {"x", "y", "z"};
+  const std::vector<AttrRange> slab = {{"x", {0, 3}}};
+  // The left side's slab keeps 16 left chunks, each paired with the one
+  // right chunk of its box; a right-only range keeps the same edges.
+  const auto left_only =
+      ConnectivityGraph::build(ds.meta, 1, slab, 2, {}, attrs);
+  const auto right_only =
+      ConnectivityGraph::build(ds.meta, 1, {}, 2, slab, attrs);
+  EXPECT_EQ(left_only.edges(),
+            ConnectivityGraph::build(ds.meta, 1, 2, attrs, slab).edges());
+  EXPECT_EQ(right_only.edges(), left_only.edges());
+  // Disjoint per-side slabs: no pair overlaps on x.
+  const auto disjoint = ConnectivityGraph::build(
+      ds.meta, 1, slab, 2, {{"x", {8, 11}}}, attrs);
+  EXPECT_EQ(disjoint.num_edges(), 0u);
+}
+
 TEST(Graph, RangeOnScalarAttributePrunes) {
   auto ds = make_ds({8, 8, 8}, {4, 4, 4}, {4, 4, 4});
   // oilp spans [0,1] in every chunk; an impossible range kills everything.
@@ -109,20 +128,6 @@ TEST(Graph, MissingJoinAttributeIsUnbounded) {
   const auto g = ConnectivityGraph::build(meta, 1, 2, {"x", "z"});
   // Each right chunk joins both z-layers of its x-slab: 2*2 = 4 edges.
   EXPECT_EQ(g.num_edges(), 4u);
-}
-
-TEST(Graph, SerializationRoundTrip) {
-  auto ds = make_ds({16, 16, 16}, {8, 4, 8}, {4, 8, 8});
-  const auto g = ConnectivityGraph::build(ds.meta, 1, 2, {"x", "y", "z"});
-  ByteWriter w;
-  g.serialize(w);
-  ByteReader r(w.bytes());
-  const auto back = ConnectivityGraph::deserialize(r);
-  EXPECT_EQ(back.edges(), g.edges());
-  EXPECT_EQ(back.num_components(), g.num_components());
-  for (std::size_t c = 0; c < g.num_components(); ++c) {
-    EXPECT_EQ(back.components()[c].pairs, g.components()[c].pairs);
-  }
 }
 
 TEST(Graph, StatsAverageDegrees) {

@@ -1,5 +1,4 @@
-// Page-level join index service: caching, range pruning equivalence,
-// persistence.
+// Page-level join index service: caching and range pruning equivalence.
 
 #include "graph/page_index.hpp"
 
@@ -30,13 +29,6 @@ TEST(PageIndex, BuildsOncePerKey) {
   svc.full_graph(1, 2, {"x", "y"});  // different key
   EXPECT_EQ(svc.builds(), 2u);
   EXPECT_EQ(svc.num_cached(), 2u);
-}
-
-TEST(PageIndex, PrecomputeReportsBuild) {
-  auto ds = make_ds();
-  PageIndexService svc(ds.meta);
-  EXPECT_TRUE(svc.precompute(1, 2, {"x", "y", "z"}));
-  EXPECT_FALSE(svc.precompute(1, 2, {"x", "y", "z"}));
 }
 
 TEST(PageIndex, PrunedGraphEqualsDirectBuild) {
@@ -72,25 +64,6 @@ TEST(PageIndex, EmptyRangesReturnFullCopy) {
   const auto& copy = svc.pruned_graph(1, 2, {"x", "y", "z"}, {});
   EXPECT_EQ(copy.edges(), svc.full_graph(1, 2, {"x", "y", "z"}).edges());
   EXPECT_EQ(&copy, &svc.full_graph(1, 2, {"x", "y", "z"}));
-}
-
-TEST(PageIndex, PersistenceRoundTrip) {
-  auto ds = make_ds();
-  ByteWriter w;
-  {
-    PageIndexService svc(ds.meta);
-    svc.precompute(1, 2, {"x", "y", "z"});
-    svc.precompute(1, 2, {"x"});
-    svc.serialize(w);
-  }
-  PageIndexService fresh(ds.meta);
-  ByteReader r(w.bytes());
-  fresh.load(r);
-  EXPECT_EQ(fresh.num_cached(), 2u);
-  // Loaded indexes serve without rebuilding.
-  fresh.full_graph(1, 2, {"x", "y", "z"});
-  EXPECT_EQ(fresh.builds(), 0u);
-  EXPECT_EQ(fresh.hits(), 1u);
 }
 
 }  // namespace

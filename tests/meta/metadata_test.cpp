@@ -296,6 +296,28 @@ TEST(FilterRows, AllRowsPassing) {
                          st.bytes().begin(), st.bytes().end()));
 }
 
+TEST(FilterRows, MovedInputWithEveryRowPassingComesBackUncopied) {
+  // c = 0, 0.5, ..., 7.5. Declared bounds wider than the rows tell a kept
+  // box from a recomputed one.
+  SubTable st = typed_rows(16);
+  st.set_bounds(Rect(4));
+  const std::byte* payload = st.bytes().data();
+  const SubTable all = filter_rows(std::move(st), {{"c", Interval{0, 100}}});
+  EXPECT_EQ(all.num_rows(), 16u);
+  EXPECT_EQ(all.bytes().data(), payload);
+  EXPECT_EQ(all.bounds(), Rect(4));
+  // One row failing: a filtered copy, bounds recomputed, as for an lvalue.
+  SubTable some_in = typed_rows(16);
+  some_in.set_bounds(Rect(4));
+  const SubTable some =
+      filter_rows(std::move(some_in), {{"c", Interval{0, 7}}});
+  const SubTable want = filter_rows(typed_rows(16), {{"c", Interval{0, 7}}});
+  ASSERT_EQ(some.num_rows(), 15u);
+  EXPECT_TRUE(std::equal(some.bytes().begin(), some.bytes().end(),
+                         want.bytes().begin(), want.bytes().end()));
+  EXPECT_EQ(some.bounds()[2], (Interval{0, 7}));
+}
+
 TEST(MetaData, SerializationRoundTrip) {
   DatasetSpec spec;
   spec.grid = {8, 8, 8};
