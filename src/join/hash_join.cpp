@@ -36,12 +36,10 @@ struct Match {
 };
 
 /// [lo, hi] of the T field at `field + j * stride` over `n` rows (NaN
-/// values excluded; lo > hi when there are none), and whether any value is
-/// NaN.
+/// values excluded; lo > hi when there are none).
 template <typename T>
 struct FieldRange {
   T lo, hi;
-  bool nan;
 };
 
 template <typename T>
@@ -49,11 +47,10 @@ FieldRange<T> field_range(const std::byte* field, std::size_t stride,
                           std::size_t n) {
   using L = std::numeric_limits<T>;
   FieldRange<T> r{L::has_infinity ? L::infinity() : L::max(),
-                  L::has_infinity ? -L::infinity() : L::lowest(), false};
+                  L::has_infinity ? -L::infinity() : L::lowest()};
   for (std::size_t j = 0; j < n; ++j) {
     T v;
     std::memcpy(&v, field + j * stride, sizeof(v));
-    r.nan |= v != v;
     r.lo = v < r.lo ? v : r.lo;
     r.hi = v > r.hi ? v : r.hi;
   }
@@ -90,10 +87,15 @@ BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
   const std::byte* rows = left_->bytes().data();
 
   // Hash every left row once; the same hashes drive partition choice and
-  // slot insertion.
+  // slot insertion. Rows whose key has a NaN lane match nothing, so they
+  // are listed here and never inserted.
   std::vector<std::uint64_t> hashes(n);
+  std::vector<std::uint32_t> nan_rows;
+  std::uint64_t lanes[kMaxKeyArity];
   for (std::size_t r = 0; r < n; ++r) {
-    hashes[r] = key_.hash_row(rows + r * rs, kSaltInMemory);
+    key_.extract_lanes(rows + r * rs, lanes);
+    hashes[r] = hash_lanes({lanes, key_.arity()}, kSaltInMemory);
+    if (key_.has_nan(lanes)) nan_rows.push_back(static_cast<std::uint32_t>(r));
   }
 
   // Partition count: one partition while the table structure fits in
@@ -125,7 +127,11 @@ BuiltHashTable::BuiltHashTable(std::shared_ptr<const SubTable> left,
   slots_.assign(offset, Slot{});
   tags_.assign(offset, kEmptyTag);
 
-  for (std::size_t r = 0; r < n; ++r) {
+  for (std::size_t r = 0, k = 0; r < n; ++r) {
+    if (k < nan_rows.size() && nan_rows[k] == r) {
+      ++k;
+      continue;
+    }
     insert(parts_[partition_of(hashes[r])], hashes[r],
            static_cast<std::uint32_t>(r));
   }
@@ -156,7 +162,6 @@ const std::vector<BuiltHashTable::KeyRange>& BuiltHashTable::key_box()
       const auto as_float = [&](auto f) {
         b.flo = f.lo;
         b.fhi = f.hi;
-        b.clippable = !f.nan;
       };
       switch (key_.type(i)) {
         case AttrType::Int32:
@@ -275,16 +280,14 @@ JoinStats BuiltHashTable::probe_range(
   // bounds (a hash bucket, an assembled scan result) is never tested.
   // Declared bounds only choose what to test: skipping a test only probes
   // more rows, so lying metadata cannot drop a match. The rows dropped are
-  // those outside the left rows' actual key box, which a left NaN makes
-  // unclippable.
+  // those outside the left rows' actual key box; NaN is outside every box
+  // and matches nothing.
   std::size_t clip_attrs[kMaxKeyArity];
   std::size_t n_clip = 0;
   for (std::size_t i = 0; i < arity; ++i) {
     const Interval& l = left_->bounds()[key_.attr_indices()[i]];
     const Interval& r = right.bounds()[right_key.attr_indices()[i]];
-    if (!(r.lo >= l.lo && r.hi <= l.hi) && key_box()[i].clippable) {
-      clip_attrs[n_clip++] = i;
-    }
+    if (!(r.lo >= l.lo && r.hi <= l.hi)) clip_attrs[n_clip++] = i;
   }
 
   // In-box chunk offsets, compacted in place from the per-row mask. With
@@ -458,17 +461,21 @@ SubTable nested_loop_join(const SubTable& left, const SubTable& right,
       RightCopyPlan::make(left.schema(), right.schema(), rkey);
   SubTable out(result_schema, result_id);
   // Canonicalize every left key once (O(n)) instead of re-extracting the
-  // lanes inside the O(n*m) inner loop.
+  // lanes inside the O(n*m) inner loop; a left key with a NaN lane matches
+  // nothing, so only the other rows are kept, in ascending order.
   const std::size_t arity = lkey.arity();
   std::vector<std::uint64_t> left_lanes(left.num_rows() * arity);
+  std::vector<std::size_t> matchable;
   for (std::size_t l = 0; l < left.num_rows(); ++l) {
-    lkey.extract_lanes(left.row(l), left_lanes.data() + l * arity);
+    std::uint64_t* lanes = left_lanes.data() + l * arity;
+    lkey.extract_lanes(left.row(l), lanes);
+    if (!lkey.has_nan(lanes)) matchable.push_back(l);
   }
   std::uint64_t rl[kMaxKeyArity];
   std::vector<std::byte> row_buf(plan.result_record_size);
   for (std::size_t r = 0; r < right.num_rows(); ++r) {
     rkey.extract_lanes(right.row(r), rl);
-    for (std::size_t l = 0; l < left.num_rows(); ++l) {
+    for (const std::size_t l : matchable) {
       if (!lkey.lanes_equal(left_lanes.data() + l * arity, rl)) continue;
       std::memcpy(row_buf.data(), left.row(l), left.record_size());
       for (const auto& piece : plan.pieces) {

@@ -29,6 +29,12 @@
 // There is one probe path. nested_loop_join, which neither clips nor
 // partitions, is the byte-order reference it is tested against.
 //
+// A key with a NaN lane equals nothing, another NaN included (IEEE
+// semantics, as SQL compares floats): the build leaves such left rows out
+// of the table, so no probe row can match them, and nested_loop_join
+// skips them. The chunk bounds the page index pairs by exclude NaN too,
+// so IJ, GH, the local join and both oracles agree.
+//
 // The key-box clip is host-only. The declared SubTable::bounds() of both
 // sides only choose which key attributes a probe tests: one whose declared
 // right interval lies inside the declared left interval is not tested, so
@@ -135,11 +141,9 @@ class BuiltHashTable {
   };
   /// Range of the left rows' values on one key attribute, in the key's
   /// lane class: doubles for float keys, int64 for integer keys (exact
-  /// beyond 2^53). Empty (lo > hi) when there are no left rows.
+  /// beyond 2^53). NaN values are left out, as they are of the table.
+  /// Empty (lo > hi) when there are no such values.
   struct KeyRange {
-    /// False when a left value is NaN: NaN lanes match NaN lanes, and no
-    /// range holds NaN, so this attribute cannot clip.
-    bool clippable = true;
     double flo = 0, fhi = 0;
     std::int64_t ilo = 0, ihi = 0;
   };

@@ -51,6 +51,18 @@ class JoinKey {
     return true;
   }
 
+  /// True when a floating lane of `lanes` holds a NaN. Such a key equals
+  /// no key, itself included (IEEE semantics), so joins never match it.
+  bool has_nan(const std::uint64_t* lanes) const {
+    for (std::size_t i = 0; i < offsets_.size(); ++i) {
+      // Shifting out the sign bit: above the shifted infinity is NaN.
+      if (is_float(i) && (lanes[i] << 1) > (0x7ff0000000000000ull << 1)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   AttrType type(std::size_t i) const { return types_[i]; }
   std::size_t offset(std::size_t i) const { return offsets_[i]; }
 

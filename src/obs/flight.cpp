@@ -10,7 +10,6 @@ namespace orv::obs {
 const char* flight_kind_name(FlightEvent::Kind k) {
   switch (k) {
     case FlightEvent::Kind::SpanClose: return "span";
-    case FlightEvent::Kind::Metric: return "metric";
     case FlightEvent::Kind::Fault: return "fault";
     case FlightEvent::Kind::Alert: return "alert";
     case FlightEvent::Kind::Note: return "note";

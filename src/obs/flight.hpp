@@ -2,11 +2,11 @@
 
 // Flight recorder: bounded-cost evidence capture for the live monitor.
 // Fixed-size ring buffers keyed by (node, event class) hold the most
-// recent span closures, metric deltas, fault events, and alert
-// transitions; on an alert fire or query degradation the rings are
-// snapshotted into a schema-versioned JSON dump (in memory, and to
-// `<dump_dir>/flight_<seq>.json` when a directory is configured — the
-// ORV_FLIGHT env var in workload runs).
+// recent span closures, fault events, alert transitions and notes; on an
+// alert fire or query degradation the rings are snapshotted into a
+// schema-versioned JSON dump (in memory, and to `<dump_dir>/flight_<seq>.json`
+// when a directory is configured — the ORV_FLIGHT env var in workload
+// runs).
 //
 // Separate rings per event class mean a flood of span closures can never
 // evict fault evidence: an injected fault stays visible until
@@ -28,15 +28,15 @@
 namespace orv::obs {
 
 struct FlightEvent {
-  enum class Kind { SpanClose, Metric, Fault, Alert, Note };
+  enum class Kind { SpanClose, Fault, Alert, Note };
 
   double time = 0;
   Kind kind = Kind::Note;
   /// Node attribution: "storage<i>" / "compute<j>" / "net" for
   /// link-level events / "" for global.
   std::string node;
-  std::string name;    // span name / metric name / fault kind / rule name
-  double value = 0;    // duration / delta / severity-specific payload
+  std::string name;    // span name / fault kind / rule name
+  double value = 0;    // duration / severity-specific payload
   std::string detail;  // free-form context ("src=0 dst=2", error text, ...)
 };
 

@@ -257,35 +257,6 @@ Histogram& Registry::histogram(std::string_view name,
   return *it->second;
 }
 
-WindowedCounter& Registry::windowed_counter(std::string_view name,
-                                            double slot_seconds,
-                                            std::size_t slots) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = windowed_counters_.find(name);
-  if (it == windowed_counters_.end()) {
-    it = windowed_counters_
-             .emplace(std::string(name),
-                      std::make_unique<WindowedCounter>(slot_seconds, slots))
-             .first;
-  }
-  return *it->second;
-}
-
-WindowedHistogram& Registry::windowed_histogram(
-    std::string_view name, const std::vector<double>& bounds,
-    double slot_seconds, std::size_t slots) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = windowed_histograms_.find(name);
-  if (it == windowed_histograms_.end()) {
-    it = windowed_histograms_
-             .emplace(std::string(name),
-                      std::make_unique<WindowedHistogram>(bounds, slot_seconds,
-                                                          slots))
-             .first;
-  }
-  return *it->second;
-}
-
 MetricsSnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
@@ -310,28 +281,6 @@ MetricsSnapshot Registry::snapshot() const {
       out.p99 = h->p99();
     }
     snap.histograms.push_back(std::move(out));
-  }
-  for (const auto& [name, wc] : windowed_counters_) {
-    MetricsSnapshot::Window out;
-    out.name = name;
-    out.window_seconds = wc->window_seconds();
-    out.total = wc->windowed_total();
-    out.rate = wc->rate();
-    snap.windowed_counters.push_back(std::move(out));
-  }
-  for (const auto& [name, wh] : windowed_histograms_) {
-    const WindowedHistogram::Merged m = wh->merged();
-    MetricsSnapshot::WindowHist out;
-    out.name = name;
-    out.window_seconds = wh->window_seconds();
-    out.count = m.count;
-    out.sum = m.sum;
-    out.min = m.min;
-    out.max = m.max;
-    out.p50 = m.p50;
-    out.p95 = m.p95;
-    out.p99 = m.p99;
-    snap.windowed_histograms.push_back(std::move(out));
   }
   return snap;
 }

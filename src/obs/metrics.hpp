@@ -180,23 +180,9 @@ struct MetricsSnapshot {
     std::uint64_t count = 0;
     double sum = 0, min = 0, max = 0, p50 = 0, p95 = 0, p99 = 0;
   };
-  struct Window {
-    std::string name;
-    double window_seconds = 0;
-    std::uint64_t total = 0;  // events inside the window
-    double rate = 0;          // events per second over the window
-  };
-  struct WindowHist {
-    std::string name;
-    double window_seconds = 0;
-    std::uint64_t count = 0;
-    double sum = 0, min = 0, max = 0, p50 = 0, p95 = 0, p99 = 0;
-  };
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<Hist> histograms;
-  std::vector<Window> windowed_counters;
-  std::vector<WindowHist> windowed_histograms;
 };
 
 class Registry {
@@ -207,17 +193,6 @@ class Registry {
   /// name return the existing histogram unchanged.
   Histogram& histogram(std::string_view name,
                        const std::vector<double>& bounds = duration_bounds());
-  /// Windowed instruments: `slot_seconds`/`slots` apply only on first
-  /// creation (like histogram bounds). The defaults give a 1-second window
-  /// in 16 slots — suitable for sub-second simulated queries; concurrent
-  /// workload drivers pass their own.
-  WindowedCounter& windowed_counter(std::string_view name,
-                                    double slot_seconds = 1.0 / 16,
-                                    std::size_t slots = 16);
-  WindowedHistogram& windowed_histogram(
-      std::string_view name,
-      const std::vector<double>& bounds = duration_bounds(),
-      double slot_seconds = 1.0 / 16, std::size_t slots = 16);
 
   MetricsSnapshot snapshot() const;
 
@@ -226,10 +201,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<WindowedCounter>, std::less<>>
-      windowed_counters_;
-  std::map<std::string, std::unique_ptr<WindowedHistogram>, std::less<>>
-      windowed_histograms_;
 };
 
 }  // namespace orv::obs

@@ -1,9 +1,7 @@
 #include "obs/monitor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace orv::obs {
@@ -17,66 +15,6 @@ const char* severity_name(Severity s) {
   return "?";
 }
 
-const char* selector_name(Selector s) {
-  switch (s) {
-    case Selector::GaugeValue: return "gauge";
-    case Selector::WindowRate: return "rate";
-  }
-  return "?";
-}
-
-bool cmp_eval(Cmp c, double value, double threshold) {
-  switch (c) {
-    case Cmp::LT: return value < threshold;
-    case Cmp::GT: return value > threshold;
-    case Cmp::GE: return value >= threshold;
-  }
-  return false;
-}
-
-Rule Rule::make_threshold(std::string name, Selector sel, std::string metric,
-                          Cmp cmp, double threshold, Severity sev) {
-  Rule r;
-  r.name = std::move(name);
-  r.severity = sev;
-  r.kind = RuleKind::Threshold;
-  r.selector = sel;
-  r.metric = std::move(metric);
-  r.cmp = cmp;
-  r.threshold = threshold;
-  return r;
-}
-
-Rule Rule::make_rate_of_change(std::string name, Selector sel,
-                               std::string metric, Cmp cmp, double per_second,
-                               Severity sev) {
-  Rule r = make_threshold(std::move(name), sel, std::move(metric), cmp,
-                          per_second, sev);
-  r.kind = RuleKind::RateOfChange;
-  return r;
-}
-
-Rule Rule::make_burn_rate(std::string name, std::string bad_metric,
-                          std::string total_metric, double budget,
-                          double short_window, double long_window,
-                          double threshold, Severity sev) {
-  ORV_REQUIRE(budget > 0, "burn-rate rule needs a positive error budget");
-  ORV_REQUIRE(short_window > 0 && long_window >= short_window,
-              "burn-rate windows must satisfy 0 < short <= long");
-  Rule r;
-  r.name = std::move(name);
-  r.severity = sev;
-  r.kind = RuleKind::BurnRate;
-  r.cmp = Cmp::GE;
-  r.threshold = threshold;
-  r.bad_metric = std::move(bad_metric);
-  r.total_metric = std::move(total_metric);
-  r.budget = budget;
-  r.short_window = short_window;
-  r.long_window = long_window;
-  return r;
-}
-
 std::string Alert::to_string() const {
   std::string s = strformat("[%s] %s %s at t=%.6f: value=%.6g threshold=%.6g",
                             severity_name(severity), rule.c_str(),
@@ -88,155 +26,145 @@ std::string Alert::to_string() const {
 
 // ------------------------------------------------------------ Monitor --
 
-Monitor::Monitor(Registry& registry, std::vector<Rule> rules)
-    : registry_(registry) {
-  states_.reserve(rules.size());
-  for (Rule& r : rules) {
-    RuleState st;
-    st.rule = std::move(r);
-    if (st.rule.kind == RuleKind::BurnRate) {
-      // 10 slots per window keeps slot-boundary quantization under 10% of
-      // the window while the ring stays tiny.
-      const double ss = st.rule.short_window / 10.0;
-      const double ls = st.rule.long_window / 10.0;
-      st.burn.short_bad = std::make_unique<WindowedCounter>(ss, 10);
-      st.burn.short_total = std::make_unique<WindowedCounter>(ss, 10);
-      st.burn.long_bad = std::make_unique<WindowedCounter>(ls, 10);
-      st.burn.long_total = std::make_unique<WindowedCounter>(ls, 10);
-    }
-    states_.push_back(std::move(st));
-  }
+namespace {
+
+struct RuleInfo {
+  const char* name;
+  Severity severity;
+  double threshold;
+};
+
+// Indexed by Monitor::RuleId.
+constexpr RuleInfo kRuleInfo[] = {
+    {"slo-burn", Severity::Critical, Monitor::kSloBurnThreshold},
+    {"reject-rate", Severity::Warning, 0.0},
+    {"queue-growth", Severity::Info, Monitor::kQueueGrowthPerSecond},
+    {"node-health", Severity::Critical, NodeHealthTracker::kAlertThreshold},
+};
+
+/// Error-budget burn of one window: its missed fraction over the budget,
+/// 0 for an empty window.
+double burn(const WindowedCounter& missed, const WindowedCounter& total) {
+  const auto t = total.windowed_total();
+  if (t == 0) return 0.0;
+  const double frac =
+      static_cast<double>(missed.windowed_total()) / static_cast<double>(t);
+  return frac / Monitor::kSloBudget;
 }
 
-double Monitor::read_selector(Selector sel, const std::string& metric) const {
-  switch (sel) {
-    case Selector::GaugeValue:
-      return registry_.gauge(metric).value();
-    case Selector::WindowRate:
-      return registry_.windowed_counter(metric).rate();
+}  // namespace
+
+// Each burn window has 10 slots: slot-boundary quantization stays under
+// 10% of the window while the ring stays tiny.
+Monitor::Monitor()
+    : short_missed_(kSloShortWindow / 10, 10),
+      short_total_(kSloShortWindow / 10, 10),
+      long_missed_(kSloLongWindow / 10, 10),
+      long_total_(kSloLongWindow / 10, 10),
+      rejected_(kRejectSlotSeconds, kRejectSlots) {}
+
+void Monitor::note_outcome(double t, bool rejected, bool has_deadline,
+                           bool deadline_met) {
+  if (has_deadline) {
+    ++slo_total_;
+    if (!deadline_met) ++slo_missed_;
   }
-  return 0;
+  if (rejected) rejected_.add(t, 1);
 }
 
 void Monitor::transition(
-    RuleState& st, double now, double value,
+    RuleId rule, double now, bool firing, double value,
     std::vector<std::pair<std::string, std::string>> evidence) {
-  const bool firing = cmp_eval(st.rule.cmp, value, st.rule.threshold);
-  if (firing == st.active) return;
-  st.active = firing;
+  if (firing == active_[rule]) return;
+  active_[rule] = firing;
+  const RuleInfo& info = kRuleInfo[rule];
   Alert a;
   a.seq = next_seq_++;
   a.time = now;
-  a.rule = st.rule.name;
-  a.severity = st.rule.severity;
+  a.rule = info.name;
+  a.severity = info.severity;
   a.resolved = !firing;
   a.value = value;
-  a.threshold = st.rule.threshold;
+  a.threshold = info.threshold;
   a.evidence = std::move(evidence);
-  if (firing) {
-    ++fired_;
-    registry_.counter("alert.fired.rule." + st.rule.name).add(1);
-    registry_.counter("monitor.alerts.fired").add(1);
-  }
-  registry_.gauge("alert.active.rule." + st.rule.name).set(firing ? 1 : 0);
-  alerts_.push_back(a);
+  if (firing) ++fired_;
+  alerts_.push_back(std::move(a));
   // The callback may dump the flight recorder or write a dash line; it
   // must not mutate the monitor (evaluate is not reentrant).
   if (on_alert_) on_alert_(alerts_.back());
 }
 
-void Monitor::evaluate(double now) {
-  for (RuleState& st : states_) {
-    const Rule& r = st.rule;
-    switch (r.kind) {
-      case RuleKind::Threshold: {
-        const double v = read_selector(r.selector, r.metric);
-        transition(st, now, v,
-                   {{r.metric, strformat("%.6g", v)},
-                    {"selector", selector_name(r.selector)}});
-        break;
-      }
-      case RuleKind::RateOfChange: {
-        const double v = read_selector(r.selector, r.metric);
-        double rate = 0;
-        if (st.has_prev && now > st.prev_time) {
-          rate = (v - st.prev_value) / (now - st.prev_time);
-        }
-        const bool had_prev = st.has_prev;
-        st.has_prev = true;
-        st.prev_value = v;
-        st.prev_time = now;
-        if (!had_prev) break;  // first sample has no derivative
-        transition(st, now, rate,
-                   {{r.metric, strformat("%.6g", v)},
-                    {"derivative_per_s", strformat("%.6g", rate)}});
-        break;
-      }
-      case RuleKind::BurnRate: {
-        // Mirror cumulative counter deltas into the rule's own
-        // short/long rings, then compare both windows' burn.
-        const double bad =
-            static_cast<double>(registry_.counter(r.bad_metric).value());
-        const double total =
-            static_cast<double>(registry_.counter(r.total_metric).value());
-        const auto d_bad =
-            static_cast<std::uint64_t>(std::max(0.0, bad - st.burn.prev_bad));
-        const auto d_total = static_cast<std::uint64_t>(
-            std::max(0.0, total - st.burn.prev_total));
-        st.burn.prev_bad = bad;
-        st.burn.prev_total = total;
-        // Always advance the rings, even with a zero delta: windowed
-        // totals are "as of last event", so a ring that stops receiving
-        // events would never decay and the alert could never resolve.
-        st.burn.short_bad->add(now, d_bad);
-        st.burn.long_bad->add(now, d_bad);
-        st.burn.short_total->add(now, d_total);
-        st.burn.long_total->add(now, d_total);
-        auto burn = [&r](const WindowedCounter& b, const WindowedCounter& t) {
-          const auto tt = t.windowed_total();
-          if (tt == 0) return 0.0;
-          const double frac =
-              static_cast<double>(b.windowed_total()) / static_cast<double>(tt);
-          return frac / r.budget;
-        };
-        const double burn_short =
-            burn(*st.burn.short_bad, *st.burn.short_total);
-        const double burn_long = burn(*st.burn.long_bad, *st.burn.long_total);
-        // Both windows must burn: the long window proves it is sustained,
-        // the short window proves it is still happening.
-        const double v = std::min(burn_short, burn_long);
-        transition(st, now, v,
-                   {{"short_burn", strformat("%.6g", burn_short)},
-                    {"long_burn", strformat("%.6g", burn_long)},
-                    {r.bad_metric, strformat("%.0f", bad)},
-                    {r.total_metric, strformat("%.0f", total)}});
-        break;
-      }
-    }
+void Monitor::evaluate(double now, std::size_t queue_depth,
+                       double min_health) {
+  // slo-burn: mirror the deadline counts since the last evaluation into
+  // the short/long rings, then compare both windows' burn. The rings
+  // always advance, even with a zero delta: windowed totals are "as of
+  // last event", so a ring that stops receiving events would never decay
+  // and the alert could never resolve.
+  const std::uint64_t d_missed = slo_missed_ - burned_missed_;
+  const std::uint64_t d_total = slo_total_ - burned_total_;
+  burned_missed_ = slo_missed_;
+  burned_total_ = slo_total_;
+  short_missed_.add(now, d_missed);
+  long_missed_.add(now, d_missed);
+  short_total_.add(now, d_total);
+  long_total_.add(now, d_total);
+  const double burn_short = burn(short_missed_, short_total_);
+  const double burn_long = burn(long_missed_, long_total_);
+  // Both windows must burn: the long window proves it is sustained, the
+  // short window proves it is still happening.
+  const double slo = std::min(burn_short, burn_long);
+  transition(kSloBurn, now, slo >= kSloBurnThreshold, slo,
+             {{"short_burn", strformat("%.6g", burn_short)},
+              {"long_burn", strformat("%.6g", burn_long)},
+              {"workload.slo_missed",
+               strformat("%llu", (unsigned long long)slo_missed_)},
+              {"workload.slo_total",
+               strformat("%llu", (unsigned long long)slo_total_)}});
+
+  const double reject_rate = rejected_.rate();
+  transition(kRejectRate, now, reject_rate > 0.0, reject_rate,
+             {{"workload.rejected", strformat("%.6g", reject_rate)},
+              {"selector", "rate"}});
+
+  // queue-growth: the first sample has no derivative.
+  const auto depth = static_cast<double>(queue_depth);
+  if (has_prev_depth_) {
+    const double growth =
+        now > prev_time_ ? (depth - prev_depth_) / (now - prev_time_) : 0.0;
+    transition(kQueueGrowth, now, growth > kQueueGrowthPerSecond, growth,
+               {{"workload.queue_depth", strformat("%.6g", depth)},
+                {"derivative_per_s", strformat("%.6g", growth)}});
   }
+  has_prev_depth_ = true;
+  prev_depth_ = depth;
+  prev_time_ = now;
+
+  transition(kNodeHealth, now,
+             min_health < NodeHealthTracker::kAlertThreshold, min_health,
+             {{"node.health.min", strformat("%.6g", min_health)},
+              {"selector", "gauge"}});
 }
 
 bool Monitor::active(std::string_view rule_name) const {
-  for (const RuleState& st : states_) {
-    if (st.rule.name == rule_name) return st.active;
+  for (int r = 0; r < kRules; ++r) {
+    if (kRuleInfo[r].name == rule_name) return active_[r];
   }
   return false;
 }
 
 std::vector<std::string> Monitor::active_rules() const {
   std::vector<std::string> out;
-  for (const RuleState& st : states_) {
-    if (st.active) out.push_back(st.rule.name);
+  for (int r = 0; r < kRules; ++r) {
+    if (active_[r]) out.push_back(kRuleInfo[r].name);
   }
   return out;
 }
 
 // -------------------------------------------------- NodeHealthTracker --
 
-NodeHealthTracker::NodeHealthTracker(Registry& registry,
-                                     std::size_t num_storage,
-                                     std::size_t num_compute)
-    : registry_(registry) {
+NodeHealthTracker::NodeHealthTracker(std::size_t num_storage,
+                                     std::size_t num_compute) {
   auto init = [&](std::vector<NodeState>& lane, std::size_t n) {
     lane.resize(n);
     for (NodeState& s : lane) {
@@ -296,19 +224,14 @@ void NodeHealthTracker::recompute(NodeState& n, double now) {
   n.score = std::clamp(1.0 - fault_pen - straggler_pen - busy_pen, 0.0, 1.0);
 }
 
-void NodeHealthTracker::publish(double now) {
+void NodeHealthTracker::update(double now) {
   min_health_ = 1.0;
-  auto walk = [&](std::vector<NodeState>& lane, const char* kind) {
-    for (std::size_t i = 0; i < lane.size(); ++i) {
-      recompute(lane[i], now);
-      registry_.gauge(strformat("node.health.node.%s%zu", kind, i))
-          .set(lane[i].score);
-      min_health_ = std::min(min_health_, lane[i].score);
+  for (auto* lane : {&storage_, &compute_}) {
+    for (NodeState& n : *lane) {
+      recompute(n, now);
+      min_health_ = std::min(min_health_, n.score);
     }
-  };
-  walk(storage_, "storage");
-  walk(compute_, "compute");
-  registry_.gauge("node.health.min").set(min_health_);
+  }
 }
 
 double NodeHealthTracker::health(bool storage, std::size_t node) const {
@@ -317,22 +240,5 @@ double NodeHealthTracker::health(bool storage, std::size_t node) const {
 }
 
 double NodeHealthTracker::min_health() const { return min_health_; }
-
-std::vector<Rule> default_workload_rules() {
-  std::vector<Rule> rules;
-  rules.push_back(Rule::make_burn_rate(
-      "slo-burn", "workload.slo_missed", "workload.slo_total", 0.05, 5.0,
-      60.0, 2.0, Severity::Critical));
-  rules.push_back(Rule::make_threshold(
-      "reject-rate", Selector::WindowRate, "workload.rejected", Cmp::GT, 0.0,
-      Severity::Warning));
-  rules.push_back(Rule::make_rate_of_change(
-      "queue-growth", Selector::GaugeValue, "workload.queue_depth", Cmp::GT,
-      2.0, Severity::Info));
-  rules.push_back(Rule::make_threshold(
-      "node-health", Selector::GaugeValue, "node.health.min", Cmp::LT,
-      NodeHealthTracker::kAlertThreshold, Severity::Critical));
-  return rules;
-}
 
 }  // namespace orv::obs

@@ -1,29 +1,27 @@
 #pragma once
 
-// Deterministic streaming monitor over the metrics registry: a rule set —
-// thresholds, rate-of-change, and Google-SRE-style multi-window SLO burn
-// rates — evaluated at points on the *virtual* clock, firing typed Alert
-// events with severity and an evidence snapshot. Because every input is
-// "as of last event" windowed telemetry and evaluation points are
-// simulation events, the alert stream is a pure function of the workload:
-// bit-identical per seed, replayable, and safe to assert on in tests.
+// Deterministic workload monitor: four fixed rules — a multi-window SLO
+// burn rate, a rejection-rate threshold, a queue-growth rate of change
+// and a node-health floor — evaluated at points on the *virtual* clock,
+// firing typed Alert events with severity and an evidence snapshot. The
+// workload driver hands the monitor plain numbers (each outcome's
+// rejection and deadline result, the queue depth, the minimum node
+// health) and the monitor keeps the windows it judges them over, so the
+// alert stream is a pure function of one run: bit-identical per seed,
+// replayable, and safe to assert on in tests.
 //
-// Rules are built in code: Rule::make_threshold (a selector over one
-// registry instrument against a bound), Rule::make_rate_of_change (the
-// same selector differentiated between consecutive evaluations), and
-// Rule::make_burn_rate; default_workload_rules assembles the set workload
-// runs use. A burn rule mirrors two cumulative counters into its own
+// The burn rule mirrors the run's deadline counts into its own
 // short/long WindowedCounter rings at each evaluation and fires only when
 // *both* windows burn error budget faster than the threshold (the SRE
 // fast-burn/slow-burn AND that suppresses blips without missing sustained
 // burn).
 //
-// Alongside the rules lives NodeHealthTracker: a per-node health score in
-// [0, 1] aggregating occupancy busy fractions, fault events within a
+// Alongside the monitor lives NodeHealthTracker: a per-node health score
+// in [0, 1] aggregating occupancy busy fractions, fault events within a
 // decaying window, and straggler deviation from the per-query node-work
 // breakdown. Penalty caps are chosen so a fault-free run — however
-// skewed — can never cross the default alert threshold: only injected
-// faults can page.
+// skewed — can never cross the alert threshold: only injected faults can
+// page.
 
 #include <cstdint>
 #include <functional>
@@ -39,52 +37,6 @@ namespace orv::obs {
 
 enum class Severity { Info, Warning, Critical };
 const char* severity_name(Severity s);
-
-enum class RuleKind { Threshold, RateOfChange, BurnRate };
-
-/// Which scalar of a registry instrument a rule reads.
-enum class Selector {
-  GaugeValue,
-  WindowRate,  // windowed counter, events/second over its window
-};
-const char* selector_name(Selector s);
-
-enum class Cmp { LT, GT, GE };
-bool cmp_eval(Cmp c, double value, double threshold);
-
-struct Rule {
-  std::string name;
-  Severity severity = Severity::Warning;
-  RuleKind kind = RuleKind::Threshold;
-
-  Selector selector = Selector::GaugeValue;
-  std::string metric;  // registry instrument name (threshold / roc)
-  Cmp cmp = Cmp::GT;
-  double threshold = 0;
-
-  // BurnRate only: numerator/denominator counters and the SRE windows.
-  std::string bad_metric;
-  std::string total_metric;
-  double budget = 0.01;      // tolerated bad/total fraction
-  double short_window = 5;   // virtual seconds
-  double long_window = 60;
-
-  static Rule make_threshold(std::string name, Selector sel,
-                             std::string metric, Cmp cmp, double threshold,
-                             Severity sev = Severity::Warning);
-  /// Fires on the discrete derivative between consecutive evaluations:
-  /// (value(now) - value(prev)) / (now - prev) compared against the
-  /// threshold.
-  static Rule make_rate_of_change(std::string name, Selector sel,
-                                  std::string metric, Cmp cmp,
-                                  double per_second,
-                                  Severity sev = Severity::Warning);
-  static Rule make_burn_rate(std::string name, std::string bad_metric,
-                             std::string total_metric, double budget,
-                             double short_window, double long_window,
-                             double threshold,
-                             Severity sev = Severity::Critical);
-};
 
 /// One firing (or resolution) of a rule. `seq` is the deterministic total
 /// order over the run.
@@ -103,17 +55,39 @@ struct Alert {
   std::string to_string() const;
 };
 
-/// Evaluates the rule set against a registry. Call evaluate(now) at any
-/// deterministic point (per-outcome, periodic tick); transitions append
-/// to the alert log and invoke the callback. Alert state is also
-/// published back into the registry — gauge `alert.active.rule.<name>`
-/// (0/1) and counter `alert.fired.rule.<name>` — so the Prometheus
-/// exposition carries current alert states for free.
+/// The four workload rules, evaluated in this order (which is also the
+/// `seq` order of alerts raised at one evaluation):
+///   slo-burn      critical  min(short, long) deadline-miss burn >= 2, at
+///                           a 5% budget over 5 s and 60 s windows
+///   reject-rate   warning   rejections per second over 5 s > 0
+///   queue-growth  info      queue-depth derivative between evaluations
+///                           > 2 per second (the first evaluation only
+///                           primes it)
+///   node-health   critical  minimum node health <
+///                           NodeHealthTracker::kAlertThreshold
+/// Call note_outcome for every resolved query and evaluate(now, ...) at
+/// any deterministic point (per outcome, periodic tick); transitions
+/// append to the alert log and invoke the callback.
 class Monitor {
  public:
-  Monitor(Registry& registry, std::vector<Rule> rules);
+  static constexpr double kSloBudget = 0.05;  // tolerated missed fraction
+  static constexpr double kSloShortWindow = 5;  // virtual seconds
+  static constexpr double kSloLongWindow = 60;
+  static constexpr double kSloBurnThreshold = 2;
+  /// Rejection-rate window: 20 slots of 0.25 virtual seconds.
+  static constexpr double kRejectSlotSeconds = 0.25;
+  static constexpr std::size_t kRejectSlots = 20;
+  static constexpr double kQueueGrowthPerSecond = 2;
 
-  void evaluate(double now);
+  Monitor();
+
+  /// One resolved query at virtual time `t`: whether admission rejected
+  /// it, and for a query with a deadline whether it met it.
+  void note_outcome(double t, bool rejected, bool has_deadline,
+                    bool deadline_met);
+  /// Evaluates the four rules at `now` against the current admission
+  /// queue depth and the minimum node health.
+  void evaluate(double now, std::size_t queue_depth, double min_health);
 
   /// Every transition so far, in firing order (seq ascending).
   const std::vector<Alert>& alerts() const { return alerts_; }
@@ -129,29 +103,28 @@ class Monitor {
   }
 
  private:
-  struct BurnState {
-    std::unique_ptr<WindowedCounter> short_bad, short_total;
-    std::unique_ptr<WindowedCounter> long_bad, long_total;
-    double prev_bad = 0, prev_total = 0;
-  };
-  struct RuleState {
-    Rule rule;
-    bool active = false;
-    bool has_prev = false;  // rate-of-change: seen at least one sample
-    double prev_value = 0, prev_time = 0;
-    BurnState burn;
-  };
+  enum RuleId { kSloBurn, kRejectRate, kQueueGrowth, kNodeHealth, kRules };
 
-  double read_selector(Selector sel, const std::string& metric) const;
-  void transition(RuleState& st, double now, double value,
+  void transition(RuleId rule, double now, bool firing, double value,
                   std::vector<std::pair<std::string, std::string>> evidence);
 
-  Registry& registry_;
-  std::vector<RuleState> states_;
+  bool active_[kRules] = {};
   std::vector<Alert> alerts_;
   std::function<void(const Alert&)> on_alert_;
   std::uint64_t next_seq_ = 0;
   std::size_t fired_ = 0;
+
+  // slo-burn: the run's cumulative deadline counts, the counts already
+  // mirrored into the rings, and the short/long bad and total rings.
+  std::uint64_t slo_missed_ = 0, slo_total_ = 0;
+  std::uint64_t burned_missed_ = 0, burned_total_ = 0;
+  WindowedCounter short_missed_, short_total_;
+  WindowedCounter long_missed_, long_total_;
+  // reject-rate: rejections by outcome time.
+  WindowedCounter rejected_;
+  // queue-growth: the previous evaluation's depth and time.
+  bool has_prev_depth_ = false;
+  double prev_depth_ = 0, prev_time_ = 0;
 };
 
 // ------------------------------------------------------------- health --
@@ -159,9 +132,7 @@ class Monitor {
 /// Per-node health scoring over deterministic observations. The tracker
 /// never reads the cluster itself — callers feed it plain scalars
 /// (occupancy busy fractions, per-node busy seconds of a finished query,
-/// fault events) so it stays layering-clean below qes/workload. Scores
-/// publish as gauges `node.health.node.<storage|compute><i>` plus
-/// `node.health.min`, ready for the Prometheus label extraction.
+/// fault events) so it stays layering-clean below qes/workload.
 class NodeHealthTracker {
  public:
   /// Fault events decay out of the score over this window.
@@ -179,12 +150,11 @@ class NodeHealthTracker {
   /// Sustained occupancy above this busy fraction costs up to kBusyCap.
   static constexpr double kBusyStart = 0.95;
   static constexpr double kBusyCap = 0.1;
-  /// The node-health rule of default_workload_rules pages when
-  /// `node.health.min` falls below this.
+  /// The monitor's node-health rule pages when the minimum score falls
+  /// below this.
   static constexpr double kAlertThreshold = 0.5;
 
-  NodeHealthTracker(Registry& registry, std::size_t num_storage,
-                    std::size_t num_compute);
+  NodeHealthTracker(std::size_t num_storage, std::size_t num_compute);
 
   /// A fault event attributed to a node (injected I/O error, observed
   /// crash, retry burst). `storage` selects the node namespace.
@@ -195,9 +165,9 @@ class NodeHealthTracker {
   /// node_work); updates straggler deviations.
   void observe_query_work(const std::vector<double>& busy_by_compute_node);
 
-  /// Recomputes scores and publishes the gauges. Deterministic in the
-  /// observation stream and `now`.
-  void publish(double now);
+  /// Recomputes the scores as of `now`. Deterministic in the observation
+  /// stream and `now`.
+  void update(double now);
 
   double health(bool storage, std::size_t node) const;
   double min_health() const;
@@ -218,16 +188,9 @@ class NodeHealthTracker {
     return storage ? storage_ : compute_;
   }
 
-  Registry& registry_;
   std::vector<NodeState> storage_;
   std::vector<NodeState> compute_;
   double min_health_ = 1.0;
 };
-
-/// The rule set of workload runs: sustained deadline-miss burn (a 5%
-/// budget over 5s/60s windows of workload.slo_missed vs
-/// workload.slo_total), rejection backpressure, queue-depth growth, and
-/// the node-health page at NodeHealthTracker::kAlertThreshold.
-std::vector<Rule> default_workload_rules();
 
 }  // namespace orv::obs

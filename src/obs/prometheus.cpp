@@ -1,7 +1,6 @@
 #include "obs/prometheus.hpp"
 
 #include <cmath>
-#include <set>
 
 #include "common/strings.hpp"
 
@@ -24,47 +23,7 @@ void type_line(std::string& out, const std::string& family,
   out += "# TYPE " + family + " " + type + "\n";
 }
 
-std::string escape_label_value(std::string_view v) {
-  std::string out;
-  out.reserve(v.size());
-  for (const char c : v) {
-    if (c == '\\' || c == '"') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-/// Rendered `{key="value"}` suffix, or "" for unlabeled series.
-std::string label_suffix(const PromLabel& lab) {
-  if (lab.key.empty()) return {};
-  return "{" + lab.key + "=\"" + escape_label_value(lab.value) + "\"}";
-}
-
 }  // namespace
-
-PromLabel prometheus_split_label(std::string_view name) {
-  static constexpr std::string_view kKeys[] = {"node", "kind", "rule"};
-  PromLabel best{std::string(name), {}, {}};
-  std::size_t best_pos = std::string_view::npos;
-  for (const std::string_view key : kKeys) {
-    const std::string pattern = "." + std::string(key) + ".";
-    const std::size_t pos = name.rfind(pattern);
-    if (pos == std::string_view::npos || pos == 0) continue;
-    const std::size_t value_at = pos + pattern.size();
-    if (value_at >= name.size()) continue;
-    if (best_pos == std::string_view::npos || pos > best_pos) {
-      best_pos = pos;
-      best.family = std::string(name.substr(0, pos));
-      best.key = std::string(key);
-      best.value = std::string(name.substr(value_at));
-    }
-  }
-  return best;
-}
 
 std::string prometheus_name(std::string_view name) {
   std::string out;
@@ -78,25 +37,15 @@ std::string prometheus_text(const MetricsSnapshot& snap,
                             std::string_view prefix) {
   const std::string pfx = std::string(prefix) + "_";
   std::string out;
-  // Labeled series share a family ("workload.completed.kind.X" joins
-  // "workload.completed"), so the TYPE line must appear exactly once per
-  // family even though the flat snapshot carries one entry per series.
-  std::set<std::string> typed;
-  auto type_once = [&](const std::string& family, const char* type) {
-    if (typed.insert(family).second) type_line(out, family, type);
-  };
   for (const auto& [name, v] : snap.counters) {
-    const PromLabel lab = prometheus_split_label(name);
-    const std::string family = pfx + prometheus_name(lab.family) + "_total";
-    type_once(family, "counter");
-    out += family + label_suffix(lab) + " " +
-           strformat("%llu", (unsigned long long)v) + "\n";
+    const std::string family = pfx + prometheus_name(name) + "_total";
+    type_line(out, family, "counter");
+    out += family + " " + strformat("%llu", (unsigned long long)v) + "\n";
   }
   for (const auto& [name, v] : snap.gauges) {
-    const PromLabel lab = prometheus_split_label(name);
-    const std::string family = pfx + prometheus_name(lab.family);
-    type_once(family, "gauge");
-    out += family + label_suffix(lab) + " " + fmt_double(v) + "\n";
+    const std::string family = pfx + prometheus_name(name);
+    type_line(out, family, "gauge");
+    out += family + " " + fmt_double(v) + "\n";
   }
   for (const auto& h : snap.histograms) {
     const std::string family = pfx + prometheus_name(h.name);
@@ -112,29 +61,6 @@ std::string prometheus_text(const MetricsSnapshot& snap,
     out += family + "_sum " + fmt_double(h.sum) + "\n";
     out += family + "_count " + strformat("%llu", (unsigned long long)h.count) +
            "\n";
-  }
-  for (const auto& w : snap.windowed_counters) {
-    const std::string family = pfx + prometheus_name(w.name);
-    type_line(out, family + "_window_total", "gauge");
-    out += family + "_window_total{window=\"" +
-           fmt_double(w.window_seconds) + "\"} " +
-           strformat("%llu", (unsigned long long)w.total) + "\n";
-    type_line(out, family + "_rate", "gauge");
-    out += family + "_rate{window=\"" + fmt_double(w.window_seconds) + "\"} " +
-           fmt_double(w.rate) + "\n";
-  }
-  for (const auto& wh : snap.windowed_histograms) {
-    const std::string family = pfx + prometheus_name(wh.name) + "_window";
-    type_line(out, family, "summary");
-    const std::pair<const char*, double> qs[] = {
-        {"0.5", wh.p50}, {"0.95", wh.p95}, {"0.99", wh.p99}};
-    for (const auto& [q, v] : qs) {
-      out += family + "{quantile=\"" + q + "\",window=\"" +
-             fmt_double(wh.window_seconds) + "\"} " + fmt_double(v) + "\n";
-    }
-    out += family + "_sum " + fmt_double(wh.sum) + "\n";
-    out += family + "_count " +
-           strformat("%llu", (unsigned long long)wh.count) + "\n";
   }
   return out;
 }

@@ -2,10 +2,9 @@
 
 // Prometheus-style text exposition (version 0.0.4) of a metrics snapshot,
 // next to the JSON exporter. Instrument names are sanitized to the
-// Prometheus charset (dots become underscores) and prefixed, histograms
-// emit cumulative le-labeled buckets, and the time-windowed instruments
-// surface as gauges (rates) and summaries (windowed quantiles) so a
-// scraper sees both lifetime and recent behaviour.
+// Prometheus charset (dots become underscores) and prefixed; counters and
+// gauges are unlabeled series, and histograms emit cumulative le-labeled
+// buckets.
 
 #include <string>
 #include <string_view>
@@ -17,21 +16,6 @@ namespace orv::obs {
 /// Sanitizes one metric name: [a-zA-Z0-9_] kept, everything else becomes
 /// '_'; a leading digit is prefixed with '_'.
 std::string prometheus_name(std::string_view name);
-
-/// Label extraction from dotted instrument names. The registry is flat,
-/// so labeled series use the convention `<family>.<key>.<value>` with
-/// key in {node, kind, rule} — e.g. `node.health.node.storage3` →
-/// family `node.health`, label node="storage3";
-/// `workload.completed.kind.IndexedJoin` → kind="IndexedJoin";
-/// `alert.active.rule.slo-burn` → rule="slo-burn". The *last* key
-/// segment with a non-empty family prefix and value suffix wins; names
-/// without one are unlabeled (key/value empty, family = name).
-struct PromLabel {
-  std::string family;
-  std::string key;
-  std::string value;
-};
-PromLabel prometheus_split_label(std::string_view name);
 
 /// Renders the whole snapshot in text exposition format. Every metric
 /// family is prefixed with "<prefix>_" (default "orv").

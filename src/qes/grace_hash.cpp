@@ -53,7 +53,8 @@ struct GhShared {
            SchemaPtr rs, SchemaPtr result)
       : cluster(c), bds(b), meta(m), query(q), options(o),
         left_schema(std::move(ls)), right_schema(std::move(rs)),
-        result_schema(std::move(result)) {}
+        result_schema(std::move(result)),
+        pairs{result_schema, q.join_attrs, {}, {}} {}
 
   Cluster& cluster;
   BdsService& bds;
@@ -65,6 +66,8 @@ struct GhShared {
   SchemaPtr right_schema;
   SchemaPtr result_schema;
   std::size_t n_buckets = 1;
+  /// The bucket-pair join step; its stats are the query's join stats.
+  PairJoin pairs;
 
   std::vector<std::unique_ptr<sim::Channel<Batch>>> to_compute;
 
@@ -595,8 +598,9 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       }
     }
 
-    SubTable left(sh.left_schema, SubTableId{sh.query.left_table, 0});
-    left.adopt_bytes(std::move(left_buckets[b]));
+    auto left = std::make_shared<SubTable>(
+        sh.left_schema, SubTableId{sh.query.left_table, 0});
+    left->adopt_bytes(std::move(left_buckets[b]));
     SubTable right(sh.right_schema, SubTableId{sh.query.right_table, 0});
     right.adopt_bytes(std::move(right_buckets[b]));
 
@@ -604,18 +608,13 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       obs::StageScope cpu_stage(ctx, "gh.join", join_stage.id());
       cpu_stage.tag("bucket", static_cast<std::uint64_t>(b));
       co_await cpu.use(factor * (hw.gamma_build *
-                                     static_cast<double>(left.num_rows()) +
+                                     static_cast<double>(left->num_rows()) +
                                  hw.gamma_lookup *
                                      static_cast<double>(right.num_rows())));
     }
 
-    SubTable out(sh.result_schema, SubTableId{0, out_seq++});
-    auto left_alias = std::shared_ptr<const SubTable>(&left, [](auto*) {});
-    const BuiltHashTable ht(left_alias, sh.query.join_attrs);
-    const JoinStats s = ht.probe(right, sh.query.join_attrs, out);
-    sh.result.join_stats.build_tuples += left.num_rows();
-    sh.result.join_stats.probe_tuples += s.probe_tuples;
-    sh.result.join_stats.result_tuples += s.result_tuples;
+    const SubTable out = sh.pairs.probe(*sh.pairs.build(std::move(left)),
+                                        right, SubTableId{0, out_seq++});
     sh.result.result_fingerprint += out.unordered_fingerprint();
     if (sh.options.result_sink) sh.options.result_sink(node, out);
   }
@@ -687,6 +686,7 @@ sim::Task<QesResult> qes_detail::grace_hash_task(
       co_await sh.frame.join(cluster, std::move(handles), "gh-sampler");
   result.partition_phase = sh.partition_phase_end - sh.frame.start;
   result.join_phase = result.elapsed - result.partition_phase;
+  result.join_stats = sh.pairs.stats;
   result.result_tuples = result.join_stats.result_tuples;
   result.network_bytes = cluster.network_bytes() - net0;
   // GH shuffles every record through the switch regardless of placement

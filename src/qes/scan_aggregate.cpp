@@ -35,17 +35,7 @@ sim::Task<> sa_storage(SaShared& sh, std::size_t node, sim::Latch& done) {
 
   for (const auto& cm : sh.meta.chunks(sh.query.table)) {
     if (cm.location.storage_node != node) continue;
-    // Chunk-level pruning against the query ranges.
-    bool prunable = false;
-    for (const auto& r : sh.query.ranges) {
-      if (auto idx = cm.schema->index_of(r.attr)) {
-        if (!cm.bounds[*idx].overlaps(r.range)) {
-          prunable = true;
-          break;
-        }
-      }
-    }
-    if (prunable) continue;
+    if (!satisfies_ranges(cm, sh.query.ranges)) continue;  // chunk pruning
 
     auto st = co_await qes_detail::read_with_retry(
         sh.cluster.engine(), "produce", cm.id, sh.fetch_retries,

@@ -18,9 +18,10 @@ namespace {
 /// Virtual seconds between monitor ticks (occupancy sampling, rule
 /// evaluation, dashboard lines).
 constexpr double kMonitorTickSeconds = 0.25;
-/// Window of the monitor's windowed counters and histograms, in 20 slots.
-constexpr double kMonitorWindowSeconds = 5.0;
-constexpr std::size_t kMonitorWindowSlots = 20;
+/// The dashboard's completion rate and latency quantiles cover the last 5
+/// virtual seconds, in 20 slots.
+constexpr double kDashSlotSeconds = 0.25;
+constexpr std::size_t kDashSlots = 20;
 
 /// One generated arrival, before execution.
 struct Arrival {
@@ -76,17 +77,23 @@ std::vector<Arrival> generate_arrivals(const WorkloadSpec& spec) {
 }
 
 /// Live-monitoring state for one run: the rule monitor, node health,
-/// flight recorder and dashboard, plus the per-node occupancy sampling
-/// state (pure busy-time-delta reads).
+/// flight recorder and dashboard windows, plus the per-node occupancy
+/// sampling state (pure busy-time-delta reads). Every run starts from
+/// zero, whatever obs context is installed.
 struct MonitorRig {
-  obs::Registry own_registry;        // used when no ObsContext is installed
-  obs::Registry* reg = nullptr;      // where all monitor telemetry lives
-  std::unique_ptr<obs::NodeHealthTracker> health;
-  std::unique_ptr<obs::Monitor> monitor;
+  MonitorRig(std::size_t num_storage, std::size_t num_compute)
+      : health(num_storage, num_compute) {}
+
+  obs::Monitor monitor;
+  obs::NodeHealthTracker health;
   std::unique_ptr<obs::FlightRecorder> own_flight;
   obs::FlightRecorder* flight = nullptr;
   std::unique_ptr<obs::ScopedFlight> scoped_flight;
   obs::SinkFile dash;
+  // The dashboard's completion rate and recent latency quantiles.
+  obs::WindowedCounter completed{kDashSlotSeconds, kDashSlots};
+  obs::WindowedHistogram latency{obs::duration_bounds(), kDashSlotSeconds,
+                                 kDashSlots};
 
   // Occupancy sampling state (busy-time deltas between ticks).
   double last_tick = 0;
@@ -127,30 +134,8 @@ std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
                                              const obs::Sinks& sinks) {
   if (!spec.monitor.enabled && !sinks.monitors_workload()) return nullptr;
 
-  auto rig = std::make_unique<MonitorRig>();
-  auto* ctx = obs::context();
-  rig->reg = ctx != nullptr ? &ctx->registry : &rig->own_registry;
-  obs::Registry& reg = *rig->reg;
-
-  // Pre-create the windowed instruments with the rig's window geometry
-  // (slot parameters bind on first creation; later lookups reuse them).
-  const double slot = kMonitorWindowSeconds / kMonitorWindowSlots;
-  for (const char* name :
-       {"workload.completed", "workload.rejected", "workload.failed"}) {
-    reg.windowed_counter(name, slot, kMonitorWindowSlots);
-  }
-  for (const char* name :
-       {"workload.latency_seconds", "workload.queue_wait_seconds",
-        "workload.service_seconds"}) {
-    reg.windowed_histogram(name, obs::duration_bounds(), slot,
-                           kMonitorWindowSlots);
-  }
-
-  rig->health = std::make_unique<obs::NodeHealthTracker>(
-      reg, cluster.num_storage(), cluster.num_compute());
-  rig->monitor =
-      std::make_unique<obs::Monitor>(reg, obs::default_workload_rules());
-
+  auto rig = std::make_unique<MonitorRig>(cluster.num_storage(),
+                                          cluster.num_compute());
   if (spec.monitor.flight != nullptr) {
     rig->flight = spec.monitor.flight;
   } else {
@@ -166,10 +151,10 @@ std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
     bool storage = false;
     std::size_t node = 0;
     if (parse_node_id(ev.node, &storage, &node)) {
-      r->health->note_fault(storage, node, ev.time);
+      r->health.note_fault(storage, node, ev.time);
     }
   });
-  rig->monitor->set_on_alert([r](const obs::Alert& a) {
+  rig->monitor.set_on_alert([r](const obs::Alert& a) {
     obs::flight_note(a.time, obs::FlightEvent::Kind::Alert, "", a.rule,
                      a.resolved ? 0.0 : 1.0,
                      obs::severity_name(a.severity));
@@ -224,47 +209,20 @@ void note_outcome(Driver& d, const QueryOutcome& out) {
     }
   }
   if (d.mon == nullptr) return;
-  // Monitor telemetry: timestamped windowed instruments (rates, recent
-  // quantiles), the SLO counters the burn rule divides, and per-kind
-  // counters for the labeled Prometheus exposition. Instruments were
-  // pre-created with the rig's window parameters.
-  auto& reg = *d.mon->reg;
-  if (out.deadline > 0) {
-    reg.counter("workload.slo_total").add(1);
-    if (!out.deadline_met) reg.counter("workload.slo_missed").add(1);
+  d.mon->monitor.note_outcome(t, out.rejected, out.deadline > 0,
+                              out.deadline_met);
+  if (!out.rejected && !out.failed) {
+    d.mon->completed.add(t, 1);
+    d.mon->latency.observe(t, out.latency());
   }
-  if (out.rejected) {
-    reg.windowed_counter("workload.rejected").add(t, 1);
-    return;
-  }
-  if (out.failed) {
-    reg.windowed_counter("workload.failed").add(t, 1);
-    if (!out.algorithm.empty()) {
-      reg.counter("workload.failed.kind." + out.algorithm).add(1);
-    }
-    return;
-  }
-  reg.windowed_counter("workload.completed").add(t, 1);
-  if (!out.algorithm.empty()) {
-    reg.counter("workload.completed.kind." + out.algorithm).add(1);
-  }
-  reg.windowed_histogram("workload.latency_seconds").observe(t, out.latency());
-  reg.windowed_histogram("workload.queue_wait_seconds")
-      .observe(t, out.queue_wait());
-  reg.windowed_histogram("workload.service_seconds").observe(t, out.service());
 }
 
-/// One monitor evaluation point: refresh the live gauges the rules read,
-/// publish node health, evaluate the rule set.
+/// One monitor evaluation point: node health, then the rules.
 void monitor_eval(Driver& d, double now) {
   if (d.mon == nullptr) return;
-  auto& reg = *d.mon->reg;
-  reg.gauge("workload.offered").set(static_cast<double>(d.arrived));
-  reg.gauge("workload.queue_depth")
-      .set(static_cast<double>(d.admission.queued()));
-  reg.gauge("workload.running").set(static_cast<double>(d.admission.running()));
-  d.mon->health->publish(now);
-  d.mon->monitor->evaluate(now);
+  d.mon->health.update(now);
+  d.mon->monitor.evaluate(now, d.admission.queued(),
+                          d.mon->health.min_health());
 }
 
 /// One dashboard JSON line (JSON-lines stream, ORV_DASH).
@@ -288,9 +246,8 @@ void dash_emit(Driver& d, double now) {
   w.key("failed");
   w.value(static_cast<std::uint64_t>(d.failed));
   w.key("completion_rate");
-  w.value(m.reg->windowed_counter("workload.completed").rate());
-  const auto lat =
-      m.reg->windowed_histogram("workload.latency_seconds").merged();
+  w.value(m.completed.rate());
+  const auto lat = m.latency.merged();
   w.key("p50");
   w.value(lat.p50);
   w.key("p95");
@@ -299,15 +256,15 @@ void dash_emit(Driver& d, double now) {
   w.value(lat.p99);
   w.key("alerts");
   w.begin_array();
-  for (const std::string& r : m.monitor->active_rules()) w.value(r);
+  for (const std::string& r : m.monitor.active_rules()) w.value(r);
   w.end_array();
   w.key("node_health");
   w.begin_array();
-  for (std::size_t i = 0; i < m.health->num_storage(); ++i) {
-    w.value(m.health->health(true, i));
+  for (std::size_t i = 0; i < m.health.num_storage(); ++i) {
+    w.value(m.health.health(true, i));
   }
-  for (std::size_t j = 0; j < m.health->num_compute(); ++j) {
-    w.value(m.health->health(false, j));
+  for (std::size_t j = 0; j < m.health.num_compute(); ++j) {
+    w.value(m.health.health(false, j));
   }
   w.end_array();
   w.end_object();
@@ -324,11 +281,11 @@ void sample_occupancy(Driver& d, Cluster& cluster, double now) {
   if (dt <= 0) return;
   Cluster::BusyTimes busy = cluster.busy_times();
   for (std::size_t i = 0; i < busy.storage_nic.size(); ++i) {
-    m.health->observe_occupancy(
+    m.health.observe_occupancy(
         true, i, (busy.storage_nic[i] - m.last_busy.storage_nic[i]) / dt);
   }
   for (std::size_t j = 0; j < busy.compute_cpu.size(); ++j) {
-    m.health->observe_occupancy(
+    m.health.observe_occupancy(
         false, j, (busy.compute_cpu[j] - m.last_busy.compute_cpu[j]) / dt);
   }
   m.last_busy = std::move(busy);
@@ -415,18 +372,16 @@ sim::Task<> one_query(Driver& d, Arrival a) {
         if (nw.node >= busy.size()) busy.resize(nw.node + 1, 0.0);
         busy[nw.node] += nw.busy_seconds;
       }
-      d.mon->health->observe_query_work(busy);
+      d.mon->health.observe_query_work(busy);
     }
     monitor_eval(d, engine.now());
     // Degraded or failed queries are exactly the "something went wrong"
     // moments the flight recorder exists for.
     if ((out.failed || out.degraded) && d.mon->flight != nullptr) {
-      if (d.mon->flight->dump(
-              strformat("query-%s:%zu",
-                        out.failed ? "failed" : "degraded", out.index),
-              engine.now())) {
-        d.mon->reg->counter("flight.dumps").add(1);
-      }
+      d.mon->flight->dump(strformat("query-%s:%zu",
+                                    out.failed ? "failed" : "degraded",
+                                    out.index),
+                          engine.now());
     }
   }
 }
@@ -485,15 +440,15 @@ WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
     // Guarantee every injected fault (and every page) is captured in at
     // least one dump, even when the triggering query itself completed
     // cleanly after retries.
-    if (rig->fault_events > 0 || rig->monitor->fired_count() > 0) {
+    if (rig->fault_events > 0 || rig->monitor.fired_count() > 0) {
       rig->flight->dump("run-end", now);
     }
-    result.alerts = rig->monitor->alerts();
-    for (std::size_t i = 0; i < rig->health->num_storage(); ++i) {
-      result.storage_health.push_back(rig->health->health(true, i));
+    result.alerts = rig->monitor.alerts();
+    for (std::size_t i = 0; i < rig->health.num_storage(); ++i) {
+      result.storage_health.push_back(rig->health.health(true, i));
     }
-    for (std::size_t j = 0; j < rig->health->num_compute(); ++j) {
-      result.compute_health.push_back(rig->health->health(false, j));
+    for (std::size_t j = 0; j < rig->health.num_compute(); ++j) {
+      result.compute_health.push_back(rig->health.health(false, j));
     }
     result.flight_dumps = rig->flight->dumps().size();
     result.dash_lines = rig->dash.records();

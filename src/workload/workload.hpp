@@ -54,10 +54,11 @@ struct WorkloadClientSpec {
 
 /// Live-monitoring configuration for one workload run. Monitoring is
 /// perturbation-free: every input is a pure read (busy-time deltas,
-/// registry snapshots) and the tick coroutine only sleeps, so outcomes
-/// with monitoring on are bit-identical to monitoring off. The monitor
-/// evaluates obs::default_workload_rules() every 0.25 virtual seconds and
-/// after every query outcome; the sinks say where it writes.
+/// outcome records) and the tick coroutine only sleeps, so outcomes with
+/// monitoring on are bit-identical to monitoring off. The obs::Monitor
+/// evaluates its four rules every 0.25 virtual seconds and after every
+/// query outcome, over this run's outcomes only; the sinks say where it
+/// writes.
 struct WorkloadMonitorOptions {
   bool enabled = false;
   /// Test hook: use this recorder instead of an internally owned one

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -15,7 +16,10 @@
 #include "dds/aggregate.hpp"
 #include "dds/local_executor.hpp"
 #include "extract/extractor.hpp"
+#include "graph/connectivity.hpp"
 #include "join/hash_join.hpp"
+#include "qes/qes.hpp"
+#include "sim/engine.hpp"
 
 namespace orv {
 namespace {
@@ -69,6 +73,26 @@ struct Dataset {
   }
 };
 
+/// Stores `rows` as one chunk of table `id.table` on storage node `node`.
+void store_chunk(Dataset& ds, const SchemaPtr& schema, SubTableId id,
+                 const std::vector<std::vector<float>>& rows, LayoutId layout,
+                 std::size_t node) {
+  SubTable st(schema, id);
+  for (const auto& row : rows) st.append_row(std::as_bytes(std::span(row)));
+  st.compute_bounds();
+  ChunkLocation loc = ds.stores[node]->append(id.table, make_chunk(st, layout));
+  loc.storage_node = static_cast<std::uint32_t>(node);
+  ChunkMeta cm;
+  cm.id = st.id();
+  cm.location = loc;
+  cm.layout = layout;
+  cm.schema = schema;
+  cm.bounds = st.bounds();
+  cm.num_rows = st.num_rows();
+  cm.extractors = {ExtractorRegistry::global().for_layout(layout).name()};
+  ds.meta.add_chunk(std::move(cm));
+}
+
 /// Writes table `id` over a gx*gy*gz grid: (x, y, z, payload) as f32, each
 /// point once, about one in eight twice (a second payload), cut into chunks
 /// at random per-dimension positions, rows shuffled inside each chunk.
@@ -100,24 +124,8 @@ void write_table(Dataset& ds, Xoshiro256StarStar& rng, TableId id,
         for (std::size_t r = rows.size(); r > 1; --r) {
           std::swap(rows[r - 1], rows[rng.below(r)]);
         }
-        SubTable st(schema, SubTableId{id, chunk++});
-        for (const auto& row : rows) {
-          st.append_row(std::as_bytes(std::span(row)));
-        }
-        st.compute_bounds();
-        const std::size_t node = rng.below(ds.stores.size());
-        ChunkLocation loc =
-            ds.stores[node]->append(id, make_chunk(st, layout));
-        loc.storage_node = static_cast<std::uint32_t>(node);
-        ChunkMeta cm;
-        cm.id = st.id();
-        cm.location = loc;
-        cm.layout = layout;
-        cm.schema = schema;
-        cm.bounds = st.bounds();
-        cm.num_rows = st.num_rows();
-        cm.extractors = {ExtractorRegistry::global().for_layout(layout).name()};
-        ds.meta.add_chunk(std::move(cm));
+        store_chunk(ds, schema, SubTableId{id, chunk++}, rows, layout,
+                    rng.below(ds.stores.size()));
       }
     }
   }
@@ -255,6 +263,56 @@ TEST(LocalJoin, EmptySelectionJoinsNothing) {
   EXPECT_EQ(exec.execute(*view).num_rows(), 0u);
   // The key range prunes the right side too: no chunk is read at all.
   EXPECT_EQ(ds->max_reads(), 0);
+}
+
+// A NaN key equals nothing, another NaN included, on every join path:
+// tables {1, NaN} and {5, NaN} keyed on x share no row.
+TEST(NanKeys, MatchNothingOnAnyJoinPath) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Dataset ds;
+  ds.stores = {std::make_shared<CountingStore>()};
+  const std::pair<TableId, float> tables[] = {{1, 1.0f}, {2, 5.0f}};
+  for (const auto& [id, x] : tables) {
+    const auto schema = Schema::make({{"x", AttrType::Float32},
+                                      {id == 1 ? "oilp" : "wp",
+                                       AttrType::Float32}});
+    ds.meta.register_table(id, "T" + std::to_string(id), schema);
+    store_chunk(ds, schema, SubTableId{id, 0}, {{x, 0.5f}, {nan, 0.25f}},
+                LayoutId::RowMajor, 0);
+  }
+  const JoinQuery query{1, 2, {"x"}, {}};
+  const auto stores = ds.chunk_stores();
+
+  const LocalExecutor exec(ds.meta, stores);
+  EXPECT_EQ(exec.execute(*ViewDef::join(ViewDef::base(1), ViewDef::base(2),
+                                        {"x"}))
+                .num_rows(),
+            0u);
+  const SubTable left = exec.execute(*ViewDef::base(1));
+  const SubTable right = exec.execute(*ViewDef::base(2));
+  EXPECT_EQ(hash_join(left, right, {"x"}, {}).num_rows(), 0u);
+  EXPECT_EQ(nested_loop_join(left, right, {"x"}, {}).num_rows(), 0u);
+  // A NaN key does not even equal itself.
+  EXPECT_EQ(hash_join(left, left, {"x"}, {}).num_rows(), 1u);
+  EXPECT_EQ(nested_loop_join(left, left, {"x"}, {}).num_rows(), 1u);
+  EXPECT_EQ(reference_join(ds.meta, stores, query).result_tuples, 0u);
+  EXPECT_EQ(nested_loop_reference(ds.meta, stores, query).result_tuples, 0u);
+
+  ClusterSpec cspec;
+  cspec.num_storage = 1;
+  cspec.num_compute = 2;
+  for (const bool indexed : {true, false}) {
+    sim::Engine engine;
+    Cluster cluster(engine, cspec);
+    BdsService bds(cluster, ds.meta, stores);
+    const QesResult r =
+        indexed ? run_indexed_join(cluster, bds, ds.meta,
+                                   ConnectivityGraph::build(ds.meta, 1, 2,
+                                                            {"x"}),
+                                   query)
+                : run_grace_hash(cluster, bds, ds.meta, query);
+    EXPECT_EQ(r.result_tuples, 0u) << (indexed ? "IJ" : "GH");
+  }
 }
 
 }  // namespace

@@ -184,7 +184,6 @@ TEST(FlightInstall, ScopedFlightInstallsAndRestores) {
 
 TEST(FlightKindNames, AreStableSchemaStrings) {
   EXPECT_STREQ(flight_kind_name(Kind::SpanClose), "span");
-  EXPECT_STREQ(flight_kind_name(Kind::Metric), "metric");
   EXPECT_STREQ(flight_kind_name(Kind::Fault), "fault");
   EXPECT_STREQ(flight_kind_name(Kind::Alert), "alert");
   EXPECT_STREQ(flight_kind_name(Kind::Note), "note");

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 
@@ -123,28 +126,6 @@ TEST(WindowedHistogramTest, ExpiredSlotsDropOut) {
   EXPECT_DOUBLE_EQ(m.max, 1.5);
 }
 
-TEST(RegistryWindowed, SnapshotListsWindowedInstruments) {
-  Registry reg;
-  reg.windowed_counter("w.count", 0.25, 4).add(0.1, 3);
-  reg.windowed_histogram("w.hist", {1.0, 2.0}, 0.25, 4).observe(0.1, 1.5);
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.windowed_counters.size(), 1u);
-  EXPECT_EQ(snap.windowed_counters[0].name, "w.count");
-  EXPECT_EQ(snap.windowed_counters[0].total, 3u);
-  EXPECT_DOUBLE_EQ(snap.windowed_counters[0].window_seconds, 1.0);
-  ASSERT_EQ(snap.windowed_histograms.size(), 1u);
-  EXPECT_EQ(snap.windowed_histograms[0].name, "w.hist");
-  EXPECT_EQ(snap.windowed_histograms[0].count, 1u);
-}
-
-TEST(RegistryWindowed, SameNameReturnsSameInstrument) {
-  Registry reg;
-  auto& a = reg.windowed_counter("dup", 0.25, 4);
-  auto& b = reg.windowed_counter("dup", 99.0, 99);  // params ignored
-  EXPECT_EQ(&a, &b);
-  EXPECT_DOUBLE_EQ(b.window_seconds(), 1.0);
-}
-
 // ------------------------------------------------------- Prometheus
 
 TEST(Prometheus, NameSanitization) {
@@ -158,8 +139,6 @@ TEST(Prometheus, TextExpositionCoversEveryInstrumentKind) {
   reg.counter("ij.pairs").add(42);
   reg.gauge("calib.net_bw").set(12.5);
   reg.histogram("ij.fetch_seconds", {1.0, 2.0}).observe(1.5);
-  reg.windowed_counter("rows", 0.25, 4).add(0.1, 8);
-  reg.windowed_histogram("lat", {1.0}, 0.25, 4).observe(0.1, 0.5);
   const std::string text = prometheus_text(reg.snapshot());
 
   EXPECT_NE(text.find("# TYPE orv_ij_pairs_total counter"),
@@ -173,15 +152,6 @@ TEST(Prometheus, TextExpositionCoversEveryInstrumentKind) {
   EXPECT_NE(text.find("orv_ij_fetch_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("orv_ij_fetch_seconds_count 1"), std::string::npos);
-  // Windowed counter: gauge-style window total and rate.
-  EXPECT_NE(text.find("orv_rows_window_total{window=\"1\"} 8"),
-            std::string::npos);
-  EXPECT_NE(text.find("orv_rows_rate{window=\"1\"} 8"), std::string::npos);
-  // Windowed histogram: summary with labeled quantiles.
-  EXPECT_NE(text.find("# TYPE orv_lat_window summary"), std::string::npos);
-  EXPECT_NE(text.find("orv_lat_window{quantile=\"0.5\",window=\"1\"}"),
-            std::string::npos);
-  EXPECT_NE(text.find("orv_lat_window_count 1"), std::string::npos);
 }
 
 TEST(Prometheus, CustomPrefix) {
@@ -279,78 +249,19 @@ TEST(WindowedHistogramTest, PartialWindowQuantilesUseOnlyLiveSlots) {
   EXPECT_DOUBLE_EQ(m.p50, m.p99);  // single sample: all quantiles agree
 }
 
-// ------------------------------------------------ label extraction
-
-TEST(PrometheusLabels, SplitConvention) {
-  auto lab = prometheus_split_label("workload.completed.kind.IndexedJoin");
-  EXPECT_EQ(lab.family, "workload.completed");
-  EXPECT_EQ(lab.key, "kind");
-  EXPECT_EQ(lab.value, "IndexedJoin");
-
-  lab = prometheus_split_label("node.health.node.storage3");
-  EXPECT_EQ(lab.family, "node.health");  // leading "node." is not a label
-  EXPECT_EQ(lab.key, "node");
-  EXPECT_EQ(lab.value, "storage3");
-
-  lab = prometheus_split_label("alert.active.rule.slo-burn");
-  EXPECT_EQ(lab.family, "alert.active");
-  EXPECT_EQ(lab.key, "rule");
-  EXPECT_EQ(lab.value, "slo-burn");
-
-  lab = prometheus_split_label("workload.slo_missed");  // unlabeled
-  EXPECT_EQ(lab.family, "workload.slo_missed");
-  EXPECT_TRUE(lab.key.empty());
-}
-
-TEST(PrometheusLabels, LabeledSeriesShareOneFamily) {
-  Registry reg;
-  reg.counter("workload.completed").add(10);
-  reg.counter("workload.completed.kind.IndexedJoin").add(7);
-  reg.counter("workload.completed.kind.GraceHash").add(3);
-  reg.gauge("node.health.node.storage0").set(1.0);
-  reg.gauge("node.health.node.compute1").set(0.25);
-  reg.gauge("alert.active.rule.slo-burn").set(1.0);
-  const std::string text = prometheus_text(reg.snapshot());
-
-  EXPECT_NE(text.find("orv_workload_completed_total 10"), std::string::npos);
-  EXPECT_NE(
-      text.find("orv_workload_completed_total{kind=\"IndexedJoin\"} 7"),
-      std::string::npos);
-  EXPECT_NE(text.find("orv_workload_completed_total{kind=\"GraceHash\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("orv_node_health{node=\"storage0\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("orv_node_health{node=\"compute1\"} 0.25"),
-            std::string::npos);
-  EXPECT_NE(text.find("orv_alert_active{rule=\"slo-burn\"} 1"),
-            std::string::npos);
-  // Exactly one TYPE line per family, even with several labeled series.
-  std::size_t type_count = 0;
-  const std::string needle = "# TYPE orv_workload_completed_total counter";
-  for (std::size_t at = text.find(needle); at != std::string::npos;
-       at = text.find(needle, at + 1)) {
-    ++type_count;
-  }
-  EXPECT_EQ(type_count, 1u);
-}
-
-// Round trip: parse the rendered exposition back into (family, labels,
-// value) samples and check it reproduces the registry contents exactly.
-TEST(PrometheusLabels, ExpositionRoundTrip) {
+// Round trip: parse the rendered exposition back into (family, value)
+// samples and check it reproduces the registry contents exactly, one
+// TYPE line and one sample per family.
+TEST(Prometheus, ExpositionRoundTrip) {
   Registry reg;
   reg.counter("workload.slo_total").add(40);
   reg.counter("workload.slo_missed").add(3);
-  reg.counter("workload.completed.kind.IndexedJoin").add(25);
-  reg.counter("alert.fired.rule.slo-burn").add(1);
-  reg.gauge("node.health.node.storage0").set(0.4);
-  reg.gauge("node.health.min").set(0.4);
-  reg.gauge("alert.active.rule.slo-burn").set(1.0);
+  reg.counter("gh.bucket_readback_bytes").add(25);
+  reg.gauge("calib.net_bw").set(0.4);
+  reg.gauge("ij.pairs_per_node").set(12.5);
 
-  struct Sample {
-    std::string family, key, value;
-    double num = 0;
-  };
-  std::vector<Sample> samples;
+  std::map<std::string, double> samples;
+  std::map<std::string, std::string> types;
   const std::string text = prometheus_text(reg.snapshot());
   std::size_t start = 0;
   while (start < text.size()) {
@@ -358,42 +269,27 @@ TEST(PrometheusLabels, ExpositionRoundTrip) {
     if (nl == std::string::npos) nl = text.size();
     const std::string line = text.substr(start, nl - start);
     start = nl + 1;
-    if (line.empty() || line[0] == '#') continue;
     const std::size_t sp = line.rfind(' ');
     ASSERT_NE(sp, std::string::npos) << line;
-    Sample s;
-    s.num = std::stod(line.substr(sp + 1));
-    std::string name = line.substr(0, sp);
-    const std::size_t brace = name.find('{');
-    if (brace != std::string::npos) {
-      const std::size_t eq = name.find('=', brace);
-      ASSERT_NE(eq, std::string::npos) << line;
-      s.key = name.substr(brace + 1, eq - brace - 1);
-      s.value = name.substr(eq + 2, name.size() - eq - 4);  // ="..."}
-      name = name.substr(0, brace);
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string family = line.substr(7, sp - 7);
+      EXPECT_TRUE(types.emplace(family, line.substr(sp + 1)).second)
+          << "family typed twice: " << family;
+      continue;
     }
-    s.family = name;
-    samples.push_back(std::move(s));
+    const std::string family = line.substr(0, sp);
+    EXPECT_TRUE(types.count(family)) << "sample before its TYPE: " << line;
+    EXPECT_TRUE(samples.emplace(family, std::stod(line.substr(sp + 1))).second)
+        << "repeated sample: " << line;
   }
-
-  auto expect_sample = [&](const std::string& family, const std::string& key,
-                           const std::string& value, double num) {
-    for (const Sample& s : samples) {
-      if (s.family == family && s.key == key && s.value == value) {
-        EXPECT_DOUBLE_EQ(s.num, num) << family;
-        return;
-      }
-    }
-    ADD_FAILURE() << "sample not found: " << family << "{" << key << "="
-                  << value << "}";
-  };
-  expect_sample("orv_workload_slo_total_total", "", "", 40);
-  expect_sample("orv_workload_slo_missed_total", "", "", 3);
-  expect_sample("orv_workload_completed_total", "kind", "IndexedJoin", 25);
-  expect_sample("orv_alert_fired_total", "rule", "slo-burn", 1);
-  expect_sample("orv_node_health", "node", "storage0", 0.4);
-  expect_sample("orv_node_health_min", "", "", 0.4);
-  expect_sample("orv_alert_active", "rule", "slo-burn", 1);
+  EXPECT_EQ(samples, (std::map<std::string, double>{
+                         {"orv_workload_slo_total_total", 40},
+                         {"orv_workload_slo_missed_total", 3},
+                         {"orv_gh_bucket_readback_bytes_total", 25},
+                         {"orv_calib_net_bw", 0.4},
+                         {"orv_ij_pairs_per_node", 12.5}}));
+  EXPECT_EQ(types["orv_workload_slo_total_total"], "counter");
+  EXPECT_EQ(types["orv_calib_net_bw"], "gauge");
 }
 
 }  // namespace

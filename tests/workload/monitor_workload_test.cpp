@@ -18,6 +18,8 @@
 #include "common/tempdir.hpp"
 #include "datagen/generator.hpp"
 #include "obs/flight.hpp"
+#include "obs/obs.hpp"
+#include "obs/sim_clock.hpp"
 #include "workload/workload.hpp"
 
 namespace orv {
@@ -139,6 +141,33 @@ TEST(MonitorWorkload, SloBurnFiresUnderSustainedDeadlineMisses) {
   const WorkloadResult clean = rig.run(ok);
   EXPECT_EQ(clean.deadlines_missed, 0u);
   for (const obs::Alert& a : clean.alerts) {
+    EXPECT_NE(a.rule, "slo-burn") << a.to_string();
+  }
+}
+
+TEST(MonitorWorkload, SharedObsContextStartsEachRunFromZero) {
+  Rig rig;
+  WorkloadSpec missed = rig.poisson_spec(/*deadline=*/1e-6);
+  missed.monitor.enabled = true;
+  WorkloadSpec met = rig.poisson_spec(/*deadline=*/1e9);
+  met.monitor.enabled = true;
+  const WorkloadResult alone = rig.run(met);
+
+  // Both runs under one installed context: the first run's missed
+  // deadlines must not reach the second run's slo-burn rule.
+  obs::SimClock clock;
+  obs::ObsContext ctx(&clock);
+  obs::ScopedInstall install(ctx);
+  const WorkloadResult first = rig.run(missed);
+  ASSERT_EQ(first.deadlines_missed, first.submitted);
+  const WorkloadResult second = rig.run(met);
+  EXPECT_EQ(second.deadlines_missed, 0u);
+  ASSERT_EQ(second.alerts.size(), alone.alerts.size());
+  for (std::size_t i = 0; i < alone.alerts.size(); ++i) {
+    EXPECT_EQ(second.alerts[i].seq, alone.alerts[i].seq);
+    EXPECT_EQ(second.alerts[i].to_string(), alone.alerts[i].to_string());
+  }
+  for (const obs::Alert& a : second.alerts) {
     EXPECT_NE(a.rule, "slo-burn") << a.to_string();
   }
 }
