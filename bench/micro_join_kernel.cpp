@@ -6,11 +6,13 @@
 // Besides the google-benchmark suites, main() always runs a probe sweep
 // across build sizes spanning the L2/L3 boundary (ns per probe row and the
 // partition count per size), then a key-box clip block (probe sides
-// overlapping the build side's key range by 100%, 25% and 3%), and writes
-// the results as machine-readable JSON (default BENCH_join_kernel.json, or
-// the path given by --sweep_json=...), so successive changes can track the
-// kernel's throughput trajectory. Every ns/tuple figure is per charged
-// probe row, clipped or not.
+// overlapping the build side's key range by 100%, 25% and 3%), then the
+// two small pairs most query traffic is made of, through PairJoin (ns per
+// build and ns per probe call), and writes the results as
+// machine-readable JSON (default BENCH_join_kernel.json, or the path given
+// by --sweep_json=...), so successive changes can track the kernel's
+// throughput trajectory. Every ns/tuple figure is per charged probe row,
+// clipped or not.
 
 #include <benchmark/benchmark.h>
 
@@ -136,6 +138,102 @@ double probe_ns_per_tuple(const BuiltHashTable& ht, const SubTable& right,
   return best;
 }
 
+// --- Small pairs: the shapes the QES joins most often ----------------------
+
+/// A sub-table of the (x, y, z) f32 grid points in [x0, x0 + nx) x
+/// [y0, y0 + ny) x [z0, z0 + nz) plus one f32 payload `payload`, with its
+/// bounds declared, as a chunk read from storage has.
+std::shared_ptr<SubTable> grid_block(const std::string& payload, int x0,
+                                     int nx, int y0, int ny, int z0, int nz) {
+  auto st = std::make_shared<SubTable>(
+      Schema::make({{"x", AttrType::Float32},
+                    {"y", AttrType::Float32},
+                    {"z", AttrType::Float32},
+                    {payload, AttrType::Float32}}),
+      SubTableId{1, 0});
+  float serial = 0;
+  for (int z = z0; z < z0 + nz; ++z) {
+    for (int y = y0; y < y0 + ny; ++y) {
+      for (int x = x0; x < x0 + nx; ++x) {
+        const Value v[] = {Value(float(x)), Value(float(y)), Value(float(z)),
+                           Value(serial++)};
+        st->append_values(v);
+      }
+    }
+  }
+  st->compute_bounds();
+  return st;
+}
+
+/// Best-of-repeats host ns per call of `fn`, timed over batches of `batch`
+/// calls for at least 300 ms.
+template <typename F>
+double ns_per_call(std::size_t batch, F&& fn) {
+  using clock = std::chrono::steady_clock;
+  double best = 0;
+  std::size_t rounds = 0;
+  const auto deadline = clock::now() + std::chrono::milliseconds(300);
+  do {
+    const auto t0 = clock::now();
+    for (std::size_t i = 0; i < batch; ++i) fn();
+    const double ns = std::chrono::duration<double, std::nano>(
+                          clock::now() - t0)
+                          .count() /
+                      static_cast<double>(batch);
+    if (best == 0 || ns < best) best = ns;
+    ++rounds;
+  } while (clock::now() < deadline || rounds < 3);
+  return best;
+}
+
+/// One small pair through PairJoin, as the QES runs it: ns per build of
+/// the left side and ns per probe call of the right side.
+struct PairPoint {
+  const char* shape;
+  std::shared_ptr<SubTable> left, right;
+};
+
+void run_pairs(std::FILE* f) {
+  // session_mix: an 8^3 left chunk and a 4^3 right chunk inside it; every
+  // right row matches one left row, and no key attribute is tested. fig4
+  // at s = 32: crossed 256-row strips (32 x 8 against 1 x 256), which meet
+  // in 8 points; the clip drops the other 248 right rows.
+  const PairPoint points[] = {
+      {"session_mix", grid_block("oilp", 0, 8, 0, 8, 0, 8),
+       grid_block("wp", 4, 4, 0, 4, 4, 4)},
+      {"fig4_s32", grid_block("oilp", 0, 32, 0, 8, 0, 1),
+       grid_block("wp", 5, 1, 0, 256, 0, 1)},
+  };
+  const std::vector<std::string> keys{"x", "y", "z"};
+  bool first = true;
+  for (const PairPoint& p : points) {
+    const auto result_schema = std::make_shared<const Schema>(
+        Schema::join_result(p.left->schema(), p.right->schema(),
+                            JoinKey::resolve(p.right->schema(), keys)
+                                .attr_indices()));
+    PairJoin pairs(result_schema, keys);
+    const double build_ns = ns_per_call(256, [&] {
+      benchmark::DoNotOptimize(pairs.build(p.left));
+    });
+    const auto table = pairs.build(p.left);
+    std::size_t result_rows = 0;
+    const double probe_ns = ns_per_call(1024, [&] {
+      result_rows = pairs.probe(*table, *p.right, SubTableId{9, 0}).num_rows();
+    });
+    if (!first) std::fprintf(f, ",\n");
+    first = false;
+    std::fprintf(f,
+                 "    {\"shape\": \"%s\", \"build_rows\": %zu, "
+                 "\"probe_rows\": %zu, \"result_rows\": %zu, "
+                 "\"build_ns\": %.1f, \"probe_call_ns\": %.1f}",
+                 p.shape, p.left->num_rows(), p.right->num_rows(), result_rows,
+                 build_ns, probe_ns);
+    std::fprintf(stderr, "pair %s build=%zu probe=%zu out=%zu: build %.0fns "
+                 "probe %.0fns\n", p.shape, p.left->num_rows(),
+                 p.right->num_rows(), result_rows, build_ns, probe_ns);
+  }
+}
+
 void run_sweep(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -194,6 +292,8 @@ void run_sweep(const std::string& path) {
                  "clip rows=%zu overlap=%d%% clipped=%llu probe=%.1fns\n", n, pct,
                  static_cast<unsigned long long>(stats.probe_rows_clipped), ns);
   }
+  std::fprintf(f, "\n  ],\n  \"pair_points\": [\n");
+  run_pairs(f);
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", path.c_str());

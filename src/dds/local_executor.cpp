@@ -98,7 +98,7 @@ bool LocalExecutor::join_pairs(const ViewDef& join,
   std::copy_if(rr.begin(), rr.end(), std::back_inserter(lr), is_key);
   std::copy_if(lr.begin(), lr.begin() + own, std::back_inserter(rr), is_key);
 
-  PairJoin pairs{join.output_schema(meta_), attrs, {}, {}};
+  PairJoin pairs(join.output_schema(meta_), attrs);
   const ConnectivityGraph graph = join_graph(lt, lr, rt, rr, attrs);
   for (const Component& c : graph.components()) {
     std::vector<SubTable> rights;

@@ -4,13 +4,57 @@
 // and canonicalizing a row's key into 64-bit lanes for hashing/equality.
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "subtable/subtable.hpp"
 
 namespace orv {
+
+/// Canonical key lane of a value of C++ type T (std::int32_t,
+/// std::int64_t, float or double): what key_lane_from_bytes returns for
+/// T's attribute type, without the type switch. A float adds +0.0, which
+/// turns -0.0 into +0.0 without a branch and leaves every other value
+/// alone but a signalling NaN, which comes out quiet (a NaN either way).
+template <typename T>
+std::uint64_t key_lane_of(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    const double d = static_cast<double>(v) + 0.0;
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    return bits;
+  } else {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+  }
+}
+
+/// Calls fn(T{}) with the C++ type T of an attribute type: one type
+/// switch per call, so `fn` can loop over a column with the type fixed.
+template <typename F>
+void with_attr_type(AttrType type, F&& fn) {
+  switch (type) {
+    case AttrType::Int32:
+      return fn(std::int32_t{});
+    case AttrType::Int64:
+      return fn(std::int64_t{});
+    case AttrType::Float32:
+      return fn(float{});
+    case AttrType::Float64:
+      return fn(double{});
+  }
+  throw_bad_attr_type("with_attr_type");
+}
+
+/// The T field at `p`.
+template <typename T>
+T load_field(const std::byte* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
 /// Join-attribute indices resolved against one schema, with cached types
 /// and offsets for the hot path.
@@ -44,6 +88,15 @@ class JoinKey {
     return h;
   }
 
+  /// Canonical lanes of `n` rows, one key attribute at a time (one type
+  /// switch per attribute): row j is at rows + sel[j] * stride, or at
+  /// rows + j * stride when `sel` is null, and its lane i goes to
+  /// lanes[i * lane_stride + j]. Equal to extract_lanes row by row.
+  /// Returns true when some floating lane is NaN (see has_nan).
+  bool lane_columns(const std::byte* rows, std::size_t stride,
+                    const std::uint32_t* sel, std::size_t n,
+                    std::uint64_t* lanes, std::size_t lane_stride) const;
+
   bool lanes_equal(const std::uint64_t* a, const std::uint64_t* b) const {
     for (std::size_t i = 0; i < offsets_.size(); ++i) {
       if (a[i] != b[i]) return false;
@@ -55,12 +108,15 @@ class JoinKey {
   /// no key, itself included (IEEE semantics), so joins never match it.
   bool has_nan(const std::uint64_t* lanes) const {
     for (std::size_t i = 0; i < offsets_.size(); ++i) {
-      // Shifting out the sign bit: above the shifted infinity is NaN.
-      if (is_float(i) && (lanes[i] << 1) > (0x7ff0000000000000ull << 1)) {
-        return true;
-      }
+      if (is_float(i) && is_nan_lane(lanes[i])) return true;
     }
     return false;
+  }
+
+  /// True when a floating lane (f64 bits) holds a NaN: shifting out the
+  /// sign bit, above the shifted infinity is NaN.
+  static bool is_nan_lane(std::uint64_t lane) {
+    return (lane << 1) > (0x7ff0000000000000ull << 1);
   }
 
   AttrType type(std::size_t i) const { return types_[i]; }

@@ -54,7 +54,7 @@ struct GhShared {
       : cluster(c), bds(b), meta(m), query(q), options(o),
         left_schema(std::move(ls)), right_schema(std::move(rs)),
         result_schema(std::move(result)),
-        pairs{result_schema, q.join_attrs, {}, {}} {}
+        pairs(result_schema, q.join_attrs) {}
 
   Cluster& cluster;
   BdsService& bds;
@@ -143,17 +143,25 @@ class Partitioner {
 
   sim::Task<> add(const SubTable& st) {
     const std::size_t n_dest = buffers_.size();
+    // Every row's destination in one pass, then the append/flush walk (on
+    // the fault-free path chain_dest is h1 itself). A recovery round
+    // re-sends only the rows whose previous destination has since died.
+    dests_.resize(st.num_rows());
     for (std::size_t r = 0; r < st.num_rows(); ++r) {
       const std::byte* row = st.row(r);
-      if (!prev_dead_.empty()) {
-        if (!dead_[chain_dest(key_, row, n_dest, prev_dead_)]) continue;
-        ++sh_.result.rows_repartitioned;
-      }
-      const std::size_t dest = chain_dest(key_, row, n_dest, dead_);
-      auto& buf = buffers_[dest];
-      buf.insert(buf.end(), row, row + record_size_);
+      const bool send = prev_dead_.empty() ||
+                        dead_[chain_dest(key_, row, n_dest, prev_dead_)];
+      dests_[r] = send ? static_cast<std::uint32_t>(
+                             chain_dest(key_, row, n_dest, dead_))
+                       : kSkip;
+    }
+    for (std::size_t r = 0; r < st.num_rows(); ++r) {
+      if (dests_[r] == kSkip) continue;
+      if (!prev_dead_.empty()) ++sh_.result.rows_repartitioned;
+      auto& buf = buffers_[dests_[r]];
+      buf.insert(buf.end(), st.row(r), st.row(r) + record_size_);
       if (buf.size() >= sh_.options.batch_bytes) {
-        co_await flush(dest);
+        co_await flush(dests_[r]);
       }
     }
   }
@@ -234,6 +242,8 @@ class Partitioner {
   std::vector<char> dead_;
   std::vector<char> prev_dead_;
   std::vector<std::vector<std::byte>> buffers_;
+  static constexpr std::uint32_t kSkip = 0xffffffffu;
+  std::vector<std::uint32_t> dests_;  // per row of add's sub-table, or kSkip
 };
 
 /// BDS produce through the shared retry loop, with the query's selection
@@ -524,10 +534,16 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
       const JoinKey& key = batch.left ? left_key : right_key;
       const std::size_t rs = batch.left ? lrs : rrs;
       auto& buckets = batch.left ? left_buckets : right_buckets;
-      for (std::uint32_t r = 0; r < batch.rows; ++r) {
-        const std::byte* row = batch.bytes.data() + r * rs;
-        const std::size_t b = key.hash_row(row, kSaltGraceH2) % sh.n_buckets;
-        buckets[b].insert(buckets[b].end(), row, row + rs);
+      if (sh.n_buckets == 1) {  // every row's h2 bucket is bucket 0
+        buckets[0].insert(buckets[0].end(), batch.bytes.begin(),
+                          batch.bytes.end());
+      } else {
+        for (std::uint32_t r = 0; r < batch.rows; ++r) {
+          const std::byte* row = batch.bytes.data() + r * rs;
+          const std::size_t b =
+              key.hash_row(row, kSaltGraceH2) % sh.n_buckets;
+          buckets[b].insert(buckets[b].end(), row, row + rs);
+        }
       }
     }
     co_await sh.cluster.engine().wait_until(spill_done);  // drain the buffer
@@ -686,7 +702,7 @@ sim::Task<QesResult> qes_detail::grace_hash_task(
       co_await sh.frame.join(cluster, std::move(handles), "gh-sampler");
   result.partition_phase = sh.partition_phase_end - sh.frame.start;
   result.join_phase = result.elapsed - result.partition_phase;
-  result.join_stats = sh.pairs.stats;
+  result.join_stats = sh.pairs.stats();
   result.result_tuples = result.join_stats.result_tuples;
   result.network_bytes = cluster.network_bytes() - net0;
   // GH shuffles every record through the switch regardless of placement

@@ -44,8 +44,8 @@ struct IjShared {
            qes_detail::NodeCaches nc, SchemaPtr schema)
       : cluster(c), bds(b), meta(m), query(q), options(o), caches(nc),
         fetch_ranges(shared() ? Ranges{} : q.ranges),
-        pairs{std::move(schema), q.join_attrs,
-              shared() ? q.ranges : Ranges{}, {}} {}
+        pairs(std::move(schema), q.join_attrs,
+              shared() ? q.ranges : Ranges{}) {}
 
   bool shared() const { return !caches.shared.empty(); }
 
@@ -601,7 +601,7 @@ sim::Task<QesResult> qes_detail::indexed_join_task(
   result.elapsed =
       co_await sh.frame.join(cluster, std::move(procs), "ij-sampler");
   result.join_phase = result.elapsed;
-  result.join_stats = sh.pairs.stats;
+  result.join_stats = sh.pairs.stats();
   result.result_tuples = result.join_stats.result_tuples;
   result.network_bytes = cluster.network_bytes() - net0;
   result.cross_switch_bytes = cluster.switch_bytes() - switch0;
