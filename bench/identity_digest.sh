@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the byte-identity digest of a build: the identity_digest lines
-# (chaos replays, monitored workloads), then the md5 of each of fig4's
-# four sink outputs (ORV_PROFILE, ORV_TRACE, ORV_PROM, ORV_DIAG stdout).
+# (chaos replays, monitored workloads), the md5 of each of fig4's four
+# sink outputs (ORV_PROFILE, ORV_TRACE, ORV_PROM, ORV_DIAG stdout), then
+# the md5 of the stdout of fig5-fig9 and six ablation benches.
 #
 #   bench/identity_digest.sh <build-dir> > digest.txt
 #   diff -u bench/identity_digest.golden digest.txt
@@ -21,4 +22,10 @@ ORV_PROM=prom.txt "$fig4" > /dev/null
 ORV_DIAG=1 "$fig4" > diag.txt
 for f in profile.json trace.json prom.txt diag.txt; do
   echo "fig4.${f%%.*} $(md5sum < "$f" | cut -d' ' -f1)"
+done
+for b in fig5_vary_compute_nodes fig6_vary_tuples fig7_vary_attributes \
+    fig8_compute_power fig9_shared_fs ablation_schedule ablation_aggregation \
+    ablation_concurrency ablation_placement ablation_session_cache \
+    ablation_pipeline; do
+  echo "$b.stdout $("$build/bench/$b" | md5sum | cut -d' ' -f1)"
 done
