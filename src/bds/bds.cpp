@@ -21,13 +21,11 @@ SubTable load_chunk(const ChunkStore& store, const ChunkMeta& cm,
 
 BdsInstance::BdsInstance(Cluster& cluster, std::size_t storage_node,
                          const MetaDataService& meta,
-                         std::shared_ptr<const ChunkStore> store,
-                         double extract_ops_per_byte)
+                         std::shared_ptr<const ChunkStore> store)
     : cluster_(cluster),
       node_(storage_node),
       meta_(meta),
-      store_(std::move(store)),
-      extract_ops_per_byte_(extract_ops_per_byte) {
+      store_(std::move(store)) {
   ORV_REQUIRE(store_ != nullptr, "BDS instance needs a chunk store");
 }
 
@@ -87,7 +85,7 @@ sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
   // node's CPU; the real read + extraction happen at the completion time.
   const double bytes = static_cast<double>(cm.location.size);
   co_await cluster_.storage_disk(node_).read(bytes);
-  co_await cluster_.storage_cpu(node_).use(extract_ops_per_byte_ * bytes);
+  co_await cluster_.storage_cpu(node_).use(kExtractOpsPerByte * bytes);
   auto st = std::make_shared<const SubTable>(load_chunk(*store_, cm));
   count(1, cm.location.size, 0);
   co_return st;
@@ -161,7 +159,7 @@ sim::Task<> BdsInstance::serve(std::span<const ChunkMeta*> chunks,
     read_done = cluster_.storage_disk(node_).reserve_read(run_bytes);
   }
   const sim::Time extract_done = cluster_.storage_cpu(node_).reserve(
-      extract_ops_per_byte_ * static_cast<double>(chunk_bytes));
+      kExtractOpsPerByte * static_cast<double>(chunk_bytes));
 
   const double ship_bytes = static_cast<double>(shipped_bytes);
   auto* agg = net::context();
@@ -197,14 +195,13 @@ sim::Task<> BdsInstance::serve(std::span<const ChunkMeta*> chunks,
 }
 
 BdsService::BdsService(Cluster& cluster, const MetaDataService& meta,
-                       std::vector<std::shared_ptr<ChunkStore>> stores,
-                       double extract_ops_per_byte)
+                       std::vector<std::shared_ptr<ChunkStore>> stores)
     : meta_(meta) {
   ORV_REQUIRE(stores.size() == cluster.num_storage(),
               "one chunk store per storage node required");
   for (std::size_t i = 0; i < stores.size(); ++i) {
-    instances_.push_back(std::make_unique<BdsInstance>(
-        cluster, i, meta, stores[i], extract_ops_per_byte));
+    instances_.push_back(
+        std::make_unique<BdsInstance>(cluster, i, meta, stores[i]));
   }
 }
 

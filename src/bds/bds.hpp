@@ -49,14 +49,15 @@ struct BdsStats {
 SubTable load_chunk(const ChunkStore& store, const ChunkMeta& cm,
                     const std::vector<AttrRange>* ranges = nullptr);
 
+/// Extractor CPU cost, in CPU ops per chunk byte. The paper assumes
+/// extraction costs much less than the chunk's I/O, which holds here.
+constexpr double kExtractOpsPerByte = 1.0;
+
 class BdsInstance {
  public:
-  /// `extract_ops_per_byte` models extractor CPU cost; the paper assumes it
-  /// is much less than the chunk's I/O cost, which holds for the default.
   BdsInstance(Cluster& cluster, std::size_t storage_node,
               const MetaDataService& meta,
-              std::shared_ptr<const ChunkStore> store,
-              double extract_ops_per_byte = 1.0);
+              std::shared_ptr<const ChunkStore> store);
 
   std::size_t node() const { return node_; }
   const BdsStats& stats() const { return stats_; }
@@ -121,7 +122,6 @@ class BdsInstance {
   std::size_t node_;
   const MetaDataService& meta_;
   std::shared_ptr<const ChunkStore> store_;
-  double extract_ops_per_byte_;
   BdsStats stats_;
 };
 
@@ -129,8 +129,7 @@ class BdsInstance {
 class BdsService {
  public:
   BdsService(Cluster& cluster, const MetaDataService& meta,
-             std::vector<std::shared_ptr<ChunkStore>> stores,
-             double extract_ops_per_byte = 1.0);
+             std::vector<std::shared_ptr<ChunkStore>> stores);
 
   BdsInstance& instance(std::size_t storage_node);
 

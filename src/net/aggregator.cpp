@@ -30,11 +30,8 @@ const char* flush_cause_name(FlushCause c) {
 MessageAggregator::MessageAggregator(Cluster& cluster, AggregatorConfig cfg)
     : cluster_(cluster), cfg_(cfg) {
   ORV_REQUIRE(cfg_.flush_batches >= 1, "flush_batches must be at least 1");
-  ORV_REQUIRE(cfg_.min_flush_batches >= 1 &&
-                  cfg_.min_flush_batches <= cfg_.max_flush_batches,
-              "flush bounds must satisfy 1 <= min <= max");
-  flush_batches_ = std::clamp(cfg_.flush_batches, cfg_.min_flush_batches,
-                              cfg_.max_flush_batches);
+  flush_batches_ =
+      std::clamp(cfg_.flush_batches, kMinFlushBatches, kMaxFlushBatches);
   flows_.resize(cluster_.num_storage() * cluster_.num_compute());
   src_pending_.resize(cluster_.num_storage(), 0);
   src_waiters_.resize(cluster_.num_storage());
@@ -206,7 +203,7 @@ void MessageAggregator::note_delivered(std::size_t src) {
 void MessageAggregator::maybe_adapt() {
   if (!cfg_.adaptive) return;
   const double now = cluster_.engine().now();
-  if (now < last_adapt_at_ + cfg_.adapt_interval) return;
+  if (now < last_adapt_at_ + kAdaptInterval) return;
   last_adapt_at_ = now;
   // Congestion signal: how far the switch's FCFS horizon runs ahead of the
   // clock, in units of the adapt interval. busy_time() is useless here —
@@ -216,13 +213,13 @@ void MessageAggregator::maybe_adapt() {
   // while a frame is still being served, 0 the moment the switch idles.
   const double backlog =
       std::max(0.0, cluster_.network_switch().horizon() - now);
-  const double busy_fraction = backlog / cfg_.adapt_interval;
-  if (busy_fraction > cfg_.grow_busy_threshold &&
-      flush_batches_ < cfg_.max_flush_batches) {
-    flush_batches_ = std::min(flush_batches_ * 2, cfg_.max_flush_batches);
-  } else if (busy_fraction < cfg_.shrink_busy_threshold &&
-             flush_batches_ > cfg_.min_flush_batches) {
-    flush_batches_ = std::max(flush_batches_ / 2, cfg_.min_flush_batches);
+  const double busy_fraction = backlog / kAdaptInterval;
+  if (busy_fraction > kGrowBusyThreshold &&
+      flush_batches_ < kMaxFlushBatches) {
+    flush_batches_ = std::min(flush_batches_ * 2, kMaxFlushBatches);
+  } else if (busy_fraction < kShrinkBusyThreshold &&
+             flush_batches_ > kMinFlushBatches) {
+    flush_batches_ = std::max(flush_batches_ / 2, kMinFlushBatches);
   }
   if (auto* ctx = obs::context()) {
     ctx->registry.gauge("net.agg.flush_batches")

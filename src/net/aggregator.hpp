@@ -33,10 +33,10 @@
 // delivered exactly once, so frame drops compose with GH's salted re-hash
 // recovery and the IJ supervisor rounds exactly like per-batch drops did.
 //
-// Adaptive mode grows the flush threshold (x2 up to max_flush_batches)
+// Adaptive mode grows the flush threshold (x2 up to kMaxFlushBatches)
 // while the switch's busy fraction is high — frames are cheap to enlarge
 // when the network is the bottleneck — and shrinks it (/2 down to
-// min_flush_batches) when the switch idles, where batching only adds
+// kMinFlushBatches) when the switch idles, where batching only adds
 // latency. All inputs are virtual-clock readings, so adaptation is
 // deterministic per seed.
 //
@@ -58,6 +58,17 @@
 
 namespace orv::net {
 
+/// Bounds of the flush threshold; a configured flush_batches is clamped
+/// into them, and adaptive mode moves it only between them.
+constexpr std::size_t kMinFlushBatches = 1;
+constexpr std::size_t kMaxFlushBatches = 64;
+/// Switch backlog (FCFS horizon ahead of now, in kAdaptInterval units)
+/// above which adaptive frames grow, below which they shrink.
+constexpr double kGrowBusyThreshold = 0.5;
+constexpr double kShrinkBusyThreshold = 0.2;
+/// Virtual seconds between adaptation decisions.
+constexpr double kAdaptInterval = 5e-3;
+
 struct AggregatorConfig {
   /// Logical messages per frame before a size flush. 1 sends every message
   /// in its own frame (the unaggregated message pattern, one reservation
@@ -68,17 +79,9 @@ struct AggregatorConfig {
   /// flush. Bounds the latency a half-full frame can add.
   double flush_timeout = 1e-3;
 
-  /// Adaptive flush sizing between [min_flush_batches, max_flush_batches],
+  /// Adaptive flush sizing between [kMinFlushBatches, kMaxFlushBatches],
   /// driven by the switch busy fraction sampled at flush time.
   bool adaptive = false;
-  std::size_t min_flush_batches = 1;
-  std::size_t max_flush_batches = 64;
-  /// Switch backlog (FCFS horizon ahead of now, in adapt_interval units)
-  /// above which frames grow, below which they shrink.
-  double grow_busy_threshold = 0.5;
-  double shrink_busy_threshold = 0.2;
-  /// Virtual seconds between adaptation decisions.
-  double adapt_interval = 5e-3;
 };
 
 enum class FlushCause { Size, Timeout, Drain };

@@ -37,9 +37,7 @@ bool FlightDump::contains(FlightEvent::Kind kind, std::string_view node,
 
 FlightRecorder::FlightRecorder() : FlightRecorder(Config()) {}
 
-FlightRecorder::FlightRecorder(Config cfg) : cfg_(std::move(cfg)) {
-  ORV_REQUIRE(cfg_.ring_capacity > 0, "flight recorder needs ring capacity");
-}
+FlightRecorder::FlightRecorder(Config cfg) : cfg_(std::move(cfg)) {}
 
 void FlightRecorder::record(FlightEvent ev) {
   const bool is_fault = ev.kind == FlightEvent::Kind::Fault;
@@ -50,12 +48,12 @@ void FlightRecorder::record(FlightEvent ev) {
     ++recorded_;
     Ring& ring = rings_[{ev.node, static_cast<int>(ev.kind)}];
     ++ring.total;
-    if (ring.buf.size() < cfg_.ring_capacity) {
+    if (ring.buf.size() < kRingCapacity) {
       ring.buf.push_back(std::move(ev));
     } else {
       ++evicted_;
       ring.buf[ring.next] = std::move(ev);
-      ring.next = (ring.next + 1) % cfg_.ring_capacity;
+      ring.next = (ring.next + 1) % kRingCapacity;
     }
   }
   if (is_fault && on_fault_) on_fault_(copy);

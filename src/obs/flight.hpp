@@ -10,7 +10,7 @@
 //
 // Separate rings per event class mean a flood of span closures can never
 // evict fault evidence: an injected fault stays visible until
-// `ring_capacity` *more faults on the same node* push it out. Recording
+// kRingCapacity *more faults on the same node* push it out. Recording
 // is O(1); the process-wide install follows the obs/fault atomic-pointer
 // idiom, so producers pay one relaxed load plus a predicted branch when
 // no recorder is installed (the default, keeping committed baselines
@@ -57,9 +57,10 @@ struct FlightDump {
 
 class FlightRecorder {
  public:
+  /// Events kept per (node, event-class) ring.
+  static constexpr std::size_t kRingCapacity = 128;
+
   struct Config {
-    /// Events kept per (node, event-class) ring.
-    std::size_t ring_capacity = 128;
     /// Dumps kept per run; beyond this, dump() only counts suppressions.
     std::size_t max_dumps = 64;
     /// When non-empty, every dump is also written to

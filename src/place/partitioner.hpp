@@ -10,7 +10,7 @@
 // partition_graph() maps every vertex to one of `parts` storage nodes so
 // that the total weight of edges crossing parts (the *cut* — exactly the
 // bytes that must cross the switch) is small, while every part stays
-// within (1 + balance_tolerance) of the mean byte load.
+// within (1 + kBalanceTolerance) of the mean byte load.
 //
 // Pipeline: coarsen by heavy-edge matching until the graph is small,
 // greedily grow an initial balanced partition on the coarsest graph, then
@@ -51,23 +51,15 @@ struct AffinityGraph {
   double total_vertex_weight() const;
 };
 
-struct PartitionOptions {
-  /// Per-part load may exceed the mean by at most this fraction.
-  double balance_tolerance = 0.10;
-  /// Coarsening stops once the graph has at most max(coarsen_target,
-  /// 8 * parts) vertices.
-  std::size_t coarsen_target = 64;
-  /// KL/FM passes per uncoarsening level.
-  std::size_t refine_passes = 4;
-  std::uint64_t seed = 0;
-};
+/// Per-part load may exceed the mean by at most this fraction.
+constexpr double kBalanceTolerance = 0.10;
 
 /// Maps each vertex to a part in [0, parts). Never returns an assignment
-/// violating the balance constraint (capacity = ceil of mean * (1 + tol),
-/// and always at least the heaviest single vertex — a vertex heavier than
-/// the capacity still has to live somewhere).
+/// violating the balance constraint (capacity = mean * (1 +
+/// kBalanceTolerance), and always at least the heaviest single vertex — a
+/// vertex heavier than the capacity still has to live somewhere).
 std::vector<std::uint32_t> partition_graph(const AffinityGraph& graph,
                                            std::uint32_t parts,
-                                           const PartitionOptions& options = {});
+                                           std::uint64_t seed = 0);
 
 }  // namespace orv::place

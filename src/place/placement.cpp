@@ -98,10 +98,9 @@ class GraphPartitionedPlacement final : public PlacementPolicy {
   explicit GraphPartitionedPlacement(const DatasetSpec& spec)
       : table1_(spec.table1_id), table2_(spec.table2_id) {
     const DatasetAffinity aff = build_dataset_affinity(spec);
-    place::PartitionOptions opt;
-    opt.seed = spec.seed;
     const std::vector<std::uint32_t> part = partition_graph(
-        aff.graph, static_cast<std::uint32_t>(spec.num_storage_nodes), opt);
+        aff.graph, static_cast<std::uint32_t>(spec.num_storage_nodes),
+        spec.seed);
     map1_.assign(part.begin(),
                  part.begin() + static_cast<std::ptrdiff_t>(aff.num_left_chunks));
     map2_.assign(part.begin() + static_cast<std::ptrdiff_t>(aff.num_left_chunks),

@@ -1,7 +1,5 @@
 #include "qps/planner.hpp"
 
-#include <algorithm>
-
 #include "common/strings.hpp"
 #include "cost/calibration.hpp"
 #include "net/aggregator.hpp"
@@ -79,22 +77,6 @@ PlanDecision QueryPlanner::plan(const ConnectivityStats& data,
                                 std::size_t rs_left, std::size_t rs_right,
                                 const QesOptions* qes) const {
   return decide(cluster_, data, rs_left, rs_right, 0.0, qes);
-}
-
-std::size_t QueryPlanner::suggest_flush_batches(const CostParams& params,
-                                                std::size_t max_batches) {
-  CostParams p = params;
-  p.agg_flush_batches = 1;
-  if (p.msg_overhead <= 0) return 1;
-  for (std::size_t flush = 1;; flush *= 2) {
-    p.agg_flush_batches = static_cast<double>(flush);
-    const CostBreakdown c = cost(Algorithm::GraceHash, p);
-    const double msg_term =
-        p.msg_overhead * gh_h1_frames(p) / std::max(1.0, p.n_s);
-    if (flush >= max_batches || msg_term <= 0.02 * c.total()) {
-      return std::min(flush, max_batches);
-    }
-  }
 }
 
 PlanDecision QueryPlanner::plan(const MetaDataService& meta,

@@ -60,13 +60,6 @@ class QueryPlanner {
                     const ConnectivityGraph& graph, const JoinQuery& query,
                     const QesOptions* qes = nullptr) const;
 
-  /// Picks a flush threshold for the network message aggregator: the
-  /// smallest power of two (up to `max_batches`) at which the per-frame
-  /// overhead term stops mattering — i.e. drops to <= 2% of the GH total.
-  /// Returns 1 (no aggregation) when msg_overhead is 0 or already cheap.
-  static std::size_t suggest_flush_batches(const CostParams& params,
-                                           std::size_t max_batches = 64);
-
   const ClusterSpec& cluster() const { return cluster_; }
 
  private:

@@ -209,16 +209,14 @@ TEST(Aggregator, AdaptiveControllerGrowsWhenTheSwitchIsBusy) {
   net::AggregatorConfig cfg;
   cfg.flush_batches = 2;
   cfg.adaptive = true;
-  cfg.min_flush_batches = 1;
-  cfg.max_flush_batches = 64;
-  cfg.adapt_interval = 1e-3;
   net::MessageAggregator agg(cluster, cfg);
 
   auto producer = [&]() -> sim::Task<> {
     // Offered load far above the switch rate: frames queue, busy fraction
-    // approaches 1, the threshold must grow.
+    // approaches 1, the threshold must grow. A two-message frame keeps the
+    // switch busy 6.4 ms, longer than half the 5 ms adaptation interval.
     for (int i = 0; i < 400; ++i) {
-      agg.post(0, 0, 10000.0, {}, []() -> sim::Task<> { co_return; });
+      agg.post(0, 0, 40000.0, {}, []() -> sim::Task<> { co_return; });
       co_await engine.sleep(1e-4);
     }
     co_await agg.drain(0);
@@ -237,10 +235,7 @@ TEST(Aggregator, AdaptiveControllerShrinksWhenTheSwitchIdles) {
   net::AggregatorConfig cfg;
   cfg.flush_batches = 16;
   cfg.adaptive = true;
-  cfg.min_flush_batches = 1;
-  cfg.max_flush_batches = 64;
   cfg.flush_timeout = 5e-4;
-  cfg.adapt_interval = 1e-3;
   net::MessageAggregator agg(cluster, cfg);
 
   auto producer = [&]() -> sim::Task<> {

@@ -58,49 +58,49 @@ TEST(FlightRecorder, RecordsAndDumpsWithEvidenceLookup) {
 }
 
 TEST(FlightRecorder, SpanFloodCannotEvictFaultEvidence) {
-  FlightRecorder::Config cfg;
-  cfg.ring_capacity = 4;  // tiny rings to force eviction pressure
-  FlightRecorder rec(cfg);
+  constexpr int kCap = static_cast<int>(FlightRecorder::kRingCapacity);
+  FlightRecorder rec;
   rec.record(ev(1.0, Kind::Fault, "storage2", "io_error"));
-  // A flood of span closures on the *same node*: they churn only the
-  // (storage2, SpanClose) ring — the fault ring is untouched.
-  for (int i = 0; i < 100; ++i) {
+  // A flood of span closures on the *same node*, 100 past the ring's
+  // capacity: they churn only the (storage2, SpanClose) ring — the fault
+  // ring is untouched.
+  for (int i = 0; i < kCap + 100; ++i) {
     rec.record(ev(2.0 + i, Kind::SpanClose, "storage2", "io.read"));
   }
   EXPECT_TRUE(rec.holds(Kind::Fault, "storage2", "io_error"));
-  EXPECT_EQ(rec.events_evicted(), 100u - cfg.ring_capacity);
-  ASSERT_TRUE(rec.dump("flood", 200.0));
+  EXPECT_EQ(rec.events_evicted(), 100u);
+  ASSERT_TRUE(rec.dump("flood", 1000.0));
   EXPECT_TRUE(rec.dumps()[0].contains(Kind::Fault, "storage2", "io_error"));
 
   // But capacity more faults on the same node do push it out.
-  for (int i = 0; i < 4; ++i) {
-    rec.record(ev(300.0 + i, Kind::Fault, "storage2", "crash"));
+  for (int i = 0; i < kCap; ++i) {
+    rec.record(ev(1100.0 + i, Kind::Fault, "storage2", "crash"));
   }
   EXPECT_FALSE(rec.holds(Kind::Fault, "storage2", "io_error"));
   EXPECT_TRUE(rec.holds(Kind::Fault, "storage2", "crash"));
 }
 
 TEST(FlightRecorder, DumpRendersRingsOldestFirstAfterWrap) {
-  FlightRecorder::Config cfg;
-  cfg.ring_capacity = 3;
-  FlightRecorder rec(cfg);
-  for (int i = 0; i < 5; ++i) {  // keeps events t=2,3,4
+  constexpr int kCap = static_cast<int>(FlightRecorder::kRingCapacity);
+  FlightRecorder rec;
+  for (int i = 0; i < kCap + 2; ++i) {  // keeps events t=2..kCap+1
     rec.record(ev(i, Kind::Note, "net", "tick" + std::to_string(i)));
   }
-  ASSERT_TRUE(rec.dump("wrap", 5.0));
+  ASSERT_TRUE(rec.dump("wrap", kCap + 2.0));
   const std::string& j = rec.dumps()[0].json;
-  const std::size_t p2 = j.find("\"name\":\"tick2\"");
-  const std::size_t p3 = j.find("\"name\":\"tick3\"");
-  const std::size_t p4 = j.find("\"name\":\"tick4\"");
-  EXPECT_EQ(j.find("\"name\":\"tick0\""), std::string::npos);
-  EXPECT_EQ(j.find("\"name\":\"tick1\""), std::string::npos);
-  ASSERT_NE(p2, std::string::npos);
-  ASSERT_NE(p3, std::string::npos);
-  ASSERT_NE(p4, std::string::npos);
-  EXPECT_LT(p2, p3);
-  EXPECT_LT(p3, p4);
+  auto pos = [&j](int t) {
+    return j.find("\"name\":\"tick" + std::to_string(t) + "\"");
+  };
+  EXPECT_EQ(pos(0), std::string::npos);
+  EXPECT_EQ(pos(1), std::string::npos);
+  ASSERT_NE(pos(2), std::string::npos);
+  ASSERT_NE(pos(3), std::string::npos);
+  ASSERT_NE(pos(kCap + 1), std::string::npos);
+  EXPECT_LT(pos(2), pos(3));
+  EXPECT_LT(pos(3), pos(kCap + 1));
   // The ring header reports lifetime traffic, not just live events.
-  EXPECT_NE(j.find("\"total\":5"), std::string::npos);
+  EXPECT_NE(j.find("\"total\":" + std::to_string(kCap + 2)),
+            std::string::npos);
 }
 
 TEST(FlightRecorder, DumpBudgetSuppressesButKeepsCounting) {

@@ -13,13 +13,13 @@
 namespace orv::place {
 namespace {
 
-/// Per-part load ceiling the partitioner promises: mean * (1 + tol), but
+/// Per-part load ceiling the partitioner promises: mean * (1 + 0.10), but
 /// never below the heaviest single vertex.
-double capacity_of(const AffinityGraph& g, std::uint32_t parts, double tol) {
+double capacity_of(const AffinityGraph& g, std::uint32_t parts) {
   double heaviest = 0;
   for (double w : g.vertex_weight) heaviest = std::max(heaviest, w);
   return std::max(heaviest,
-                  g.total_vertex_weight() / parts * (1.0 + tol));
+                  g.total_vertex_weight() / parts * (1.0 + kBalanceTolerance));
 }
 
 std::vector<double> part_loads(const AffinityGraph& g,
@@ -54,12 +54,10 @@ TEST(Partitioner, RespectsBalanceCapacity) {
   for (std::uint64_t seed : {1u, 7u, 42u}) {
     const AffinityGraph g = random_graph(200, 4, seed);
     for (std::uint32_t parts : {2u, 5u, 8u}) {
-      PartitionOptions opt;
-      opt.seed = seed;
-      const auto part = partition_graph(g, parts, opt);
+      const auto part = partition_graph(g, parts, seed);
       ASSERT_EQ(part.size(), g.num_vertices());
       for (std::uint32_t p : part) EXPECT_LT(p, parts);
-      const double cap = capacity_of(g, parts, opt.balance_tolerance);
+      const double cap = capacity_of(g, parts);
       for (double load : part_loads(g, part, parts)) {
         EXPECT_LE(load, cap + 1e-9) << "seed=" << seed << " parts=" << parts;
       }
@@ -75,9 +73,7 @@ TEST(Partitioner, CutNeverWorseThanBlockCyclic) {
   for (std::uint64_t seed : {3u, 11u, 99u}) {
     const AffinityGraph g = random_graph(150, 3, seed);
     for (std::uint32_t parts : {2u, 5u}) {
-      PartitionOptions opt;
-      opt.seed = seed;
-      const auto part = partition_graph(g, parts, opt);
+      const auto part = partition_graph(g, parts, seed);
       std::vector<std::uint32_t> cyclic(g.num_vertices());
       for (std::size_t v = 0; v < cyclic.size(); ++v) {
         cyclic[v] = static_cast<std::uint32_t>(v % parts);
@@ -119,9 +115,7 @@ TEST(Partitioner, DatasetAffinityCutBeatsBlockCyclic) {
   spec.part2 = {8, 8, 8};
   spec.num_storage_nodes = 5;
   const DatasetAffinity aff = build_dataset_affinity(spec);
-  PartitionOptions opt;
-  opt.seed = spec.seed;
-  const auto part = partition_graph(aff.graph, 5, opt);
+  const auto part = partition_graph(aff.graph, 5, spec.seed);
 
   std::vector<std::uint32_t> cyclic(aff.graph.num_vertices());
   for (std::size_t v = 0; v < cyclic.size(); ++v) {
@@ -135,10 +129,8 @@ TEST(Partitioner, DatasetAffinityCutBeatsBlockCyclic) {
 
 TEST(Partitioner, DeterministicForFixedSeed) {
   const AffinityGraph g = random_graph(120, 4, 5);
-  PartitionOptions opt;
-  opt.seed = 17;
-  const auto a = partition_graph(g, 5, opt);
-  const auto b = partition_graph(g, 5, opt);
+  const auto a = partition_graph(g, 5, 17);
+  const auto b = partition_graph(g, 5, 17);
   EXPECT_EQ(a, b);
 }
 

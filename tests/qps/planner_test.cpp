@@ -317,37 +317,6 @@ TEST(Planner, PlanValidationOfACalibratedPlanKeepsThePriorPrediction) {
   EXPECT_DOUBLE_EQ(plain.prior_error_ratio(), 0.0);
 }
 
-TEST(Planner, SuggestFlushBatchesTracksTheMessageOverhead) {
-  CostParams p;
-  p.T = 32768;
-  p.RS_R = 16;
-  p.RS_S = 16;
-  p.batch_bytes = 4096;
-  p.n_s = 4;
-  p.n_j = 4;
-  p.net_bw = 4e9;
-  p.read_io_bw = 1e9;
-  p.write_io_bw = 1e9;
-
-  // No gamma: nothing to amortize, no aggregation suggested.
-  p.msg_overhead = 0.0;
-  EXPECT_EQ(QueryPlanner::suggest_flush_batches(p), 1u);
-
-  // A heavy gamma pushes the suggestion up until the overhead term is
-  // under 2% of the total; a heavier one needs a larger flush.
-  p.msg_overhead = 1e-3;
-  const std::size_t light = QueryPlanner::suggest_flush_batches(p);
-  EXPECT_GT(light, 1u);
-  p.msg_overhead = 1e-2;
-  const std::size_t heavy = QueryPlanner::suggest_flush_batches(p);
-  EXPECT_GE(heavy, light);
-
-  // The cap is honored even for absurd overheads and odd caps.
-  p.msg_overhead = 10.0;
-  EXPECT_EQ(QueryPlanner::suggest_flush_batches(p), 64u);
-  EXPECT_LE(QueryPlanner::suggest_flush_batches(p, 24), 24u);
-}
-
 // Sweep: whatever the planner picks must indeed be the faster algorithm in
 // simulation (within a slack factor for model error) across shapes.
 struct PlanCase {
