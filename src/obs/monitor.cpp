@@ -122,6 +122,9 @@ void Monitor::evaluate(double now, std::size_t queue_depth,
               {"workload.slo_total",
                strformat("%llu", (unsigned long long)slo_total_)}});
 
+  // reject-rate: advance the ring to `now` first, like the burn rings, so
+  // a window with no rejection reads 0 and the alert resolves.
+  rejected_.add(now, 0);
   const double reject_rate = rejected_.rate();
   transition(kRejectRate, now, reject_rate > 0.0, reject_rate,
              {{"workload.rejected", strformat("%.6g", reject_rate)},

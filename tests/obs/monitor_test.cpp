@@ -67,14 +67,26 @@ TEST(MonitorTest, RejectRateFiresOnAnyRejectionInItsWindow) {
   EXPECT_DOUBLE_EQ(a.threshold, 0.0);
   EXPECT_EQ(a.evidence,
             (Evidence{{"workload.rejected", "0.2"}, {"selector", "rate"}}));
-  // The window reads as of its last event: without a later rejection the
-  // rate holds.
-  mon.evaluate(30.0, 0, 1.0);
+  // The rejection at 1.5 s is still inside the 5 s window at 6 s.
+  mon.evaluate(6.0, 0, 1.0);
   EXPECT_TRUE(mon.active("reject-rate"));
-  // A rejection past the window leaves one event in it: still firing.
+  // Once the window holds no rejection the alert resolves.
+  mon.evaluate(6.75, 0, 1.0);
+  EXPECT_FALSE(mon.active("reject-rate"));
+  ASSERT_EQ(mon.alerts().size(), 2u);
+  EXPECT_EQ(mon.alerts()[1].rule, "reject-rate");
+  EXPECT_TRUE(mon.alerts()[1].resolved);
+  EXPECT_DOUBLE_EQ(mon.alerts()[1].time, 6.75);
+  EXPECT_DOUBLE_EQ(mon.alerts()[1].value, 0.0);
+  mon.evaluate(30.0, 0, 1.0);
+  EXPECT_EQ(mon.alerts().size(), 2u);
+  // A new rejection fires it again.
   mon.note_outcome(31.0, true, false, false);
   mon.evaluate(31.0, 0, 1.0);
-  EXPECT_EQ(mon.alerts().size(), 1u);
+  EXPECT_TRUE(mon.active("reject-rate"));
+  ASSERT_EQ(mon.alerts().size(), 3u);
+  EXPECT_FALSE(mon.alerts()[2].resolved);
+  EXPECT_DOUBLE_EQ(mon.alerts()[2].time, 31.0);
 }
 
 TEST(MonitorTest, RateOfChangeSkipsFirstSampleThenDifferentiates) {
