@@ -71,12 +71,7 @@ class QesSession {
   Outcome run(JoinQuery query, QesOptions options,
               std::optional<Algorithm> force = {});
 
-  /// Connectivity graph for the query, from the page-level join index
-  /// (built once per attribute set, pruned once per range set).
-  const ConnectivityGraph& graph_for(const JoinQuery& query);
-
   Cluster& cluster() { return cluster_; }
-  const QueryPlanner& planner() const { return planner_; }
   PageIndexService& page_index() { return page_index_; }
 
   /// The session's shared per-node caches (empty when share_cache is off).
@@ -88,6 +83,10 @@ class QesSession {
   CachingService::Stats cache_totals() const;
 
  private:
+  /// Connectivity graph for the query, from the page-level join index
+  /// (built once per attribute set, pruned once per range set).
+  const ConnectivityGraph& graph_for(const JoinQuery& query);
+
   Cluster& cluster_;
   BdsService& bds_;
   const MetaDataService& meta_;
