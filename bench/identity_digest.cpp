@@ -16,7 +16,8 @@
 //       the monitor tests' two-client Poisson workload with deadlines all
 //       missed or met: every outcome, every alert field (evidence
 //       included), the dashboard file's bytes and each flight dump's JSON
-//       bytes.
+//       bytes. workload.7000.resolve adds one late arrival to seed 7000's
+//       faulted run, so its reject-rate alert resolves before the run ends.
 //
 // Each line is "<entry> <16 hex digits>" (FNV-1a over the entry's
 // canonical text); --verbose prints the canonical text instead.
@@ -294,6 +295,17 @@ void workload_entries() {
     const std::string entry = strformat("workload.%llu", (unsigned long long)seed);
     emit(entry + ".clean", workload_text(rig, spec, nullptr));
     emit(entry + ".faulted", workload_text(rig, spec, &plan));
+  }
+  {
+    // Seed 7000's faulted run plus one arrival 6 s after the last burst:
+    // the run outlives its last rejection by more than the 5 s reject
+    // window, so the reject-rate alert fires and then resolves in the run.
+    const chaos::ChaosRig rig(7000);
+    const fault::FaultPlan plan = fault::FaultPlan::chaos(
+        7000, rig.sc.cspec.num_storage, rig.sc.cspec.num_compute);
+    WorkloadSpec spec = admission_spec(rig, 7000);
+    spec.clients[1].trace_arrivals.push_back(8.0);
+    emit("workload.7000.resolve", workload_text(rig, spec, &plan));
   }
   const chaos::ChaosRig rig(poisson_scenario());
   emit("workload.poisson.missed", workload_text(rig, poisson_spec(rig, 1e-6),
