@@ -11,14 +11,15 @@
 //                    flush threshold must leave elapsed unchanged (the
 //                    same bytes cross the same links).
 //
-// Flush threshold swept 1-64 logical batches plus the adaptive
-// controller; fingerprints never change, and the extended GH model
-// (CostParams::agg_flush_batches) tracks the simulated times.
+// Flush threshold swept 1-64 logical batches; fingerprints never
+// change, and the extended GH model (CostParams::agg_flush_batches)
+// tracks the simulated times.
 //
 //   --check   CI aggregation gate (ASan job): asserts flush 16 cuts switch
 //             frames >= 8x and elapsed >= 15% at the message-bound
-//             corner, and moves the bandwidth-bound corner by < 1%,
-//             with byte-identical fingerprints everywhere.
+//             corner, and that flush 16 + 1 ms timeout moves the
+//             bandwidth-bound corner by < 5%, with byte-identical
+//             fingerprints everywhere.
 
 #include <cstring>
 #include <optional>
@@ -58,10 +59,8 @@ struct CornerRig {
     query = {data.table1_id, data.table2_id, {"x", "y", "z"}, {}};
   }
 
-  /// One GH run on a fresh engine; `final_flush` reports the threshold the
-  /// adaptive controller settled on (== the config for fixed sweeps).
-  QesResult run(const net::AggregatorConfig* cfg,
-                std::size_t* final_flush = nullptr) {
+  /// One GH run on a fresh engine.
+  QesResult run(const net::AggregatorConfig* cfg) {
     sim::Engine engine;
     Cluster cluster_inst(engine, cluster);
     BdsService bds(cluster_inst, ds.meta, ds.stores);
@@ -71,11 +70,7 @@ struct CornerRig {
       agg.emplace(cluster_inst, *cfg);
       scoped.emplace(*agg);
     }
-    QesResult r = run_grace_hash(cluster_inst, bds, ds.meta, query, options);
-    if (final_flush != nullptr) {
-      *final_flush = agg ? agg->flush_batches() : 1;
-    }
-    return r;
+    return run_grace_hash(cluster_inst, bds, ds.meta, query, options);
   }
 
   /// Extended GH model prediction at a given flush threshold.
@@ -175,13 +170,12 @@ int main(int argc, char** argv) {
     std::printf("%9s | %8s %8s | %8s %8s | %9s %6s\n", "flush", "GH sim",
                 "gain", "frames", "msg/frm", "GH model", "fp==");
 
-    auto emit = [&](const char* label, std::size_t flush_for_model,
-                    bool adaptive, double timeout, const orv::QesResult& r,
-                    std::size_t final_flush) {
+    auto emit = [&](const char* label, std::size_t flush, double timeout,
+                    const orv::QesResult& r) {
       const bool same =
           r.result_fingerprint == base.result_fingerprint &&
           r.result_tuples == base.result_tuples;
-      const double model = rig.model(static_cast<double>(flush_for_model));
+      const double model = rig.model(static_cast<double>(flush));
       const double mpf =
           r.net_frames_sent > 0
               ? static_cast<double>(r.h1_messages_sent) /
@@ -192,34 +186,23 @@ int main(int argc, char** argv) {
                   (unsigned long long)r.net_frames_sent, mpf, model,
                   same ? "yes" : "NO!");
       series.add_row(orv::strformat(
-          "{\"corner\":\"%s\",\"flush\":%zu,\"adaptive\":%s,\"timeout\":%g,"
+          "{\"corner\":\"%s\",\"flush\":%zu,\"timeout\":%g,"
           "\"gh\":%.6f,\"gh_model\":%.6f,\"frames\":%llu,\"messages\":%llu,"
-          "\"final_flush\":%zu,\"fingerprint_match\":%s}",
-          corner.name, flush_for_model, adaptive ? "true" : "false", timeout,
-          r.elapsed, model, (unsigned long long)r.net_frames_sent,
-          (unsigned long long)r.h1_messages_sent, final_flush,
-          same ? "true" : "false"));
+          "\"fingerprint_match\":%s}",
+          corner.name, flush, timeout, r.elapsed, model,
+          (unsigned long long)r.net_frames_sent,
+          (unsigned long long)r.h1_messages_sent, same ? "true" : "false"));
     };
 
     for (std::size_t flush : {1, 2, 4, 8, 16, 32, 64}) {
       net::AggregatorConfig cfg = fixed_config(flush);
       const orv::QesResult r = rig.run(&cfg);
-      emit(std::to_string(flush).c_str(), flush, false, 0.0, r, flush);
+      emit(std::to_string(flush).c_str(), flush, 0.0, r);
     }
-    {
-      // The shipping default: size flush plus the 1 ms timeout bounding
-      // how long a batch can sit in a half-full frame.
-      net::AggregatorConfig cfg = fixed_config(16, 1e-3);
-      const orv::QesResult r = rig.run(&cfg);
-      emit("16+1ms", 16, false, 1e-3, r, 16);
-    }
-    net::AggregatorConfig adaptive;
-    adaptive.adaptive = true;
-    adaptive.flush_batches = 8;
-    std::size_t final_flush = 0;
-    const orv::QesResult r = rig.run(&adaptive, &final_flush);
-    emit("adaptive", final_flush, true, adaptive.flush_timeout, r,
-         final_flush);
+    // The shipping default: size flush plus the 1 ms timeout bounding how
+    // long a batch can sit in a half-full frame.
+    net::AggregatorConfig cfg = fixed_config(16, 1e-3);
+    emit("16+1ms", 16, 1e-3, rig.run(&cfg));
   }
 
   std::printf("\nExpected shape: message-bound elapsed falls with the flush "

@@ -1,6 +1,5 @@
 #include "net/aggregator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -30,8 +29,6 @@ const char* flush_cause_name(FlushCause c) {
 MessageAggregator::MessageAggregator(Cluster& cluster, AggregatorConfig cfg)
     : cluster_(cluster), cfg_(cfg) {
   ORV_REQUIRE(cfg_.flush_batches >= 1, "flush_batches must be at least 1");
-  flush_batches_ =
-      std::clamp(cfg_.flush_batches, kMinFlushBatches, kMaxFlushBatches);
   flows_.resize(cluster_.num_storage() * cluster_.num_compute());
   src_pending_.resize(cluster_.num_storage(), 0);
   src_waiters_.resize(cluster_.num_storage());
@@ -53,7 +50,7 @@ void MessageAggregator::post(std::size_t src, std::size_t dst, double bytes,
     ctx->registry.counter("net.agg.bytes_deferred")
         .add(static_cast<std::uint64_t>(bytes));
   }
-  if (flow.buffer.size() >= flush_batches_) {
+  if (flow.buffer.size() >= cfg_.flush_batches) {
     flush_flow(src, dst, FlushCause::Size);
     return;
   }
@@ -85,7 +82,6 @@ void MessageAggregator::flush_flow(std::size_t src, std::size_t dst,
         .counter(strformat("net.agg.flush_%s", flush_cause_name(cause)))
         .add(1);
   }
-  maybe_adapt();
 
   // Chain the frame behind the flow's previous one so constituents are
   // delivered in post order within the flow.
@@ -197,33 +193,6 @@ void MessageAggregator::note_delivered(std::size_t src) {
     auto waiters = std::move(src_waiters_[src]);
     src_waiters_[src].clear();
     for (const auto& e : waiters) e->set();
-  }
-}
-
-void MessageAggregator::maybe_adapt() {
-  if (!cfg_.adaptive) return;
-  const double now = cluster_.engine().now();
-  if (now < last_adapt_at_ + kAdaptInterval) return;
-  last_adapt_at_ = now;
-  // Congestion signal: how far the switch's FCFS horizon runs ahead of the
-  // clock, in units of the adapt interval. busy_time() is useless here —
-  // it books a frame's whole service interval at reservation time, so a
-  // windowed delta sees one burst followed by idle windows and the
-  // controller oscillates. The horizon backlog is the actual queue: > 0
-  // while a frame is still being served, 0 the moment the switch idles.
-  const double backlog =
-      std::max(0.0, cluster_.network_switch().horizon() - now);
-  const double busy_fraction = backlog / kAdaptInterval;
-  if (busy_fraction > kGrowBusyThreshold &&
-      flush_batches_ < kMaxFlushBatches) {
-    flush_batches_ = std::min(flush_batches_ * 2, kMaxFlushBatches);
-  } else if (busy_fraction < kShrinkBusyThreshold &&
-             flush_batches_ > kMinFlushBatches) {
-    flush_batches_ = std::max(flush_batches_ / 2, kMinFlushBatches);
-  }
-  if (auto* ctx = obs::context()) {
-    ctx->registry.gauge("net.agg.flush_batches")
-        .set(static_cast<double>(flush_batches_));
   }
 }
 

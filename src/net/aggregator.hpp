@@ -33,13 +33,6 @@
 // delivered exactly once, so frame drops compose with GH's salted re-hash
 // recovery and the IJ supervisor rounds exactly like per-batch drops did.
 //
-// Adaptive mode grows the flush threshold (x2 up to kMaxFlushBatches)
-// while the switch's busy fraction is high — frames are cheap to enlarge
-// when the network is the bottleneck — and shrinks it (/2 down to
-// kMinFlushBatches) when the switch idles, where batching only adds
-// latency. All inputs are virtual-clock readings, so adaptation is
-// deterministic per seed.
-//
 // Like the fault injector, an aggregator is installed process-wide; when
 // none is installed (the default everywhere) every send path reduces to
 // one relaxed atomic load and the simulation is bit-identical to the
@@ -58,17 +51,6 @@
 
 namespace orv::net {
 
-/// Bounds of the flush threshold; a configured flush_batches is clamped
-/// into them, and adaptive mode moves it only between them.
-constexpr std::size_t kMinFlushBatches = 1;
-constexpr std::size_t kMaxFlushBatches = 64;
-/// Switch backlog (FCFS horizon ahead of now, in kAdaptInterval units)
-/// above which adaptive frames grow, below which they shrink.
-constexpr double kGrowBusyThreshold = 0.5;
-constexpr double kShrinkBusyThreshold = 0.2;
-/// Virtual seconds between adaptation decisions.
-constexpr double kAdaptInterval = 5e-3;
-
 struct AggregatorConfig {
   /// Logical messages per frame before a size flush. 1 sends every message
   /// in its own frame (the unaggregated message pattern, one reservation
@@ -78,10 +60,6 @@ struct AggregatorConfig {
   /// Virtual seconds the oldest buffered message may wait before a timeout
   /// flush. Bounds the latency a half-full frame can add.
   double flush_timeout = 1e-3;
-
-  /// Adaptive flush sizing between [kMinFlushBatches, kMaxFlushBatches],
-  /// driven by the switch busy fraction sampled at flush time.
-  bool adaptive = false;
 };
 
 enum class FlushCause { Size, Timeout, Drain };
@@ -128,9 +106,6 @@ class MessageAggregator {
   /// posted from `src` (including any posted meanwhile) are delivered.
   sim::Task<> drain(std::size_t src);
 
-  /// The current size threshold (moves only in adaptive mode).
-  std::size_t flush_batches() const { return flush_batches_; }
-
   const AggregatorConfig& config() const { return cfg_; }
   const AggregatorStats& stats() const { return stats_; }
   Cluster& cluster() { return cluster_; }
@@ -169,19 +144,15 @@ class MessageAggregator {
   sim::Task<> timeout_timer(std::size_t src, std::size_t dst,
                             std::uint64_t generation);
   void note_delivered(std::size_t src);
-  void maybe_adapt();
 
   Cluster& cluster_;
   AggregatorConfig cfg_;
   AggregatorStats stats_;
   std::vector<Flow> flows_;  // indexed src * num_compute + dst
-  std::size_t flush_batches_;
   /// Undelivered message count per storage node + the drain waiters parked
   /// on it reaching zero.
   std::vector<std::uint64_t> src_pending_;
   std::vector<std::vector<std::shared_ptr<sim::Event>>> src_waiters_;
-  // Adaptive-controller state: virtual time of the last decision.
-  double last_adapt_at_ = 0;
 };
 
 /// Installs `agg` as the process-wide aggregator (nullptr uninstalls). The

@@ -40,7 +40,7 @@ PlanDecision decide(const ClusterSpec& cluster, const ConnectivityStats& data,
       CostParams::from(cluster, data, rs_left, rs_right, cpu_factor);
   base.local_fraction = local_fraction;
   if (const net::MessageAggregator* agg = net::context()) {
-    base.agg_flush_batches = static_cast<double>(agg->flush_batches());
+    base.agg_flush_batches = static_cast<double>(agg->config().flush_batches);
   }
   PlanDecision d;
   if (qes != nullptr) {
