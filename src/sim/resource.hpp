@@ -73,9 +73,6 @@ class Resource {
   double busy_time() const { return busy_time_; }
   std::uint64_t num_ops() const { return num_ops_; }
 
-  /// Time at which the resource next becomes free.
-  Time horizon() const { return free_at_; }
-
   Engine& engine() const { return engine_; }
 
  private:
