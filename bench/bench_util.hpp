@@ -6,8 +6,8 @@
 //
 // Instrumentation: when a bench sink is set (obs::Sinks), each
 // scenario run installs an observability context (virtual-time clock on
-// the scenario's engine), analyses the run once, and hands the result to
-// every sink that is set.
+// the scenario's engine), takes one snapshot of it, analyses the run once,
+// and hands the snapshot and the analysis to every sink that is set.
 
 #include <cstdio>
 #include <cstdlib>
@@ -112,8 +112,9 @@ inline void print_diagnosis(const obs::Diagnosis& d) {
 namespace detail {
 
 /// Runs one algorithm under a freshly installed obs context (virtual-time
-/// clock), analyses the run once and feeds every sink that is set. When
-/// `diag_out` is non-null it receives the run's bottleneck diagnosis.
+/// clock), takes one snapshot of what it recorded, analyses it once and
+/// feeds every sink that is set from that snapshot. When `diag_out` is
+/// non-null it receives the run's bottleneck diagnosis.
 template <typename RunFn>
 QesResult run_profiled(const sim::Engine& engine, const std::string& label,
                        Algorithm algorithm, const PlanDecision& plan,
@@ -124,39 +125,38 @@ QesResult run_profiled(const sim::Engine& engine, const std::string& label,
   const bool tracing = trace_report().enabled();
   if (tracing) ctx.sample_interval = obs::kTraceSampleSeconds;
   QesResult result;
-  obs::Diagnosis diag;
   {
     obs::ScopedInstall install(ctx);
     result = run();
-    QueryAnalysis analysis = analyze_query(
-        ctx.tracer.snapshot(), algorithm, result,
-        algorithm == Algorithm::IndexedJoin ? plan.ij : plan.gh, label);
-    obs::PlanValidation pv = plan_validation(plan, algorithm, result, label);
-    pv.stages = std::move(analysis.stages);
-    ctx.add_plan_validation(std::move(pv));
-    analysis.diag.series = ctx.time_series();
-    analysis.diag.placement_affinity = placement_affinity;
-    diag = obs::diagnose(analysis.diag);
-    if (diag_out != nullptr) *diag_out = diag;
-    if (sinks().diag) print_diagnosis(diag);
   }
+  obs::ObsSnapshot snap = ctx.snapshot();
+  QueryAnalysis analysis = analyze_query(
+      snap.spans, algorithm, result,
+      algorithm == Algorithm::IndexedJoin ? plan.ij : plan.gh, label);
+  obs::PlanValidation pv = plan_validation(plan, algorithm, result, label);
+  pv.stages = std::move(analysis.stages);
+  snap.plans.push_back(std::move(pv));
+  analysis.diag.series = snap.series;
+  analysis.diag.placement_affinity = placement_affinity;
+  const obs::Diagnosis diag = obs::diagnose(analysis.diag);
+  if (diag_out != nullptr) *diag_out = diag;
+  if (sinks().diag) print_diagnosis(diag);
   if (profile_report().enabled()) {
     obs::ExecutionProfile profile = obs::build_profile(
-        ctx, label, algorithm_name(algorithm), result.elapsed);
+        snap, label, algorithm_name(algorithm), result.elapsed);
     profile.has_diagnosis = true;
     profile.diagnosis = diag;
     profile_report().add(profile);
   }
+  // ORV_PROM: the query's snapshot, rewritten per query (a scraper pulls
+  // the current state, so last-writer-wins matches the scrape model).
+  if (const std::string& prom = sinks().prom; !prom.empty()) {
+    obs::write_file(prom, obs::prometheus_text(snap.metrics, snap.spans));
+  }
   if (tracing) {
     trace_report().add(obs::ChromeTraceQuery{
-        label + "/" + algorithm_name(algorithm), ctx.tracer.snapshot(),
-        ctx.time_series()});
-  }
-  // ORV_PROM: the query's registry snapshot, rewritten per query (a
-  // scraper pulls the current state, so last-writer-wins matches the
-  // scrape model).
-  if (const std::string& prom = sinks().prom; !prom.empty()) {
-    obs::write_file(prom, obs::prometheus_text(ctx.registry.snapshot()));
+        label + "/" + algorithm_name(algorithm), std::move(snap.spans),
+        std::move(snap.series)});
   }
   return result;
 }

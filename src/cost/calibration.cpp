@@ -57,7 +57,7 @@ obs::QueryObservation make_observation(const CostParams& prior,
 
   // Stage aggregates: summed closed-span seconds by name.
   double ij_build = 0, ij_probe = 0, gh_join = 0, gh_spill = 0, gh_read = 0;
-  for (const auto& st : obs::aggregate_stages(ctx)) {
+  for (const auto& st : obs::aggregate_stages(ctx.tracer.snapshot())) {
     if (st.name == "ij.build") ij_build = st.seconds;
     else if (st.name == "ij.probe") ij_probe = st.seconds;
     else if (st.name == "gh.join") gh_join = st.seconds;

@@ -94,6 +94,13 @@ double quantile_from_buckets(const std::vector<double>& bounds,
   return max_v;
 }
 
+double exact_quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0;
+  const auto n = static_cast<double>(sorted.size());
+  const auto rank = static_cast<std::size_t>(std::ceil(q * n));
+  return sorted[rank > 0 ? rank - 1 : 0];
+}
+
 WindowedCounter::WindowedCounter(double slot_seconds, std::size_t slots)
     : slot_seconds_(slot_seconds),
       counts_(slots, 0),
@@ -245,18 +252,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               const std::vector<double>& bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<Histogram>(bounds))
-             .first;
-  }
-  return *it->second;
-}
-
 MetricsSnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
@@ -265,22 +260,6 @@ MetricsSnapshot Registry::snapshot() const {
   }
   for (const auto& [name, g] : gauges_) {
     snap.gauges.emplace_back(name, g->value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::Hist out;
-    out.name = name;
-    out.bounds = h->bounds();
-    out.counts = h->bucket_counts();
-    out.count = h->count();
-    out.sum = h->sum();
-    if (out.count > 0) {
-      out.min = h->min();
-      out.max = h->max();
-      out.p50 = h->p50();
-      out.p95 = h->p95();
-      out.p99 = h->p99();
-    }
-    snap.histograms.push_back(std::move(out));
   }
   return snap;
 }

@@ -1,14 +1,17 @@
 #pragma once
 
-// Thread-safe metrics registry: counters, gauges, and fixed-bucket
-// histograms with quantile estimation (p50/p95/p99 via linear
-// interpolation inside the owning bucket).
+// Thread-safe metrics registry of counters and gauges, plus the
+// fixed-bucket Histogram (the Prometheus exposition's accumulator for
+// stage durations), the time-windowed instruments, and the two quantile
+// rules: interpolation inside a bucket and the exact nearest rank.
 //
 // Instruments are created on first use and owned by the registry; the
 // returned references stay valid for the registry's lifetime, so hot
 // paths should resolve an instrument once per scope and reuse it. All
 // mutation is lock-free (relaxed atomics); only name resolution and
-// snapshotting take the registry mutex.
+// snapshotting take the registry mutex. Stage time is not a registry
+// instrument: spans record it (obs/span.hpp), and every sink reads it
+// from them.
 
 #include <atomic>
 #include <cstdint>
@@ -96,6 +99,11 @@ double quantile_from_buckets(const std::vector<double>& bounds,
                              std::uint64_t count, double min_v, double max_v,
                              double q);
 
+/// Exact nearest-rank quantile of `sorted` (ascending): the element of
+/// 1-based rank ceil(q*n), the first element when that rank is 0, and 0
+/// for an empty input.
+double exact_quantile(const std::vector<double>& sorted, double q);
+
 /// Time-windowed counter: a ring of `slots` buckets, each covering
 /// `slot_seconds` of (virtual or wall) time. Mutations carry an explicit
 /// timestamp — under the simulation clock that keeps windowed rates
@@ -172,27 +180,16 @@ class WindowedHistogram {
   std::vector<Slot> slots_;
 };
 
+/// The registry's instruments by name, in name order.
 struct MetricsSnapshot {
-  struct Hist {
-    std::string name;
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t count = 0;
-    double sum = 0, min = 0, max = 0, p50 = 0, p95 = 0, p99 = 0;
-  };
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<Hist> histograms;
 };
 
 class Registry {
  public:
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// `bounds` applies only on first creation; later calls with the same
-  /// name return the existing histogram unchanged.
-  Histogram& histogram(std::string_view name,
-                       const std::vector<double>& bounds = duration_bounds());
 
   MetricsSnapshot snapshot() const;
 
@@ -200,7 +197,6 @@ class Registry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
 }  // namespace orv::obs

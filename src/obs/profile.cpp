@@ -2,57 +2,47 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 
 #include "obs/json.hpp"
 
 namespace orv::obs {
 
-std::vector<StageTime> aggregate_stages(const ObsContext& ctx) {
-  std::map<std::string, StageTime> by_name;
-  for (const auto& span : ctx.tracer.snapshot()) {
-    if (!span.closed()) continue;
-    StageTime& st = by_name[span.name];
-    st.name = span.name;
-    st.seconds += span.duration();
-    ++st.count;
-  }
-  const MetricsSnapshot snap = ctx.registry.snapshot();
-  for (const auto& h : snap.histograms) {
-    // StageScope records durations under "<name>_seconds".
-    constexpr std::string_view kSuffix = "_seconds";
-    if (h.name.size() <= kSuffix.size() ||
-        h.name.compare(h.name.size() - kSuffix.size(), kSuffix.size(),
-                       kSuffix) != 0) {
-      continue;
-    }
-    const auto it =
-        by_name.find(h.name.substr(0, h.name.size() - kSuffix.size()));
-    if (it == by_name.end()) continue;
-    it->second.p50 = h.p50;
-    it->second.p95 = h.p95;
-    it->second.p99 = h.p99;
+std::vector<StageTime> aggregate_stages(
+    const std::vector<SpanRecord>& spans) {
+  std::map<std::string_view, std::vector<double>> durations;
+  for (const auto& span : spans) {
+    if (span.closed()) durations[span.name].push_back(span.duration());
   }
   std::vector<StageTime> out;
-  out.reserve(by_name.size());
-  for (auto& [_, st] : by_name) out.push_back(std::move(st));
+  out.reserve(durations.size());
+  for (auto& [name, d] : durations) {
+    StageTime& st = out.emplace_back();
+    st.name = std::string(name);
+    for (const double v : d) st.seconds += v;
+    st.count = d.size();
+    std::sort(d.begin(), d.end());
+    st.p50 = exact_quantile(d, 0.50);
+    st.p95 = exact_quantile(d, 0.95);
+    st.p99 = exact_quantile(d, 0.99);
+  }
   std::sort(out.begin(), out.end(), [](const StageTime& a, const StageTime& b) {
     return a.seconds > b.seconds;
   });
   return out;
 }
 
-ExecutionProfile build_profile(const ObsContext& ctx, std::string query,
+ExecutionProfile build_profile(const ObsSnapshot& snap, std::string query,
                                std::string algorithm, double elapsed) {
   ExecutionProfile p;
   p.query = std::move(query);
   p.algorithm = std::move(algorithm);
   p.elapsed = elapsed;
-  p.stages = aggregate_stages(ctx);
-  p.counters = ctx.registry.snapshot().counters;
-  const auto validations = ctx.plan_validations();
-  if (!validations.empty()) {
+  p.stages = aggregate_stages(snap.spans);
+  p.counters = snap.metrics.counters;
+  if (!snap.plans.empty()) {
     p.has_plan = true;
-    p.plan = validations.back();
+    p.plan = snap.plans.back();
   }
   return p;
 }

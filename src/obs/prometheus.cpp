@@ -1,6 +1,7 @@
 #include "obs/prometheus.hpp"
 
 #include <cmath>
+#include <map>
 
 #include "common/strings.hpp"
 
@@ -34,6 +35,7 @@ std::string prometheus_name(std::string_view name) {
 }
 
 std::string prometheus_text(const MetricsSnapshot& snap,
+                            const std::vector<SpanRecord>& spans,
                             std::string_view prefix) {
   const std::string pfx = std::string(prefix) + "_";
   std::string out;
@@ -47,20 +49,29 @@ std::string prometheus_text(const MetricsSnapshot& snap,
     type_line(out, family, "gauge");
     out += family + " " + fmt_double(v) + "\n";
   }
-  for (const auto& h : snap.histograms) {
-    const std::string family = pfx + prometheus_name(h.name);
+  std::map<std::string, Histogram, std::less<>> stages;
+  std::string key;
+  for (const SpanRecord& span : spans) {
+    if (!span.closed()) continue;
+    key.assign(span.name).append("_seconds");
+    stages.try_emplace(key, duration_bounds())
+        .first->second.observe(span.duration());
+  }
+  for (const auto& [name, h] : stages) {
+    const std::string family = pfx + prometheus_name(name);
     type_line(out, family, "histogram");
+    const std::vector<std::uint64_t> counts = h.bucket_counts();
     std::uint64_t cum = 0;
-    for (std::size_t b = 0; b < h.bounds.size(); ++b) {
-      cum += b < h.counts.size() ? h.counts[b] : 0;
-      out += family + "_bucket{le=\"" + fmt_double(h.bounds[b]) + "\"} " +
+    for (std::size_t b = 0; b < h.bounds().size(); ++b) {
+      cum += counts[b];
+      out += family + "_bucket{le=\"" + fmt_double(h.bounds()[b]) + "\"} " +
              strformat("%llu", (unsigned long long)cum) + "\n";
     }
     out += family + "_bucket{le=\"+Inf\"} " +
-           strformat("%llu", (unsigned long long)h.count) + "\n";
-    out += family + "_sum " + fmt_double(h.sum) + "\n";
-    out += family + "_count " + strformat("%llu", (unsigned long long)h.count) +
-           "\n";
+           strformat("%llu", (unsigned long long)h.count()) + "\n";
+    out += family + "_sum " + fmt_double(h.sum()) + "\n";
+    out += family + "_count " +
+           strformat("%llu", (unsigned long long)h.count()) + "\n";
   }
   return out;
 }

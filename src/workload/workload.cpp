@@ -8,7 +8,7 @@
 #include "common/prng.hpp"
 #include "common/strings.hpp"
 #include "obs/json.hpp"
-#include "obs/obs.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
 
 namespace orv {
@@ -187,27 +187,8 @@ struct Driver {
 };
 
 void note_outcome(Driver& d, const QueryOutcome& out) {
-  const double t = out.finish;
-  if (auto* ctx = obs::context()) {
-    auto& reg = ctx->registry;
-    if (out.rejected) {
-      reg.counter("workload.rejected").add(1);
-    } else if (out.failed) {
-      reg.counter("workload.failed").add(1);
-    } else {
-      reg.counter("workload.completed").add(1);
-      if (out.degraded) reg.counter("workload.degraded").add(1);
-      if (out.deadline > 0) {
-        reg.counter(out.deadline_met ? "workload.deadline_met"
-                                     : "workload.deadline_missed")
-            .add(1);
-      }
-      reg.histogram("workload.latency_seconds").observe(out.latency());
-      reg.histogram("workload.queue_wait_seconds").observe(out.queue_wait());
-      reg.histogram("workload.service_seconds").observe(out.service());
-    }
-  }
   if (d.mon == nullptr) return;
+  const double t = out.finish;
   d.mon->monitor.note_outcome(t, out.rejected, out.deadline > 0,
                               out.deadline_met);
   if (!out.rejected && !out.failed) {
@@ -377,14 +358,6 @@ sim::Task<> one_query(Driver& d, Arrival a) {
   }
 }
 
-double exact_quantile(std::vector<double> v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const auto n = static_cast<double>(v.size());
-  const auto rank = static_cast<std::size_t>(std::ceil(q * n));
-  return v[rank > 0 ? rank - 1 : 0];
-}
-
 }  // namespace
 
 std::string WorkloadResult::to_string() const {
@@ -472,10 +445,12 @@ WorkloadResult run_workload(Cluster& cluster, BdsService& bds,
     result.mean_latency /= n;
     result.mean_queue_wait /= n;
   }
-  result.p50_latency = exact_quantile(latencies, 0.50);
-  result.p95_latency = exact_quantile(latencies, 0.95);
-  result.p99_latency = exact_quantile(latencies, 0.99);
-  result.p99_queue_wait = exact_quantile(waits, 0.99);
+  std::sort(latencies.begin(), latencies.end());
+  std::sort(waits.begin(), waits.end());
+  result.p50_latency = obs::exact_quantile(latencies, 0.50);
+  result.p95_latency = obs::exact_quantile(latencies, 0.95);
+  result.p99_latency = obs::exact_quantile(latencies, 0.99);
+  result.p99_queue_wait = obs::exact_quantile(waits, 0.99);
   result.makespan = last_finish - driver.start;
   result.throughput = result.makespan > 0
                           ? static_cast<double>(result.completed) /

@@ -12,7 +12,7 @@
 // Each query's life cycle: arrive → admission (bounded FIFO run queue;
 // rejection = backpressure) → plan and execute concurrently → SLO
 // accounting (queue wait vs service, deadline met/missed) into per-query
-// outcomes, exact latency quantiles, and the obs histogram registry.
+// outcomes and exact nearest-rank latency quantiles (obs::exact_quantile).
 
 #include <cstdint>
 #include <optional>

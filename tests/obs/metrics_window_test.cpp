@@ -138,26 +138,40 @@ TEST(Prometheus, TextExpositionCoversEveryInstrumentKind) {
   Registry reg;
   reg.counter("ij.pairs").add(42);
   reg.gauge("calib.net_bw").set(12.5);
-  reg.histogram("ij.fetch_seconds", {1.0, 2.0}).observe(1.5);
-  const std::string text = prometheus_text(reg.snapshot());
+  // Stage histograms come from spans: one closed 1.5 s "ij.fetch" span,
+  // and an open one, which the exposition leaves out.
+  SpanRecord fetch;
+  fetch.name = "ij.fetch";
+  fetch.start = 0.5;
+  fetch.end = 2.0;
+  SpanRecord open_fetch = fetch;
+  open_fetch.end = -1;
+  const std::string text =
+      prometheus_text(reg.snapshot(), {fetch, open_fetch});
 
   EXPECT_NE(text.find("# TYPE orv_ij_pairs_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("orv_ij_pairs_total 42"), std::string::npos);
   EXPECT_NE(text.find("# TYPE orv_calib_net_bw gauge"), std::string::npos);
   EXPECT_NE(text.find("orv_calib_net_bw 12.5"), std::string::npos);
-  // Histogram buckets are cumulative and end with +Inf == count.
-  EXPECT_NE(text.find("orv_ij_fetch_seconds_bucket{le=\"2\"} 1"),
+  // Histogram buckets are cumulative at duration_bounds() and end with
+  // +Inf == count.
+  EXPECT_NE(text.find("# TYPE orv_ij_fetch_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("orv_ij_fetch_seconds_bucket{le=\"1.048576\"} 0"),
+            std::string::npos);
+  EXPECT_NE(text.find("orv_ij_fetch_seconds_bucket{le=\"2.097152\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("orv_ij_fetch_seconds_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
-  EXPECT_NE(text.find("orv_ij_fetch_seconds_count 1"), std::string::npos);
+  EXPECT_NE(text.find("orv_ij_fetch_seconds_sum 1.5\n"), std::string::npos);
+  EXPECT_NE(text.find("orv_ij_fetch_seconds_count 1\n"), std::string::npos);
 }
 
 TEST(Prometheus, CustomPrefix) {
   Registry reg;
   reg.counter("c").add(1);
-  const std::string text = prometheus_text(reg.snapshot(), "qes");
+  const std::string text = prometheus_text(reg.snapshot(), {}, "qes");
   EXPECT_NE(text.find("qes_c_total 1"), std::string::npos);
   EXPECT_EQ(text.find("orv_"), std::string::npos);
 }

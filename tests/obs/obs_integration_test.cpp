@@ -35,7 +35,9 @@ ClusterSpec tiny_cluster() {
 
 std::set<std::string> stage_names(const obs::ObsContext& ctx) {
   std::set<std::string> names;
-  for (const auto& st : obs::aggregate_stages(ctx)) names.insert(st.name);
+  for (const auto& st : obs::aggregate_stages(ctx.tracer.snapshot())) {
+    names.insert(st.name);
+  }
   return names;
 }
 
@@ -155,8 +157,10 @@ TEST(ObsIntegration, PlannerRecordsPlanValidation) {
   EXPECT_GT(pv.measured, 0.0);
   EXPECT_GT(pv.error_ratio(), 0.0);
 
-  // The profile assembled from this context carries the plan record.
-  const auto profile = obs::build_profile(ctx, "q", pv.executed, res.elapsed);
+  // The profile assembled from this context's snapshot carries the plan
+  // record.
+  const auto profile =
+      obs::build_profile(ctx.snapshot(), "q", pv.executed, res.elapsed);
   EXPECT_TRUE(profile.has_plan);
   EXPECT_DOUBLE_EQ(profile.plan.measured, res.elapsed);
 

@@ -14,6 +14,7 @@
 #include "common/log.hpp"
 #include "obs/json.hpp"
 #include "obs/profile.hpp"
+#include "obs/prometheus.hpp"
 #include "obs/sim_clock.hpp"
 #include "sim/engine.hpp"
 
@@ -107,23 +108,18 @@ TEST(Registry, SameNameReturnsSameInstrument) {
   a.add(7);
   EXPECT_EQ(r.counter("x").value(), 7u);
   EXPECT_EQ(&r.counter("x"), &a);
-  r.histogram("h").observe(1.0);
-  EXPECT_EQ(r.histogram("h").count(), 1u);
 }
 
 TEST(Registry, SnapshotListsEverything) {
   Registry r;
   r.counter("c1").add(3);
   r.gauge("g1").set(1.5);
-  r.histogram("h1").observe(0.5);
   const auto snap = r.snapshot();
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].first, "c1");
   EXPECT_EQ(snap.counters[0].second, 3u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges[0].second, 1.5);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
 }
 
 TEST(Registry, ConcurrentMutationIsExact) {
@@ -135,14 +131,11 @@ TEST(Registry, ConcurrentMutationIsExact) {
     threads.emplace_back([&r] {
       for (int i = 0; i < kPerThread; ++i) {
         r.counter("n").add(1);
-        r.histogram("h", {0.5}).observe(0.25);
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(r.counter("n").value(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(r.histogram("h").count(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
@@ -263,7 +256,12 @@ TEST(StageScope, RecordsSpanAndHistogram) {
     scope.tag("node", std::uint64_t{1});
   }
   EXPECT_EQ(ctx.tracer.num_spans(), 1u);
-  EXPECT_EQ(ctx.registry.histogram("stage_seconds").count(), 1u);
+  // The exposition builds the stage's histogram from its one span.
+  const std::string text =
+      prometheus_text(ctx.registry.snapshot(), ctx.tracer.snapshot());
+  EXPECT_NE(text.find("# TYPE orv_stage_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("orv_stage_seconds_count 1\n"), std::string::npos);
 }
 
 TEST(ObsContextTest, LogEventsRoutedFromWarnAndAbove) {
@@ -319,30 +317,52 @@ TEST(Profile, AggregatesSpansByName) {
   ObsContext ctx(&clock);
 
   auto proc = [](sim::Engine& eng, ObsContext& c) -> sim::Task<> {
+    // The root span is opened and closed on the tracer, as QueryFrame
+    // opens a query's root, not through StageScope.
+    const SpanId root = c.tracer.begin("query");
     for (int i = 0; i < 3; ++i) {
       StageScope s(&c, "fetch");
       co_await eng.sleep(1.0);
     }
-    StageScope s(&c, "probe");
-    co_await eng.sleep(0.5);
+    for (int i = 1; i <= 4; ++i) {
+      StageScope s(&c, "build");
+      co_await eng.sleep(static_cast<double>(i));
+    }
+    {
+      StageScope s(&c, "probe");
+      co_await eng.sleep(0.5);
+    }
+    c.tracer.end(root);
   };
   engine.spawn(proc(engine, ctx), "p");
   engine.run();
 
-  const auto stages = aggregate_stages(ctx);
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_EQ(stages[0].name, "fetch");  // sorted by total seconds desc
-  EXPECT_DOUBLE_EQ(stages[0].seconds, 3.0);
-  EXPECT_EQ(stages[0].count, 3u);
-  // Quantiles come from the exponential-bucket histogram, so p50 is the
-  // interpolated position inside the bucket holding 1.0, not exactly 1.0.
-  EXPECT_GT(stages[0].p50, 0.5);
-  EXPECT_LE(stages[0].p50, 1.05);
-  EXPECT_EQ(stages[1].name, "probe");
-  EXPECT_DOUBLE_EQ(stages[1].seconds, 0.5);
+  const auto stages = aggregate_stages(ctx.tracer.snapshot());
+  ASSERT_EQ(stages.size(), 4u);
+  // Sorted by total seconds, descending.
+  EXPECT_EQ(stages[0].name, "query");
+  EXPECT_EQ(stages[1].name, "build");
+  EXPECT_EQ(stages[2].name, "fetch");
+  EXPECT_EQ(stages[3].name, "probe");
+  // Quantiles are nearest-rank over the span durations, so each is one
+  // of the durations exactly.
+  EXPECT_EQ(stages[0].count, 1u);
+  EXPECT_EQ(stages[0].seconds, 13.5);
+  EXPECT_EQ(stages[0].p50, 13.5);
+  EXPECT_EQ(stages[0].p99, 13.5);
+  EXPECT_EQ(stages[1].count, 4u);
+  EXPECT_EQ(stages[1].seconds, 10.0);
+  EXPECT_EQ(stages[1].p50, 2.0);
+  EXPECT_EQ(stages[1].p95, 4.0);
+  EXPECT_EQ(stages[1].p99, 4.0);
+  EXPECT_DOUBLE_EQ(stages[2].seconds, 3.0);
+  EXPECT_EQ(stages[2].count, 3u);
+  EXPECT_EQ(stages[2].p50, 1.0);
+  EXPECT_EQ(stages[2].p99, 1.0);
+  EXPECT_DOUBLE_EQ(stages[3].seconds, 0.5);
 
   const ExecutionProfile profile =
-      build_profile(ctx, "q", "IndexedJoin", 3.5);
+      build_profile(ctx.snapshot(), "q", "IndexedJoin", 13.5);
   const std::string json = profile.to_json();
   EXPECT_NE(json.find("\"fetch\""), std::string::npos);
   EXPECT_NE(json.find("\"probe\""), std::string::npos);

@@ -196,25 +196,6 @@ TEST(Workload, DeadlineAccounting) {
   EXPECT_EQ(met, 1u);
 }
 
-TEST(Workload, MetricsLandInHistogramRegistry) {
-  Rig rig;
-  obs::SimClock clock;  // no engine bound: wall-free manual clock at 0
-  obs::ObsContext ctx(&clock);
-  obs::ScopedInstall install(ctx);
-  WorkloadSpec spec =
-      rig.stream_of(rig.full, Algorithm::IndexedJoin, {0.0, 0.0, 0.0});
-  spec.admission.max_running = 1;
-  const WorkloadResult wl = rig.run(spec);
-  ASSERT_EQ(wl.completed, 3u);
-  const auto& reg = ctx.registry;
-  EXPECT_EQ(ctx.registry.counter("workload.completed").value(), 3u);
-  EXPECT_EQ(ctx.registry.histogram("workload.latency_seconds").count(), 3u);
-  EXPECT_EQ(ctx.registry.histogram("workload.queue_wait_seconds").count(),
-            3u);
-  EXPECT_GT(ctx.registry.histogram("workload.latency_seconds").p99(), 0.0);
-  (void)reg;
-}
-
 TEST(Workload, PlansEachAdmittedQueryOnce) {
   Rig rig;
   obs::SimClock clock;  // no engine bound: wall-free manual clock at 0
