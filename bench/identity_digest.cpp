@@ -8,9 +8,10 @@
 //   chaos.<mode>.<clean|faulted>  chaos scenarios 1000..1019, each run once
 //       fault-free and once under FaultPlan::chaos(seed), for IJ serial,
 //       IJ pipelined, IJ through a session cache (cold then warm run), GH,
-//       GH double-buffered and the distributed scan-aggregate: every
-//       QesResult counter, the virtual times as exact hex floats, or the
-//       error a run threw.
+//       GH double-buffered, the distributed scan-aggregate, and GH and IJ
+//       pipelined through a message aggregator with the default config:
+//       every QesResult counter, the virtual times as exact hex floats, or
+//       the error a run threw.
 //   workload.<seed>.<clean|faulted>  a three-client monitored workload with
 //       admission and the shared cache, and workload.poisson.<missed|met>
 //       the monitor tests' two-client Poisson workload with deadlines all
@@ -90,12 +91,25 @@ std::string describe(const QesResult& r) {
       (unsigned long long)r.join_stats.probe_tuples);
 }
 
-enum class Mode { IjSerial, IjPipelined, IjSession, Gh, GhDouble, ScanAgg };
+enum class Mode {
+  IjSerial,
+  IjPipelined,
+  IjSession,
+  Gh,
+  GhDouble,
+  ScanAgg,
+  GhAggregated,
+  IjAggregated
+};
 
 constexpr std::pair<Mode, const char*> kModes[] = {
-    {Mode::IjSerial, "ij_serial"},   {Mode::IjPipelined, "ij_pipelined"},
-    {Mode::IjSession, "ij_session"}, {Mode::Gh, "gh"},
-    {Mode::GhDouble, "gh_double"},   {Mode::ScanAgg, "scan_aggregate"}};
+    {Mode::IjSerial, "ij_serial"},       {Mode::IjPipelined, "ij_pipelined"},
+    {Mode::IjSession, "ij_session"},     {Mode::Gh, "gh"},
+    {Mode::GhDouble, "gh_double"},       {Mode::ScanAgg, "scan_aggregate"},
+    {Mode::GhAggregated, "gh_aggregated"},
+    {Mode::IjAggregated, "ij_aggregated"}};
+
+const net::AggregatorConfig kDefaultAggregation;
 
 /// One run of `mode` over the rig's scenario, optionally under `plan`, as
 /// canonical text.
@@ -113,6 +127,13 @@ std::string run_mode(chaos::ChaosRig& rig, Mode mode,
     case Mode::GhDouble:
       options.gh_double_buffer = true;
       return describe(rig.run(false, plan, options));
+    case Mode::GhAggregated:
+      rig.agg = &kDefaultAggregation;
+      return describe(rig.run(false, plan, options));
+    case Mode::IjAggregated:
+      rig.agg = &kDefaultAggregation;
+      options.prefetch_lookahead = 4;
+      return describe(rig.run(true, plan, options));
     case Mode::IjSession:
     case Mode::ScanAgg:
       break;
