@@ -15,20 +15,6 @@ void atomic_add_double(std::atomic<double>& a, double d) {
   }
 }
 
-void atomic_min_double(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max_double(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
@@ -43,12 +29,7 @@ void Histogram::observe(double v) {
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add_double(sum_, v);
-  atomic_min_double(min_, v);
-  atomic_max_double(max_, v);
 }
-
-double Histogram::min() const { return min_.load(std::memory_order_relaxed); }
-double Histogram::max() const { return max_.load(std::memory_order_relaxed); }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> out(buckets_.size());
@@ -56,11 +37,6 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
     out[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return out;
-}
-
-double Histogram::quantile(double q) const {
-  return quantile_from_buckets(bounds_, bucket_counts(), count(), min(),
-                               max(), q);
 }
 
 double quantile_from_buckets(const std::vector<double>& bounds,

@@ -59,16 +59,6 @@ class Histogram {
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  double min() const;  // +inf when empty
-  double max() const;  // -inf when empty
-
-  /// q in [0, 1]. Returns 0 for an empty histogram. Interpolates linearly
-  /// between the owning bucket's lower and upper bound; ranks falling in
-  /// the +inf bucket return the observed max.
-  double quantile(double q) const;
-  double p50() const { return quantile(0.50); }
-  double p95() const { return quantile(0.95); }
-  double p99() const { return quantile(0.99); }
 
   const std::vector<double>& bounds() const { return bounds_; }
   std::vector<std::uint64_t> bucket_counts() const;
@@ -78,8 +68,6 @@ class Histogram {
   std::vector<std::atomic<std::uint64_t>> buckets_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Exponential bucket bounds: start, start*factor, ... (n bounds).
@@ -89,11 +77,11 @@ std::vector<double> exponential_bounds(double start, double factor,
 /// Default bounds for durations in seconds: 1us .. ~1000s, x2 steps.
 const std::vector<double>& duration_bounds();
 
-/// Shared quantile estimator over fixed-bound bucket counts (used by both
-/// the cumulative Histogram and the windowed merge): rank = max(1,
-/// ceil(q*n)), linear interpolation between the owning bucket's lower and
-/// upper bound; the first bucket's lower edge is the observed minimum,
-/// ranks landing in the +inf bucket return the observed maximum.
+/// Quantile estimator over fixed-bound bucket counts (the windowed
+/// merge's): rank = max(1, ceil(q*n)), linear interpolation between the
+/// owning bucket's lower and upper bound; the first bucket's lower edge is
+/// the observed minimum, ranks landing in the +inf bucket return the
+/// observed maximum.
 double quantile_from_buckets(const std::vector<double>& bounds,
                              const std::vector<std::uint64_t>& buckets,
                              std::uint64_t count, double min_v, double max_v,
@@ -138,9 +126,8 @@ class WindowedCounter {
 };
 
 /// Time-windowed histogram: same ring-of-slots scheme, each slot holding a
-/// full bucket-count vector plus count/sum/min/max, so windowed
-/// p50/p95/p99 exist alongside the cumulative Histogram's lifetime
-/// quantiles.
+/// full bucket-count vector plus count/sum/min/max, from which the merge
+/// estimates windowed p50/p95/p99.
 class WindowedHistogram {
  public:
   WindowedHistogram(std::vector<double> upper_bounds, double slot_seconds,
