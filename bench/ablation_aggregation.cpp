@@ -22,10 +22,8 @@
 //             fingerprints everywhere.
 
 #include <cstring>
-#include <optional>
 
 #include "bench_util.hpp"
-#include "net/aggregator.hpp"
 
 namespace {
 
@@ -61,15 +59,11 @@ struct CornerRig {
 
   /// One GH run on a fresh engine.
   QesResult run(const net::AggregatorConfig* cfg) {
+    ClusterSpec spec = cluster;
+    if (cfg != nullptr) spec.aggregation = *cfg;
     sim::Engine engine;
-    Cluster cluster_inst(engine, cluster);
+    Cluster cluster_inst(engine, spec);
     BdsService bds(cluster_inst, ds.meta, ds.stores);
-    std::optional<net::MessageAggregator> agg;
-    std::optional<net::ScopedAggregator> scoped;
-    if (cfg != nullptr) {
-      agg.emplace(cluster_inst, *cfg);
-      scoped.emplace(*agg);
-    }
     return run_grace_hash(cluster_inst, bds, ds.meta, query, options);
   }
 

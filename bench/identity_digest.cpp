@@ -139,14 +139,8 @@ std::string run_mode(chaos::ChaosRig& rig, Mode mode,
       break;
   }
   sim::Engine engine;
-  Cluster cluster(engine, rig.sc.cspec);
+  Cluster cluster(engine, rig.sc.cluster(plan));
   BdsService bds(cluster, rig.ds.meta, rig.ds.stores);
-  std::optional<fault::FaultInjector> inj;
-  std::optional<fault::ScopedInjector> scoped;
-  if (plan != nullptr) {
-    inj.emplace(engine, *plan);
-    scoped.emplace(*inj);
-  }
   if (mode == Mode::ScanAgg) {
     AggregateQuery q;
     q.table = rig.query.left_table;
@@ -272,14 +266,8 @@ std::string workload_text(const chaos::ChaosRig& rig, WorkloadSpec spec,
   WorkloadResult r;
   {
     sim::Engine engine;
-    Cluster cluster(engine, rig.sc.cspec);
+    Cluster cluster(engine, rig.sc.cluster(plan));
     BdsService bds(cluster, rig.ds.meta, rig.ds.stores);
-    std::optional<fault::FaultInjector> inj;
-    std::optional<fault::ScopedInjector> scoped;
-    if (plan != nullptr) {
-      inj.emplace(engine, *plan);
-      scoped.emplace(*inj);
-    }
     r = run_workload(cluster, bds, rig.ds.meta, spec, sinks);
   }
 

@@ -79,7 +79,7 @@ sim::Task<std::shared_ptr<const SubTable>> BdsInstance::produce(
   const ChunkMeta& cm = local_chunk(id);
   obs::StageScope stage(obs::context(), "bds.produce", rpc.parent);
   stage.tag("storage_node", static_cast<std::uint64_t>(node_));
-  if (auto* inj = fault::context()) co_await fault_gate(*inj, id, false);
+  if (auto* inj = cluster_.faults()) co_await fault_gate(*inj, id, false);
 
   // Charge the chunk read to the local disk, then the extraction to this
   // node's CPU; the real read + extraction happen at the completion time.
@@ -122,7 +122,7 @@ sim::Task<> BdsInstance::serve(std::span<const ChunkMeta*> chunks,
   stage.tag("storage_node", static_cast<std::uint64_t>(node_));
   stage.tag("compute_node", static_cast<std::uint64_t>(compute_node));
   if (batch) stage.tag("batch", static_cast<std::uint64_t>(chunks.size()));
-  if (auto* inj = fault::context(); inj != nullptr && !batch) {
+  if (auto* inj = cluster_.faults(); inj != nullptr && !batch) {
     co_await fault_gate(*inj, chunks[0]->id, /*remote=*/true);
   }
 
@@ -162,7 +162,7 @@ sim::Task<> BdsInstance::serve(std::span<const ChunkMeta*> chunks,
       kExtractOpsPerByte * static_cast<double>(chunk_bytes));
 
   const double ship_bytes = static_cast<double>(shipped_bytes);
-  auto* agg = net::context();
+  auto* agg = cluster_.aggregator();
   if (agg != nullptr && !cluster_.is_local(node_, compute_node)) {
     // Aggregated reply: the egress (source NIC + switch) is charged by the
     // combined frame that carries this reply, so co-destined replies share

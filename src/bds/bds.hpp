@@ -24,10 +24,6 @@
 
 namespace orv {
 
-namespace fault {
-class FaultInjector;
-}
-
 /// Per-node BDS statistics.
 struct BdsStats {
   std::uint64_t subtables_served = 0;
@@ -94,7 +90,7 @@ class BdsInstance {
   const ChunkMeta& local_chunk(SubTableId id) const;
 
   /// The fault gate, run once per single-chunk request before any read
-  /// when an injector is installed. While the node is down: a remote
+  /// when the cluster has a fault plan. While the node is down: a remote
   /// caller (`remote`) gives up after the plan's RPC timeout with a
   /// TimeoutError if the node stays down longer; a permanently lost node
   /// throws FaultError; otherwise the request waits for recovery. Then the

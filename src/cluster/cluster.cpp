@@ -2,6 +2,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "net/aggregator.hpp"
 
 namespace orv {
 
@@ -77,7 +78,16 @@ Cluster::Cluster(sim::Engine& engine, ClusterSpec spec)
           engine_, strformat("lbus%zu", j), hw.local_bus_bw));
     }
   }
+  if (spec_.faults) {
+    faults_ = std::make_unique<fault::FaultInjector>(engine_, *spec_.faults);
+  }
+  if (spec_.aggregation) {
+    aggregator_ =
+        std::make_unique<net::MessageAggregator>(*this, *spec_.aggregation);
+  }
 }
+
+Cluster::~Cluster() = default;
 
 Disk& Cluster::storage_disk(std::size_t i) {
   if (spec_.shared_filesystem) return *nfs_;

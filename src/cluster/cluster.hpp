@@ -7,16 +7,40 @@
 // operations; a switch connects everything. In shared-filesystem mode
 // (Fig. 9) a single NFS server resource serves every node's I/O and
 // compute nodes have no local disks.
+//
+// A ClusterSpec may also carry a fault plan and a message-aggregation
+// config; the Cluster then owns the FaultInjector on its engine and the
+// MessageAggregator over its storage->compute flows, and every executor
+// reads them from the cluster it runs on.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cluster/hardware.hpp"
+#include "fault/fault.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 
 namespace orv {
+
+namespace net {
+
+class MessageAggregator;
+
+struct AggregatorConfig {
+  /// Logical messages per frame before a size flush. 1 sends every message
+  /// in its own frame (the unaggregated message pattern, one reservation
+  /// per batch).
+  std::size_t flush_batches = 8;
+
+  /// Virtual seconds the oldest buffered message may wait before a timeout
+  /// flush. Bounds the latency a half-full frame can add.
+  double flush_timeout = 1e-3;
+};
+
+}  // namespace net
 
 /// One physical spindle with distinct read/write bandwidths.
 ///
@@ -94,14 +118,31 @@ struct ClusterSpec {
   /// GraphPartitioned layout) exists to maximize such local transfers.
   /// Off by default: the paper's testbed keeps storage and compute apart.
   bool colocated = false;
+
+  /// What goes wrong while the cluster runs. Unset: nothing is injected.
+  std::optional<fault::FaultPlan> faults;
+
+  /// Combine storage->compute messages into frames (net/aggregator.hpp).
+  /// Unset: every message is its own frame.
+  std::optional<net::AggregatorConfig> aggregation;
 };
 
 class Cluster {
  public:
   Cluster(sim::Engine& engine, ClusterSpec spec);
+  ~Cluster();
+  /// The aggregator holds a reference to its cluster.
+  Cluster(Cluster&&) = delete;
 
   sim::Engine& engine() { return engine_; }
   const ClusterSpec& spec() const { return spec_; }
+
+  /// The injector evaluating spec().faults, or null without a plan.
+  fault::FaultInjector* faults() const { return faults_.get(); }
+
+  /// The aggregator built from spec().aggregation, or null without one.
+  net::MessageAggregator* aggregator() const { return aggregator_.get(); }
+
   std::size_t num_storage() const { return spec_.num_storage; }
   std::size_t num_compute() const { return spec_.num_compute; }
 
@@ -236,6 +277,8 @@ class Cluster {
   double net_bytes_ = 0;
   double switch_bytes_ = 0;
   double local_bytes_ = 0;
+  std::unique_ptr<fault::FaultInjector> faults_;
+  std::unique_ptr<net::MessageAggregator> aggregator_;
 };
 
 }  // namespace orv

@@ -39,6 +39,10 @@ CostParams CostParams::from(const ClusterSpec& cluster,
   // frame, so plans price it from the start (0 on the default profiles;
   // the calibrator can still refine it from observed runs).
   p.msg_overhead = hw.net_msg_overhead;
+  if (cluster.aggregation) {
+    p.agg_flush_batches =
+        static_cast<double>(cluster.aggregation->flush_batches);
+  }
   return p;
 }
 

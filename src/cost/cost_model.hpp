@@ -98,10 +98,9 @@ struct CostParams {
   double msg_overhead = 0;
 
   // Logical messages combined per physical network frame — the flush
-  // threshold of the installed net::MessageAggregator, which the planner
-  // reads at plan time. The per-message overhead is paid per *frame*, so
-  // the msg term divides by this. 1 (default) prices the unaggregated
-  // network.
+  // threshold of ClusterSpec::aggregation, which CostParams::from reads.
+  // The per-message overhead is paid per *frame*, so the msg term divides
+  // by this. 1 (default) prices the unaggregated network.
   double agg_flush_batches = 1;
 
   bool operator==(const CostParams&) const = default;

@@ -9,14 +9,6 @@
 
 namespace orv::fault {
 
-std::atomic<FaultInjector*> g_injector{nullptr};
-
-void install(FaultInjector* inj) {
-  g_injector.store(inj, std::memory_order_release);
-}
-
-void uninstall() { g_injector.store(nullptr, std::memory_order_release); }
-
 const char* node_kind_name(NodeKind k) {
   return k == NodeKind::Storage ? "storage" : "compute";
 }
@@ -167,8 +159,7 @@ void FaultInjector::maybe_fail_chunk_read(std::size_t storage_node) {
   if (rng_.uniform01() >= plan_.chunk_read_error_prob) return;
   ++stats_.io_errors_injected;
   publish("fault.injected.io");
-  obs::flight_note(engine_.now(), obs::FlightEvent::Kind::Fault,
-                   strformat("storage%zu", storage_node), "io_error");
+  fired("io_error", NodeKind::Storage, storage_node);
   throw InjectedIoError(strformat(
       "injected transient I/O error reading chunk on storage node %zu "
       "(t=%.4f)",
@@ -183,9 +174,8 @@ FaultInjector::MessageAction FaultInjector::on_message(std::size_t src,
     act.drop = true;
     ++stats_.messages_dropped;
     publish("fault.injected.drop");
-    obs::flight_note(engine_.now(), obs::FlightEvent::Kind::Fault, "net",
-                     "message_drop", 0,
-                     strformat("src=%zu dst=%zu", src, dst));
+    fired("message_drop", std::nullopt, 0, 0,
+          strformat("src=%zu dst=%zu", src, dst));
     return act;
   }
   if (plan_.message_delay_prob > 0 &&
@@ -193,9 +183,8 @@ FaultInjector::MessageAction FaultInjector::on_message(std::size_t src,
     act.delay = rng_.uniform(0.0, plan_.message_delay_max);
     ++stats_.messages_delayed;
     publish("fault.injected.delay");
-    obs::flight_note(engine_.now(), obs::FlightEvent::Kind::Fault, "net",
-                     "message_delay", act.delay,
-                     strformat("src=%zu dst=%zu", src, dst));
+    fired("message_delay", std::nullopt, 0, act.delay,
+          strformat("src=%zu dst=%zu", src, dst));
   }
   return act;
 }
@@ -208,15 +197,23 @@ void FaultInjector::note_crash_observed(NodeKind kind, std::size_t node) {
   seen[node] = true;
   ++stats_.node_crashes_observed;
   publish("fault.injected.crash");
-  obs::flight_note(engine_.now(), obs::FlightEvent::Kind::Fault,
-                   strformat("%s%zu", node_kind_name(kind), node), "crash");
+  fired("crash", kind, node);
 }
 
 void FaultInjector::note_retry() {
-  ++retries_;
   if (auto* ctx = obs::context()) ctx->registry.counter("retry.attempts").add(1);
-  obs::flight_note(engine_.now(), obs::FlightEvent::Kind::Fault, "net",
-                   "retry");
+  fired("retry");
+}
+
+void FaultInjector::fired(const char* what, std::optional<NodeKind> kind,
+                          std::size_t node, double value,
+                          const std::string& detail) {
+  const double now = engine_.now();
+  obs::flight_note(now, obs::FlightEvent::Kind::Fault,
+                   kind ? strformat("%s%zu", node_kind_name(*kind), node)
+                        : std::string("net"),
+                   what, value, detail);
+  if (subscriber_) subscriber_(FaultEvent{now, what, kind, node});
 }
 
 }  // namespace orv::fault

@@ -21,13 +21,15 @@
 //  - dropped messages are retransmitted by the sender after
 //    retransmit_timeout, so drops cost time, never data.
 //
-// Like the obs layer, the injector is installed process-wide; when none is
-// installed every hook reduces to one relaxed atomic load and a predicted
-// branch, and the simulation behaves exactly as before this layer existed.
+// The plan is part of the simulated cluster (ClusterSpec::faults), and the
+// Cluster owns the injector on its engine. Without a plan every hook
+// reduces to a null check on Cluster::faults(), and the simulation behaves
+// exactly as before this layer existed.
 
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -130,14 +132,30 @@ class FaultError : public Error {
   explicit FaultError(const std::string& what) : Error(what) {}
 };
 
+/// One fault the injector fired, as its subscriber sees it. `what` is the
+/// flight recorder's event name ("io_error", "message_drop",
+/// "message_delay", "crash" or "retry"). An io_error names its storage
+/// node and a crash its node; drops, delays and retries carry no node.
+struct FaultEvent {
+  double time = 0;
+  const char* what = "";
+  std::optional<NodeKind> kind;
+  std::size_t node = 0;
+};
+
 /// Evaluates a FaultPlan against one engine's virtual clock.
 class FaultInjector {
  public:
   FaultInjector(sim::Engine& engine, FaultPlan plan);
 
+  /// Calls `cb` for every fault fired from now on, in firing order; an
+  /// empty function ends the subscription.
+  void subscribe(std::function<void(const FaultEvent&)> cb) {
+    subscriber_ = std::move(cb);
+  }
+
   const FaultPlan& plan() const { return plan_; }
   const FaultStats& stats() const { return stats_; }
-  sim::Engine& engine() const { return engine_; }
 
   /// Storage node `i` is inside a crash window at the current virtual time.
   bool storage_down(std::size_t node) const;
@@ -168,38 +186,22 @@ class FaultInjector {
   /// bumps fault.injected.crash.
   void note_crash_observed(NodeKind kind, std::size_t node);
 
-  /// Bumps retry.attempts (and the injector's view of total retries).
+  /// Bumps retry.attempts.
   void note_retry();
-  std::uint64_t retries() const { return retries_; }
 
  private:
+  /// Tells the flight recorder and the subscriber about a fault.
+  void fired(const char* what, std::optional<NodeKind> kind = std::nullopt,
+             std::size_t node = 0, double value = 0,
+             const std::string& detail = {});
+
   sim::Engine& engine_;
   FaultPlan plan_;
   FaultStats stats_;
   Xoshiro256StarStar rng_;
-  std::uint64_t retries_ = 0;
   std::vector<bool> storage_observed_;
   std::vector<bool> compute_observed_;
-};
-
-/// Installs `inj` as the process-wide injector (nullptr uninstalls). The
-/// caller keeps ownership and must uninstall before destroying it.
-void install(FaultInjector* inj);
-void uninstall();
-
-/// The installed injector, or nullptr (the common, fault-free case).
-inline FaultInjector* context() {
-  extern std::atomic<FaultInjector*> g_injector;
-  return g_injector.load(std::memory_order_acquire);
-}
-
-/// RAII install/uninstall of an injector the scope owns.
-class ScopedInjector {
- public:
-  explicit ScopedInjector(FaultInjector& inj) { install(&inj); }
-  ~ScopedInjector() { uninstall(); }
-  ScopedInjector(const ScopedInjector&) = delete;
-  ScopedInjector& operator=(const ScopedInjector&) = delete;
+  std::function<void(const FaultEvent&)> subscriber_;
 };
 
 }  // namespace orv::fault

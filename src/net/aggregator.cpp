@@ -4,18 +4,9 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
-#include "fault/fault.hpp"
 #include "obs/obs.hpp"
 
 namespace orv::net {
-
-std::atomic<MessageAggregator*> g_aggregator{nullptr};
-
-void install(MessageAggregator* agg) {
-  g_aggregator.store(agg, std::memory_order_release);
-}
-
-void uninstall() { g_aggregator.store(nullptr, std::memory_order_release); }
 
 const char* flush_cause_name(FlushCause c) {
   switch (c) {
@@ -118,7 +109,7 @@ sim::Task<> MessageAggregator::send_frame(
   }
   ++stats_.frames_sent;
 
-  auto* inj = fault::context();
+  auto* inj = cluster_.faults();
   std::uint64_t retransmits = 0;
   while (true) {
     // One egress reservation (source NIC + switch) for the whole frame:

@@ -33,12 +33,13 @@
 // delivered exactly once, so frame drops compose with GH's salted re-hash
 // recovery and the IJ supervisor rounds exactly like per-batch drops did.
 //
-// Like the fault injector, an aggregator is installed process-wide; when
-// none is installed (the default everywhere) every send path reduces to
-// one relaxed atomic load and the simulation is bit-identical to the
-// pre-aggregation executor.
+// The config is part of the simulated cluster (ClusterSpec::aggregation,
+// declared with AggregatorConfig in cluster/cluster.hpp), and the Cluster
+// owns the aggregator. Without one (the default everywhere) every send
+// path reduces to a null check on Cluster::aggregator() and the
+// simulation is bit-identical to the pre-aggregation executor; the
+// planner prices the same config through CostParams::from.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -50,17 +51,6 @@
 #include "sim/event.hpp"
 
 namespace orv::net {
-
-struct AggregatorConfig {
-  /// Logical messages per frame before a size flush. 1 sends every message
-  /// in its own frame (the unaggregated message pattern, one reservation
-  /// per batch).
-  std::size_t flush_batches = 8;
-
-  /// Virtual seconds the oldest buffered message may wait before a timeout
-  /// flush. Bounds the latency a half-full frame can add.
-  double flush_timeout = 1e-3;
-};
 
 enum class FlushCause { Size, Timeout, Drain };
 
@@ -153,26 +143,6 @@ class MessageAggregator {
   /// on it reaching zero.
   std::vector<std::uint64_t> src_pending_;
   std::vector<std::vector<std::shared_ptr<sim::Event>>> src_waiters_;
-};
-
-/// Installs `agg` as the process-wide aggregator (nullptr uninstalls). The
-/// caller keeps ownership and must uninstall before destroying it.
-void install(MessageAggregator* agg);
-void uninstall();
-
-/// The installed aggregator, or nullptr (the common, unaggregated case).
-inline MessageAggregator* context() {
-  extern std::atomic<MessageAggregator*> g_aggregator;
-  return g_aggregator.load(std::memory_order_acquire);
-}
-
-/// RAII install/uninstall of an aggregator the scope owns.
-class ScopedAggregator {
- public:
-  explicit ScopedAggregator(MessageAggregator& agg) { install(&agg); }
-  ~ScopedAggregator() { uninstall(); }
-  ScopedAggregator(const ScopedAggregator&) = delete;
-  ScopedAggregator& operator=(const ScopedAggregator&) = delete;
 };
 
 }  // namespace orv::net

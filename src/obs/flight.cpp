@@ -40,27 +40,17 @@ FlightRecorder::FlightRecorder() : FlightRecorder(Config()) {}
 FlightRecorder::FlightRecorder(Config cfg) : cfg_(std::move(cfg)) {}
 
 void FlightRecorder::record(FlightEvent ev) {
-  const bool is_fault = ev.kind == FlightEvent::Kind::Fault;
-  FlightEvent copy;
-  if (is_fault && on_fault_) copy = ev;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++recorded_;
-    Ring& ring = rings_[{ev.node, static_cast<int>(ev.kind)}];
-    ++ring.total;
-    if (ring.buf.size() < kRingCapacity) {
-      ring.buf.push_back(std::move(ev));
-    } else {
-      ++evicted_;
-      ring.buf[ring.next] = std::move(ev);
-      ring.next = (ring.next + 1) % kRingCapacity;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++recorded_;
+  Ring& ring = rings_[{ev.node, static_cast<int>(ev.kind)}];
+  ++ring.total;
+  if (ring.buf.size() < kRingCapacity) {
+    ring.buf.push_back(std::move(ev));
+  } else {
+    ++evicted_;
+    ring.buf[ring.next] = std::move(ev);
+    ring.next = (ring.next + 1) % kRingCapacity;
   }
-  if (is_fault && on_fault_) on_fault_(copy);
-}
-
-void FlightRecorder::set_on_fault(std::function<void(const FlightEvent&)> cb) {
-  on_fault_ = std::move(cb);
 }
 
 std::string FlightRecorder::render_dump(const FlightDump& d) const {

@@ -11,14 +11,13 @@
 // Separate rings per event class mean a flood of span closures can never
 // evict fault evidence: an injected fault stays visible until
 // kRingCapacity *more faults on the same node* push it out. Recording
-// is O(1); the process-wide install follows the obs/fault atomic-pointer
+// is O(1); the process-wide install follows the obs layer's atomic-pointer
 // idiom, so producers pay one relaxed load plus a predicted branch when
 // no recorder is installed (the default, keeping committed baselines
 // byte-identical).
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -87,11 +86,6 @@ class FlightRecorder {
   bool holds(FlightEvent::Kind kind, std::string_view node,
              std::string_view name) const;
 
-  /// Invoked (outside the recorder lock) for every Fault event recorded —
-  /// the node-health tracker's fault feed. The callback must not
-  /// re-enter the recorder.
-  void set_on_fault(std::function<void(const FlightEvent&)> cb);
-
   const Config& config() const { return cfg_; }
 
  private:
@@ -104,7 +98,6 @@ class FlightRecorder {
   std::string render_dump(const FlightDump& d) const;  // caller holds mu_
 
   Config cfg_;
-  std::function<void(const FlightEvent&)> on_fault_;
   mutable std::mutex mu_;
   // Key: node then event class; std::map keeps dump output deterministic.
   std::map<std::pair<std::string, int>, Ring> rings_;
@@ -115,9 +108,9 @@ class FlightRecorder {
   std::uint64_t suppressed_ = 0;
 };
 
-/// Process-wide recorder, mirroring obs::install / fault::install. The
-/// hot-path contract: flight_context() is one relaxed atomic load;
-/// producers only build FlightEvents after a non-null check.
+/// Process-wide recorder, mirroring obs::install. The hot-path contract:
+/// flight_context() is one relaxed atomic load; producers only build
+/// FlightEvents after a non-null check.
 void install_flight(FlightRecorder* rec);
 void uninstall_flight();
 FlightRecorder* flight_context();

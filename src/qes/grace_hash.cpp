@@ -78,15 +78,15 @@ struct GhShared {
 
   /// Accumulated in place. h1_messages_sent counts logical h1 batch
   /// messages (the cost model's count; the physical frame count is read off
-  /// the switch and is smaller when an aggregator is installed). node_work
+  /// the switch and is smaller when the cluster aggregates). node_work
   /// holds per-receiver busy seconds over both phases, h1 rows received
   /// and batch bytes ingested.
   QesResult result;
   double partition_phase_end = 0;
 
-  // Round-based recovery protocol state; only touched when a fault
-  // injector is installed (fault-free runs take the single-round fast
-  // path with no extra synchronization).
+  // Round-based recovery protocol state; only touched when the cluster
+  // has a fault plan (fault-free runs take the single-round fast path
+  // with no extra synchronization).
   std::unique_ptr<sim::Latch> drain_latch;  // one count per compute node
   std::unique_ptr<sim::Event> round_gate;   // set once the round's verdict is in
   std::vector<std::unique_ptr<sim::Event>> retired_gates;
@@ -186,7 +186,7 @@ class Partitioner {
     obs::StageScope send_stage(ctx, "gh.send", parent_);
     batch.trace = obs::TraceContext{sh_.frame.trace_id, send_stage.id()};
     ++sh_.result.h1_messages_sent;
-    if (auto* agg = net::context()) {
+    if (auto* agg = sh_.cluster.aggregator()) {
       // Aggregated path: hand the batch to the per-(src,dst) flow and
       // return immediately. The aggregator charges one egress per combined
       // frame (and rolls the fault dice per frame); the deliver closure
@@ -202,7 +202,7 @@ class Partitioner {
                 });
       co_return;
     }
-    auto* inj = fault::context();
+    auto* inj = sh_.cluster.faults();
     std::uint64_t retransmits = 0;
     while (true) {
       // Egress (source NIC + switch) is charged here, pacing the sender;
@@ -252,7 +252,7 @@ class Partitioner {
 sim::Task<std::shared_ptr<const SubTable>> produce_with_retry(
     GhShared& sh, std::size_t node, SubTableId id, obs::TraceContext rpc) {
   auto st = co_await qes_detail::read_with_retry(
-      sh.cluster.engine(), "produce", id, sh.result.fetch_retries,
+      sh.cluster, "produce", id, sh.result.fetch_retries,
       [&](int) { return sh.bds.instance(node).produce(id, rpc); });
   co_return qes_detail::select_rows(std::move(st), sh.query.ranges);
 }
@@ -314,7 +314,7 @@ sim::Task<> gh_send(GhShared& sh, std::size_t node, sim::Latch* done,
     }
     co_await part.flush_all();
   }
-  if (auto* agg = net::context()) {
+  if (auto* agg = sh.cluster.aggregator()) {
     // Every posted batch must be in its destination channel before the
     // coordinator learns this sender is done (or joins it) — otherwise it
     // would close the round's channels under buffered messages.
@@ -323,8 +323,8 @@ sim::Task<> gh_send(GhShared& sh, std::size_t node, sim::Latch* done,
   if (done) done->count_down();
 }
 
-/// Closes compute channels once every storage sender finishes; with a
-/// fault injector installed it then runs the quiesce protocol: wait for
+/// Closes compute channels once every storage sender finishes; when the
+/// cluster has a fault plan it then runs the quiesce protocol: wait for
 /// every receiver to drain the round, take the compute dead-set at quiesce
 /// time, and either declare the partition stable or open another round of
 /// channels and launch the re-partition senders. The dead set only grows,
@@ -332,7 +332,7 @@ sim::Task<> gh_send(GhShared& sh, std::size_t node, sim::Latch* done,
 /// a clean FaultError instead of hanging.
 sim::Task<> gh_coordinator(GhShared& sh, sim::Latch& storage_done) {
   auto& engine = sh.cluster.engine();
-  auto* inj = fault::context();
+  auto* inj = sh.cluster.faults();
   co_await storage_done.wait();
   for (auto& ch : sh.to_compute) ch->close();
   if (!inj) co_return;  // fault-free: exactly the old channel closer
@@ -435,12 +435,12 @@ sim::Task<> gh_compute(GhShared& sh, std::size_t node) {
   std::vector<std::vector<std::byte>> left_buckets(sh.n_buckets);
   std::vector<std::vector<std::byte>> right_buckets(sh.n_buckets);
 
-  // --- Phase 1: receive, split by h2, spill to scratch. With a fault
-  // injector installed this loops over quiesce rounds; a receiver whose
+  // --- Phase 1: receive, split by h2, spill to scratch. When the cluster
+  // has a fault plan this loops over quiesce rounds; a receiver whose
   // crash time has passed discards its entire partition state but keeps
   // draining (black hole) so senders never block on a dead destination.
   auto* ctx = obs::context();
-  auto* inj = fault::context();
+  auto* inj = sh.cluster.faults();
   obs::StageScope recv_stage(ctx, "gh.receive", sh.frame.query_span);
   recv_stage.tag("node", static_cast<std::uint64_t>(node));
   ProbeGuard node_probes(sh.frame.probes);

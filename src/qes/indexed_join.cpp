@@ -96,7 +96,7 @@ sim::Task<std::shared_ptr<const SubTable>> fetch_subtable(
   obs::StageScope stage(obs::context(), "ij.fetch", sh.node_spans[node]);
   if (fetch_span) *fetch_span = stage.id();
   auto st = co_await qes_detail::read_with_retry(
-      sh.cluster.engine(), "fetch", id, sh.result.fetch_retries,
+      sh.cluster, "fetch", id, sh.result.fetch_retries,
       [&](int attempt) {
         if (attempt > 0) {
           stage.tag("retry", static_cast<std::uint64_t>(attempt));
@@ -169,7 +169,7 @@ sim::Task<> ij_prefetch_fetch(IjShared& sh, std::size_t node,
   }
   if (cache.pin(id)) co_return;  // resident: pin is all we need
   const double t0 = sh.cluster.engine().now();
-  if (fault::context() == nullptr && sh.options.coalesce_fetches) {
+  if (sh.cluster.faults() == nullptr && sh.options.coalesce_fetches) {
     // Gather upcoming misses within the lookahead window, then keep only
     // the maximal on-disk-adjacent run containing `id`: those chunks
     // coalesce into one disk reservation (one seek). Fetching non-adjacent
@@ -249,7 +249,7 @@ sim::Task<> ij_prefetcher(IjShared& sh, std::size_t node,
                           CachingService& cache,
                           const std::vector<SubTablePair>& pairs,
                           IjPrefetchState& ps) {
-  auto* inj = fault::context();
+  auto* inj = sh.cluster.faults();
   try {
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       if (ps.stop || (inj && inj->compute_down(node))) break;
@@ -338,7 +338,7 @@ sim::Task<> ij_node(IjShared& sh, std::size_t node,
                                    strformat("ij-prefetch-%zu", node));
   }
 
-  auto* inj = fault::context();
+  auto* inj = sh.cluster.faults();
   bool died = false;
   const auto down = [&] { return died = inj && inj->compute_down(node); };
   std::size_t next = 0;  // first pair whose output has NOT been accumulated

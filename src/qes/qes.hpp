@@ -66,8 +66,8 @@ struct QesOptions {
 
   /// Pipelined fault-free prefetch fetches batch adjacent upcoming chunk
   /// reads of the same storage node into a single multi-chunk disk
-  /// reservation (one seek per run instead of per chunk). Ignored when a
-  /// fault injector is installed: per-id fetches keep retry/backoff simple.
+  /// reservation (one seek per run instead of per chunk). Ignored when the
+  /// cluster has a fault plan: per-id fetches keep retry/backoff simple.
   bool coalesce_fetches = true;
 
   /// Grace Hash knobs.
@@ -153,8 +153,8 @@ struct QesResult {
 
   // Network message accounting (GH fills these; zero elsewhere). Logical
   // h1 batch messages are what the cost model counts; physical frames are
-  // switch operations, and the two differ exactly when a
-  // net::MessageAggregator is installed.
+  // switch operations, and the two differ exactly when the cluster has a
+  // message aggregator (ClusterSpec::aggregation).
   std::uint64_t h1_messages_sent = 0;
   std::uint64_t net_frames_sent = 0;
 

@@ -34,14 +34,16 @@ QesResult run_query_task(sim::Engine& engine, sim::Task<QesResult> task,
 }
 
 sim::Task<std::shared_ptr<const SubTable>> read_with_retry(
-    sim::Engine& engine, const char* verb, SubTableId id,
+    Cluster& cluster, const char* verb, SubTableId id,
     std::uint64_t& retries, SubTableRead read,
     std::function<void()> on_error) {
-  auto* inj = fault::context();
+  auto* inj = cluster.faults();
   const fault::RetryPolicy policy =
       inj ? inj->plan().retry : fault::RetryPolicy{};
   for (int attempt = 0;; ++attempt) {
-    if (attempt > 0) co_await engine.sleep(policy.backoff(attempt));
+    if (attempt > 0) {
+      co_await cluster.engine().sleep(policy.backoff(attempt));
+    }
     try {
       co_return co_await read(attempt);
     } catch (const IoError& e) {

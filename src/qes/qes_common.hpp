@@ -53,7 +53,7 @@ QesResult run_query_task(sim::Engine& engine, sim::Task<QesResult> task,
 using SubTableRead =
     std::function<sim::Task<std::shared_ptr<const SubTable>>(int attempt)>;
 
-/// Runs `read` under the installed fault plan's retry policy. An IoError
+/// Runs `read` under the cluster's fault plan's retry policy. An IoError
 /// (an injected read error, or an RPC timeout against a down storage node)
 /// runs `on_error`, then backs off exponentially and tries again, counting
 /// the retry in `retries` and in the injector's retry.attempts. Without an
@@ -61,7 +61,7 @@ using SubTableRead =
 /// budget is spent it surfaces as a clean FaultError ("<verb> of <id>
 /// failed after N attempts").
 sim::Task<std::shared_ptr<const SubTable>> read_with_retry(
-    sim::Engine& engine, const char* verb, SubTableId id,
+    Cluster& cluster, const char* verb, SubTableId id,
     std::uint64_t& retries, SubTableRead read,
     std::function<void()> on_error = {});
 

@@ -38,7 +38,7 @@ sim::Task<> sa_storage(SaShared& sh, std::size_t node, sim::Latch& done) {
     if (!satisfies_ranges(cm, sh.query.ranges)) continue;  // chunk pruning
 
     auto st = co_await qes_detail::read_with_retry(
-        sh.cluster.engine(), "produce", cm.id, sh.fetch_retries,
+        sh.cluster, "produce", cm.id, sh.fetch_retries,
         [&](int) { return sh.bds.instance(node).produce(cm.id); });
     const auto rows = qes_detail::select_rows(std::move(st), sh.query.ranges);
     co_await cpu.use(hw.gamma_aggregate * sh.options.cpu_work_factor *

@@ -2,7 +2,6 @@
 
 #include "common/strings.hpp"
 #include "cost/calibration.hpp"
-#include "net/aggregator.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/obs.hpp"
 #include "place/placement.hpp"
@@ -25,8 +24,8 @@ void price(PlanDecision& d) {
 }
 
 /// Assembles the spec-sheet parameters, completes them with the executor
-/// knobs and the installed aggregator's flush threshold, then derives the
-/// plan — and, with a calibrator, the prior plan — from that one base.
+/// knobs, then derives the plan — and, with a calibrator, the prior plan —
+/// from that one base.
 PlanDecision decide(const ClusterSpec& cluster, const ConnectivityStats& data,
                     std::size_t rs_left, std::size_t rs_right,
                     double local_fraction, const QesOptions* qes) {
@@ -39,9 +38,6 @@ PlanDecision decide(const ClusterSpec& cluster, const ConnectivityStats& data,
   CostParams base =
       CostParams::from(cluster, data, rs_left, rs_right, cpu_factor);
   base.local_fraction = local_fraction;
-  if (const net::MessageAggregator* agg = net::context()) {
-    base.agg_flush_batches = static_cast<double>(agg->config().flush_batches);
-  }
   PlanDecision d;
   if (qes != nullptr) {
     base.batch_bytes = static_cast<double>(qes->batch_bytes);

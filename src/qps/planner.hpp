@@ -46,8 +46,8 @@ class QueryPlanner {
   /// enabled overlap pipeline (QesOptions::pipelined()) is priced as
   /// max-of-stages for the corresponding algorithm, and its
   /// cpu_work_factor k prices a CPU 1/k as fast (Fig. 8). The flush
-  /// threshold of the installed net::MessageAggregator, if any, prices
-  /// the per-frame overhead.
+  /// threshold of the spec's aggregation config, if any, prices the
+  /// per-frame overhead.
   PlanDecision plan(const ConnectivityStats& data, std::size_t rs_left,
                     std::size_t rs_right,
                     const QesOptions* qes = nullptr) const;

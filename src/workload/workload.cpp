@@ -83,6 +83,9 @@ std::vector<Arrival> generate_arrivals(const WorkloadSpec& spec) {
 struct MonitorRig {
   MonitorRig(std::size_t num_storage, std::size_t num_compute)
       : health(num_storage, num_compute) {}
+  ~MonitorRig() {
+    if (faults != nullptr) faults->subscribe({});
+  }
 
   obs::Monitor monitor;
   obs::NodeHealthTracker health;
@@ -99,33 +102,12 @@ struct MonitorRig {
   double last_tick = 0;
   Cluster::BusyTimes last_busy;
 
-  // Fault events seen through the recorder's on_fault feed; a non-zero
-  // count forces an end-of-run dump so no injected fault escapes capture.
+  // Fault events heard from the cluster's injector, which the rig
+  // subscribes to for the run; a non-zero count forces an end-of-run dump
+  // so no injected fault escapes capture.
+  fault::FaultInjector* faults = nullptr;
   std::size_t fault_events = 0;
 };
-
-/// Parses the flight recorder's node attribution ("storage3" /
-/// "compute1") into the health tracker's (lane, index) form. "net" and
-/// "" are unattributed.
-bool parse_node_id(const std::string& s, bool* storage, std::size_t* node) {
-  std::string_view prefix;
-  if (s.rfind("storage", 0) == 0) {
-    *storage = true;
-    prefix = "storage";
-  } else if (s.rfind("compute", 0) == 0) {
-    *storage = false;
-    prefix = "compute";
-  } else {
-    return false;
-  }
-  const std::string digits = s.substr(prefix.size());
-  if (digits.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(digits.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *node = static_cast<std::size_t>(v);
-  return true;
-}
 
 /// Builds the monitor rig for one run, or returns null when monitoring is
 /// off. A flight or dash sink forces it on.
@@ -146,14 +128,16 @@ std::unique_ptr<MonitorRig> make_monitor_rig(Cluster& cluster,
   }
   rig->scoped_flight = std::make_unique<obs::ScopedFlight>(*rig->flight);
   MonitorRig* r = rig.get();
-  rig->flight->set_on_fault([r](const obs::FlightEvent& ev) {
-    ++r->fault_events;
-    bool storage = false;
-    std::size_t node = 0;
-    if (parse_node_id(ev.node, &storage, &node)) {
-      r->health.note_fault(storage, node, ev.time);
-    }
-  });
+  rig->faults = cluster.faults();
+  if (rig->faults != nullptr) {
+    rig->faults->subscribe([r](const fault::FaultEvent& ev) {
+      ++r->fault_events;
+      if (ev.kind) {
+        r->health.note_fault(*ev.kind == fault::NodeKind::Storage, ev.node,
+                             ev.time);
+      }
+    });
+  }
   rig->monitor.set_on_alert([r](const obs::Alert& a) {
     obs::flight_note(a.time, obs::FlightEvent::Kind::Alert, "", a.rule,
                      a.resolved ? 0.0 : 1.0,

@@ -28,7 +28,6 @@
 #include "datagen/generator.hpp"
 #include "fault/fault.hpp"
 #include "graph/connectivity.hpp"
-#include "net/aggregator.hpp"
 #include "obs/obs.hpp"
 #include "obs/sim_clock.hpp"
 #include "obs/span.hpp"
@@ -50,6 +49,15 @@ struct Scenario {
   ClusterSpec cspec;
   std::vector<std::string> join_attrs;
   std::vector<AttrRange> ranges;
+
+  /// The scenario's cluster, with `plan` and `agg` where given.
+  ClusterSpec cluster(const fault::FaultPlan* plan,
+                      const net::AggregatorConfig* agg = nullptr) const {
+    ClusterSpec c = cspec;
+    if (plan != nullptr) c.faults = *plan;
+    if (agg != nullptr) c.aggregation = *agg;
+    return c;
+  }
 };
 
 /// Random-but-valid scenario: partition sizes are powers of two dividing
@@ -117,9 +125,9 @@ struct ChaosRig {
   /// engine and deposits the tracer state here afterwards.
   TraceCapture* capture = nullptr;
 
-  /// When set, each run constructs (and scopes) a network message
-  /// aggregator with this config over its fresh cluster, so chaos and
-  /// differential sweeps can exercise the aggregated send paths.
+  /// When set, each run's fresh cluster aggregates its messages with this
+  /// config, so chaos and differential sweeps can exercise the aggregated
+  /// send paths.
   const net::AggregatorConfig* agg = nullptr;
 
   explicit ChaosRig(std::uint64_t scenario_seed)
@@ -187,22 +195,8 @@ struct ChaosRig {
     } unbind{clock};
     std::optional<obs::ScopedInstall> install;
     if (ctx) install.emplace(*ctx);
-    Cluster cluster(engine, sc.cspec);
+    Cluster cluster(engine, sc.cluster(plan, agg));
     BdsService bds(cluster, ds.meta, ds.stores);
-    std::optional<net::MessageAggregator> aggregator;
-    std::optional<net::ScopedAggregator> scoped_agg;
-    if (agg != nullptr) {
-      aggregator.emplace(cluster, *agg);
-      scoped_agg.emplace(*aggregator);
-    }
-    if (plan != nullptr) {
-      fault::FaultInjector inj(engine, *plan);
-      fault::ScopedInjector scoped(inj);
-      if (indexed_join) {
-        return run_indexed_join(cluster, bds, ds.meta, graph, query, options);
-      }
-      return run_grace_hash(cluster, bds, ds.meta, query, options);
-    }
     if (indexed_join) {
       return run_indexed_join(cluster, bds, ds.meta, graph, query, options);
     }
@@ -236,20 +230,8 @@ inline WorkloadResult run_workload_under_plan(
     } unbind{&clock};
     std::optional<obs::ScopedInstall> install;
     if (capture != nullptr) install.emplace(ctx);
-    Cluster cluster(engine, rig.sc.cspec);
+    Cluster cluster(engine, rig.sc.cluster(plan, agg));
     BdsService bds(cluster, rig.ds.meta, rig.ds.stores);
-    std::optional<net::MessageAggregator> aggregator;
-    std::optional<net::ScopedAggregator> scoped_agg;
-    if (agg != nullptr) {
-      aggregator.emplace(cluster, *agg);
-      scoped_agg.emplace(*aggregator);
-    }
-    std::optional<fault::FaultInjector> inj;
-    std::optional<fault::ScopedInjector> scoped;
-    if (plan != nullptr) {
-      inj.emplace(engine, *plan);
-      scoped.emplace(*inj);
-    }
     result = run_workload(cluster, bds, rig.ds.meta, spec);
   }
   if (capture != nullptr) {

@@ -7,12 +7,9 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "bds/bds.hpp"
 #include "datagen/generator.hpp"
 #include "graph/connectivity.hpp"
-#include "net/aggregator.hpp"
 #include "obs/obs.hpp"
 #include "obs/sim_clock.hpp"
 #include "qes/analysis.hpp"
@@ -125,14 +122,10 @@ obs::QueryObservation observe_run(
   QesResult result;
   {
     obs::ScopedInstall install(ctx);
-    Cluster cluster(engine, cspec);
+    ClusterSpec run_spec = cspec;
+    if (agg_cfg != nullptr) run_spec.aggregation = *agg_cfg;
+    Cluster cluster(engine, run_spec);
     BdsService bds(cluster, ds.meta, ds.stores);
-    std::optional<net::MessageAggregator> agg;
-    std::optional<net::ScopedAggregator> scoped;
-    if (agg_cfg != nullptr) {
-      agg.emplace(cluster, *agg_cfg);
-      scoped.emplace(*agg);
-    }
     result = indexed_join
                  ? run_indexed_join(cluster, bds, ds.meta, graph, query, {})
                  : run_grace_hash(cluster, bds, ds.meta, query, {});

@@ -8,12 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 
 #include "common/error.hpp"
 #include "datagen/generator.hpp"
 #include "graph/connectivity.hpp"
-#include "net/aggregator.hpp"
 #include "qes/qes.hpp"
 #include "sim/engine.hpp"
 
@@ -402,27 +400,22 @@ TEST(Aggregation, MessageBoundCornerValidatesAndImproves) {
   options.batch_bytes = 4096;
   JoinQuery query{spec.table1_id, spec.table2_id, {"x", "y", "z"}, {}};
 
-  auto run_gh = [&](const net::AggregatorConfig* agg_cfg) {
+  auto run_gh = [&](const ClusterSpec& c) {
     sim::Engine engine;
-    Cluster cluster(engine, cspec);
+    Cluster cluster(engine, c);
     BdsService bds(cluster, ds.meta, ds.stores);
-    std::optional<net::MessageAggregator> agg;
-    std::optional<net::ScopedAggregator> scoped;
-    if (agg_cfg != nullptr) {
-      agg.emplace(cluster, *agg_cfg);
-      scoped.emplace(*agg);
-    }
     return run_grace_hash(cluster, bds, ds.meta, query, options);
   };
 
-  const QesResult base = run_gh(nullptr);
-  net::AggregatorConfig cfg;
-  cfg.flush_batches = 16;
+  const QesResult base = run_gh(cspec);
+  ClusterSpec aggregated = cspec;
+  aggregated.aggregation.emplace();
+  aggregated.aggregation->flush_batches = 16;
   // Per-flow batch inter-arrival here is above the default 1 ms timeout,
   // which would fragment frames; the model's frames-per-flush prediction
   // assumes frames fill, so flush on size/drain only.
-  cfg.flush_timeout = 0;
-  const QesResult agg = run_gh(&cfg);
+  aggregated.aggregation->flush_timeout = 0;
+  const QesResult agg = run_gh(aggregated);
 
   EXPECT_EQ(agg.result_fingerprint, base.result_fingerprint);
   EXPECT_GE(static_cast<double>(base.net_frames_sent),
@@ -438,8 +431,10 @@ TEST(Aggregation, MessageBoundCornerValidatesAndImproves) {
   const double model_base = cost(Algorithm::GraceHash, p).total();
   EXPECT_GT(base.elapsed, 0.95 * model_base);
   EXPECT_LT(base.elapsed, 1.40 * model_base);
-  p.agg_flush_batches = 16;
-  const double model_agg = cost(Algorithm::GraceHash, p).total();
+  CostParams q = CostParams::from(aggregated, ds.stats, 16, 16);
+  q.batch_bytes = p.batch_bytes;
+  EXPECT_DOUBLE_EQ(q.agg_flush_batches, 16.0);
+  const double model_agg = cost(Algorithm::GraceHash, q).total();
   EXPECT_GT(agg.elapsed, 0.95 * model_agg);
   EXPECT_LT(agg.elapsed, 1.40 * model_agg);
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
 
@@ -164,17 +167,6 @@ TEST(FaultInjector, CrashObservationIsIdempotentPerNode) {
   EXPECT_EQ(inj.stats().node_crashes_observed, 3u);
 }
 
-TEST(FaultContext, InstallAndScopedUninstall) {
-  EXPECT_EQ(context(), nullptr);
-  sim::Engine engine;
-  FaultInjector inj(engine, FaultPlan{});
-  {
-    ScopedInjector scoped(inj);
-    EXPECT_EQ(context(), &inj);
-  }
-  EXPECT_EQ(context(), nullptr);
-}
-
 TEST(FaultObs, InjectionsSurfaceAsCounters) {
   obs::WallClock clock;
   obs::ObsContext ctx(&clock);
@@ -183,11 +175,27 @@ TEST(FaultObs, InjectionsSurfaceAsCounters) {
   FaultPlan plan;
   plan.chunk_read_error_prob = 1.0;
   FaultInjector inj(engine, plan);
+  std::vector<std::string> heard;
+  inj.subscribe([&](const FaultEvent& e) {
+    std::string s = e.what;
+    if (e.kind) s += "@" + std::string(node_kind_name(*e.kind)) +
+                     std::to_string(e.node);
+    heard.push_back(s);
+  });
   EXPECT_THROW(inj.maybe_fail_chunk_read(0), InjectedIoError);
   inj.note_retry();
   EXPECT_EQ(ctx.registry.counter("fault.injected.io").value(), 1u);
   EXPECT_EQ(ctx.registry.counter("fault.injected").value(), 1u);
   EXPECT_EQ(ctx.registry.counter("retry.attempts").value(), 1u);
+
+  // The subscriber hears every fault in firing order; an io_error names
+  // its storage node, a crash its node, a retry none. An empty function
+  // ends the subscription.
+  inj.note_crash_observed(NodeKind::Compute, 2);
+  inj.subscribe({});
+  inj.note_crash_observed(NodeKind::Storage, 1);
+  EXPECT_EQ(heard, (std::vector<std::string>{"io_error@storage0", "retry",
+                                             "crash@compute2"}));
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ class RecoveryTest : public ::testing::Test {
 };
 
 TEST_F(RecoveryTest, EmptyPlanInjectorIsInvisibleToIndexedJoin) {
-  // Installing an injector with nothing to inject must not perturb the
+  // An injector with nothing to inject must not perturb the
   // simulation at all: identical result AND identical virtual elapsed.
   const QesResult baseline = rig.run(/*indexed_join=*/true);
   fault::FaultPlan plan;
@@ -52,6 +52,24 @@ TEST_F(RecoveryTest, EmptyPlanInjectorIsInvisibleToIndexedJoin) {
   EXPECT_DOUBLE_EQ(baseline.elapsed, with_inj.elapsed);
   EXPECT_FALSE(with_inj.degraded);
   EXPECT_EQ(with_inj.fetch_retries, 0u);
+}
+
+TEST_F(RecoveryTest, AnotherClustersFaultPlanLeavesThisRunAlone) {
+  // Cluster A, on its own engine, drops half its messages. A fault-free
+  // GH run on another cluster must match the same run alone exactly.
+  const QesResult alone = rig.run(/*indexed_join=*/false);
+  fault::FaultPlan drops;
+  drops.seed = 5;
+  drops.message_drop_prob = 0.5;
+  sim::Engine engine_a;
+  const Cluster a(engine_a, rig.sc.cluster(&drops));
+  ASSERT_NE(a.faults(), nullptr);
+  const QesResult beside = rig.run(false);
+  EXPECT_EQ(beside.elapsed, alone.elapsed);
+  EXPECT_EQ(beside.net_frames_sent, alone.net_frames_sent);
+  EXPECT_EQ(beside.fetch_retries, 0u);
+  EXPECT_EQ(beside.result_fingerprint, alone.result_fingerprint);
+  EXPECT_EQ(a.faults()->stats().total(), 0u);
 }
 
 TEST_F(RecoveryTest, EmptyPlanInjectorPreservesGraceHashResult) {

@@ -177,13 +177,12 @@ TEST(Aggregator, MultiProducerInterleaveIsDeterministicPerSeed) {
 
 TEST(Aggregator, DroppedFramesAreResentWholeAndDeliveredExactlyOnce) {
   sim::Engine engine;
-  Cluster cluster(engine, tiny_spec());
-  fault::FaultPlan plan;
-  plan.seed = 42;
-  plan.message_drop_prob = 0.5;
-  plan.retransmit_timeout = 0.005;
-  fault::FaultInjector inj(engine, plan);
-  fault::ScopedInjector scoped(inj);
+  ClusterSpec spec = tiny_spec();
+  spec.faults.emplace();
+  spec.faults->seed = 42;
+  spec.faults->message_drop_prob = 0.5;
+  spec.faults->retransmit_timeout = 0.005;
+  Cluster cluster(engine, spec);
 
   net::AggregatorConfig cfg;
   cfg.flush_batches = 4;

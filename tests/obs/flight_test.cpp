@@ -138,20 +138,6 @@ TEST(FlightRecorder, WritesDumpFilesWhenDirectoryConfigured) {
   EXPECT_NE(ss.str().find("crash-evidence"), std::string::npos);
 }
 
-TEST(FlightRecorder, OnFaultCallbackFiresPerFaultEvent) {
-  FlightRecorder rec;
-  std::vector<std::string> faults;
-  rec.set_on_fault([&](const FlightEvent& e) {
-    faults.push_back(e.node + "/" + e.name);
-  });
-  rec.record(ev(1.0, Kind::Fault, "storage1", "io_error"));
-  rec.record(ev(1.1, Kind::SpanClose, "storage1", "io.read"));  // not a fault
-  rec.record(ev(1.2, Kind::Fault, "net", "message_drop"));
-  ASSERT_EQ(faults.size(), 2u);
-  EXPECT_EQ(faults[0], "storage1/io_error");
-  EXPECT_EQ(faults[1], "net/message_drop");
-}
-
 TEST(FlightInstall, FlightNoteIsNoOpWithoutRecorder) {
   ASSERT_EQ(flight_context(), nullptr);
   flight_note(1.0, Kind::Note, "storage0", "ignored");  // must not crash

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "datagen/generator.hpp"
 #include "dds/distributed.hpp"
 #include "dds/local_executor.hpp"
@@ -20,7 +22,7 @@ struct Rig {
   std::unique_ptr<Cluster> cluster;
   std::unique_ptr<BdsService> bds;
 
-  Rig() {
+  explicit Rig(std::optional<fault::FaultPlan> faults = std::nullopt) {
     DatasetSpec spec;
     spec.grid = {16, 16, 16};
     spec.part1 = {4, 4, 4};
@@ -30,6 +32,7 @@ struct Rig {
     ClusterSpec cspec;
     cspec.num_storage = 3;
     cspec.num_compute = 2;
+    cspec.faults = std::move(faults);
     cluster = std::make_unique<Cluster>(engine, cspec);
     bds = std::make_unique<BdsService>(*cluster, ds.meta, ds.stores);
   }
@@ -144,13 +147,11 @@ TEST(ScanAggregate, InjectedReadErrorsAreRetriedToTheSameResult) {
   EXPECT_EQ(base.fetch_retries, 0u);
   EXPECT_FALSE(base.degraded);
 
-  Rig rig;
   fault::FaultPlan plan;
   plan.seed = 7;
   plan.chunk_read_error_prob = 0.5;
   plan.retry.max_attempts = 64;  // prob 0.5 needs headroom to converge
-  fault::FaultInjector inj(rig.engine, plan);
-  fault::ScopedInjector scoped(inj);
+  Rig rig(plan);
   const auto res =
       run_distributed_aggregate(*rig.cluster, *rig.bds, rig.ds.meta, q);
   EXPECT_EQ(res.result_tuples, base.result_tuples);

@@ -222,25 +222,23 @@ TEST(Planner, AggFlushKnobFlowsIntoThePricedParams) {
   const auto base = planner.plan(stats, 16, 16, &plain);
   EXPECT_DOUBLE_EQ(base.params.agg_flush_batches, 1.0);
 
-  // The planner prices whatever aggregator is installed at plan time.
-  sim::Engine engine;
-  Cluster cluster(engine, cspec);
-  net::AggregatorConfig cfg;
-  cfg.flush_batches = 16;
-  PlanDecision priced;
-  {
-    net::MessageAggregator agg(cluster, cfg);
-    net::ScopedAggregator scoped(agg);
-    priced = planner.plan(stats, 16, 16, &plain);
-  }
+  // The planner prices the aggregation config of the spec it is given.
+  ClusterSpec aggregated = cspec;
+  aggregated.aggregation.emplace();
+  aggregated.aggregation->flush_batches = 16;
+  const auto priced = QueryPlanner(aggregated).plan(stats, 16, 16, &plain);
   EXPECT_DOUBLE_EQ(priced.params.agg_flush_batches, 16.0);
   // A nonzero gamma means aggregation makes GH strictly cheaper.
   EXPECT_LT(priced.gh.total(), base.gh.total());
 
-  // Uninstalled again: back to the unaggregated network.
-  const auto after = planner.plan(stats, 16, 16, &plain);
-  EXPECT_DOUBLE_EQ(after.params.agg_flush_batches, 1.0);
-  EXPECT_DOUBLE_EQ(after.gh.total(), base.gh.total());
+  // Another cluster aggregating at 16 in the same process leaves a planner
+  // over a spec without aggregation pricing the unaggregated network.
+  sim::Engine engine;
+  Cluster other(engine, aggregated);
+  ASSERT_NE(other.aggregator(), nullptr);
+  const auto beside = planner.plan(stats, 16, 16, &plain);
+  EXPECT_DOUBLE_EQ(beside.params.agg_flush_batches, 1.0);
+  EXPECT_DOUBLE_EQ(beside.gh.total(), base.gh.total());
 }
 
 TEST(Planner, CalibratedPlanTakesLearnedParamsAndKeepsTheSpecSheetPrior) {

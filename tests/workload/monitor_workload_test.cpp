@@ -216,19 +216,17 @@ WorkloadSpec chaos_workload(const chaos::ChaosRig& rig) {
   return spec;
 }
 
-/// Like chaos::run_workload_under_plan, but owns the injector so the
+/// Like chaos::run_workload_under_plan, but keeps the cluster so the
 /// sweep can read FaultStats (what actually fired) after the run.
 WorkloadResult run_faulted(const chaos::ChaosRig& rig,
                            const WorkloadSpec& spec,
                            const fault::FaultPlan& plan,
                            fault::FaultStats* stats) {
   sim::Engine engine;
-  Cluster cluster(engine, rig.sc.cspec);
+  Cluster cluster(engine, rig.sc.cluster(&plan));
   BdsService bds(cluster, rig.ds.meta, rig.ds.stores);
-  fault::FaultInjector inj(engine, plan);
-  fault::ScopedInjector scoped(inj);
   WorkloadResult r = run_workload(cluster, bds, rig.ds.meta, spec);
-  *stats = inj.stats();
+  *stats = cluster.faults()->stats();
   return r;
 }
 
