@@ -8,8 +8,8 @@
 //   chaos.<mode>.<clean|faulted>  chaos scenarios 1000..1019, each run once
 //       fault-free and once under FaultPlan::chaos(seed), for IJ serial,
 //       IJ pipelined, IJ through a session cache (cold then warm run), GH,
-//       GH double-buffered, the distributed scan-aggregate, and GH and IJ
-//       pipelined through a message aggregator with the default config:
+//       GH double-buffered, the distributed scan-aggregate, and GH and
+//       pipelined IJ through a message aggregator with the default config:
 //       every QesResult counter, the virtual times as exact hex floats, or
 //       the error a run threw.
 //   workload.<seed>.<clean|faulted>  a three-client monitored workload with
